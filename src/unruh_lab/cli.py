@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .errors import UnruhLabError
 from .output import CSV_COLUMNS, OutputFormat, record_fields, write_figure_files
@@ -82,18 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "--precision", type=int, default=12, help="digits after the decimal point"
     )
-    figure.add_argument(
-        "--threads", type=int, default=None, help="worker threads (0 = auto)"
-    )
 
     verify = sub.add_parser("verify", help="run the acceptance/verification suite")
     verify.add_argument(
         "--quick",
         action="store_true",
         help="skip the determinism/runtime check (the slowest one)",
-    )
-    verify.add_argument(
-        "--threads", type=int, default=None, help="worker threads (0 = auto)"
     )
     return parser
 
@@ -124,7 +119,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     fmt = OutputFormat(args.format, args.precision)
     figure = FigurePreset(args.which)
     spec = figure_preset(figure)
-    records = run_sweep(spec, threads=args.threads)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # fail before the sweep
+    records = run_sweep(spec)
     written = write_figure_files(figure, records, spec, args.out_dir, fmt)
     for path in written:
         print(path)
@@ -133,9 +129,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_checks(
-        threads=args.threads, include_determinism=not args.quick
-    )
+    results = run_checks(include_determinism=not args.quick)
     failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"

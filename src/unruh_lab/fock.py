@@ -4,16 +4,22 @@ Layouts name an ordered set of two-level subsystems; factor 0 is the most
 significant bit of a basis index, so a basis ket reads left to right in the
 written mode order.  On top of the layouts sit unit state vectors, density
 matrices, isometric embeddings, the partial trace, and a cyclic Jacobi
-eigensolver for Hermitian matrices.  Everything is small (at most 32x32),
-immutable, and safe to share between threads.
+eigensolver for Hermitian matrices.  Everything is small (at most 32x32)
+and immutable.
+
+The checks the classes make on construction are written for stacks of
+arrays, so batched code makes the same checks on many items at once; on a
+stack of one they raise what the single item's checks raise.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .errors import (
     NormalizationError,
     ShapeError,
     SymmetryError,
+    UnruhLabError,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -31,7 +38,68 @@ TRACE_TOL = 1e-12
 NORM_TOL = 1e-12
 ISOMETRY_TOL = 1e-12
 JACOBI_OFF_NORM_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
 PSD_TOL = 1e-8
+
+# A stack check: which items fail, and the error for failing item i.
+Check = tuple[np.ndarray, Callable[[int], UnruhLabError]]
+
+
+def raise_first_failure(*checks: Check) -> None:
+    """Raise the error of the first check, in the order given, that any item fails.
+
+    The error describes the first item failing that check, so on a stack of
+    one it is the error of running the checks one after another.
+    """
+    for failed, make in checks:
+        if failed.any():
+            raise make(int(np.argmax(failed)))
+
+
+def norm_check(vectors: np.ndarray) -> Check:
+    """Vectors (N, d) must have unit norm within ``NORM_TOL``."""
+    norms = np.linalg.norm(vectors, axis=-1)
+    return (
+        np.abs(norms - 1.0) > NORM_TOL,
+        lambda i: NormalizationError(f"state norm is {float(norms[i])!r}, expected 1"),
+    )
+
+
+def hermitian_check(matrices: np.ndarray) -> Check:
+    """Matrices (N, n, n) must equal their conjugate transpose within ``HERMITIAN_TOL``."""
+    defects = np.abs(matrices - matrices.conj().swapaxes(1, 2)).reshape(len(matrices), -1).max(1)
+    return (
+        defects > HERMITIAN_TOL,
+        lambda i: SymmetryError(
+            f"Hermiticity defect {float(defects[i]):.3e} exceeds {HERMITIAN_TOL}"
+        ),
+    )
+
+
+def trace_check(matrices: np.ndarray) -> Check:
+    """Matrices (N, n, n) must have unit trace within ``TRACE_TOL``."""
+    traces = matrices.trace(axis1=1, axis2=2)
+    return (
+        np.abs(traces - 1.0) > TRACE_TOL,
+        lambda i: NormalizationError(f"trace is {complex(traces[i])!r}, expected 1"),
+    )
+
+
+def isometry_check(matrices: np.ndarray) -> Check:
+    """Matrices (N, d, k) must have orthonormal columns within ``ISOMETRY_TOL``."""
+    gram = matrices.conj().swapaxes(1, 2) @ matrices
+    defects = np.abs(gram - np.eye(matrices.shape[2])).reshape(len(matrices), -1).max(1)
+    return (
+        defects > ISOMETRY_TOL,
+        lambda i: NormalizationError(
+            f"columns are not orthonormal (defect {float(defects[i]):.3e})"
+        ),
+    )
+
+
+def check_density_stack(matrices: np.ndarray) -> None:
+    """Check each matrix (N, n, n) as :class:`DensityMatrix` does: Hermitian, unit trace."""
+    raise_first_failure(hermitian_check(matrices), trace_check(matrices))
 
 
 class Subsystem(Enum):
@@ -110,9 +178,7 @@ class StateVector:
                 f"amplitude vector of length {amps.size} does not fit a "
                 f"{self.layout.dim}-dimensional layout"
             )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NormalizationError(f"state norm is {norm!r}, expected 1")
+        raise_first_failure(norm_check(amps[np.newaxis]))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -138,12 +204,7 @@ class DensityMatrix:
         dim = self.layout.dim
         if m.shape != (dim, dim):
             raise ShapeError(f"matrix of shape {m.shape} does not fit dimension {dim}")
-        defect = float(np.abs(m - m.conj().T).max())
-        if defect > HERMITIAN_TOL:
-            raise SymmetryError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise NormalizationError(f"trace is {trace!r}, expected 1")
+        check_density_stack(m[np.newaxis])
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -178,12 +239,7 @@ class Isometry:
                 f"isometry matrix of shape {m.shape} does not map "
                 f"{self.source_dim} -> {self.target_layout.dim}"
             )
-        gram = m.conj().T @ m
-        defect = float(np.abs(gram - np.eye(self.source_dim)).max())
-        if defect > ISOMETRY_TOL:
-            raise NormalizationError(
-                f"columns are not orthonormal (defect {defect:.3e})"
-            )
+        raise_first_failure(isometry_check(m[np.newaxis]))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -240,23 +296,46 @@ def apply_isometry(rho: DensityMatrix, which_factor: Subsystem, v: Isometry) -> 
 def partial_trace(rho: DensityMatrix, discard: Iterable[Subsystem]) -> DensityMatrix:
     """Trace out the given factors; remaining factors keep their order."""
     discard = frozenset(discard)
-    labels = set(rho.layout.factors)
+    if not discard:
+        return rho
+    reduced, kept_layout = trace_out(rho.entries[np.newaxis], rho.layout, discard)
+    return DensityMatrix(kept_layout, reduced[0])
+
+
+def trace_out(
+    entries: np.ndarray, layout: SubsystemLayout, discard: Iterable[Subsystem]
+) -> tuple[np.ndarray, SubsystemLayout]:
+    """Partial trace of each matrix of a stack (N, d, d) over ``layout``.
+
+    Returns the reduced stack and its layout.  The reduced matrices are not
+    checked; :func:`check_density_stack` checks them as
+    :func:`partial_trace` does.
+    """
+    in_ids, out_ids, kept_layout = _trace_plan(layout, frozenset(discard))
+    tensor = entries.reshape((len(entries),) + (2,) * (2 * len(layout)))
+    reduced = np.einsum(tensor, in_ids, out_ids)
+    return reduced.reshape(len(entries), kept_layout.dim, kept_layout.dim), kept_layout
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_plan(
+    layout: SubsystemLayout, discard: frozenset[Subsystem]
+) -> tuple[tuple[int, ...], tuple[int, ...], SubsystemLayout]:
+    """einsum subscripts of trace_out, with a leading batch axis, and the kept layout."""
+    labels = set(layout.factors)
     unknown = discard - labels
     if unknown:
         raise LayoutError(f"unknown labels {sorted(s.name for s in unknown)}")
     if discard == labels:
         raise DomainError("discard", "cannot trace out every factor")
-    if not discard:
-        return rho
-    n = len(rho.layout)
-    keep = [i for i, f in enumerate(rho.layout.factors) if f not in discard]
-    tensor = rho.entries.reshape((2,) * (2 * n))
+    n = len(layout)
+    keep = [i for i, f in enumerate(layout.factors) if f not in discard]
+    batch = 2 * n
     row_ids = list(range(n))
-    col_ids = [i if rho.layout.factors[i] in discard else n + i for i in range(n)]
+    col_ids = [i if layout.factors[i] in discard else n + i for i in range(n)]
     out_ids = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(tensor, row_ids + col_ids, out_ids)
-    kept_layout = SubsystemLayout(tuple(rho.layout.factors[i] for i in keep))
-    return DensityMatrix(kept_layout, reduced.reshape(kept_layout.dim, kept_layout.dim))
+    kept_layout = SubsystemLayout(tuple(layout.factors[i] for i in keep))
+    return (batch, *row_ids, *col_ids), (batch, *out_ids), kept_layout
 
 
 def _off_diagonal_norm_sq(a: np.ndarray) -> float:
@@ -270,7 +349,7 @@ def eigvals_hermitian(
     *,
     off_norm_tol: float = JACOBI_OFF_NORM_TOL,
     hermitian_tol: float = HERMITIAN_TOL,
-    max_sweeps: int = 100,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, descending.
 
@@ -342,3 +421,103 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
     a[l, l] = new_ll
     a[k, l] = 0.0
     a[l, k] = 0.0
+
+
+def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian matrix of a stack (N, n, n), rows descending.
+
+    Runs the cyclic Jacobi of :func:`eigvals_hermitian` on every matrix at
+    once, with the same rotations in the same order, the same convergence
+    test and the same skip rule for each matrix, so each row equals that
+    function's result for its matrix bit for bit, with its default
+    tolerances.  A matrix stops rotating once it has converged.  Raises as
+    that function does for the first matrix that is not Hermitian or does
+    not converge within ``JACOBI_MAX_SWEEPS`` sweeps.
+    """
+    a = np.array(matrices, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
+    raise_first_failure(hermitian_check(a))
+    a = (a + np.conj(a).transpose(0, 2, 1)) / 2.0
+    n = a.shape[1]
+    if n == 1:
+        return a[:, :, 0].real
+
+    skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
+    active = np.arange(len(a))
+    for _ in range(JACOBI_MAX_SWEEPS):
+        # the negation of the scalar test, so a NaN matrix stays active
+        converged = _off_diagonal_norms_sq(a[active]) <= JACOBI_OFF_NORM_TOL**2
+        active = active[~converged]
+        if not active.size:
+            break
+        work = a[active]
+        for k in range(n - 1):
+            for l in range(k + 1, n):
+                _jacobi_rotate_batch(work, k, l, skip_below)
+        a[active] = work
+    else:
+        raise ConvergenceError(
+            f"off-diagonal norm still "
+            f"{math.sqrt(_off_diagonal_norm_sq(a[active[0]])):.3e} "
+            f"after {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    eigs = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
+    return eigs[:, ::-1]
+
+
+def _off_diagonal_norms_sq(a: np.ndarray) -> np.ndarray:
+    """_off_diagonal_norm_sq of each matrix, summed in the same order."""
+    mags = np.abs(a) ** 2
+    diagonal = np.arange(a.shape[1])
+    mags[:, diagonal, diagonal] = 0.0
+    return mags.reshape(len(a), -1).sum(axis=1)
+
+
+def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
+    """_jacobi_rotate on each matrix of a stack, in place, with the same arithmetic.
+
+    Every value is computed by the same operations in the same order as in
+    the scalar rotation, each coefficient multiplying contiguous rows of
+    length n as it does there.  Two functions need care: ``abs`` of a
+    complex scalar is ``np.hypot`` of its parts, which ``np.abs`` of a
+    complex array is not in the last bit; and ``hypot(tau, 1)`` comes from
+    ``math.hypot`` for each matrix, which ``np.hypot`` is not.
+    """
+    pivot = a[:, k, l]
+    beta = np.hypot(pivot.real, pivot.imag)
+    negligible = beta < skip_below
+    small = negligible & (beta != 0.0)
+    a[small, k, l] = 0.0
+    a[small, l, k] = 0.0
+    rotate = np.flatnonzero(~negligible)
+    if not rotate.size:
+        return
+    beta = beta[rotate]
+    akk = a[rotate, k, k].real
+    all_ = a[rotate, l, l].real
+    phase = a[rotate, k, l] / beta
+    tau = (all_ - akk) / (2.0 * beta)
+    hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
+    t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
+    new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
+
+    c = c[:, np.newaxis]
+    s_phase = (s * phase)[:, np.newaxis]
+    s_phase_conj = (s * np.conj(phase))[:, np.newaxis]
+    col_k = a[rotate, :, k]
+    col_l = a[rotate, :, l]
+    a[rotate, :, k] = c * col_k + s_phase_conj * col_l
+    a[rotate, :, l] = -s_phase * col_k + c * col_l
+    row_k = a[rotate, k, :]
+    row_l = a[rotate, l, :]
+    a[rotate, k, :] = c * row_k + s_phase * row_l
+    a[rotate, l, :] = -s_phase_conj * row_k + c * row_l
+
+    a[rotate, k, k] = new_kk
+    a[rotate, l, l] = new_ll
+    a[rotate, k, l] = 0.0
+    a[rotate, l, k] = 0.0

@@ -6,7 +6,7 @@ The CSV schema is stable for golden-file comparison:
 
 Inapplicable fields stay empty.  Numbers are rendered in fixed-point with a
 configurable number of digits, always with a ``.`` decimal point, so output
-bytes do not depend on locale, platform, or thread count.
+bytes do not depend on locale or platform.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ the single-mode approximation).
 Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
 Rindler space, and either wedge is obtained by tracing out the other.
+:func:`bob_isometries` and :func:`build_joints` do the same for a whole
+stack of grid points at once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +32,12 @@ from .fock import (
     Subsystem,
     SubsystemLayout,
     apply_isometry,
+    check_density_stack,
+    isometry_check,
+    norm_check,
     outer_product,
     partial_trace,
+    raise_first_failure,
 )
 
 GAMMA_MAX = math.pi / 4
@@ -75,7 +82,11 @@ class AccelerationParams:
 
     @property
     def q_l(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.q_r * self.q_r))
+        return _left_weight(self.q_r)
+
+
+def _left_weight(q_r: float) -> float:
+    return math.sqrt(max(0.0, 1.0 - q_r * q_r))
 
 
 def gamma_from_acceleration(omega: float, acceleration: float, light_speed: float) -> float:
@@ -84,50 +95,59 @@ def gamma_from_acceleration(omega: float, acceleration: float, light_speed: floa
     cos(gamma) = (exp(-2 pi omega c / a) + 1)^(-1/2); the result grows from 0
     (inertial) towards pi/4 (infinite acceleration).
     """
-    if omega <= 0.0:
-        raise DomainError("omega", f"must be positive, got {omega}")
-    if acceleration <= 0.0:
-        raise DomainError("acceleration", f"must be positive, got {acceleration}")
-    if light_speed <= 0.0:
-        raise DomainError("light_speed", f"must be positive, got {light_speed}")
+    for name, value in (
+        ("omega", omega),
+        ("acceleration", acceleration),
+        ("light_speed", light_speed),
+    ):
+        if not (0.0 < value < math.inf):
+            raise DomainError(name, f"must be positive and finite, got {value}")
     exponent = -2.0 * math.pi * omega * light_speed / acceleration
     return math.acos((math.exp(exponent) + 1.0) ** -0.5)
 
 
+def _rindler_amplitudes(
+    gammas: Sequence[float], q_rs: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vacuum, particle and antiparticle amplitudes, each (N, 16), per (gamma, q_r)."""
+    c = np.array([math.cos(gamma) for gamma in gammas])
+    s = np.array([math.sin(gamma) for gamma in gammas])
+    q_r = np.array(q_rs, dtype=float)
+    q_l = np.array([_left_weight(q) for q in q_rs])
+    vacuum = np.zeros((len(c), 16), dtype=complex)
+    vacuum[:, 0b0000] = c * c
+    vacuum[:, 0b0011] = -s * c
+    vacuum[:, 0b1100] = s * c
+    vacuum[:, 0b1111] = -s * s
+    particle = np.zeros((len(c), 16), dtype=complex)
+    particle[:, 0b1000] = q_r * c
+    particle[:, 0b1011] = -q_r * s
+    particle[:, 0b1101] = q_l * s
+    particle[:, 0b0001] = q_l * c
+    antiparticle = np.zeros((len(c), 16), dtype=complex)
+    antiparticle[:, 0b0100] = q_l * c
+    antiparticle[:, 0b0111] = -q_l * s
+    antiparticle[:, 0b1110] = q_r * s
+    antiparticle[:, 0b0010] = q_r * c
+    return vacuum, particle, antiparticle
+
+
 def unruh_vacuum(accel: AccelerationParams) -> StateVector:
     """Vacuum as seen in the four Rindler modes; independent of ``q_r``."""
-    c = math.cos(accel.gamma)
-    s = math.sin(accel.gamma)
-    amps = np.zeros(16, dtype=complex)
-    amps[0b0000] = c * c
-    amps[0b0011] = -s * c
-    amps[0b1100] = s * c
-    amps[0b1111] = -s * s
-    return StateVector(RINDLER_LAYOUT, amps)
+    vacuum, _, _ = _rindler_amplitudes([accel.gamma], [accel.q_r])
+    return StateVector(RINDLER_LAYOUT, vacuum[0])
 
 
 def unruh_particle(accel: AccelerationParams) -> StateVector:
     """One-particle excitation over the Rindler modes."""
-    c = math.cos(accel.gamma)
-    s = math.sin(accel.gamma)
-    amps = np.zeros(16, dtype=complex)
-    amps[0b1000] = accel.q_r * c
-    amps[0b1011] = -accel.q_r * s
-    amps[0b1101] = accel.q_l * s
-    amps[0b0001] = accel.q_l * c
-    return StateVector(RINDLER_LAYOUT, amps)
+    _, particle, _ = _rindler_amplitudes([accel.gamma], [accel.q_r])
+    return StateVector(RINDLER_LAYOUT, particle[0])
 
 
 def unruh_antiparticle(accel: AccelerationParams) -> StateVector:
     """One-antiparticle excitation over the Rindler modes."""
-    c = math.cos(accel.gamma)
-    s = math.sin(accel.gamma)
-    amps = np.zeros(16, dtype=complex)
-    amps[0b0100] = accel.q_l * c
-    amps[0b0111] = -accel.q_l * s
-    amps[0b1110] = accel.q_r * s
-    amps[0b0010] = accel.q_r * c
-    return StateVector(RINDLER_LAYOUT, amps)
+    _, _, antiparticle = _rindler_amplitudes([accel.gamma], [accel.q_r])
+    return StateVector(RINDLER_LAYOUT, antiparticle[0])
 
 
 class Encoding(Enum):
@@ -139,14 +159,30 @@ class Encoding(Enum):
 
 def bob_isometry(encoding: Encoding, accel: AccelerationParams) -> Isometry:
     """Embedding of Bob's inertial qubit basis into the Rindler space."""
+    matrices = bob_isometries(encoding, [accel.gamma], [accel.q_r])
+    return Isometry(2, RINDLER_LAYOUT, matrices[0])
+
+
+def bob_isometries(
+    encoding: Encoding, gammas: Sequence[float], q_rs: Sequence[float]
+) -> np.ndarray:
+    """The matrices of :func:`bob_isometry` at each (gamma, q_r), stacked (N, 16, 2).
+
+    Each is checked as :class:`StateVector` checks its columns and
+    :class:`Isometry` checks the whole.  The parameters are not checked here.
+    """
+    vacuum, particle, antiparticle = _rindler_amplitudes(gammas, q_rs)
     if encoding is Encoding.SINGLE_RAIL:
-        columns = (unruh_vacuum(accel), unruh_particle(accel))
+        columns = (vacuum, particle)
     elif encoding is Encoding.DUAL_RAIL:
-        columns = (unruh_particle(accel), unruh_antiparticle(accel))
+        columns = (particle, antiparticle)
     else:
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
-    matrix = np.column_stack([col.amplitudes for col in columns])
-    return Isometry(2, RINDLER_LAYOUT, matrix)
+    matrices = np.stack(columns, axis=2)
+    raise_first_failure(
+        norm_check(columns[0]), norm_check(columns[1]), isometry_check(matrices)
+    )
+    return matrices
 
 
 class ChannelFamily(Enum):
@@ -263,6 +299,20 @@ def build_joint(spec: ChannelSpec, *, classical_weights: str = "squared") -> Den
     inertial = build_inertial(spec, classical_weights=classical_weights)
     lift = bob_isometry(spec.family.encoding, spec.accel)
     return apply_isometry(inertial, Subsystem.BOB, lift)
+
+
+def build_joints(inertial: np.ndarray, isometries: np.ndarray) -> np.ndarray:
+    """:func:`build_joint` for a stack: prepared states (N, 4, 4) and Bob's isometries (N, 16, 2).
+
+    Lifts each state through ``kron(eye(2), V)`` exactly as
+    :func:`unruh_lab.fock.apply_isometry` does, so every joint (N, 32, 32) in
+    ``JOINT_LAYOUT`` equals its :func:`build_joint` counterpart bit for bit.
+    Each is checked as :class:`DensityMatrix` checks it.
+    """
+    lift = np.kron(np.eye(2), isometries)
+    joints = lift @ inertial @ np.conj(lift).transpose(0, 2, 1)
+    check_density_stack(joints)
+    return joints
 
 
 class BobRegion(Enum):

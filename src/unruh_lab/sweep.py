@@ -1,39 +1,51 @@
 """Parameter-sweep engine: evaluate channel families over (gamma, q_r[, F]) grids.
 
-Grid points are independent and may be evaluated in parallel; records are
-always assembled in the canonical order (family, region, gamma index,
-q_r index, f index), so repeated runs are bitwise identical no matter how
-many threads were used.  The ``UNRUH_LAB_THREADS`` environment variable
-caps parallelism (0 or unset means automatic).
+Records come in the canonical order (family, region, gamma index, q_r
+index, f index), so repeated runs are bitwise identical.  The points of one
+(family, region) block are evaluated together in batches: each stage (state
+build, partial traces, eigensolves, entropies) runs on a stack of points at
+once, with the same arithmetic as the single-matrix functions, so a batch
+gives the same bits as evaluating its points one by one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+
+import numpy as np
 
 from .errors import DomainError, SweepPointError, UnruhLabError
+from .fock import check_density_stack, trace_out
 from .measures import (
     JOINT_TRIPARTITE,
+    checked_entropies,
     region_split,
-    strong_additivity,
-    subsystem_entropies,
+    ssa_discards,
+    strong_additivities,
+    subsystem_entropies_batch,
 )
 from .states import (
     GAMMA_MAX,
+    JOINT_LAYOUT,
     AccelerationParams,
     BobRegion,
     ChannelFamily,
     ChannelSpec,
-    build_joint,
-    reduce_to_region,
+    bob_isometries,
+    build_inertial,
+    build_joints,
 )
 
-THREADS_ENV_VAR = "UNRUH_LAB_THREADS"
+# Batch sizes, which bound a sweep's extra memory: at most BATCH_POINTS
+# points' reduced states wait for one batched eigensolve, and the 32x32
+# joints (about 90 KB a point with the temporaries of their checks) are
+# built JOINT_CHUNK points at a time.
+BATCH_POINTS = 200
+JOINT_CHUNK = 8
+
+_SSA_DISCARDS = ssa_discards(JOINT_TRIPARTITE)
 
 
 class Measure(Enum):
@@ -116,76 +128,127 @@ def evaluate_point(
     with_ssa: bool = False,
 ) -> SweepRecord:
     """Build the channel at one grid point and compute its measures."""
-    spec = ChannelSpec(
-        family, AccelerationParams(gamma, q_r), alpha=alpha, fidelity_f=f
-    )
-    joint = build_joint(spec)
-    reduced = reduce_to_region(joint, region)
-    s_a, s_b, s_ab = subsystem_entropies(reduced, region_split(region))
-    ssa = strong_additivity(joint, JOINT_TRIPARTITE) if with_ssa else None
-    return SweepRecord(
-        family=family,
-        region=region,
-        gamma=gamma,
-        q_r=q_r,
-        alpha=alpha,
-        f=f,
-        s_a=s_a,
-        s_b=s_b,
-        s_ab=s_ab,
-        mutual_info=s_a + s_b - s_ab,
-        cond_entropy=s_ab - s_b,
-        ssa_value=ssa,
-    )
+    return _evaluate_batch(family, region, [(gamma, q_r, f)], alpha, with_ssa)[0]
 
 
-def _grid_points(spec: SweepSpec) -> Iterator[tuple]:
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
+    """Evaluate every grid point; the result order is canonical and deterministic.
+
+    Raises :class:`SweepPointError` naming the first point, in that order,
+    whose evaluation fails.
+    """
+    with_ssa = Measure.STRONG_ADDITIVITY in spec.measures
+    records: list[SweepRecord] = []
     for family in spec.families:
         f_values = spec.f_grid if family is ChannelFamily.WERNER else (None,)
+        points = [
+            (gamma, q_r, f)
+            for gamma in spec.gamma_grid
+            for q_r in spec.q_r_grid
+            for f in f_values
+        ]
+        batches = -(-len(points) // BATCH_POINTS)
+        size = -(-len(points) // batches)
         for region in spec.regions:
-            for gamma in spec.gamma_grid:
-                for q_r in spec.q_r_grid:
-                    for f in f_values:
-                        yield family, region, gamma, q_r, f
+            for start in range(0, len(points), size):
+                batch = points[start : start + size]
+                try:
+                    records += _evaluate_batch(family, region, batch, spec.alpha, with_ssa)
+                except UnruhLabError:
+                    _raise_first_point_error(family, region, batch, spec.alpha, with_ssa)
+                    raise
+    return records
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else the environment cap, else auto."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "0")
+def _raise_first_point_error(
+    family: ChannelFamily,
+    region: BobRegion,
+    points: list[tuple],
+    alpha: float,
+    with_ssa: bool,
+) -> None:
+    """Evaluate the points one by one; raise :class:`SweepPointError` for the first that fails.
+
+    That point is the first failing one of the batch, with the error of its
+    first failing check, whatever stage the batch failed at.
+    """
+    for gamma, q_r, f in points:
         try:
-            threads = int(raw)
-        except ValueError:
-            raise DomainError(THREADS_ENV_VAR, f"not an integer: {raw!r}") from None
-    if threads < 0:
-        raise DomainError("threads", f"must be >= 0, got {threads}")
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
-    return threads
-
-
-def run_sweep(spec: SweepSpec, *, threads: int | None = None) -> list[SweepRecord]:
-    """Evaluate every grid point; the result order is canonical and deterministic."""
-    with_ssa = Measure.STRONG_ADDITIVITY in spec.measures
-
-    def evaluate(point: tuple) -> SweepRecord:
-        family, region, gamma, q_r, f = point
-        try:
-            return evaluate_point(
-                family, region, gamma, q_r, spec.alpha, f, with_ssa=with_ssa
-            )
+            _evaluate_batch(family, region, [(gamma, q_r, f)], alpha, with_ssa)
         except UnruhLabError as exc:
             raise SweepPointError(
                 f"sweep aborted at family={family.value} region={region.value} "
                 f"gamma={gamma!r} q_r={q_r!r} f={f!r}: {exc}"
             ) from exc
 
-    points = list(_grid_points(spec))
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(points) <= 1:
-        return [evaluate(point) for point in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, points))
+
+def _evaluate_batch(
+    family: ChannelFamily,
+    region: BobRegion,
+    points: list[tuple],
+    alpha: float,
+    with_ssa: bool,
+) -> list[SweepRecord]:
+    """Records for (gamma, q_r, f) points of one (family, region) block, in order.
+
+    Every point gets the checks the single-point functions make; a failure
+    raises the error of the first check that some point fails.
+    """
+    gammas = [gamma for gamma, _, _ in points]
+    q_rs = [q_r for _, q_r, _ in points]
+    inertial = _prepared_states(family, points, alpha)
+    isometries = bob_isometries(family.encoding, gammas, q_rs)
+
+    # A wedge keeps Alice and two modes (8x8).  strong_additivity takes the
+    # AB and AC states (8x8) and the B and C states (4x4) of the joint; one
+    # of AB and AC is the wedge's own state, computed the same way, so its
+    # entropy is S(AB) of the record.
+    reduced = np.empty((len(points), 8, 8), dtype=complex)
+    joint_parts = {
+        discard: np.empty((len(points), dim, dim), dtype=complex)
+        for discard, dim in zip(_SSA_DISCARDS, (8, 8, 4, 4))
+        if with_ssa and discard != region.traced_factors
+    }
+    for start in range(0, len(points), JOINT_CHUNK):
+        chunk = slice(start, start + JOINT_CHUNK)
+        joints = build_joints(inertial[chunk], isometries[chunk])
+        reduced[chunk], reduced_layout = trace_out(joints, JOINT_LAYOUT, region.traced_factors)
+        check_density_stack(reduced[chunk])
+        for discard, part in joint_parts.items():
+            # checked later, when strong_additivity would check them
+            part[chunk], _ = trace_out(joints, JOINT_LAYOUT, discard)
+
+    s_a, s_b, s_ab = subsystem_entropies_batch(reduced, reduced_layout, region_split(region))
+    ssa = [None] * len(points)
+    if with_ssa:
+        parts = {region.traced_factors: s_ab}
+        for discard in _SSA_DISCARDS:
+            if discard not in parts:
+                parts[discard] = checked_entropies(joint_parts[discard])
+        ssa = strong_additivities([parts[discard] for discard in _SSA_DISCARDS]).tolist()
+    measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, s_ab - s_b)
+    return [
+        SweepRecord(family, region, gamma, q_r, alpha, f, *values)
+        for (gamma, q_r, f), *values in zip(
+            points, *(values.tolist() for values in measures), ssa
+        )
+    ]
+
+
+def _prepared_states(
+    family: ChannelFamily, points: list[tuple], alpha: float
+) -> np.ndarray:
+    """The inertial state (N, 4, 4) of each point, after the checks of ChannelSpec.
+
+    The state depends only on ``f`` within a block, so it is built once for
+    each ``f``; every point's acceleration parameters are checked.
+    """
+    states: dict[float | None, np.ndarray] = {}
+    for gamma, q_r, f in points:
+        accel = AccelerationParams(gamma, q_r)
+        if f not in states:
+            states[f] = build_inertial(ChannelSpec(family, accel, alpha, f)).entries
+    return np.array([states[f] for _, _, f in points])
 
 
 class FigurePreset(Enum):

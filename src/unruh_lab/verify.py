@@ -40,7 +40,6 @@ from .sweep import (
     SweepRecord,
     evaluate_point,
     figure_preset,
-    resolve_threads,
     run_sweep,
 )
 
@@ -62,14 +61,13 @@ class CheckResult:
 class _RecordCache:
     """One sweep per figure preset, shared by all checks."""
 
-    def __init__(self, threads: int | None):
-        self.threads = threads
+    def __init__(self):
         self._records: dict[FigurePreset, list[SweepRecord]] = {}
 
     def records(self, figure: FigurePreset) -> list[SweepRecord]:
         if figure not in self._records:
             spec = figure_preset(figure)
-            self._records[figure] = run_sweep(spec, threads=self.threads)
+            self._records[figure] = run_sweep(spec)
         return self._records[figure]
 
 
@@ -319,11 +317,11 @@ def _check_state_invariants(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _emit_all_figures(out_dir: Path, threads: int | None) -> list[Path]:
+def _emit_all_figures(out_dir: Path) -> list[Path]:
     written = []
     for figure in FigurePreset:
         spec = figure_preset(figure)
-        records = run_sweep(spec, threads=threads)
+        records = run_sweep(spec)
         written.extend(
             write_figure_files(figure, records, spec, out_dir, OutputFormat())
         )
@@ -333,9 +331,9 @@ def _emit_all_figures(out_dir: Path, threads: int | None) -> list[Path]:
 def _check_determinism(cache: _RecordCache) -> CheckResult:
     with tempfile.TemporaryDirectory(prefix="unruh-verify-") as tmp:
         tmp_path = Path(tmp)
-        first = _emit_all_figures(tmp_path / "serial", threads=1)
+        first = _emit_all_figures(tmp_path / "first")
         start = time.monotonic()
-        second = _emit_all_figures(tmp_path / "parallel", threads=resolve_threads(0))
+        second = _emit_all_figures(tmp_path / "second")
         elapsed = time.monotonic() - start
         if len(first) != len(second):
             return CheckResult(
@@ -350,7 +348,7 @@ def _check_determinism(cache: _RecordCache) -> CheckResult:
         ]
     passed = not mismatched and elapsed < RUNTIME_BUDGET_SECONDS
     detail = (
-        f"{len(first)} files byte-identical between a serial and a parallel run; "
+        f"{len(first)} files byte-identical between two runs; "
         f"full figure set took {elapsed:.1f}s (budget {RUNTIME_BUDGET_SECONDS:.0f}s)"
     )
     if mismatched:
@@ -372,11 +370,9 @@ def _report_eq13_variants(cache: _RecordCache) -> CheckResult:
     )
 
 
-def run_checks(
-    threads: int | None = None, include_determinism: bool = True
-) -> list[CheckResult]:
+def run_checks(include_determinism: bool = True) -> list[CheckResult]:
     """Run the acceptance checks and return their results in order."""
-    cache = _RecordCache(threads)
+    cache = _RecordCache()
     checks = [
         _check_inertial_limit,
         _check_infinite_acceleration,

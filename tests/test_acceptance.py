@@ -19,7 +19,7 @@ from unruh_lab.verify import run_checks
 
 @pytest.fixture(scope="session")
 def check_results():
-    results = run_checks(threads=None, include_determinism=True)
+    results = run_checks(include_determinism=True)
     return {result.name: result for result in results}
 
 

@@ -78,6 +78,20 @@ class TestPoint:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("position,name", [
+        (0, "omega"), (1, "acceleration"), (2, "light_speed"),
+    ])
+    def test_non_finite_acceleration_names_parameter(self, capsys, position, name):
+        triple = ["1", "1", "1"]
+        triple[position] = "nan"
+        code, _, err = run_cli(
+            capsys,
+            "point", "--family", "quantum-single", "--region", "bob-i",
+            "--acceleration", *triple, "--qr", "1",
+        )
+        assert code == 3
+        assert f"error: {name}:" in err
+
     def test_out_of_range_gamma_names_parameter(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -91,7 +105,7 @@ class TestPoint:
 class TestFigure:
     def test_fig4_file_layout(self, capsys, tmp_path):
         code, out, _ = run_cli(
-            capsys, "figure", "fig4", "--out-dir", str(tmp_path), "--threads", "2"
+            capsys, "figure", "fig4", "--out-dir", str(tmp_path)
         )
         assert code == 0
         files = sorted(p.name for p in tmp_path.iterdir())
@@ -102,8 +116,8 @@ class TestFigure:
         assert len(sample) == 102  # header plus one row per gamma point
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
-        run_cli(capsys, "figure", "fig4", "--out-dir", str(tmp_path / "a"), "--threads", "1")
-        run_cli(capsys, "figure", "fig4", "--out-dir", str(tmp_path / "b"), "--threads", "2")
+        run_cli(capsys, "figure", "fig4", "--out-dir", str(tmp_path / "a"))
+        run_cli(capsys, "figure", "fig4", "--out-dir", str(tmp_path / "b"))
         for path in sorted((tmp_path / "a").iterdir()):
             twin = tmp_path / "b" / path.name
             assert path.read_bytes() == twin.read_bytes()
@@ -111,7 +125,7 @@ class TestFigure:
     def test_plot_format(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "figure", "fig4", "--out-dir", str(tmp_path),
-            "--format", "plot", "--precision", "8", "--threads", "2",
+            "--format", "plot", "--precision", "8",
         )
         assert code == 0
         files = list(tmp_path.glob("*.dat"))
@@ -124,8 +138,19 @@ class TestFigure:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         code, _, err = run_cli(
-            capsys, "figure", "fig4", "--out-dir", str(blocker), "--threads", "2"
+            capsys, "figure", "fig4", "--out-dir", str(blocker)
         )
+        assert code == 4
+        assert "i/o error" in err
+
+    def test_unwritable_out_dir_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(spec):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        code, _, err = run_cli(capsys, "figure", "fig4", "--out-dir", str(blocker))
         assert code == 4
         assert "i/o error" in err
 

@@ -70,6 +70,9 @@ class TestGammaFromAcceleration:
         ("omega", (0.0, 1.0, 1.0)),
         ("acceleration", (1.0, -1.0, 1.0)),
         ("light_speed", (1.0, 1.0, 0.0)),
+        ("omega", (math.nan, 1.0, 1.0)),
+        ("acceleration", (1.0, math.inf, 1.0)),
+        ("light_speed", (1.0, 1.0, math.nan)),
     ])
     def test_positive_inputs_required(self, name, args):
         with pytest.raises(DomainError, match=name):

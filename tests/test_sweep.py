@@ -12,9 +12,9 @@ from unruh_lab import (
     default_gamma_grid,
     figure_preset,
     run_sweep,
+    write_figure_files,
 )
 from unruh_lab.errors import SweepPointError
-from unruh_lab.sweep import resolve_threads
 
 PI4 = math.pi / 4
 
@@ -32,7 +32,7 @@ def singleton_spec(family, region, **kwargs):
 class TestRunSweep:
     def test_singleton_inertial_point(self):
         records = run_sweep(
-            singleton_spec(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I), threads=1
+            singleton_spec(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I)
         )
         assert len(records) == 1
         assert abs(records[0].mutual_info - 2.0) < 1e-9
@@ -40,7 +40,7 @@ class TestRunSweep:
 
     def test_singleton_far_wedge(self):
         records = run_sweep(
-            singleton_spec(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.II), threads=1
+            singleton_spec(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.II)
         )
         assert abs(records[0].mutual_info) < 1e-9
 
@@ -54,7 +54,7 @@ class TestRunSweep:
             q_r_grid=(1.0, 0.9, 0.8, 1 / math.sqrt(2)),
             regions=(BobRegion.I,),
         )
-        assert len(run_sweep(spec, threads=2)) == 808
+        assert len(run_sweep(spec)) == 808
 
     def test_internal_consistency(self):
         spec = SweepSpec(
@@ -62,11 +62,11 @@ class TestRunSweep:
             gamma_grid=(0.0, 0.3, PI4),
             q_r_grid=(1.0, 0.5),
         )
-        for record in run_sweep(spec, threads=1):
+        for record in run_sweep(spec):
             assert abs(record.mutual_info - (record.s_a + record.s_b - record.s_ab)) <= 1e-12
             assert abs(record.cond_entropy - (record.s_ab - record.s_b)) <= 1e-12
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_runs(self, tmp_path):
         spec = SweepSpec(
             families=(ChannelFamily.WERNER,),
             gamma_grid=(0.0, 0.2, 0.4, PI4),
@@ -75,9 +75,11 @@ class TestRunSweep:
             regions=(BobRegion.I,),
             measures=frozenset({Measure.STRONG_ADDITIVITY}),
         )
-        serial = run_sweep(spec, threads=1)
-        parallel = run_sweep(spec, threads=4)
-        assert serial == parallel
+        first = write_figure_files("fig4", run_sweep(spec), spec, tmp_path / "a")
+        second = write_figure_files("fig4", run_sweep(spec), spec, tmp_path / "b")
+        assert [p.name for p in first] == [p.name for p in second]
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()
 
     def test_canonical_ordering(self):
         spec = SweepSpec(
@@ -86,7 +88,7 @@ class TestRunSweep:
             q_r_grid=(1.0, 0.5),
             f_grid=(0.9, 0.1),
         )
-        records = run_sweep(spec, threads=2)
+        records = run_sweep(spec)
         keys = [
             (
                 spec.families.index(r.family),
@@ -101,7 +103,7 @@ class TestRunSweep:
 
     def test_ssa_only_when_requested(self):
         plain = run_sweep(
-            singleton_spec(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I), threads=1
+            singleton_spec(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I)
         )
         assert plain[0].ssa_value is None
         with_ssa = run_sweep(
@@ -109,8 +111,7 @@ class TestRunSweep:
                 ChannelFamily.QUANTUM_SINGLE_RAIL,
                 BobRegion.I,
                 measures=frozenset({Measure.STRONG_ADDITIVITY}),
-            ),
-            threads=1,
+            )
         )
         assert with_ssa[0].ssa_value is not None
 
@@ -122,7 +123,7 @@ class TestRunSweep:
             gamma_grid=default_gamma_grid(),
             q_r_grid=(1.0,),
         )
-        records = run_sweep(spec, threads=2)
+        records = run_sweep(spec)
         for region, sense in ((BobRegion.I, -1.0), (BobRegion.II, 1.0)):
             values = [r.mutual_info for r in records if r.region is region]
             assert all(
@@ -137,7 +138,7 @@ class TestRunSweep:
             alpha=math.nan,
         )
         with pytest.raises(SweepPointError, match="gamma=0.0"):
-            run_sweep(spec, threads=1)
+            run_sweep(spec)
 
 
 class TestSweepSpecValidation:
@@ -212,25 +213,3 @@ class TestFigurePresets:
             ChannelFamily.CLASSICAL_SINGLE_RAIL,
             ChannelFamily.CLASSICAL_DUAL_RAIL,
         )
-
-
-class TestThreadResolution:
-    def test_explicit_wins(self):
-        assert resolve_threads(3) == 3
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("UNRUH_LAB_THREADS", "2")
-        assert resolve_threads() == 2
-
-    def test_auto_positive(self, monkeypatch):
-        monkeypatch.setenv("UNRUH_LAB_THREADS", "0")
-        assert resolve_threads() >= 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("UNRUH_LAB_THREADS", "many")
-        with pytest.raises(DomainError):
-            resolve_threads()
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            resolve_threads(-1)
