@@ -159,6 +159,19 @@ def _retry_tiny_root(coeffs: list[Fraction], root: float, band: float) -> float:
     return root
 
 
+def _taylor_shift_exact(coeffs: list[Fraction], x: float) -> list[Fraction]:
+    """Coefficients of p(x + t) in powers of t, descending like ``coeffs``.
+
+    Repeated synthetic division by (t - x), exact in rational arithmetic.
+    """
+    fx = Fraction(x)
+    shifted = list(coeffs)
+    for k in range(len(shifted) - 1, 0, -1):
+        for i in range(1, k + 1):
+            shifted[i] += shifted[i - 1] * fx
+    return shifted
+
+
 def _refine_real_roots(
     coeffs: list[Fraction], estimates: np.ndarray, cluster_gap: float, scale: float
 ) -> np.ndarray:
@@ -168,9 +181,13 @@ def _refine_real_roots(
     guard lets the iteration creep into multiple roots linearly) and
     near-zero results get a reversed-polynomial second opinion.  Refined
     values closer together than ``cluster_gap`` are then treated as one
-    root of multiplicity m and collapsed onto the nearby root of the
-    (m-1)-th derivative, which stays well-conditioned where the roots of
-    the polynomial itself are not.
+    cluster of m roots, which may be a multiple root, close but distinct
+    roots (a tiny eigenvalue next to an almost-zero one), or one root that
+    two estimates both refined onto while its close neighbour was missed.
+    The cluster's roots are taken afresh as the m smallest roots t of
+    p(centre + t) around the cluster's mean: the shifted coefficients are
+    exact before rounding, so roots that cancel against each other in p
+    stand apart in t.
     """
     band = 1e-5 * scale
     singles = []
@@ -187,10 +204,9 @@ def _refine_real_roots(
         while j < len(ordered) and ordered[j] - ordered[j - 1] <= cluster_gap:
             j += 1
         if j - i > 1:
-            target = coeffs
-            for _ in range(j - i - 1):
-                target = _diff_exact(target)
-            refined[i:j] = _exact_newton(target, float(ordered[i:j].mean()))
+            centre = float(ordered[i:j].mean())
+            shifts = np.roots([float(c) for c in _taylor_shift_exact(coeffs, centre)])
+            refined[i:j] = centre + shifts[np.argsort(np.abs(shifts))][: j - i].real
         else:
             refined[i] = ordered[i]
         i = j

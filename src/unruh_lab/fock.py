@@ -344,19 +344,15 @@ def _off_diagonal_norm_sq(a: np.ndarray) -> float:
     return float(mags.sum())
 
 
-def eigvals_hermitian(
-    matrix: Union[DensityMatrix, np.ndarray],
-    *,
-    off_norm_tol: float = JACOBI_OFF_NORM_TOL,
-    hermitian_tol: float = HERMITIAN_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
+def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, descending.
 
     Cyclic Jacobi: unitary two-sided rotations annihilate one off-diagonal
     pair at a time, swept in row order until the off-diagonal Frobenius
-    norm drops below ``off_norm_tol``.  The eigenvalue sum equals the trace
-    to the same accuracy.
+    norm drops below ``JACOBI_OFF_NORM_TOL``.  The eigenvalue sum equals
+    the trace to the same accuracy.  Raises :class:`SymmetryError` beyond
+    ``HERMITIAN_TOL`` and :class:`ConvergenceError` after
+    ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
@@ -364,16 +360,16 @@ def eigvals_hermitian(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     defect = float(np.abs(a - a.conj().T).max())
-    if defect > hermitian_tol:
-        raise SymmetryError(f"Hermiticity defect {defect:.3e} exceeds {hermitian_tol}")
+    if defect > HERMITIAN_TOL:
+        raise SymmetryError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real])
 
-    skip_below = off_norm_tol / (100.0 * n)
-    for _ in range(max_sweeps):
-        if _off_diagonal_norm_sq(a) <= off_norm_tol**2:
+    skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if _off_diagonal_norm_sq(a) <= JACOBI_OFF_NORM_TOL**2:
             break
         for k in range(n - 1):
             for l in range(k + 1, n):
@@ -381,7 +377,7 @@ def eigvals_hermitian(
     else:
         raise ConvergenceError(
             f"off-diagonal norm still {math.sqrt(_off_diagonal_norm_sq(a)):.3e} "
-            f"after {max_sweeps} sweeps"
+            f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
     eigs = np.sort(np.diag(a).real)
     return eigs[::-1]
@@ -429,10 +425,10 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     Runs the cyclic Jacobi of :func:`eigvals_hermitian` on every matrix at
     once, with the same rotations in the same order, the same convergence
     test and the same skip rule for each matrix, so each row equals that
-    function's result for its matrix bit for bit, with its default
-    tolerances.  A matrix stops rotating once it has converged.  Raises as
-    that function does for the first matrix that is not Hermitian or does
-    not converge within ``JACOBI_MAX_SWEEPS`` sweeps.
+    function's result for its matrix bit for bit.  A matrix stops rotating
+    once it has converged.  Raises as that function does for the first
+    matrix that is not Hermitian or does not converge within
+    ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     a = np.array(matrices, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

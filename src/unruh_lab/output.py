@@ -94,17 +94,6 @@ def render_json(records: list[SweepRecord], precision: int = 12) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _headline_measure(spec: SweepSpec) -> Measure:
-    for measure in (
-        Measure.STRONG_ADDITIVITY,
-        Measure.CONDITIONAL_ENTROPY,
-        Measure.MUTUAL_INFORMATION,
-    ):
-        if measure in spec.measures:
-            return measure
-    return Measure.MUTUAL_INFORMATION
-
-
 def render_plot_data(
     records: list[SweepRecord], measure: Measure, precision: int = 12
 ) -> str:
@@ -153,7 +142,6 @@ def write_figure_files(
     figure = FigurePreset(figure) if not isinstance(figure, FigurePreset) else figure
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    measure = _headline_measure(spec)
     written = []
     for series in split_series(records):
         path = out_dir / series_filename(figure, series[0], fmt.kind)
@@ -162,7 +150,7 @@ def write_figure_files(
         elif fmt.kind == "json":
             text = render_json(series, fmt.precision)
         else:
-            text = render_plot_data(series, measure, fmt.precision)
+            text = render_plot_data(series, spec.measure, fmt.precision)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         written.append(path)

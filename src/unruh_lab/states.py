@@ -222,9 +222,11 @@ class ChannelFamily(Enum):
 class ChannelSpec:
     """One fully parameterized channel preparation.
 
-    ``alpha`` weights the two branches of the prepared state and is fixed at
-    pi/4 for the Werner family; ``fidelity_f`` is the Werner mixing weight
-    and is meaningless for the other families.
+    ``alpha`` weights the two branches of the prepared state.  It lies in
+    [0, pi], one full period of every family's prepared state, and is fixed
+    at pi/4 (to within 1e-9, since the Werner state never reads it) for the
+    Werner family; ``fidelity_f`` is the Werner mixing weight and is
+    meaningless for the other families.
     """
 
     family: ChannelFamily
@@ -233,14 +235,14 @@ class ChannelSpec:
     fidelity_f: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise DomainError("alpha", f"must be finite, got {self.alpha}")
+        if not (0.0 <= self.alpha <= math.pi):
+            raise DomainError("alpha", f"must be within [0, pi], got {self.alpha}")
         if self.family is ChannelFamily.WERNER:
             if self.fidelity_f is None:
                 raise DomainError("f", "required for the werner family")
             if not (0.0 <= self.fidelity_f <= 1.0):
                 raise DomainError("f", f"must be within [0, 1], got {self.fidelity_f}")
-            if self.alpha != BELL_ALPHA:
+            if abs(self.alpha - BELL_ALPHA) > 1e-9:
                 raise DomainError("alpha", "fixed at pi/4 for the werner family")
         elif self.fidelity_f is not None:
             raise DomainError("f", "only meaningful for the werner family")
@@ -252,23 +254,14 @@ def _bell_pair() -> StateVector:
     return StateVector(INERTIAL_LAYOUT, amps)
 
 
-def build_inertial(spec: ChannelSpec, *, classical_weights: str = "squared") -> DensityMatrix:
+def build_inertial(spec: ChannelSpec) -> DensityMatrix:
     """The prepared Alice (x) Bob state before Bob accelerates.
 
     Quantum families give the pure superposition cos(alpha)|00> +
     sin(alpha)|11>; classical families give the diagonal mixture with
     weights cos^2(alpha), sin^2(alpha); Werner mixes the alpha = pi/4 pure
     state with white noise.
-
-    ``classical_weights="raw"`` uses the unsquared weights cos(alpha),
-    sin(alpha) instead.  Those only sum to one at isolated alpha values, so
-    away from them the construction fails the unit-trace check; the option
-    exists to demonstrate why the squared convention is used.
     """
-    if classical_weights not in ("squared", "raw"):
-        raise DomainError(
-            "classical_weights", f"must be 'squared' or 'raw', got {classical_weights!r}"
-        )
     family = spec.family
     if family.is_quantum:
         amps = np.zeros(4, dtype=complex)
@@ -276,15 +269,9 @@ def build_inertial(spec: ChannelSpec, *, classical_weights: str = "squared") -> 
         amps[0b11] = math.sin(spec.alpha)
         return outer_product(StateVector(INERTIAL_LAYOUT, amps))
     if family.is_classical:
-        if classical_weights == "squared":
-            w0 = math.cos(spec.alpha) ** 2
-            w1 = math.sin(spec.alpha) ** 2
-        else:
-            w0 = math.cos(spec.alpha)
-            w1 = math.sin(spec.alpha)
         entries = np.zeros((4, 4), dtype=complex)
-        entries[0b00, 0b00] = w0
-        entries[0b11, 0b11] = w1
+        entries[0b00, 0b00] = math.cos(spec.alpha) ** 2
+        entries[0b11, 0b11] = math.sin(spec.alpha) ** 2
         return DensityMatrix(INERTIAL_LAYOUT, entries)
     # Werner: fidelity-weighted mixture of the Bell projector and white noise
     bell = _bell_pair()
@@ -294,9 +281,9 @@ def build_inertial(spec: ChannelSpec, *, classical_weights: str = "squared") -> 
     return DensityMatrix(INERTIAL_LAYOUT, entries)
 
 
-def build_joint(spec: ChannelSpec, *, classical_weights: str = "squared") -> DensityMatrix:
+def build_joint(spec: ChannelSpec) -> DensityMatrix:
     """The shared state after Bob accelerates: Alice plus four Rindler modes."""
-    inertial = build_inertial(spec, classical_weights=classical_weights)
+    inertial = build_inertial(spec)
     lift = bob_isometry(spec.family.encoding, spec.accel)
     return apply_isometry(inertial, Subsystem.BOB, lift)
 

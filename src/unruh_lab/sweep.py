@@ -68,7 +68,12 @@ def _check_grid(name: str, grid: tuple[float, ...], low: float, high: float) -> 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Which families to evaluate, over which grids, and what to report."""
+    """Which families to evaluate, over which grids, and what to report.
+
+    ``measure`` is the value a plot-format file shows against gamma.  Only
+    ``Measure.STRONG_ADDITIVITY`` computes ``ssa_value``; other sweeps
+    leave it ``None``.
+    """
 
     families: tuple[ChannelFamily, ...]
     gamma_grid: tuple[float, ...]
@@ -76,9 +81,7 @@ class SweepSpec:
     alpha: float = math.pi / 4
     f_grid: tuple[float, ...] = ()
     regions: tuple[BobRegion, ...] = (BobRegion.I, BobRegion.II)
-    measures: frozenset[Measure] = frozenset(
-        {Measure.MUTUAL_INFORMATION, Measure.CONDITIONAL_ENTROPY}
-    )
+    measure: Measure = Measure.CONDITIONAL_ENTROPY
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
@@ -86,7 +89,6 @@ class SweepSpec:
         object.__setattr__(self, "q_r_grid", tuple(float(q) for q in self.q_r_grid))
         object.__setattr__(self, "f_grid", tuple(float(f) for f in self.f_grid))
         object.__setattr__(self, "regions", tuple(self.regions))
-        object.__setattr__(self, "measures", frozenset(self.measures))
         if not self.families:
             raise DomainError("families", "must not be empty")
         if not self.regions:
@@ -137,7 +139,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     Raises :class:`SweepPointError` naming the first point, in that order,
     whose evaluation fails.
     """
-    with_ssa = Measure.STRONG_ADDITIVITY in spec.measures
+    with_ssa = spec.measure is Measure.STRONG_ADDITIVITY
     records: list[SweepRecord] = []
     for family in spec.families:
         f_values = spec.f_grid if family is ChannelFamily.WERNER else (None,)
@@ -286,7 +288,7 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
             families=(ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL),
             gamma_grid=gamma_grid,
             q_r_grid=QR_GRID_MIXING,
-            measures=frozenset({Measure.MUTUAL_INFORMATION}),
+            measure=Measure.MUTUAL_INFORMATION,
         )
     if which is FigurePreset.FIG2:
         return SweepSpec(
@@ -296,7 +298,7 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
             ),
             gamma_grid=gamma_grid,
             q_r_grid=QR_GRID_MIXING,
-            measures=frozenset({Measure.MUTUAL_INFORMATION}),
+            measure=Measure.MUTUAL_INFORMATION,
         )
     if which is FigurePreset.FIG3:
         return SweepSpec(
@@ -308,7 +310,7 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
             ),
             gamma_grid=gamma_grid,
             q_r_grid=QR_GRID_MIXING,
-            measures=frozenset({Measure.CONDITIONAL_ENTROPY}),
+            measure=Measure.CONDITIONAL_ENTROPY,
         )
     return SweepSpec(
         families=(ChannelFamily.WERNER,),
@@ -316,5 +318,5 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
         q_r_grid=QR_GRID_WERNER,
         f_grid=F_GRID_WERNER,
         regions=(BobRegion.I,),
-        measures=frozenset({Measure.STRONG_ADDITIVITY}),
+        measure=Measure.STRONG_ADDITIVITY,
     )

@@ -25,8 +25,11 @@ import numpy as np
 
 from . import crosscheck
 from .fock import eigvals_hermitian, partial_trace
-from .output import OutputFormat, write_figure_files
+from .measures import von_neumann_entropy
+from .output import OutputFormat, split_series, write_figure_files
 from .states import (
+    REGION_I_FACTORS,
+    REGION_II_FACTORS,
     AccelerationParams,
     BobRegion,
     ChannelFamily,
@@ -34,20 +37,16 @@ from .states import (
     Subsystem,
     build_joint,
 )
-from .measures import von_neumann_entropy
-from .sweep import (
-    FigurePreset,
-    SweepRecord,
-    evaluate_point,
-    figure_preset,
-    run_sweep,
-)
+from .sweep import FigurePreset, SweepRecord, evaluate_point, figure_preset, run_sweep
 
 TOL = 1e-9
 MONOTONE_SLACK = 1e-12
 ORACLE_SAMPLES = 50
 ORACLE_SEED = 20260808
 RUNTIME_BUDGET_SECONDS = 60.0
+
+QUANTUM_PAIR = (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL)
+CLASSICAL_PAIR = (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL)
 
 
 @dataclass(frozen=True)
@@ -58,26 +57,24 @@ class CheckResult:
     informational: bool = False
 
 
-class _RecordCache:
-    """One sweep per figure preset, shared by all checks."""
+class _SeriesTables(dict):
+    """Each preset's sweep, run on first use, as series keyed (family, region, q_r, f).
 
-    def __init__(self):
-        self._records: dict[FigurePreset, list[SweepRecord]] = {}
+    A series follows the ascending gamma grid, so ``series[-1]`` is the
+    point at gamma = pi/4.
+    """
 
-    def records(self, figure: FigurePreset) -> list[SweepRecord]:
-        if figure not in self._records:
-            spec = figure_preset(figure)
-            self._records[figure] = run_sweep(spec)
-        return self._records[figure]
-
-
-def _at_gamma(records, gamma):
-    return [r for r in records if abs(r.gamma - gamma) < 1e-15]
+    def __missing__(self, figure: FigurePreset) -> dict[tuple, list[SweepRecord]]:
+        records = run_sweep(figure_preset(figure))
+        self[figure] = {
+            (s[0].family, s[0].region, s[0].q_r, s[0].f): s for s in split_series(records)
+        }
+        return self[figure]
 
 
-def _check_inertial_limit(cache: _RecordCache) -> CheckResult:
+def _check_inertial_limit(tables: _SeriesTables) -> CheckResult:
     worst = 0.0
-    for family in (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL):
+    for family in QUANTUM_PAIR:
         near = evaluate_point(family, BobRegion.I, 0.0, 1.0)
         far = evaluate_point(family, BobRegion.II, 0.0, 1.0)
         worst = max(
@@ -93,34 +90,17 @@ def _check_inertial_limit(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_infinite_acceleration(cache: _RecordCache) -> CheckResult:
-    records = _at_gamma(cache.records(FigurePreset.FIG1), math.pi / 4)
+def _check_infinite_acceleration(tables: _SeriesTables) -> CheckResult:
+    end = {key: s[-1].mutual_info for key, s in tables[FigurePreset.FIG1].items()}
     spec = figure_preset(FigurePreset.FIG1)
     worst_pair = 0.0
     worst_spread = 0.0
     for region in spec.regions:
         for q_r in spec.q_r_grid:
-            single = [
-                r.mutual_info
-                for r in records
-                if r.region is region
-                and r.q_r == q_r
-                and r.family is ChannelFamily.QUANTUM_SINGLE_RAIL
-            ][0]
-            dual = [
-                r.mutual_info
-                for r in records
-                if r.region is region
-                and r.q_r == q_r
-                and r.family is ChannelFamily.QUANTUM_DUAL_RAIL
-            ][0]
+            single, dual = (end[family, region, q_r, None] for family in QUANTUM_PAIR)
             worst_pair = max(worst_pair, abs(single - dual))
         for family in spec.families:
-            values = [
-                r.mutual_info
-                for r in records
-                if r.region is region and r.family is family
-            ]
+            values = [end[family, region, q_r, None] for q_r in spec.q_r_grid]
             worst_spread = max(worst_spread, max(values) - min(values))
     passed = worst_pair <= TOL and worst_spread <= TOL
     return CheckResult(
@@ -131,10 +111,12 @@ def _check_infinite_acceleration(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_quantum_conditional_entropy(cache: _RecordCache) -> CheckResult:
-    records = _at_gamma(cache.records(FigurePreset.FIG3), math.pi / 4)
-    values = [r.cond_entropy for r in records if r.family.is_quantum]
-    worst = max(abs(v) for v in values)
+def _check_quantum_conditional_entropy(tables: _SeriesTables) -> CheckResult:
+    worst = max(
+        abs(s[-1].cond_entropy)
+        for (family, *_), s in tables[FigurePreset.FIG3].items()
+        if family.is_quantum
+    )
     return CheckResult(
         "3-quantum-conditional-entropy-vanishes",
         worst <= TOL,
@@ -142,29 +124,19 @@ def _check_quantum_conditional_entropy(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_classical_contrast(cache: _RecordCache) -> CheckResult:
-    fig3 = cache.records(FigurePreset.FIG3)
-    classical_ce = [r.cond_entropy for r in fig3 if r.family.is_classical]
-    ce_min = min(classical_ce)
-    fig2_end = _at_gamma(cache.records(FigurePreset.FIG2), math.pi / 4)
-    spec = figure_preset(FigurePreset.FIG2)
-    min_gap = math.inf
-    for q_r in spec.q_r_grid:
-        single = [
-            r.mutual_info
-            for r in fig2_end
-            if r.region is BobRegion.I
-            and r.q_r == q_r
-            and r.family is ChannelFamily.CLASSICAL_SINGLE_RAIL
-        ][0]
-        dual = [
-            r.mutual_info
-            for r in fig2_end
-            if r.region is BobRegion.I
-            and r.q_r == q_r
-            and r.family is ChannelFamily.CLASSICAL_DUAL_RAIL
-        ][0]
-        min_gap = min(min_gap, abs(single - dual))
+def _check_classical_contrast(tables: _SeriesTables) -> CheckResult:
+    ce_min = min(
+        r.cond_entropy
+        for (family, *_), s in tables[FigurePreset.FIG3].items()
+        if family.is_classical
+        for r in s
+    )
+    end = {key: s[-1].mutual_info for key, s in tables[FigurePreset.FIG2].items()}
+    single, dual = CLASSICAL_PAIR
+    min_gap = min(
+        abs(end[single, BobRegion.I, q_r, None] - end[dual, BobRegion.I, q_r, None])
+        for q_r in figure_preset(FigurePreset.FIG2).q_r_grid
+    )
     passed = ce_min >= -TOL and min_gap > 1e-6
     return CheckResult(
         "4-classical-channel-contrast",
@@ -174,25 +146,14 @@ def _check_classical_contrast(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_monotonicity(cache: _RecordCache) -> CheckResult:
+def _check_monotonicity(tables: _SeriesTables) -> CheckResult:
     violations = []
     for figure in (FigurePreset.FIG1, FigurePreset.FIG2):
-        records = cache.records(figure)
-        spec = figure_preset(figure)
-        for family in spec.families:
+        table = tables[figure]
+        for family in figure_preset(figure).families:
             for q_r in (1.0, 0.9, 0.8):
                 for region, sense in ((BobRegion.I, -1.0), (BobRegion.II, 1.0)):
-                    series = sorted(
-                        (
-                            r
-                            for r in records
-                            if r.family is family
-                            and r.region is region
-                            and r.q_r == q_r
-                        ),
-                        key=lambda r: r.gamma,
-                    )
-                    values = [r.mutual_info for r in series]
+                    values = [r.mutual_info for r in table[family, region, q_r, None]]
                     worst_step = min(
                         sense * (b - a) for a, b in zip(values, values[1:])
                     )
@@ -214,18 +175,11 @@ def _check_monotonicity(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_werner_strong_additivity(cache: _RecordCache) -> CheckResult:
-    records = cache.records(FigurePreset.FIG4)
-    ssa_min = min(r.ssa_value for r in records)
-    f033_q1 = {
-        r.gamma: r.ssa_value for r in records if r.f == 0.33 and r.q_r == 1.0
-    }
-    f033_q75 = {
-        r.gamma: r.ssa_value for r in records if r.f == 0.33 and r.q_r == 0.75
-    }
-    crossing = sum(
-        1 for g in f033_q1 if f033_q1[g] < f033_q75[g] - TOL
-    )
+def _check_werner_strong_additivity(tables: _SeriesTables) -> CheckResult:
+    fig4 = tables[FigurePreset.FIG4]
+    ssa_min = min(r.ssa_value for s in fig4.values() for r in s)
+    q_r_1, q_r_75 = (fig4[ChannelFamily.WERNER, BobRegion.I, q_r, 0.33] for q_r in (1.0, 0.75))
+    crossing = sum(a.ssa_value < b.ssa_value - TOL for a, b in zip(q_r_1, q_r_75))
     passed = ssa_min >= -TOL and crossing > 0
     return CheckResult(
         "6-werner-strong-additivity",
@@ -235,7 +189,7 @@ def _check_werner_strong_additivity(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_oracle_equivalence(cache: _RecordCache) -> CheckResult:
+def _check_oracle_equivalence(tables: _SeriesTables) -> CheckResult:
     rng = np.random.default_rng(ORACLE_SEED)
     families = list(ChannelFamily)
     worst = 0.0
@@ -263,47 +217,33 @@ def _check_oracle_equivalence(cache: _RecordCache) -> CheckResult:
     )
 
 
-def _check_state_invariants(cache: _RecordCache) -> CheckResult:
-    pure_families = (
-        (ChannelFamily.QUANTUM_SINGLE_RAIL, None),
-        (ChannelFamily.QUANTUM_DUAL_RAIL, None),
-        (ChannelFamily.WERNER, 1.0),
-    )
+def _check_state_invariants(tables: _SeriesTables) -> CheckResult:
+    # the classical joints are mixed, so only their spectra are checked
+    channels = [(family, None) for family in QUANTUM_PAIR] + [(ChannelFamily.WERNER, 1.0)]
+    channels += [(family, None) for family in CLASSICAL_PAIR]
     gammas = [i * math.pi / 16 for i in range(5)]
     q_rs = (1.0, 0.8, 0.5, 0.2)
     worst_schmidt = 0.0
     worst_psd = 0.0
     worst_sum = 0.0
-    region_i = {Subsystem.REGION_I_PARTICLE, Subsystem.REGION_I_ANTIPARTICLE}
-    region_ii = {Subsystem.REGION_II_ANTIPARTICLE, Subsystem.REGION_II_PARTICLE}
-    for family, f in pure_families:
-        for gamma in gammas:
-            for q_r in q_rs:
-                spec = ChannelSpec(
-                    family, AccelerationParams(gamma, q_r), fidelity_f=f
-                )
-                joint = build_joint(spec)
-                s_ab_i = von_neumann_entropy(partial_trace(joint, region_ii))
-                s_b_ii = von_neumann_entropy(
-                    partial_trace(joint, region_i | {Subsystem.ALICE})
-                )
-                s_ab_ii = von_neumann_entropy(partial_trace(joint, region_i))
-                s_b_i = von_neumann_entropy(
-                    partial_trace(joint, region_ii | {Subsystem.ALICE})
-                )
-                worst_schmidt = max(
-                    worst_schmidt, abs(s_ab_i - s_b_ii), abs(s_ab_ii - s_b_i)
-                )
-                eigs = eigvals_hermitian(joint)
-                worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
-                worst_sum = max(worst_sum, abs(float(eigs.sum()) - 1.0))
-    # mixed families: spectrum bounds only
-    for family in (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL):
+    for family, f in channels:
         for gamma in gammas:
             for q_r in q_rs:
                 joint = build_joint(
-                    ChannelSpec(family, AccelerationParams(gamma, q_r))
+                    ChannelSpec(family, AccelerationParams(gamma, q_r), fidelity_f=f)
                 )
+                if not family.is_classical:
+                    s_ab_i = von_neumann_entropy(partial_trace(joint, REGION_II_FACTORS))
+                    s_b_ii = von_neumann_entropy(
+                        partial_trace(joint, REGION_I_FACTORS | {Subsystem.ALICE})
+                    )
+                    s_ab_ii = von_neumann_entropy(partial_trace(joint, REGION_I_FACTORS))
+                    s_b_i = von_neumann_entropy(
+                        partial_trace(joint, REGION_II_FACTORS | {Subsystem.ALICE})
+                    )
+                    worst_schmidt = max(
+                        worst_schmidt, abs(s_ab_i - s_b_ii), abs(s_ab_ii - s_b_i)
+                    )
                 eigs = eigvals_hermitian(joint)
                 worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
                 worst_sum = max(worst_sum, abs(float(eigs.sum()) - 1.0))
@@ -328,7 +268,7 @@ def _emit_all_figures(out_dir: Path) -> list[Path]:
     return written
 
 
-def _check_determinism(cache: _RecordCache) -> CheckResult:
+def _check_determinism(tables: _SeriesTables) -> CheckResult:
     with tempfile.TemporaryDirectory(prefix="unruh-verify-") as tmp:
         tmp_path = Path(tmp)
         first = _emit_all_figures(tmp_path / "first")
@@ -356,8 +296,8 @@ def _check_determinism(cache: _RecordCache) -> CheckResult:
     return CheckResult("9-figure-determinism", passed, detail)
 
 
-def _report_eq13_variants(cache: _RecordCache) -> CheckResult:
-    records = cache.records(FigurePreset.FIG4)
+def _report_eq13_variants(tables: _SeriesTables) -> CheckResult:
+    records = [r for s in tables[FigurePreset.FIG4].values() for r in s]
     gap = max(abs(r.s_a - r.s_b) for r in records)
     swapped_min = min(r.ssa_value + r.s_b - r.s_a for r in records)
     return CheckResult(
@@ -372,7 +312,7 @@ def _report_eq13_variants(cache: _RecordCache) -> CheckResult:
 
 def run_checks(include_determinism: bool = True) -> list[CheckResult]:
     """Run the acceptance checks and return their results in order."""
-    cache = _RecordCache()
+    tables = _SeriesTables()
     checks = [
         _check_inertial_limit,
         _check_infinite_acceleration,
@@ -389,7 +329,7 @@ def run_checks(include_determinism: bool = True) -> list[CheckResult]:
     results = []
     for check in checks:
         try:
-            results.append(check(cache))
+            results.append(check(tables))
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(check.__name__, False, f"raised {exc!r}"))
     return results

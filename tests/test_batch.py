@@ -186,7 +186,7 @@ class TestSweepBatches:
                 q_r_grid=(1.0, 0.6, 0.0),
                 alpha=PI4 if werner else 0.6,
                 f_grid=(0.9, 0.2) if werner else (),
-                measures=frozenset({Measure.STRONG_ADDITIVITY}),
+                measure=Measure.STRONG_ADDITIVITY,
             )
             records = run_sweep(spec)
             for record in records:

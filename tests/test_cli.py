@@ -41,6 +41,26 @@ class TestPoint:
         assert code == 3
         assert "f" in err
 
+    def test_werner_alpha_rounded_to_ten_digits(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "point", "--family", "werner", "--region", "bob-i",
+            "--gamma", "0", "--qr", "1", "--f", "1", "--alpha", "0.7853981634",
+        )
+        assert code == 0
+        assert "mutual_info=2.000000000000" in out
+
+    @pytest.mark.parametrize("alpha", ["1e300", "-0.1"])
+    def test_out_of_range_alpha_names_parameter(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys,
+            "point", "--family", "quantum-single", "--region", "bob-i",
+            "--gamma", "0", "--qr", "1", "--alpha", alpha,
+        )
+        assert code == 3
+        assert out == ""
+        assert "alpha: must be within [0, pi]" in err
+
     def test_gamma_degrees(self, capsys):
         _, radians_out, _ = run_cli(
             capsys,

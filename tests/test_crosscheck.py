@@ -65,6 +65,25 @@ class TestCharpolyEigensolver:
                     m /= np.trace(m).real
                     assert abs(crosscheck.brute_entropy(m) - lapack_entropy(m)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "family, gamma, q_r, f, keep",
+        [
+            # 7.3e-8 next to an almost-zero eigenvalue (the wedge-II state)
+            (ChannelFamily.CLASSICAL_SINGLE_RAIL, 0.01958023143816604, 0.23047247273079485, None, [0, 2, 4]),
+            # 2.9e-8 next to three almost-zero ones (the AC part of strong additivity)
+            (ChannelFamily.QUANTUM_SINGLE_RAIL, 0.007130148334669238, 0.04672711869894153, None, [0, 2, 4]),
+            # three eigenvalues near 0.177, 1e-6 apart, and three near 5.6e-7 (wedge I)
+            (ChannelFamily.WERNER, 0.0017801907250700143, 1.0, 0.29207680903593525, [0, 1, 3]),
+        ],
+    )
+    def test_close_eigenvalues_kept_apart(self, family, gamma, q_r, f, keep):
+        joint = crosscheck.brute_joint_matrix(family, gamma, q_r, PI4, f)
+        reduced = crosscheck.brute_partial_trace(joint, 5, keep)
+        got = crosscheck.eigvals_charpoly(reduced)
+        want = np.sort(np.linalg.eigvalsh(reduced))[::-1]
+        assert np.abs(got - want).max() < 1e-12
+        assert abs(crosscheck.brute_entropy(reduced) - lapack_entropy(reduced)) < 1e-10
+
     def test_psd_violation_rejected(self):
         with pytest.raises(ValueError):
             crosscheck.brute_entropy(np.diag([1.5, -0.5]).astype(complex))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unruh_lab import (
     AccelerationParams,
@@ -21,6 +23,7 @@ from unruh_lab import (
     build_joint,
     conditional_entropy,
     entropy_from_eigenvalues,
+    evaluate_point,
     mutual_information,
     outer_product,
     partial_trace,
@@ -225,6 +228,22 @@ class TestMeasureProperties:
             assert (
                 abs(von_neumann_entropy(inertial) - von_neumann_entropy(lifted)) < 1e-9
             )
+
+    @settings(deadline=None, database=None)
+    @given(
+        family=st.sampled_from(list(ChannelFamily)),
+        gamma=st.floats(0.0, PI4),
+        q_r=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, math.pi),
+        f=st.floats(0.0, 1.0),
+    )
+    def test_wedge_swap_symmetry(self, family, gamma, q_r, alpha, f):
+        # MI_I(gamma, q_r) = MI_II(gamma, q_l): the wedges swap with q_r and q_l
+        alpha, f = (PI4, f) if family is ChannelFamily.WERNER else (alpha, None)
+        q_l = math.sqrt(1.0 - q_r * q_r)
+        near = evaluate_point(family, BobRegion.I, gamma, q_r, alpha, f)
+        far = evaluate_point(family, BobRegion.II, gamma, q_l, alpha, f)
+        assert abs(near.mutual_info - far.mutual_info) <= 1e-12
 
     def test_jacobi_agrees_with_two_level_closed_form(self):
         # rank <= 2 reductions: Alice marginals plus classical reductions at gamma = 0

@@ -9,6 +9,7 @@ from unruh_lab import (
     BobRegion,
     ChannelFamily,
     ChannelSpec,
+    DensityMatrix,
     DomainError,
     Encoding,
     INERTIAL_LAYOUT,
@@ -163,6 +164,11 @@ class TestChannelSpec:
                 ChannelFamily.WERNER, AccelerationParams(0.1), alpha=0.7, fidelity_f=0.5
             )
 
+    @pytest.mark.parametrize("alpha", [1e300, -0.1, math.nan])
+    def test_alpha_range(self, alpha):
+        with pytest.raises(DomainError, match=r"alpha: must be within \[0, pi\]"):
+            ChannelSpec(ChannelFamily.QUANTUM_SINGLE_RAIL, AccelerationParams(0.1), alpha=alpha)
+
     def test_f_rejected_elsewhere(self):
         with pytest.raises(DomainError, match="f"):
             ChannelSpec(
@@ -184,14 +190,18 @@ class TestBuildInertial:
         assert np.allclose(np.diag(rho.entries), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
         assert np.abs(rho.entries - np.diag(np.diag(rho.entries))).max() == 0.0
 
+    # The unsquared weights cos(alpha), sin(alpha) sum to one only at
+    # isolated alpha values, which is why build_inertial squares them.
+    @staticmethod
+    def raw_weights(alpha):
+        return np.diag([math.cos(alpha), 0.0, 0.0, math.sin(alpha)]).astype(complex)
+
     def test_classical_raw_weights_fail_trace(self):
-        spec = ChannelSpec(ChannelFamily.CLASSICAL_SINGLE_RAIL, AccelerationParams(0.0), alpha=PI4)
         with pytest.raises(NormalizationError):
-            build_inertial(spec, classical_weights="raw")
+            DensityMatrix(INERTIAL_LAYOUT, self.raw_weights(PI4))
 
     def test_classical_raw_weights_at_alpha_zero(self):
-        spec = ChannelSpec(ChannelFamily.CLASSICAL_SINGLE_RAIL, AccelerationParams(0.0), alpha=0.0)
-        rho = build_inertial(spec, classical_weights="raw")
+        rho = DensityMatrix(INERTIAL_LAYOUT, self.raw_weights(0.0))
         assert np.allclose(np.diag(rho.entries), [1.0, 0.0, 0.0, 0.0])
 
     def test_werner_zero_fidelity_is_white_noise(self):

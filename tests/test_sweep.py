@@ -73,7 +73,7 @@ class TestRunSweep:
             q_r_grid=(1.0, 0.5),
             f_grid=(0.95, 0.33),
             regions=(BobRegion.I,),
-            measures=frozenset({Measure.STRONG_ADDITIVITY}),
+            measure=Measure.STRONG_ADDITIVITY,
         )
         first = write_figure_files("fig4", run_sweep(spec), spec, tmp_path / "a")
         second = write_figure_files("fig4", run_sweep(spec), spec, tmp_path / "b")
@@ -110,7 +110,7 @@ class TestRunSweep:
             singleton_spec(
                 ChannelFamily.QUANTUM_SINGLE_RAIL,
                 BobRegion.I,
-                measures=frozenset({Measure.STRONG_ADDITIVITY}),
+                measure=Measure.STRONG_ADDITIVITY,
             )
         )
         assert with_ssa[0].ssa_value is not None
@@ -206,7 +206,7 @@ class TestFigurePresets:
             ChannelFamily.CLASSICAL_SINGLE_RAIL,
             ChannelFamily.CLASSICAL_DUAL_RAIL,
         }
-        assert spec.measures == {Measure.CONDITIONAL_ENTROPY}
+        assert spec.measure is Measure.CONDITIONAL_ENTROPY
 
     def test_accepts_string_names(self):
         assert figure_preset("fig2").families == (
