@@ -3,9 +3,8 @@
 Layouts name an ordered set of two-level subsystems; factor 0 is the most
 significant bit of a basis index, so a basis ket reads left to right in the
 written mode order.  On top of the layouts sit unit state vectors, density
-matrices, isometric embeddings, the partial trace, and a cyclic Jacobi
-eigensolver for Hermitian matrices.  Everything is small (at most 32x32)
-and immutable.
+matrices, the partial trace, and a cyclic Jacobi eigensolver for Hermitian
+matrices.  Everything is small (at most 32x32) and immutable.
 
 The checks the classes make on construction are written for stacks of
 arrays, so batched code makes the same checks on many items at once; on a
@@ -19,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -141,28 +140,6 @@ class SubsystemLayout:
     def __len__(self) -> int:
         return len(self.factors)
 
-    def __contains__(self, label: Subsystem) -> bool:
-        return label in self.factors
-
-    def position(self, label: Subsystem) -> int:
-        try:
-            return self.factors.index(label)
-        except ValueError:
-            raise LayoutError(f"{label!r} is not a factor of {self.factors}") from None
-
-    def index_of(self, occupations: Sequence[int]) -> int:
-        """Basis index of an occupation pattern, factor 0 as the MSB."""
-        if len(occupations) != len(self.factors):
-            raise ShapeError(
-                f"expected {len(self.factors)} occupation bits, got {len(occupations)}"
-            )
-        index = 0
-        for bit in occupations:
-            if bit not in (0, 1):
-                raise DomainError("occupations", f"bits must be 0 or 1, got {bit}")
-            index = (index << 1) | bit
-        return index
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -220,77 +197,9 @@ class DensityMatrix:
         return float(np.einsum("ij,ji->", self.entries, self.entries).real)
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Norm-preserving embedding of a small space into a labeled layout.
-
-    Columns are the images of the source basis states and must be
-    orthonormal (V^dagger V = identity within ``ISOMETRY_TOL``).
-    """
-
-    source_dim: int
-    target_layout: SubsystemLayout
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (self.target_layout.dim, self.source_dim):
-            raise ShapeError(
-                f"isometry matrix of shape {m.shape} does not map "
-                f"{self.source_dim} -> {self.target_layout.dim}"
-            )
-        raise_first_failure(isometry_check(m[np.newaxis]))
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-def basis_state(layout: SubsystemLayout, occupations: Sequence[int]) -> StateVector:
-    """The computational basis ket with the given occupation bits."""
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[layout.index_of(occupations)] = 1.0
-    return StateVector(layout, amps)
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states; layouts are concatenated."""
-    shared = set(a.layout.factors) & set(b.layout.factors)
-    if shared:
-        raise LayoutError(f"operand layouts share labels {sorted(s.name for s in shared)}")
-    layout = SubsystemLayout(a.layout.factors + b.layout.factors)
-    return StateVector(layout, np.kron(a.amplitudes, b.amplitudes))
-
-
 def outer_product(v: StateVector) -> DensityMatrix:
     """Rank-1 projector |v><v| as a density matrix."""
     return DensityMatrix(v.layout, np.outer(v.amplitudes, v.amplitudes.conj()))
-
-
-def apply_isometry(rho: DensityMatrix, which_factor: Subsystem, v: Isometry) -> DensityMatrix:
-    """Replace one two-level factor of ``rho`` by its isometric image.
-
-    Returns (I (x) V (x) I) rho (I (x) V (x) I)^dagger with ``which_factor``
-    substituted by the isometry's target factors; trace and spectrum are
-    preserved.
-    """
-    pos = rho.layout.position(which_factor)
-    if v.source_dim != 2:
-        raise ShapeError(
-            f"isometry source dimension {v.source_dim} does not match a two-level factor"
-        )
-    before = rho.layout.factors[:pos]
-    after = rho.layout.factors[pos + 1 :]
-    clash = (set(before) | set(after)) & set(v.target_layout.factors)
-    if clash:
-        raise LayoutError(
-            f"isometry target labels {sorted(s.name for s in clash)} already present"
-        )
-    lift = v.matrix
-    if before:
-        lift = np.kron(np.eye(2 ** len(before)), lift)
-    if after:
-        lift = np.kron(lift, np.eye(2 ** len(after)))
-    layout = SubsystemLayout(before + v.target_layout.factors + after)
-    return DensityMatrix(layout, lift @ rho.entries @ lift.conj().T)
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[Subsystem]) -> DensityMatrix:
@@ -387,7 +296,7 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
     """Annihilate a[k, l] (and a[l, k]) by a unitary plane rotation, in place."""
     pivot = a[k, l]
     beta = abs(pivot)
-    if beta == 0.0:
+    if not beta > 0.0:  # zero, or NaN: nothing to rotate
         return
     if beta < skip_below:
         # negligible against the convergence tolerance; drop it outright
@@ -486,7 +395,7 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     small = negligible & (beta != 0.0)
     a[small, k, l] = 0.0
     a[small, l, k] = 0.0
-    rotate = np.flatnonzero(~negligible)
+    rotate = np.flatnonzero(beta >= skip_below)  # a NaN pivot is not rotated
     if not rotate.size:
         return
     beta = beta[rotate]

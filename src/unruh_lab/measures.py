@@ -74,7 +74,7 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho) in bits."""
-    return entropy_from_eigenvalues(eigvals_hermitian(rho))
+    return float(von_neumann_entropies(rho.entries[np.newaxis])[0])
 
 
 def von_neumann_entropies(matrices: np.ndarray) -> np.ndarray:
@@ -163,9 +163,8 @@ def mutual_information(rho: DensityMatrix, split: BipartiteSplit) -> float:
 
 def conditional_entropy(rho: DensityMatrix, split: BipartiteSplit) -> float:
     """S(A|B) = S(AB) - S(B) in bits; negative values flag quantum advantage."""
-    _check_cover(rho, split.side_a, split.side_b)
-    s_b = von_neumann_entropy(partial_trace(rho, split.side_a))
-    return von_neumann_entropy(rho) - s_b
+    _, s_b, s_ab = subsystem_entropies(rho, split)
+    return s_ab - s_b
 
 
 def strong_additivity(rho: DensityMatrix, split: TripartiteSplit) -> float:
@@ -197,21 +196,6 @@ def strong_additivities(entropies: Sequence) -> np.ndarray | float:
     """
     s_ab, s_ac, s_b, s_c = entropies
     return s_ab - s_b + s_ac - s_c
-
-
-def strong_additivity_swapped(rho: DensityMatrix, split: TripartiteSplit) -> float:
-    """The variant S(AB) - S(A) + S(AC) - S(C) = S(B|A) + S(A|C), in bits.
-
-    Unlike :func:`strong_additivity` this combination carries no
-    non-negativity guarantee (it equals S(B) - S(A) on pure rho); it exists
-    so the two can be compared on concrete states.
-    """
-    _check_cover(rho, split.side_a, split.side_b, split.side_c)
-    s_ab = von_neumann_entropy(partial_trace(rho, split.side_c))
-    s_ac = von_neumann_entropy(partial_trace(rho, split.side_b))
-    s_a = von_neumann_entropy(partial_trace(rho, split.side_b | split.side_c))
-    s_c = von_neumann_entropy(partial_trace(rho, split.side_a | split.side_b))
-    return s_ab - s_a + s_ac - s_c
 
 
 def region_split(region: BobRegion) -> BipartiteSplit:

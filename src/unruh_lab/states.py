@@ -11,8 +11,8 @@ the single-mode approximation).
 Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
 Rindler space, and either wedge is obtained by tracing out the other.
-:func:`bob_isometries` and :func:`build_joints` do the same for a whole
-stack of grid points at once.
+:func:`bob_isometries` and :func:`build_joints` do this for a whole stack
+of grid points at once; :func:`build_joint` is a stack of one.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ import numpy as np
 from .errors import DomainError, LayoutError
 from .fock import (
     DensityMatrix,
-    Isometry,
     StateVector,
     Subsystem,
     SubsystemLayout,
-    apply_isometry,
     check_density_stack,
     isometry_check,
     norm_check,
@@ -157,10 +155,12 @@ class Encoding(Enum):
     DUAL_RAIL = "dual-rail"  # particle vs antiparticle
 
 
-def bob_isometry(encoding: Encoding, accel: AccelerationParams) -> Isometry:
-    """Embedding of Bob's inertial qubit basis into the Rindler space."""
-    matrices = bob_isometries(encoding, [accel.gamma], [accel.q_r])
-    return Isometry(2, RINDLER_LAYOUT, matrices[0])
+def bob_isometry(encoding: Encoding, accel: AccelerationParams) -> np.ndarray:
+    """Embedding (16, 2) of Bob's inertial qubit basis into the Rindler space.
+
+    Column j is the image of Bob's basis state j over ``RINDLER_LAYOUT``.
+    """
+    return bob_isometries(encoding, [accel.gamma], [accel.q_r])[0]
 
 
 def bob_isometries(
@@ -168,8 +168,8 @@ def bob_isometries(
 ) -> np.ndarray:
     """The matrices of :func:`bob_isometry` at each (gamma, q_r), stacked (N, 16, 2).
 
-    Each is checked as :class:`StateVector` checks its columns and
-    :class:`Isometry` checks the whole.  The parameters are not checked here.
+    Each column must have unit norm, as :class:`StateVector` checks it, and
+    the columns must be orthonormal.  The parameters are not checked here.
     """
     vacuum, particle, antiparticle = _rindler_amplitudes(gammas, q_rs)
     if encoding is Encoding.SINGLE_RAIL:
@@ -235,17 +235,23 @@ class ChannelSpec:
     fidelity_f: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= math.pi):
-            raise DomainError("alpha", f"must be within [0, pi], got {self.alpha}")
-        if self.family is ChannelFamily.WERNER:
+        werner = self.family is ChannelFamily.WERNER
+        check_alpha(self.alpha, werner)
+        if werner:
             if self.fidelity_f is None:
                 raise DomainError("f", "required for the werner family")
             if not (0.0 <= self.fidelity_f <= 1.0):
                 raise DomainError("f", f"must be within [0, 1], got {self.fidelity_f}")
-            if abs(self.alpha - BELL_ALPHA) > 1e-9:
-                raise DomainError("alpha", "fixed at pi/4 for the werner family")
         elif self.fidelity_f is not None:
             raise DomainError("f", "only meaningful for the werner family")
+
+
+def check_alpha(alpha: float, werner: bool) -> None:
+    """Raise :class:`DomainError` unless ``alpha`` is within [0, pi], and pi/4 for Werner."""
+    if not (0.0 <= alpha <= math.pi):
+        raise DomainError("alpha", f"must be within [0, pi], got {alpha}")
+    if werner and abs(alpha - BELL_ALPHA) > 1e-9:
+        raise DomainError("alpha", "fixed at pi/4 for the werner family")
 
 
 def _bell_pair() -> StateVector:
@@ -283,18 +289,18 @@ def build_inertial(spec: ChannelSpec) -> DensityMatrix:
 
 def build_joint(spec: ChannelSpec) -> DensityMatrix:
     """The shared state after Bob accelerates: Alice plus four Rindler modes."""
-    inertial = build_inertial(spec)
-    lift = bob_isometry(spec.family.encoding, spec.accel)
-    return apply_isometry(inertial, Subsystem.BOB, lift)
+    inertial = build_inertial(spec).entries[np.newaxis]
+    accel = spec.accel
+    isometries = bob_isometries(spec.family.encoding, [accel.gamma], [accel.q_r])
+    return DensityMatrix(JOINT_LAYOUT, build_joints(inertial, isometries)[0])
 
 
 def build_joints(inertial: np.ndarray, isometries: np.ndarray) -> np.ndarray:
-    """:func:`build_joint` for a stack: prepared states (N, 4, 4) and Bob's isometries (N, 16, 2).
+    """Prepared states (N, 4, 4) lifted by Bob's isometries (N, 16, 2) into ``JOINT_LAYOUT``.
 
-    Lifts each state through ``kron(eye(2), V)`` exactly as
-    :func:`unruh_lab.fock.apply_isometry` does, so every joint (N, 32, 32) in
-    ``JOINT_LAYOUT`` equals its :func:`build_joint` counterpart bit for bit.
-    Each is checked as :class:`DensityMatrix` checks it.
+    Bob is the second factor of ``INERTIAL_LAYOUT``, so each state is lifted
+    through ``kron(eye(2), V)``.  Each joint (32, 32) is checked as
+    :class:`DensityMatrix` checks it.
     """
     lift = np.kron(np.eye(2), isometries)
     joints = lift @ inertial @ np.conj(lift).transpose(0, 2, 1)

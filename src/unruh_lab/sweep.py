@@ -36,6 +36,7 @@ from .states import (
     bob_isometries,
     build_inertial,
     build_joints,
+    check_alpha,
 )
 
 # Batch sizes, which bound a sweep's extra memory: at most BATCH_POINTS
@@ -72,7 +73,7 @@ class SweepSpec:
 
     ``measure`` is the value a plot-format file shows against gamma.  Only
     ``Measure.STRONG_ADDITIVITY`` computes ``ssa_value``; other sweeps
-    leave it ``None``.
+    leave it ``None``.  ``alpha`` obeys the rule of :class:`ChannelSpec`.
     """
 
     families: tuple[ChannelFamily, ...]
@@ -93,6 +94,9 @@ class SweepSpec:
             raise DomainError("families", "must not be empty")
         if not self.regions:
             raise DomainError("regions", "must not be empty")
+        if not isinstance(self.measure, Measure):
+            raise DomainError("measure", f"must be a Measure, got {self.measure!r}")
+        check_alpha(self.alpha, ChannelFamily.WERNER in self.families)
         _check_grid("gamma_grid", self.gamma_grid, 0.0, GAMMA_MAX)
         _check_grid("q_r_grid", self.q_r_grid, 0.0, 1.0)
         if ChannelFamily.WERNER in self.families:
@@ -260,12 +264,10 @@ class FigurePreset(Enum):
     FIG4 = "fig4"
 
 
-def default_gamma_grid(points: int = 101) -> tuple[float, ...]:
-    """Uniform gamma grid over [0, pi/4] including both endpoints."""
-    if points < 2:
-        raise DomainError("points", f"need at least 2 grid points, got {points}")
-    step = GAMMA_MAX / (points - 1)
-    return tuple(i * step for i in range(points - 1)) + (GAMMA_MAX,)
+def default_gamma_grid() -> tuple[float, ...]:
+    """Uniform 101-point gamma grid over [0, pi/4] including both endpoints."""
+    step = GAMMA_MAX / 100
+    return tuple(i * step for i in range(100)) + (GAMMA_MAX,)
 
 QR_GRID_MIXING = (1.0, 0.9, 0.8, 1.0 / math.sqrt(2.0))
 QR_GRID_WERNER = (1.0, 0.75, 0.5, 0.25)

@@ -6,7 +6,6 @@ import pytest
 from unruh_lab import (
     DensityMatrix,
     DomainError,
-    Isometry,
     LayoutError,
     NormalizationError,
     ShapeError,
@@ -14,12 +13,9 @@ from unruh_lab import (
     Subsystem,
     SubsystemLayout,
     SymmetryError,
-    apply_isometry,
-    basis_state,
     eigvals_hermitian,
     outer_product,
     partial_trace,
-    tensor_product,
 )
 from unruh_lab.crosscheck import eigvals_charpoly
 
@@ -38,8 +34,6 @@ class TestLayouts:
     def test_dimension_and_positions(self):
         layout = SubsystemLayout((ALICE, BOB, MODE))
         assert layout.dim == 8
-        assert layout.position(BOB) == 1
-        assert BOB in layout and Subsystem.REGION_II_PARTICLE not in layout
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LayoutError):
@@ -48,11 +42,6 @@ class TestLayouts:
     def test_empty_rejected(self):
         with pytest.raises(LayoutError):
             SubsystemLayout(())
-
-    def test_factor_zero_is_most_significant_bit(self):
-        layout = SubsystemLayout((ALICE, BOB))
-        assert layout.index_of((1, 0)) == 0b10
-        assert layout.index_of((0, 1)) == 0b01
 
 
 class TestStateVector:
@@ -65,42 +54,14 @@ class TestStateVector:
             StateVector(TWO_QUBITS, [1.0, 0.0])
 
     def test_amplitudes_read_only(self):
-        state = basis_state(TWO_QUBITS, (0, 1))
+        state = StateVector(TWO_QUBITS, [0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
 
-class TestTensorProduct:
-    def test_basis_bookkeeping(self):
-        zero = basis_state(single(ALICE), (0,))
-        one = basis_state(single(BOB), (1,))
-        product = tensor_product(zero, one)
-        assert np.allclose(product.amplitudes, [0, 1, 0, 0])
-
-    def test_plus_times_zero(self):
-        plus = StateVector(single(ALICE), [math.sqrt(0.5), math.sqrt(0.5)])
-        zero = basis_state(single(BOB), (0,))
-        product = tensor_product(plus, zero)
-        assert np.allclose(product.amplitudes, [math.sqrt(0.5), 0, math.sqrt(0.5), 0])
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(11)
-        pair = SubsystemLayout((BOB, MODE))
-        for _ in range(10):
-            a = random_state(rng, single(ALICE))
-            b = random_state(rng, pair)
-            product = tensor_product(a, b)
-            assert abs(np.linalg.norm(product.amplitudes) - 1.0) < 1e-12
-
-    def test_shared_label_rejected(self):
-        state = basis_state(single(ALICE), (0,))
-        with pytest.raises(LayoutError):
-            tensor_product(state, state)
-
-
 class TestOuterProduct:
     def test_basis_projector(self):
-        rho = outer_product(basis_state(single(ALICE), (0,)))
+        rho = outer_product(StateVector(single(ALICE), [1.0, 0.0]))
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_plus_projector(self):
@@ -124,53 +85,6 @@ class TestDensityMatrix:
             DensityMatrix(single(ALICE), [[1.0, 0.0], [0.0, 1.0]])
 
 
-class TestApplyIsometry:
-    def test_identity_isometry_is_noop(self):
-        rho = outer_product(bell_state())
-        identity = Isometry(2, single(BOB), np.eye(2))
-        lifted = apply_isometry(rho, BOB, identity)
-        assert lifted.layout == rho.layout
-        assert np.allclose(lifted.entries, rho.entries)
-
-    def test_purity_preserved(self):
-        rng = np.random.default_rng(9)
-        rho = outer_product(random_state(rng, TWO_QUBITS))
-        v = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))[0]
-        iso = Isometry(2, SubsystemLayout((MODE, Subsystem.REGION_I_ANTIPARTICLE, Subsystem.REGION_II_PARTICLE)), v)
-        lifted = apply_isometry(rho, BOB, iso)
-        assert abs(lifted.purity() - 1.0) < 1e-12
-        assert lifted.layout.factors == (ALICE, MODE, Subsystem.REGION_I_ANTIPARTICLE, Subsystem.REGION_II_PARTICLE)
-
-    def test_spectrum_preserved_up_to_zeros(self):
-        rng = np.random.default_rng(13)
-        rho = random_density(rng, TWO_QUBITS)
-        v = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
-        iso = Isometry(2, SubsystemLayout((MODE, Subsystem.REGION_II_PARTICLE)), v)
-        lifted = apply_isometry(rho, BOB, iso)
-        before = eigvals_hermitian(rho)
-        after = eigvals_hermitian(lifted)
-        assert np.allclose(after[: len(before)], before, atol=1e-10)
-        assert np.allclose(after[len(before) :], 0.0, atol=1e-10)
-
-    def test_label_clash_rejected(self):
-        rho = outer_product(bell_state())
-        iso = Isometry(2, SubsystemLayout((ALICE, MODE)), np.eye(4)[:, :2])
-        with pytest.raises(LayoutError):
-            apply_isometry(rho, BOB, iso)
-
-    def test_missing_factor_rejected(self):
-        rho = outer_product(basis_state(single(ALICE), (0,)))
-        iso = Isometry(2, single(BOB), np.eye(2))
-        with pytest.raises(LayoutError):
-            apply_isometry(rho, MODE, iso)
-
-    def test_source_dimension_mismatch_rejected(self):
-        rho = outer_product(bell_state())
-        wide = Isometry(4, SubsystemLayout((MODE, Subsystem.REGION_II_PARTICLE)), np.eye(4))
-        with pytest.raises(ShapeError):
-            apply_isometry(rho, BOB, wide)
-
-
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
         rho = outer_product(bell_state())
@@ -181,7 +95,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(21)
         a = random_state(rng, single(ALICE))
         b = random_state(rng, single(BOB))
-        joint = outer_product(tensor_product(a, b))
+        joint = outer_product(StateVector(TWO_QUBITS, np.kron(a.amplitudes, b.amplitudes)))
         reduced = partial_trace(joint, {BOB})
         assert np.allclose(reduced.entries, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-12)
 
@@ -274,12 +188,3 @@ class TestEigvalsHermitian:
         with pytest.raises(ShapeError):
             eigvals_hermitian(np.zeros((2, 3)))
 
-
-class TestIsometryType:
-    def test_orthonormal_columns_enforced(self):
-        with pytest.raises(NormalizationError):
-            Isometry(2, TWO_QUBITS, np.ones((4, 2)))
-
-    def test_shape_enforced(self):
-        with pytest.raises(ShapeError):
-            Isometry(2, TWO_QUBITS, np.eye(3))

@@ -30,7 +30,6 @@ from unruh_lab import (
     reduce_to_region,
     region_split,
     strong_additivity,
-    strong_additivity_swapped,
     subsystem_entropies,
     von_neumann_entropy,
 )
@@ -127,6 +126,19 @@ GHZ_LAYOUT = SubsystemLayout((ALICE, BOB, Subsystem.REGION_I_PARTICLE))
 GHZ_SPLIT = TripartiteSplit({ALICE}, {BOB}, {Subsystem.REGION_I_PARTICLE})
 
 
+def swapped_variant(ssa, s_a, s_b):
+    """S(AB) - S(A) + S(AC) - S(C) = S(B|A) + S(A|C), which carries no sign guarantee."""
+    return ssa + s_b - s_a
+
+
+def werner_swapped_variant(gamma, q_r, f):
+    # on JOINT_TRIPARTITE, A is Alice and B the wedge-I modes: a wedge-I record's s_a, s_b
+    record = evaluate_point(
+        ChannelFamily.WERNER, BobRegion.I, gamma, q_r, PI4, f, with_ssa=True
+    )
+    return swapped_variant(record.ssa_value, record.s_a, record.s_b)
+
+
 class TestStrongAdditivity:
     def test_pure_product_is_zero(self):
         rng = np.random.default_rng(11)
@@ -142,8 +154,11 @@ class TestStrongAdditivity:
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[7] = math.sqrt(0.5)
         rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps.conj()))
-        assert abs(strong_additivity(rho, GHZ_SPLIT)) < 1e-12
-        assert abs(strong_additivity_swapped(rho, GHZ_SPLIT)) < 1e-12
+        ssa = strong_additivity(rho, GHZ_SPLIT)
+        assert abs(ssa) < 1e-12
+        s_a = von_neumann_entropy(partial_trace(rho, {BOB, Subsystem.REGION_I_PARTICLE}))
+        s_b = von_neumann_entropy(partial_trace(rho, {ALICE, Subsystem.REGION_I_PARTICLE}))
+        assert abs(swapped_variant(ssa, s_a, s_b)) < 1e-12
 
     def test_werner_value_frozen(self):
         spec = ChannelSpec(
@@ -151,10 +166,8 @@ class TestStrongAdditivity:
         )
         joint = build_joint(spec)
         assert abs(strong_additivity(joint, JOINT_TRIPARTITE) - WERNER_SSA_F95) < 1e-9
-        assert (
-            abs(strong_additivity_swapped(joint, JOINT_TRIPARTITE) - WERNER_SSA_SWAPPED_F95)
-            < 1e-9
-        )
+        swapped = werner_swapped_variant(math.pi / 8, 1.0, 0.95)
+        assert abs(swapped - WERNER_SSA_SWAPPED_F95) < 1e-9
 
     def test_frozen_values_match_oracle(self):
         parts = crosscheck.brute_tripartite_entropies(
@@ -175,7 +188,7 @@ class TestStrongAdditivity:
         )
         joint = build_joint(spec)
         assert strong_additivity(joint, JOINT_TRIPARTITE) >= -1e-9
-        assert strong_additivity_swapped(joint, JOINT_TRIPARTITE) < -0.5
+        assert werner_swapped_variant(0.0, 0.25, 0.95) < -0.5
 
 
 class TestMeasureProperties:
@@ -245,6 +258,29 @@ class TestMeasureProperties:
         far = evaluate_point(family, BobRegion.II, gamma, q_l, alpha, f)
         assert abs(near.mutual_info - far.mutual_info) <= 1e-12
 
+    @settings(deadline=None, database=None)
+    @given(
+        family=st.sampled_from(list(ChannelFamily)),
+        region=st.sampled_from(list(BobRegion)),
+        gamma=st.floats(0.0, PI4),
+        q_r=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, math.pi),
+        f=st.floats(0.0, 1.0),
+    )
+    def test_entropy_inequalities(self, family, region, gamma, q_r, alpha, f):
+        alpha, f = (PI4, f) if family is ChannelFamily.WERNER else (alpha, None)
+        r = evaluate_point(family, region, gamma, q_r, alpha, f, with_ssa=True)
+        tol = 1e-9
+        # Alice is one qubit, the wedge two, the reduced state three
+        assert -tol <= r.s_a <= 1.0 + tol
+        assert -tol <= r.s_b <= 2.0 + tol
+        assert -tol <= r.s_ab <= 3.0 + tol
+        # Araki-Lieb and subadditivity
+        assert abs(r.s_a - r.s_b) - tol <= r.s_ab <= r.s_a + r.s_b + tol
+        assert r.mutual_info <= 2.0 + tol
+        assert r.cond_entropy >= -1.0 - tol
+        assert r.ssa_value >= -tol
+
     def test_jacobi_agrees_with_two_level_closed_form(self):
         # rank <= 2 reductions: Alice marginals plus classical reductions at gamma = 0
         def binary_entropy_from_purity(trace, purity):
@@ -279,5 +315,5 @@ class TestBobIsometryEntropyConsistency:
 
         # at gamma = pi/4 every encoding spreads weight over both wedges
         iso = bob_isometry(Encoding.SINGLE_RAIL, AccelerationParams(PI4, 0.8))
-        weights = np.abs(iso.matrix) ** 2
+        weights = np.abs(iso) ** 2
         assert weights[:8].sum() > 0 and weights[8:].sum() > 0

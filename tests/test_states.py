@@ -131,13 +131,13 @@ class TestUnruhStates:
 class TestBobIsometry:
     def test_single_rail_at_zero(self):
         iso = bob_isometry(Encoding.SINGLE_RAIL, AccelerationParams(0.0, 1.0))
-        assert iso.matrix[0b0000, 0] == 1.0
-        assert iso.matrix[0b1000, 1] == 1.0
+        assert iso[0b0000, 0] == 1.0
+        assert iso[0b1000, 1] == 1.0
 
     def test_dual_rail_at_zero(self):
         iso = bob_isometry(Encoding.DUAL_RAIL, AccelerationParams(0.0, 1.0))
-        assert iso.matrix[0b1000, 0] == 1.0
-        assert iso.matrix[0b0010, 1] == 1.0
+        assert iso[0b1000, 0] == 1.0
+        assert iso[0b0010, 1] == 1.0
 
     def test_isometric_on_grid(self):
         for gamma in np.linspace(0.0, PI4, 10):
@@ -145,7 +145,7 @@ class TestBobIsometry:
                 iso = bob_isometry(
                     Encoding.SINGLE_RAIL, AccelerationParams(float(gamma), float(q_r))
                 )
-                gram = iso.matrix.conj().T @ iso.matrix
+                gram = iso.conj().T @ iso
                 assert np.abs(gram - np.eye(2)).max() < 1e-12
 
 

@@ -135,8 +135,8 @@ class TestRunSweep:
             families=(ChannelFamily.QUANTUM_SINGLE_RAIL,),
             gamma_grid=(0.0,),
             q_r_grid=(1.0,),
-            alpha=math.nan,
         )
+        object.__setattr__(spec, "alpha", math.nan)
         with pytest.raises(SweepPointError, match="gamma=0.0"):
             run_sweep(spec)
 
@@ -173,6 +173,33 @@ class TestSweepSpecValidation:
                 gamma_grid=(0.0,),
                 q_r_grid=(1.0,),
             )
+
+    @pytest.mark.parametrize(
+        "families, alpha",
+        [((ChannelFamily.QUANTUM_SINGLE_RAIL,), math.nan), ((ChannelFamily.WERNER,), 0.5)],
+    )
+    def test_bad_alpha_rejected(self, families, alpha):
+        werner = ChannelFamily.WERNER in families
+        with pytest.raises(DomainError) as excinfo:
+            SweepSpec(
+                families=families,
+                gamma_grid=(0.0,),
+                q_r_grid=(1.0,),
+                alpha=alpha,
+                f_grid=(0.5,) if werner else (),
+            )
+        assert excinfo.value.param == "alpha"
+
+    def test_measure_must_be_a_measure(self):
+        with pytest.raises(DomainError) as excinfo:
+            SweepSpec(
+                families=(ChannelFamily.WERNER,),
+                gamma_grid=(0.0,),
+                q_r_grid=(1.0,),
+                f_grid=(0.5,),
+                measure="ssa_value",
+            )
+        assert excinfo.value.param == "measure"
 
     def test_f_grid_requires_werner(self):
         with pytest.raises(DomainError, match="f_grid"):
