@@ -94,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
+    fmt = OutputFormat("csv", args.precision)  # fail before the evaluation
     gamma = args.gamma
     if args.gamma_degrees is not None:
         gamma = math.radians(args.gamma_degrees)
@@ -109,7 +110,6 @@ def _cmd_point(args: argparse.Namespace) -> int:
         args.f,
         with_ssa=True,
     )
-    fmt = OutputFormat("csv", args.precision)
     for column, value in zip(CSV_COLUMNS, record_fields(record, fmt.precision)):
         print(f"{column}={value}")
     return EXIT_OK

@@ -6,9 +6,10 @@ written mode order.  On top of the layouts sit unit state vectors, density
 matrices, the partial trace, and a cyclic Jacobi eigensolver for Hermitian
 matrices.  Everything is small (at most 32x32) and immutable.
 
-The checks the classes make on construction are written for stacks of
-arrays, so batched code makes the same checks on many items at once; on a
-stack of one they raise what the single item's checks raise.
+The checks the classes make on construction take stacks of arrays, so
+batched code makes the same checks on many items at once.  Each raises for
+the first item that fails it, so on a stack of one it raises what the
+single item's check raises.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import (
     NormalizationError,
     ShapeError,
     SymmetryError,
-    UnruhLabError,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -40,65 +40,48 @@ JACOBI_OFF_NORM_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 PSD_TOL = 1e-8
 
-# A stack check: which items fail, and the error for failing item i.
-Check = tuple[np.ndarray, Callable[[int], UnruhLabError]]
 
-
-def raise_first_failure(*checks: Check) -> None:
-    """Raise the error of the first check, in the order given, that any item fails.
-
-    The error describes the first item failing that check, so on a stack of
-    one it is the error of running the checks one after another.
-    """
-    for failed, make in checks:
-        if failed.any():
-            raise make(int(np.argmax(failed)))
-
-
-def norm_check(vectors: np.ndarray) -> Check:
-    """Vectors (N, d) must have unit norm within ``NORM_TOL``."""
+def check_norms(vectors: np.ndarray) -> None:
+    """Raise for the first vector of a stack (N, d) off unit norm by more than ``NORM_TOL``."""
     norms = np.linalg.norm(vectors, axis=-1)
-    return (
-        np.abs(norms - 1.0) > NORM_TOL,
-        lambda i: NormalizationError(f"state norm is {float(norms[i])!r}, expected 1"),
-    )
+    failed = np.abs(norms - 1.0) > NORM_TOL
+    if failed.any():
+        raise NormalizationError(f"state norm is {float(norms[failed][0])!r}, expected 1")
 
 
-def hermitian_check(matrices: np.ndarray) -> Check:
-    """Matrices (N, n, n) must equal their conjugate transpose within ``HERMITIAN_TOL``."""
+def check_hermitian(matrices: np.ndarray) -> None:
+    """Raise for the first matrix (N, n, n) off Hermitian by more than ``HERMITIAN_TOL``."""
     defects = np.abs(matrices - matrices.conj().swapaxes(1, 2)).reshape(len(matrices), -1).max(1)
-    return (
-        defects > HERMITIAN_TOL,
-        lambda i: SymmetryError(
-            f"Hermiticity defect {float(defects[i]):.3e} exceeds {HERMITIAN_TOL}"
-        ),
-    )
+    failed = defects > HERMITIAN_TOL
+    if failed.any():
+        raise SymmetryError(
+            f"Hermiticity defect {float(defects[failed][0]):.3e} exceeds {HERMITIAN_TOL}"
+        )
 
 
-def trace_check(matrices: np.ndarray) -> Check:
-    """Matrices (N, n, n) must have unit trace within ``TRACE_TOL``."""
+def check_traces(matrices: np.ndarray) -> None:
+    """Raise for the first matrix (N, n, n) off unit trace by more than ``TRACE_TOL``."""
     traces = matrices.trace(axis1=1, axis2=2)
-    return (
-        np.abs(traces - 1.0) > TRACE_TOL,
-        lambda i: NormalizationError(f"trace is {complex(traces[i])!r}, expected 1"),
-    )
+    failed = np.abs(traces - 1.0) > TRACE_TOL
+    if failed.any():
+        raise NormalizationError(f"trace is {complex(traces[failed][0])!r}, expected 1")
 
 
-def isometry_check(matrices: np.ndarray) -> Check:
-    """Matrices (N, d, k) must have orthonormal columns within ``ISOMETRY_TOL``."""
+def check_isometries(matrices: np.ndarray) -> None:
+    """Raise for the first matrix (N, d, k) with columns off orthonormal by > ``ISOMETRY_TOL``."""
     gram = matrices.conj().swapaxes(1, 2) @ matrices
     defects = np.abs(gram - np.eye(matrices.shape[2])).reshape(len(matrices), -1).max(1)
-    return (
-        defects > ISOMETRY_TOL,
-        lambda i: NormalizationError(
-            f"columns are not orthonormal (defect {float(defects[i]):.3e})"
-        ),
-    )
+    failed = defects > ISOMETRY_TOL
+    if failed.any():
+        raise NormalizationError(
+            f"columns are not orthonormal (defect {float(defects[failed][0]):.3e})"
+        )
 
 
 def check_density_stack(matrices: np.ndarray) -> None:
     """Check each matrix (N, n, n) as :class:`DensityMatrix` does: Hermitian, unit trace."""
-    raise_first_failure(hermitian_check(matrices), trace_check(matrices))
+    check_hermitian(matrices)
+    check_traces(matrices)
 
 
 class Subsystem(Enum):
@@ -155,7 +138,7 @@ class StateVector:
                 f"amplitude vector of length {amps.size} does not fit a "
                 f"{self.layout.dim}-dimensional layout"
             )
-        raise_first_failure(norm_check(amps[np.newaxis]))
+        check_norms(amps[np.newaxis])
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -268,9 +251,7 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > HERMITIAN_TOL:
-        raise SymmetryError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
+    check_hermitian(a[np.newaxis])
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
     if n == 1:
@@ -342,7 +323,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     a = np.array(matrices, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
-    raise_first_failure(hermitian_check(a))
+    check_hermitian(a)
     a = (a + np.conj(a).transpose(0, 2, 1)) / 2.0
     n = a.shape[1]
     if n == 1:

@@ -122,13 +122,13 @@ def series_filename(
     return f"{name}.{_EXTENSIONS[kind]}"
 
 
-def split_series(records: list[SweepRecord]) -> list[list[SweepRecord]]:
-    """Group records into (family, region, q_r, f) series, preserving order."""
+def split_series(records: list[SweepRecord]) -> dict[tuple, list[SweepRecord]]:
+    """Group records into series keyed (family, region, q_r, f), preserving order."""
     series: dict[tuple, list[SweepRecord]] = {}
     for record in records:
         key = (record.family, record.region, record.q_r, record.f)
         series.setdefault(key, []).append(record)
-    return list(series.values())
+    return series
 
 
 def write_figure_files(
@@ -143,7 +143,7 @@ def write_figure_files(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for series in split_series(records):
+    for series in split_series(records).values():
         path = out_dir / series_filename(figure, series[0], fmt.kind)
         if fmt.kind == "csv":
             text = render_csv(series, fmt.precision)

@@ -31,11 +31,10 @@ from .fock import (
     Subsystem,
     SubsystemLayout,
     check_density_stack,
-    isometry_check,
-    norm_check,
+    check_isometries,
+    check_norms,
     outer_product,
     partial_trace,
-    raise_first_failure,
 )
 
 GAMMA_MAX = math.pi / 4
@@ -179,9 +178,9 @@ def bob_isometries(
     else:
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
     matrices = np.stack(columns, axis=2)
-    raise_first_failure(
-        norm_check(columns[0]), norm_check(columns[1]), isometry_check(matrices)
-    )
+    check_norms(columns[0])
+    check_norms(columns[1])
+    check_isometries(matrices)
     return matrices
 
 
@@ -235,6 +234,8 @@ class ChannelSpec:
     fidelity_f: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.family, ChannelFamily):
+            raise DomainError("family", f"must be a ChannelFamily, got {self.family!r}")
         werner = self.family is ChannelFamily.WERNER
         check_alpha(self.alpha, werner)
         if werner:

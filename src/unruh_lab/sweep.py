@@ -67,6 +67,16 @@ def _check_grid(name: str, grid: tuple[float, ...], low: float, high: float) -> 
         raise DomainError(name, "must be strictly monotone")
 
 
+def _check_members(name: str, values: tuple, kind: type[Enum]) -> None:
+    if not values:
+        raise DomainError(name, "must not be empty")
+    for i, value in enumerate(values):
+        if not isinstance(value, kind):
+            raise DomainError(name, f"must hold {kind.__name__} members, got {value!r}")
+        if value in values[:i]:
+            raise DomainError(name, f"repeats {value.value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Which families to evaluate, over which grids, and what to report.
@@ -90,10 +100,8 @@ class SweepSpec:
         object.__setattr__(self, "q_r_grid", tuple(float(q) for q in self.q_r_grid))
         object.__setattr__(self, "f_grid", tuple(float(f) for f in self.f_grid))
         object.__setattr__(self, "regions", tuple(self.regions))
-        if not self.families:
-            raise DomainError("families", "must not be empty")
-        if not self.regions:
-            raise DomainError("regions", "must not be empty")
+        _check_members("families", self.families, ChannelFamily)
+        _check_members("regions", self.regions, BobRegion)
         if not isinstance(self.measure, Measure):
             raise DomainError("measure", f"must be a Measure, got {self.measure!r}")
         check_alpha(self.alpha, ChannelFamily.WERNER in self.families)
@@ -134,6 +142,8 @@ def evaluate_point(
     with_ssa: bool = False,
 ) -> SweepRecord:
     """Build the channel at one grid point and compute its measures."""
+    if not isinstance(region, BobRegion):
+        raise DomainError("region", f"must be a BobRegion, got {region!r}")
     return _evaluate_batch(family, region, [(gamma, q_r, f)], alpha, with_ssa)[0]
 
 

@@ -24,20 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck
-from .fock import eigvals_hermitian, partial_trace
-from .measures import von_neumann_entropy
+from .fock import eigvals_hermitian
 from .output import OutputFormat, split_series, write_figure_files
-from .states import (
-    REGION_I_FACTORS,
-    REGION_II_FACTORS,
-    AccelerationParams,
-    BobRegion,
-    ChannelFamily,
-    ChannelSpec,
-    Subsystem,
-    build_joint,
-)
-from .sweep import FigurePreset, SweepRecord, evaluate_point, figure_preset, run_sweep
+from .states import AccelerationParams, BobRegion, ChannelFamily, ChannelSpec, build_joint
+from .sweep import FigurePreset, SweepRecord, SweepSpec, evaluate_point, figure_preset, run_sweep
 
 TOL = 1e-9
 MONOTONE_SLACK = 1e-12
@@ -65,18 +55,17 @@ class _SeriesTables(dict):
     """
 
     def __missing__(self, figure: FigurePreset) -> dict[tuple, list[SweepRecord]]:
-        records = run_sweep(figure_preset(figure))
-        self[figure] = {
-            (s[0].family, s[0].region, s[0].q_r, s[0].f): s for s in split_series(records)
-        }
+        self[figure] = split_series(run_sweep(figure_preset(figure)))
         return self[figure]
 
 
 def _check_inertial_limit(tables: _SeriesTables) -> CheckResult:
+    fig1 = tables[FigurePreset.FIG1]
     worst = 0.0
     for family in QUANTUM_PAIR:
-        near = evaluate_point(family, BobRegion.I, 0.0, 1.0)
-        far = evaluate_point(family, BobRegion.II, 0.0, 1.0)
+        # each series starts at gamma = 0
+        near = fig1[family, BobRegion.I, 1.0, None][0]
+        far = fig1[family, BobRegion.II, 1.0, None][0]
         worst = max(
             worst,
             abs(near.mutual_info - 2.0),
@@ -218,35 +207,26 @@ def _check_oracle_equivalence(tables: _SeriesTables) -> CheckResult:
 
 
 def _check_state_invariants(tables: _SeriesTables) -> CheckResult:
-    # the classical joints are mixed, so only their spectra are checked
-    channels = [(family, None) for family in QUANTUM_PAIR] + [(ChannelFamily.WERNER, 1.0)]
-    channels += [(family, None) for family in CLASSICAL_PAIR]
+    # pure joints have S(AB) of one wedge = S(B) of the other; the classical
+    # joints are mixed, so only their spectra are checked
     gammas = [i * math.pi / 16 for i in range(5)]
-    q_rs = (1.0, 0.8, 0.5, 0.2)
+    spec = SweepSpec(tuple(ChannelFamily), gammas, (1.0, 0.8, 0.5, 0.2), f_grid=(1.0,))
+    series = split_series(run_sweep(spec))
     worst_schmidt = 0.0
     worst_psd = 0.0
     worst_sum = 0.0
-    for family, f in channels:
-        for gamma in gammas:
-            for q_r in q_rs:
-                joint = build_joint(
-                    ChannelSpec(family, AccelerationParams(gamma, q_r), fidelity_f=f)
+    for (family, region, q_r, f), wedge_i in series.items():
+        if region is BobRegion.II:
+            continue
+        for near, far in zip(wedge_i, series[family, BobRegion.II, q_r, f]):
+            if not family.is_classical:
+                worst_schmidt = max(
+                    worst_schmidt, abs(near.s_ab - far.s_b), abs(far.s_ab - near.s_b)
                 )
-                if not family.is_classical:
-                    s_ab_i = von_neumann_entropy(partial_trace(joint, REGION_II_FACTORS))
-                    s_b_ii = von_neumann_entropy(
-                        partial_trace(joint, REGION_I_FACTORS | {Subsystem.ALICE})
-                    )
-                    s_ab_ii = von_neumann_entropy(partial_trace(joint, REGION_I_FACTORS))
-                    s_b_i = von_neumann_entropy(
-                        partial_trace(joint, REGION_II_FACTORS | {Subsystem.ALICE})
-                    )
-                    worst_schmidt = max(
-                        worst_schmidt, abs(s_ab_i - s_b_ii), abs(s_ab_ii - s_b_i)
-                    )
-                eigs = eigvals_hermitian(joint)
-                worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
-                worst_sum = max(worst_sum, abs(float(eigs.sum()) - 1.0))
+            accel = AccelerationParams(near.gamma, q_r)
+            eigs = eigvals_hermitian(build_joint(ChannelSpec(family, accel, fidelity_f=f)))
+            worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
+            worst_sum = max(worst_sum, abs(float(eigs.sum()) - 1.0))
     passed = worst_schmidt <= TOL and worst_psd <= 1e-8 and worst_sum <= 1e-10
     return CheckResult(
         "8-purity-and-invariants",

@@ -32,7 +32,7 @@ from unruh_lab import (
     reduce_to_region,
     run_sweep,
 )
-from unruh_lab import fock, states
+from unruh_lab import crosscheck, fock, states
 from unruh_lab.fock import eigvals_hermitian_batch, trace_out
 from unruh_lab.measures import (
     JOINT_TRIPARTITE,
@@ -148,17 +148,30 @@ class TestBatchedEntropy:
 
 
 class TestBatchedStates:
-    def test_joints_and_reductions_bit_equal(self, sample):
-        for family, region, gamma, q_r, alpha, f in sample:
-            spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
-            inertial = build_inertial(spec).entries[np.newaxis]
-            joints = build_joints(inertial, bob_isometries(family.encoding, [gamma], [q_r]))
-            joint = build_joint(spec)
-            assert (joints[0] == joint.entries).all()
-            reduced, layout = trace_out(joints, JOINT_LAYOUT, region.traced_factors)
-            want = reduce_to_region(joint, region)
-            assert layout == want.layout
-            assert (reduced[0] == want.entries).all()
+    def test_joints_and_reductions_match_oracle(self, sample):
+        # the oracle assembles each joint term by term and traces by explicit sums;
+        # the sample holds gamma in {0, pi/4}, q_r in {0, 1} and F in {0, 1}
+        keep = {BobRegion.I: [0, 1, 3], BobRegion.II: [0, 2, 4]}
+        for family in ChannelFamily:
+            points = [p for p in sample if p[0] is family]
+            inertial = np.array([
+                build_inertial(ChannelSpec(family, AccelerationParams(g, q), alpha, f)).entries
+                for _, _, g, q, alpha, f in points
+            ])
+            gammas = [p[2] for p in points]
+            q_rs = [p[3] for p in points]
+            joints = build_joints(inertial, bob_isometries(family.encoding, gammas, q_rs))
+            reduced = {
+                region: trace_out(joints, JOINT_LAYOUT, region.traced_factors)
+                for region in BobRegion
+            }
+            for i, (_, region, gamma, q_r, alpha, f) in enumerate(points):
+                want = crosscheck.brute_joint_matrix(family, gamma, q_r, alpha, f)
+                assert np.abs(joints[i] - want).max() < 1e-12
+                stack, layout = reduced[region]
+                assert layout.factors == tuple(JOINT_LAYOUT.factors[k] for k in keep[region])
+                want = crosscheck.brute_partial_trace(want, 5, keep[region])
+                assert np.abs(stack[i] - want).max() < 1e-12
 
     def test_stacked_joints_equal_one_at_a_time(self, sample):
         for family in ChannelFamily:

@@ -121,6 +121,19 @@ class TestPoint:
         assert code == 3
         assert "gamma" in err
 
+    def test_bad_precision_fails_before_the_evaluation(self, capsys, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluate_point called")
+
+        monkeypatch.setattr(cli, "evaluate_point", no_evaluation)
+        code, _, err = run_cli(
+            capsys,
+            "point", "--family", "quantum-single", "--region", "bob-i",
+            "--gamma", "0", "--qr", "1", "--precision", "40",
+        )
+        assert code == 3
+        assert "precision" in err
+
 
 class TestFigure:
     def test_fig4_file_layout(self, capsys, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unruh_lab import (
@@ -280,6 +280,48 @@ class TestMeasureProperties:
         assert r.mutual_info <= 2.0 + tol
         assert r.cond_entropy >= -1.0 - tol
         assert r.ssa_value >= -tol
+
+    @settings(deadline=None, database=None)
+    @given(
+        family=st.sampled_from([f for f in ChannelFamily if not f.is_classical]),
+        gamma=st.floats(0.0, PI4),
+        q_r=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, math.pi),
+    )
+    def test_schmidt_identity(self, family, gamma, q_r, alpha):
+        # the joint is pure, so one wedge's reduced state and the other
+        # wedge's modes are the two sides of a pure state: equal entropies
+        alpha, f = (PI4, 1.0) if family is ChannelFamily.WERNER else (alpha, None)
+        near = evaluate_point(family, BobRegion.I, gamma, q_r, alpha, f)
+        far = evaluate_point(family, BobRegion.II, gamma, q_r, alpha, f)
+        assert abs(near.s_ab - far.s_b) <= 1e-9
+        assert abs(far.s_ab - near.s_b) <= 1e-9
+
+    @settings(deadline=None, database=None)
+    @given(
+        family=st.sampled_from(list(ChannelFamily)),
+        region=st.sampled_from(list(BobRegion)),
+        gamma=st.floats(0.0, PI4),
+        q_r=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, math.pi),
+        f=st.floats(0.0, 1.0),
+        boundary=st.sampled_from(
+            [("gamma", 0.0, 1.0), ("gamma", PI4, -1.0), ("q_r", 0.0, 1.0),
+             ("q_r", 1.0, -1.0), ("f", 0.0, 1.0), ("f", 1.0, -1.0)]
+        ),
+    )
+    def test_continuity_at_boundaries(self, family, region, gamma, q_r, alpha, f, boundary):
+        # a boundary value moved inward by 1e-9 moves no measure by 1e-6
+        name, edge, inward = boundary
+        werner = family is ChannelFamily.WERNER
+        assume(werner or name != "f")
+        point = dict(gamma=gamma, q_r=q_r, alpha=PI4 if werner else alpha, f=f if werner else None)
+        at_edge, inside = (
+            evaluate_point(family, region, **{**point, name: value}, with_ssa=True)
+            for value in (edge, edge + inward * 1e-9)
+        )
+        for field in ("s_a", "s_b", "s_ab", "mutual_info", "cond_entropy", "ssa_value"):
+            assert abs(getattr(at_edge, field) - getattr(inside, field)) < 1e-6, field
 
     def test_jacobi_agrees_with_two_level_closed_form(self):
         # rank <= 2 reductions: Alice marginals plus classical reductions at gamma = 0

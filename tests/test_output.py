@@ -109,6 +109,7 @@ class TestSeries:
             make_record(gamma=0.1, q_r=0.9),
         ]
         series = split_series(records)
-        assert len(series) == 2
-        assert all(len(group) == 2 for group in series)
-        assert [r.gamma for r in series[0]] == [0.0, 0.1]
+        family, region = ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I
+        assert list(series) == [(family, region, 1.0, None), (family, region, 0.9, None)]
+        assert all(len(group) == 2 for group in series.values())
+        assert [r.gamma for r in series[family, region, 1.0, None]] == [0.0, 0.1]

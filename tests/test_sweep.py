@@ -10,6 +10,7 @@ from unruh_lab import (
     Measure,
     SweepSpec,
     default_gamma_grid,
+    evaluate_point,
     figure_preset,
     run_sweep,
     write_figure_files,
@@ -201,6 +202,22 @@ class TestSweepSpecValidation:
             )
         assert excinfo.value.param == "measure"
 
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("families", ("werner",), "must hold ChannelFamily members, got 'werner'"),
+            ("regions", ("bob-i",), "must hold BobRegion members, got 'bob-i'"),
+            ("families", (ChannelFamily.QUANTUM_SINGLE_RAIL,) * 2, "repeats 'quantum-single'"),
+            ("regions", (BobRegion.I, BobRegion.II, BobRegion.I), "repeats 'bob-i'"),
+        ],
+    )
+    def test_families_and_regions_hold_distinct_members(self, field, values, message):
+        fields = dict(families=(ChannelFamily.QUANTUM_SINGLE_RAIL,), regions=(BobRegion.I,))
+        fields[field] = values
+        with pytest.raises(DomainError, match=f"^{field}: {message}$") as excinfo:
+            SweepSpec(gamma_grid=(0.0,), q_r_grid=(1.0,), **fields)
+        assert excinfo.value.param == field
+
     def test_f_grid_requires_werner(self):
         with pytest.raises(DomainError, match="f_grid"):
             SweepSpec(
@@ -209,6 +226,17 @@ class TestSweepSpecValidation:
                 q_r_grid=(1.0,),
                 f_grid=(0.5,),
             )
+
+
+class TestEvaluatePointValidation:
+    def test_family_must_be_a_member(self):
+        # ChannelSpec makes this check
+        with pytest.raises(DomainError, match="^family: must be a ChannelFamily, got 'werner'$"):
+            evaluate_point("werner", BobRegion.I, 0.1, 0.5, f=0.5)
+
+    def test_region_must_be_a_member(self):
+        with pytest.raises(DomainError, match="^region: must be a BobRegion, got 'bob-i'$"):
+            evaluate_point(ChannelFamily.WERNER, "bob-i", 0.1, 0.5, f=0.5)
 
 
 class TestFigurePresets:
