@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     point.add_argument("--f", type=float, default=None, help="Werner fidelity in [0, 1]")
     point.add_argument(
-        "--precision", type=int, default=12, help="digits after the decimal point"
+        "--precision", type=int, default=12, help="digits after the decimal point, 6..17"
     )
 
     figure = sub.add_parser("figure", help="write one figure preset's data files")
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", default="csv", choices=("csv", "json", "plot"), help="file format"
     )
     figure.add_argument(
-        "--precision", type=int, default=12, help="digits after the decimal point"
+        "--precision", type=int, default=12, help="digits after the decimal point, 6..17"
     )
 
     verify = sub.add_parser("verify", help="run the acceptance/verification suite")

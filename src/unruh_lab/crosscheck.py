@@ -3,10 +3,13 @@
 Everything here recomputes results of the main modules along a deliberately
 different route and shares none of their machinery: joint states are
 assembled as explicit 32-component arrays, reductions use an index-pair
-double loop over occupation bit patterns, and eigenvalues come from the
-characteristic polynomial (closed forms for 2x2 and 3x3, exact rational
-Faddeev-LeVerrier coefficients plus Newton refinement above that) instead
-of Jacobi rotations.
+double loop over occupation bit patterns, and eigenvalues come from
+characteristic polynomials instead of Jacobi rotations.  A matrix is first
+split into the connected components of its exact nonzero pattern (wedge
+states into blocks of at most 3, joints of at most 8), which permutes
+entries without arithmetic.  Each larger-than-1x1 block gets exact rational
+Faddeev-LeVerrier coefficients, and the companion-matrix roots are Newton-
+refined against that exact polynomial.
 
 The code is intentionally plain; it optimizes for being obviously correct,
 not for speed.
@@ -72,35 +75,6 @@ def charpoly_coefficients(matrix: np.ndarray) -> np.ndarray:
     return np.array([float(c) for c in _exact_charpoly(a)])
 
 
-def _eigvals_2x2(a: np.ndarray) -> np.ndarray:
-    mean = (a[0, 0].real + a[1, 1].real) / 2.0
-    half_gap = math.hypot((a[0, 0].real - a[1, 1].real) / 2.0, abs(a[0, 1]))
-    return np.array([mean + half_gap, mean - half_gap])
-
-
-def _eigvals_3x3(a: np.ndarray) -> np.ndarray:
-    # trigonometric solution of the depressed cubic for Hermitian 3x3
-    off_sq = abs(a[0, 1]) ** 2 + abs(a[0, 2]) ** 2 + abs(a[1, 2]) ** 2
-    diag = np.array([a[0, 0].real, a[1, 1].real, a[2, 2].real])
-    if off_sq == 0.0:
-        return np.sort(diag)[::-1]
-    q = diag.sum() / 3.0
-    p2 = ((diag - q) ** 2).sum() + 2.0 * off_sq
-    p = math.sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    det_b = (
-        b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
-        - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
-        + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0])
-    )
-    r = min(1.0, max(-1.0, det_b.real / 2.0))
-    phi = math.acos(r) / 3.0
-    eig_hi = q + 2.0 * p * math.cos(phi)
-    eig_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    eig_mid = 3.0 * q - eig_hi - eig_lo
-    return np.sort(np.array([eig_hi, eig_mid, eig_lo]))[::-1]
-
-
 def _eval_exact(coeffs: list[Fraction], x: float) -> Fraction:
     fx = Fraction(x)
     acc = Fraction(0)
@@ -138,108 +112,58 @@ def _exact_newton(coeffs: list[Fraction], start: float, steps: int = 60) -> floa
     return x
 
 
-def _retry_tiny_root(coeffs: list[Fraction], root: float, band: float) -> float:
-    """Second opinion for a near-zero root via the reversed polynomial.
+def _blocks(a: np.ndarray) -> list[list[int]]:
+    """Index sets of the connected components of the exact nonzero pattern.
 
-    A root of p much smaller than the others is poorly seeded by the
-    companion matrix, but equals the reciprocal of a large, well-separated
-    root of x^n p(1/x).  The candidate is kept only when it stays in the
-    near-zero band and strictly improves the exact residual.
+    Entries are compared with exact zero, so the matrix restricted to these
+    blocks is a permutation of the original with nothing rounded or dropped.
     """
-    if root == 0.0:
-        return root
-    inverse = _exact_newton(list(reversed(coeffs)), 1.0 / root)
-    if inverse == 0.0:
-        return root
-    candidate = 1.0 / inverse
-    if abs(candidate) >= band:
-        return root
-    if abs(_eval_exact(coeffs, candidate)) < abs(_eval_exact(coeffs, root)):
-        return candidate
-    return root
+    linked = (a != 0) | (a != 0).T
+    unseen = set(range(a.shape[0]))
+    blocks = []
+    while unseen:
+        frontier = [unseen.pop()]
+        block = []
+        while frontier:
+            i = frontier.pop()
+            block.append(i)
+            for j in [j for j in unseen if linked[i, j]]:
+                unseen.discard(j)
+                frontier.append(j)
+        blocks.append(sorted(block))
+    return blocks
 
 
-def _taylor_shift_exact(coeffs: list[Fraction], x: float) -> list[Fraction]:
-    """Coefficients of p(x + t) in powers of t, descending like ``coeffs``.
+def _block_eigvals(block: np.ndarray) -> list[float]:
+    """Eigenvalues of one block from its exact characteristic polynomial.
 
-    Repeated synthetic division by (t - x), exact in rational arithmetic.
+    Exactly-zero trailing coefficients are deflated as zero eigenvalues, and
+    each companion-matrix estimate of the remaining roots is Newton-refined
+    against the exact deflated polynomial.
     """
-    fx = Fraction(x)
-    shifted = list(coeffs)
-    for k in range(len(shifted) - 1, 0, -1):
-        for i in range(1, k + 1):
-            shifted[i] += shifted[i - 1] * fx
-    return shifted
-
-
-def _refine_real_roots(
-    coeffs: list[Fraction], estimates: np.ndarray, cluster_gap: float, scale: float
-) -> np.ndarray:
-    """Refine companion-matrix root estimates against the exact polynomial.
-
-    Each estimate is Newton-refined on its own first (the exact residual
-    guard lets the iteration creep into multiple roots linearly) and
-    near-zero results get a reversed-polynomial second opinion.  Refined
-    values closer together than ``cluster_gap`` are then treated as one
-    cluster of m roots, which may be a multiple root, close but distinct
-    roots (a tiny eigenvalue next to an almost-zero one), or one root that
-    two estimates both refined onto while its close neighbour was missed.
-    The cluster's roots are taken afresh as the m smallest roots t of
-    p(centre + t) around the cluster's mean: the shifted coefficients are
-    exact before rounding, so roots that cancel against each other in p
-    stand apart in t.
-    """
-    band = 1e-5 * scale
-    singles = []
-    for estimate in estimates:
-        root = _exact_newton(coeffs, float(estimate))
-        if abs(root) < band:
-            root = _retry_tiny_root(coeffs, root, band)
-        singles.append(root)
-    ordered = np.sort(singles)
-    refined = np.empty_like(ordered)
-    i = 0
-    while i < len(ordered):
-        j = i + 1
-        while j < len(ordered) and ordered[j] - ordered[j - 1] <= cluster_gap:
-            j += 1
-        if j - i > 1:
-            centre = float(ordered[i:j].mean())
-            shifts = np.roots([float(c) for c in _taylor_shift_exact(coeffs, centre)])
-            refined[i:j] = centre + shifts[np.argsort(np.abs(shifts))][: j - i].real
-        else:
-            refined[i] = ordered[i]
-        i = j
-    return refined
-
-
-def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix from its characteristic polynomial.
-
-    Descending order.  Exactly-zero trailing coefficients are deflated as
-    zero eigenvalues before root finding, then the remaining real roots are
-    refined against the exact deflated polynomial.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
+    n = block.shape[0]
     if n == 1:
-        return np.array([a[0, 0].real])
-    if n == 2:
-        return _eigvals_2x2(a)
-    if n == 3:
-        return _eigvals_3x3(a)
-    coeffs = _exact_charpoly(a)
+        return [float(block[0, 0].real)]
+    coeffs = _exact_charpoly(block)
     zeros = 0
     while zeros < n and coeffs[n - zeros] == 0:
         zeros += 1
     reduced = coeffs[: n + 1 - zeros]
-    if len(reduced) > 1:
-        first_guess = np.roots(np.array([float(c) for c in reduced])).real
-        matrix_scale = max(1.0, float(np.abs(np.diag(a).real).max()))
-        roots = _refine_real_roots(reduced, first_guess, 1e-7 * matrix_scale, matrix_scale)
-    else:
-        roots = np.array([])
-    eigs = np.sort(np.concatenate([roots, np.zeros(zeros)]))[::-1]
+    estimates = np.roots([float(c) for c in reduced]).real
+    return [_exact_newton(reduced, float(x)) for x in estimates] + [0.0] * zeros
+
+
+def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, block by block, in descending order.
+
+    The matrix is split into the connected components of its exact nonzero
+    pattern; the spectrum is the union of the blocks' spectra.  A 1x1 block
+    is its diagonal entry, and a larger one is solved through its exact
+    characteristic polynomial (see ``_block_eigvals``).  The eigenvalue sum
+    must reproduce the trace of the whole matrix.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    eigs = np.sort([lam for b in _blocks(a) for lam in _block_eigvals(a[np.ix_(b, b)])])[::-1]
     trace = float(np.trace(a).real)
     if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):
         raise ValueError(

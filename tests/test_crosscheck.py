@@ -1,7 +1,9 @@
 """The cross-check oracle must itself be trustworthy: these tests pin it
 against LAPACK, closed forms, and the production tensor machinery."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,16 @@ from unruh_lab import crosscheck
 from helpers import random_hermitian
 
 PI4 = math.pi / 4
+
+
+def components(matrix):
+    """Index sets of the connected components of the exact nonzero pattern,
+    from the transitive closure of the adjacency (not the oracle's search)."""
+    n = matrix.shape[0]
+    reach = ((matrix != 0) | (matrix != 0).T | np.eye(n, dtype=bool)).astype(int)
+    for _ in range(n.bit_length()):
+        reach = ((reach @ reach) > 0).astype(int)
+    return sorted({tuple(np.flatnonzero(row)) for row in reach})
 
 
 def lapack_entropy(matrix):
@@ -87,6 +99,91 @@ class TestCharpolyEigensolver:
     def test_psd_violation_rejected(self):
         with pytest.raises(ValueError):
             crosscheck.brute_entropy(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_three_by_three_blocks_match_lapack(self):
+        # the 3x3 blocks of quantum-single wedge states, each passed whole: a
+        # trigonometric closed form for the cubic would miss these by up to 4e-9
+        rng = np.random.default_rng(41)
+        blocks = 0
+        for _ in range(20):
+            gamma, q_r, alpha = rng.uniform(0, PI4), rng.uniform(), rng.uniform(0, math.pi)
+            for region in BobRegion:
+                reduced = crosscheck.brute_region_matrix(
+                    ChannelFamily.QUANTUM_SINGLE_RAIL, region, float(gamma), float(q_r), float(alpha)
+                )
+                for block in (b for b in components(reduced) if len(b) == 3):
+                    sub = reduced[np.ix_(block, block)]
+                    got = crosscheck.eigvals_charpoly(sub)
+                    want = np.sort(np.linalg.eigvalsh(sub))[::-1]
+                    assert np.abs(got - want).max() < 1e-12
+                    blocks += 1
+        assert blocks == 80
+
+
+def oracle_matrices(seed, count):
+    """Seeded wedge states and the five reductions of the joint that
+    ``brute_tripartite_entropies`` diagonalises, for every family."""
+    rng = np.random.default_rng(seed)
+    families = list(ChannelFamily)
+    for k in range(count):
+        family = families[k % len(families)]
+        werner = family is ChannelFamily.WERNER
+        gamma, q_r = float(rng.uniform(0, PI4)), float(rng.uniform())
+        alpha = PI4 if werner else float(rng.uniform(0, math.pi))
+        f = float(rng.uniform()) if werner else None
+        for region in BobRegion:
+            yield crosscheck.brute_region_matrix(family, region, gamma, q_r, alpha, f)
+        joint = crosscheck.brute_joint_matrix(family, gamma, q_r, alpha, f)
+        for keep in ([0, 1, 3], [0, 2, 4], [0], [1, 3], [2, 4]):
+            yield crosscheck.brute_partial_trace(joint, 5, keep)
+
+
+class TestBlockSplit:
+    def test_blocks_are_an_exact_permutation(self):
+        for matrix in oracle_matrices(71, 30):
+            n = matrix.shape[0]
+            blocks = crosscheck._blocks(matrix)
+            assert sorted(i for block in blocks for i in block) == list(range(n))
+            inside = np.zeros((n, n), dtype=bool)
+            for block in blocks:
+                inside[np.ix_(block, block)] = True
+            assert np.all(matrix[~inside] == 0)
+            if n == 8:
+                assert max(len(block) for block in blocks) <= 3
+
+    def test_permuted_block_diagonal_matches_lapack(self):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            sizes = [int(s) for s in rng.integers(1, 5, size=4)]
+            n = sum(sizes)
+            matrix = np.zeros((n, n), dtype=complex)
+            start = 0
+            for size in sizes:
+                matrix[start : start + size, start : start + size] = random_hermitian(rng, size)
+                start += size
+            order = rng.permutation(n)
+            shuffled = matrix[np.ix_(order, order)]
+            assert sorted(map(len, crosscheck._blocks(shuffled))) == sorted(sizes)
+            got = crosscheck.eigvals_charpoly(shuffled)
+            want = np.sort(np.linalg.eigvalsh(shuffled))[::-1]
+            assert np.abs(got - want).max() < 1e-12
+
+
+class TestOracleIndependence:
+    def test_imports_only_state_labels_from_the_package(self):
+        # an oracle that borrowed the production machinery (fock, measures,
+        # sweep, output) would turn check 7 into a self-comparison
+        tree = ast.parse(Path(crosscheck.__file__).read_text())
+        package_imports = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "unruh_lab" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level > 0 or module.split(".")[0] == "unruh_lab":
+                    module = module.removeprefix("unruh_lab").lstrip(".")
+                    package_imports.append((module, sorted(a.name for a in node.names)))
+        assert package_imports == [("states", ["BobRegion", "ChannelFamily", "Encoding"])]
 
 
 class TestBrutePartialTrace:

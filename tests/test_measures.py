@@ -299,6 +299,21 @@ class TestMeasureProperties:
 
     @settings(deadline=None, database=None)
     @given(
+        region=st.sampled_from(list(BobRegion)),
+        gamma=st.floats(0.0, PI4),
+        alpha=st.floats(0.0, math.pi / 2),
+    )
+    def test_single_and_dual_rail_coincide_at_equal_weights(self, region, gamma, alpha):
+        # at q_r = q_l = 1/sqrt(2) the quantum single- and dual-rail channels
+        # carry the same MI and CE, although their s_b and s_ab differ
+        q_r = 1 / math.sqrt(2)
+        single = evaluate_point(ChannelFamily.QUANTUM_SINGLE_RAIL, region, gamma, q_r, alpha)
+        dual = evaluate_point(ChannelFamily.QUANTUM_DUAL_RAIL, region, gamma, q_r, alpha)
+        assert abs(single.mutual_info - dual.mutual_info) <= 1e-12
+        assert abs(single.cond_entropy - dual.cond_entropy) <= 1e-12
+
+    @settings(deadline=None, database=None)
+    @given(
         family=st.sampled_from(list(ChannelFamily)),
         region=st.sampled_from(list(BobRegion)),
         gamma=st.floats(0.0, PI4),
