@@ -2,14 +2,16 @@
 
 Everything here recomputes results of the main modules along a deliberately
 different route and shares none of their machinery: joint states are
-assembled as explicit 32-component arrays, reductions use an index-pair
-double loop over occupation bit patterns, and eigenvalues come from
+assembled as explicit 32-component arrays, reductions sum over index pairs
+built from occupation bit patterns, and eigenvalues come from
 characteristic polynomials instead of Jacobi rotations.  A matrix is first
 split into the connected components of its exact nonzero pattern (wedge
 states into blocks of at most 3, joints of at most 8), which permutes
-entries without arithmetic.  Each larger-than-1x1 block gets exact rational
-Faddeev-LeVerrier coefficients, and the companion-matrix roots are Newton-
-refined against that exact polynomial.
+entries without arithmetic.  Every float is a dyadic rational, so a
+larger-than-1x1 block scaled by a power of two is a matrix of Gaussian
+integers: a division-free Faddeev-LeVerrier recursion in Python integers
+gives its exact characteristic polynomial, and the companion-matrix roots
+are Newton-refined against that polynomial with exact integer residuals.
 
 The code is intentionally plain; it optimizes for being obviously correct,
 not for speed.
@@ -17,8 +19,8 @@ not for speed.
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,88 +29,97 @@ from .states import BobRegion, ChannelFamily, Encoding
 _CLAMP = 1e-8  # same eigenvalue clamping policy as the production path
 
 
-def _exact_charpoly(matrix: np.ndarray) -> list[Fraction]:
-    """Exact monic characteristic polynomial via Faddeev-LeVerrier.
+def _dyadic(x: float) -> tuple[int, int]:
+    """(m, s) with x = m / 2**s; raises for NaN and infinities, as Fraction does."""
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
 
-    Float entries are dyadic rationals, so converting them to ``Fraction``
-    and recursing M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k yields
-    the characteristic polynomial of the stored matrix without any rounding.
-    Coefficients come back as [1, c_1, ..., c_n] in descending powers.
+
+def _exact_charpoly(matrix: np.ndarray) -> list[int]:
+    """Exact monic characteristic polynomial via division-free Faddeev-LeVerrier.
+
+    Float entries are dyadic rationals, so with ``shift`` the largest
+    denominator exponent of the real and imaginary parts, G = 2**shift * A is
+    a matrix of Gaussian integers.  The recursion N_1 = G,
+    N_{k+1} = G (k N_k - Re tr(N_k) I) gives c_k = -Re tr(N_k) / (k! 2**(shift k)),
+    the coefficients of the stored matrix without any rounding.  They come
+    back as integers [a_0, ..., a_n] in descending powers over the common
+    denominator Q = a_0 = n! 2**(shift n), so c_k = a_k / Q.
     """
     n = matrix.shape[0]
-    zero = Fraction(0)
-    a_re = [[Fraction(matrix[i, j].real) for j in range(n)] for i in range(n)]
-    a_im = [[Fraction(matrix[i, j].imag) for j in range(n)] for i in range(n)]
-    m_re = [row[:] for row in a_re]
-    m_im = [row[:] for row in a_im]
-    coeffs = [Fraction(1)]
+    rows = matrix.real.tolist() + matrix.imag.tolist()
+    parts = [[_dyadic(x) for x in row] for row in rows]
+    shift = max(e for row in parts for _, e in row)
+    scaled = [[num << (shift - e) for num, e in row] for row in parts]
+    g_re, g_im = scaled[:n], scaled[n:]
+    n_re, n_im = g_re, g_im
+    denominator = math.factorial(n) << (shift * n)
+    coeffs = [denominator]
     for k in range(1, n + 1):
-        trace = sum((m_re[i][i] for i in range(n)), zero)
-        c_k = -trace / k
-        coeffs.append(c_k)
+        trace = sum(n_re[i][i] for i in range(n))
+        coeffs.append(-trace * (denominator // (math.factorial(k) << (shift * k))))
         if k == n:
             break
+        m_re = [[k * x for x in row] for row in n_re]
+        m_im = [[k * x for x in row] for row in n_im]
         for i in range(n):
-            m_re[i][i] += c_k
-        new_re = [[zero] * n for _ in range(n)]
-        new_im = [[zero] * n for _ in range(n)]
+            m_re[i][i] -= trace
+        new_re = [[0] * n for _ in range(n)]
+        new_im = [[0] * n for _ in range(n)]
         for i in range(n):
             for p in range(n):
-                ar, ai = a_re[i][p], a_im[i][p]
+                ar, ai = g_re[i][p], g_im[i][p]
                 if ar == 0 and ai == 0:
                     continue
                 row_re, row_im = m_re[p], m_im[p]
                 out_re, out_im = new_re[i], new_im[i]
                 for j in range(n):
                     br, bi = row_re[j], row_im[j]
-                    if br == 0 and bi == 0:
-                        continue
                     out_re[j] += ar * br - ai * bi
                     out_im[j] += ar * bi + ai * br
-        m_re, m_im = new_re, new_im
+        n_re, n_im = new_re, new_im
     return coeffs
 
 
 def charpoly_coefficients(matrix: np.ndarray) -> np.ndarray:
     """Characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] as floats."""
-    a = np.asarray(matrix, dtype=complex)
-    return np.array([float(c) for c in _exact_charpoly(a)])
+    coeffs = _exact_charpoly(np.asarray(matrix, dtype=complex))
+    return np.array([a / coeffs[0] for a in coeffs])
 
 
-def _eval_exact(coeffs: list[Fraction], x: float) -> Fraction:
-    fx = Fraction(x)
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * fx + c
+def _eval_scaled(coeffs: list[int], m: int, s: int) -> int:
+    """sum a_k m**(deg-k) 2**(s k): the polynomial at x = m / 2**s, times 2**(s deg) a_0."""
+    acc = 0
+    for k, a in enumerate(coeffs):
+        acc = acc * m + (a << (s * k))
     return acc
 
 
-def _diff_exact(coeffs: list[Fraction]) -> list[Fraction]:
-    degree = len(coeffs) - 1
-    return [c * (degree - k) for k, c in enumerate(coeffs[:-1])]
-
-
-def _exact_newton(coeffs: list[Fraction], start: float, steps: int = 60) -> float:
+def _exact_newton(coeffs: list[int], start: float, steps: int = 60) -> float:
     """Newton against the exact polynomial; steps must reduce |p(x)| exactly.
 
-    The residual comparison runs in rational arithmetic, so at a multiple
+    The residual comparison runs in integer arithmetic, so at a multiple
     root (where the derivative vanishes and an unguarded step would divide
     noise by noise) the start value is simply kept.
     """
-    deriv = _diff_exact(coeffs)
+    degree = len(coeffs) - 1
+    deriv = [a * (degree - k) for k, a in enumerate(coeffs[:-1])]
     x = start
-    val = _eval_exact(coeffs, x)
+    m, s = _dyadic(x)
+    val = _eval_scaled(coeffs, m, s)
     for _ in range(steps):
         if val == 0:
             break
-        dval = _eval_exact(deriv, x)
+        dval = _eval_scaled(deriv, m, s)
         if dval == 0:
             break
-        candidate = x - float(val / dval)
-        candidate_val = _eval_exact(coeffs, candidate)
-        if abs(candidate_val) >= abs(val):
+        candidate = x - val / (dval << s)
+        m_c, s_c = _dyadic(candidate)
+        candidate_val = _eval_scaled(coeffs, m_c, s_c)
+        # |p(candidate)| < |p(x)|, both sides scaled by 2**((s + s_c) degree) a_0
+        if abs(candidate_val) << (s * degree) >= abs(val) << (s_c * degree):
             break
-        x, val = candidate, candidate_val
+        x, m, s, val = candidate, m_c, s_c, candidate_val
     return x
 
 
@@ -149,7 +160,7 @@ def _block_eigvals(block: np.ndarray) -> list[float]:
     while zeros < n and coeffs[n - zeros] == 0:
         zeros += 1
     reduced = coeffs[: n + 1 - zeros]
-    estimates = np.roots([float(c) for c in reduced]).real
+    estimates = np.roots([a / reduced[0] for a in reduced]).real
     return [_exact_newton(reduced, float(x)) for x in estimates] + [0.0] * zeros
 
 
@@ -175,7 +186,7 @@ def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
 def brute_entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy in bits via the characteristic-polynomial route."""
     total = 0.0
-    for lam in eigvals_charpoly(matrix):
+    for lam in eigvals_charpoly(matrix).tolist():
         if lam < -_CLAMP:
             raise ValueError(f"eigenvalue {lam:.3e} below the PSD tolerance")
         if lam > 0.0:
@@ -183,21 +194,21 @@ def brute_entropy(matrix: np.ndarray) -> float:
     return total
 
 
-def brute_partial_trace(matrix: np.ndarray, n_factors: int, keep: list[int]) -> np.ndarray:
-    """Partial trace by explicit summation over discarded bit patterns.
+@functools.lru_cache(maxsize=None)
+def _trace_indices(n_factors: int, keep: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the summed entries, shaped (traced bits, row bits, col bits).
 
-    ``keep`` lists the retained factor positions (0 = most significant bit);
-    their order in the output follows their original order.
+    ``keep`` lists the retained factor positions (0 = most significant bit)
+    in ascending order.
     """
-    keep = sorted(keep)
     drop = [i for i in range(n_factors) if i not in keep]
     shifts_keep = [n_factors - 1 - i for i in keep]
     shifts_drop = [n_factors - 1 - i for i in drop]
     dim_out = 2 ** len(keep)
-    out = np.zeros((dim_out, dim_out), dtype=complex)
+    rows = np.zeros((2 ** len(drop), dim_out, dim_out), dtype=int)
+    cols = np.zeros_like(rows)
     for row_bits in range(dim_out):
         for col_bits in range(dim_out):
-            acc = 0.0 + 0.0j
             for traced_bits in range(2 ** len(drop)):
                 row = 0
                 col = 0
@@ -207,8 +218,24 @@ def brute_partial_trace(matrix: np.ndarray, n_factors: int, keep: list[int]) -> 
                 for b, shift in enumerate(reversed(shifts_drop)):
                     row |= ((traced_bits >> b) & 1) << shift
                     col |= ((traced_bits >> b) & 1) << shift
-                acc += matrix[row, col]
-            out[row_bits, col_bits] = acc
+                rows[traced_bits, row_bits, col_bits] = row
+                cols[traced_bits, row_bits, col_bits] = col
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def brute_partial_trace(matrix: np.ndarray, n_factors: int, keep: list[int]) -> np.ndarray:
+    """Partial trace by explicit summation over discarded bit patterns.
+
+    ``keep`` lists the retained factor positions (0 = most significant bit);
+    their order in the output follows their original order.  Each output
+    entry sums its terms in ascending order of the discarded bits.
+    """
+    rows, cols = _trace_indices(n_factors, tuple(sorted(keep)))
+    out = np.zeros(rows.shape[1:], dtype=complex)
+    for row, col in zip(rows, cols):
+        out += matrix[row, col]
     return out
 
 

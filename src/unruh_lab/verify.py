@@ -51,11 +51,18 @@ class _SeriesTables(dict):
     """Each preset's sweep, run on first use, as series keyed (family, region, q_r, f).
 
     A series follows the ascending gamma grid, so ``series[-1]`` is the
-    point at gamma = pi/4.
+    point at gamma = pi/4.  ``fig1`` and ``fig2`` sweep a subset of
+    ``fig3``'s families over its grids, so their series are read from the
+    ``fig3`` sweep.
     """
 
     def __missing__(self, figure: FigurePreset) -> dict[tuple, list[SweepRecord]]:
-        self[figure] = split_series(run_sweep(figure_preset(figure)))
+        spec = figure_preset(figure)
+        if figure in (FigurePreset.FIG1, FigurePreset.FIG2):
+            table = self[FigurePreset.FIG3]
+            self[figure] = {key: s for key, s in table.items() if key[0] in spec.families}
+        else:
+            self[figure] = split_series(run_sweep(spec))
         return self[figure]
 
 

@@ -12,6 +12,8 @@ reports the violation magnitudes; if it ever started passing the suite
 would flag that too.
 """
 
+import json
+
 import pytest
 
 from unruh_lab.verify import run_checks
@@ -77,3 +79,9 @@ def test_strong_additivity_variant_note(check_results):
     result = check_results["strong-additivity-variant-comparison"]
     report(result)
     assert result.informational
+
+
+def test_verdicts_are_plain_bools(check_results):
+    # numpy bools would make the verdicts unserialisable
+    assert all(type(r.passed) is bool for r in check_results.values())
+    json.dumps([r.passed for r in check_results.values()])

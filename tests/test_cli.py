@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unruh_lab
 from unruh_lab import cli
 from unruh_lab.verify import CheckResult
 
@@ -218,3 +223,18 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_checks", fake_run_checks)
         run_cli(capsys, "verify", "--quick")
         assert seen["include_determinism"] is False
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # a checkout without an install: only the package's parent directory on the path
+        src = str(Path(unruh_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "unruh_lab", "point", "--family", "quantum-single",
+             "--region", "bob-i", "--gamma", "0", "--qr", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "mutual_info=2.000000000000" in done.stdout

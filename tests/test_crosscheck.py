@@ -3,6 +3,7 @@ against LAPACK, closed forms, and the production tensor machinery."""
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,83 @@ class TestCharpolyEigensolver:
                     assert np.abs(got - want).max() < 1e-12
                     blocks += 1
         assert blocks == 80
+
+
+def fraction_charpoly(matrix):
+    """Reference Faddeev-LeVerrier in exact rationals, M_{k+1} = A (M_k + c_k I),
+    c_k = -Re tr(M_k) / k, as [1, c_1, ..., c_n]."""
+    n = matrix.shape[0]
+    a = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in matrix.tolist()]
+    m = a
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        c = -sum(m[i][i][0] for i in range(n)) / k
+        coeffs.append(c)
+        s = [[(re + c * (i == j), im) for j, (re, im) in enumerate(row)] for i, row in enumerate(m)]
+        m = [
+            [
+                (
+                    sum(a[i][p][0] * s[p][j][0] - a[i][p][1] * s[p][j][1] for p in range(n)),
+                    sum(a[i][p][0] * s[p][j][1] + a[i][p][1] * s[p][j][0] for p in range(n)),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    return coeffs
+
+
+def exact_coefficient_inputs():
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 3, 5, 8):
+        yield random_hermitian(rng, n)
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        yield x @ x.conj().T  # not exactly Hermitian after rounding
+    yield np.array(  # entries from 5e-324 to 1
+        [
+            [1.0, 5e-324 + 1e-160j, 0.5],
+            [5e-324 - 1e-160j, 1e-300, 2.0**-600j],
+            [0.5, -(2.0**-600j), 5e-324],
+        ]
+    )
+    yield np.zeros((3, 3), dtype=complex)
+    yield np.diag([0.125, 0.375, 0.1, 1e-200]).astype(complex)
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("matrix", list(exact_coefficient_inputs()))
+    def test_integer_coefficients_equal_rational_reference(self, matrix):
+        coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=complex))
+        want = fraction_charpoly(matrix)
+        assert [Fraction(a, coeffs[0]) for a in coeffs] == want
+        assert crosscheck.charpoly_coefficients(matrix).tolist() == [float(c) for c in want]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (complex(math.nan, 0), ValueError),
+            (complex(0, math.nan), ValueError),
+            (complex(math.inf, 0), OverflowError),
+            (complex(0, -math.inf), OverflowError),
+        ],
+    )
+    def test_non_finite_entry_raises(self, bad, error):
+        matrix = np.eye(3, dtype=complex)
+        matrix[1, 2] = bad
+        with pytest.raises(error):
+            crosscheck.charpoly_coefficients(matrix)
+
+    def test_entropies_are_python_floats(self):
+        args = (ChannelFamily.WERNER, 0.3, 0.8, PI4, 0.6)
+        region_args = (ChannelFamily.QUANTUM_DUAL_RAIL, BobRegion.II, 0.3, 0.8)
+        values = [
+            crosscheck.brute_entropy(np.diag([0.25, 0.75]).astype(complex)),
+            *crosscheck.brute_subsystem_entropies(*region_args),
+            crosscheck.brute_mutual_information(*region_args),
+            *crosscheck.brute_tripartite_entropies(*args).values(),
+            crosscheck.brute_strong_additivity(*args),
+        ]
+        assert [type(v) for v in values] == [float] * 11
 
 
 def oracle_matrices(seed, count):

@@ -260,6 +260,23 @@ class TestMeasureProperties:
 
     @settings(deadline=None, database=None)
     @given(
+        region=st.sampled_from(list(BobRegion)),
+        gamma=st.floats(0.05, PI4 - 0.05),
+        q_r=st.floats(0.0, 1 / math.sqrt(2) - 0.05) | st.floats(1 / math.sqrt(2) + 0.05, 1.0),
+        alpha=st.floats(0.05, math.pi / 2 - 0.05),
+    )
+    def test_dual_rail_ahead_of_single_rail_above_equal_weights(self, region, gamma, q_r, alpha):
+        # in wedge I the dual rail carries more MI than the single rail for
+        # q_r > 1/sqrt(2) and less below; wedge II is the mirror image
+        single = evaluate_point(ChannelFamily.QUANTUM_SINGLE_RAIL, region, gamma, q_r, alpha)
+        dual = evaluate_point(ChannelFamily.QUANTUM_DUAL_RAIL, region, gamma, q_r, alpha)
+        expected = math.copysign(1.0, q_r - 1 / math.sqrt(2))
+        if region is BobRegion.II:
+            expected = -expected
+        assert (dual.mutual_info - single.mutual_info) * expected > 0
+
+    @settings(deadline=None, database=None)
+    @given(
         family=st.sampled_from(list(ChannelFamily)),
         region=st.sampled_from(list(BobRegion)),
         gamma=st.floats(0.0, PI4),

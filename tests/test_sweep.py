@@ -16,6 +16,8 @@ from unruh_lab import (
     write_figure_files,
 )
 from unruh_lab.errors import SweepPointError
+from unruh_lab.output import split_series
+from unruh_lab.verify import _SeriesTables
 
 PI4 = math.pi / 4
 
@@ -262,6 +264,25 @@ class TestFigurePresets:
             ChannelFamily.CLASSICAL_DUAL_RAIL,
         }
         assert spec.measure is Measure.CONDITIONAL_ENTROPY
+
+    def test_fig1_and_fig2_are_slices_of_fig3(self):
+        # verify reads the fig1 and fig2 series from the fig3 sweep
+        fig3 = figure_preset(FigurePreset.FIG3)
+        fig3_records = run_sweep(fig3)
+        tables = _SeriesTables({FigurePreset.FIG3: split_series(fig3_records)})
+        assert fig3.measure is not Measure.STRONG_ADDITIVITY
+        for figure in (FigurePreset.FIG1, FigurePreset.FIG2):
+            spec = figure_preset(figure)
+            for field in ("gamma_grid", "q_r_grid", "alpha", "f_grid", "regions"):
+                assert getattr(spec, field) == getattr(fig3, field)
+            assert set(spec.families) <= set(fig3.families)
+            assert spec.measure is not Measure.STRONG_ADDITIVITY
+            records = run_sweep(spec)
+            sliced = [r for r in fig3_records if r.family in spec.families]
+            assert len(records) == len(sliced) == 1616
+            assert records == sliced
+            assert repr(records) == repr(sliced)
+            assert tables[figure] == split_series(records)
 
     def test_accepts_string_names(self):
         assert figure_preset("fig2").families == (
