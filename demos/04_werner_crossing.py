@@ -9,23 +9,17 @@ of accelerations.  Restricting to q_r = 1 would misrank the channels.
 
 import numpy as np
 
-from unruh_lab import (
-    AccelerationParams,
-    ChannelFamily,
-    ChannelSpec,
-    JOINT_TRIPARTITE,
-    build_joint,
-    strong_additivity,
-)
+from unruh_lab import BobRegion, ChannelFamily, evaluate_point
 
 FIDELITY = 0.33
 
 
 def ssa(gamma: float, q_r: float) -> float:
-    spec = ChannelSpec(
-        ChannelFamily.WERNER, AccelerationParams(gamma, q_r), fidelity_f=FIDELITY
+    # the value is of the joint state, so either wedge's record carries it
+    record = evaluate_point(
+        ChannelFamily.WERNER, BobRegion.I, gamma, q_r, f=FIDELITY, with_ssa=True
     )
-    return strong_additivity(build_joint(spec), JOINT_TRIPARTITE)
+    return record.ssa_value
 
 
 grid = np.linspace(0.0, np.pi / 4, 41)

@@ -26,18 +26,7 @@ from .fock import (
     outer_product,
     partial_trace,
 )
-from .measures import (
-    JOINT_TRIPARTITE,
-    BipartiteSplit,
-    TripartiteSplit,
-    conditional_entropy,
-    entropy_from_eigenvalues,
-    mutual_information,
-    region_split,
-    strong_additivity,
-    subsystem_entropies,
-    von_neumann_entropy,
-)
+from .measures import entropy_from_eigenvalues, von_neumann_entropy
 from .output import CSV_COLUMNS, OutputFormat, render_csv, write_figure_files
 from .states import (
     BELL_ALPHA,
@@ -75,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelerationParams",
     "BELL_ALPHA",
-    "BipartiteSplit",
     "BobRegion",
     "CSV_COLUMNS",
     "ChannelFamily",
@@ -88,7 +76,6 @@ __all__ = [
     "GAMMA_MAX",
     "INERTIAL_LAYOUT",
     "JOINT_LAYOUT",
-    "JOINT_TRIPARTITE",
     "LayoutError",
     "Measure",
     "NormalizationError",
@@ -103,27 +90,21 @@ __all__ = [
     "SweepRecord",
     "SweepSpec",
     "SymmetryError",
-    "TripartiteSplit",
     "UnruhLabError",
     "bob_isometry",
     "build_inertial",
     "build_joint",
-    "conditional_entropy",
     "default_gamma_grid",
     "eigvals_hermitian",
     "entropy_from_eigenvalues",
     "evaluate_point",
     "figure_preset",
     "gamma_from_acceleration",
-    "mutual_information",
     "outer_product",
     "partial_trace",
     "reduce_to_region",
-    "region_split",
     "render_csv",
     "run_sweep",
-    "strong_additivity",
-    "subsystem_entropies",
     "unruh_antiparticle",
     "unruh_particle",
     "unruh_vacuum",

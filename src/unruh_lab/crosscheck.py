@@ -171,9 +171,12 @@ def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
     pattern; the spectrum is the union of the blocks' spectra.  A 1x1 block
     is its diagonal entry, and a larger one is solved through its exact
     characteristic polynomial (see ``_block_eigvals``).  The eigenvalue sum
-    must reproduce the trace of the whole matrix.
+    must reproduce the trace of the whole matrix.  A NaN or infinite entry
+    raises ``ValueError`` before the split, whatever block it would fall in.
     """
     a = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     eigs = np.sort([lam for b in _blocks(a) for lam in _block_eigvals(a[np.ix_(b, b)])])[::-1]
     trace = float(np.trace(a).real)
     if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):

@@ -1,31 +1,26 @@
-"""Entropy-based channel diagnostics.
+"""Entropies of density matrices.
 
-All quantities are in bits (base-2 logarithms), so a Bell pair has mutual
-information 2 and conditional entropy -1.  Eigenvalues in [-PSD_TOL, 0) are
-treated as numerical noise and clamped to zero; anything below that raises,
-signalling an invalid construction rather than being silently absorbed.
+All entropies are in bits (base-2 logarithms), so a Bell pair's halves
+each carry one bit.  Eigenvalues in [-PSD_TOL, 0) are treated as numerical
+noise and clamped to zero; anything below that raises, signalling an
+invalid construction rather than being silently absorbed.  The channel
+measures built from these entropies are computed by :mod:`unruh_lab.sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import LayoutError, SpectrumError
+from .errors import SpectrumError
 from .fock import (
     PSD_TOL,
     DensityMatrix,
-    Subsystem,
-    SubsystemLayout,
     check_density_stack,
     eigvals_hermitian,
     eigvals_hermitian_batch,
-    partial_trace,
-    trace_out,
 )
-from .states import REGION_I_FACTORS, REGION_II_FACTORS, BobRegion
 
 
 def entropy_from_eigenvalues(eigenvalues: Iterable[float]) -> float:
@@ -92,118 +87,3 @@ def checked_entropies(matrices: np.ndarray) -> np.ndarray:
     """Entropies of a stack (N, n, n), each checked first as :class:`DensityMatrix` checks it."""
     check_density_stack(matrices)
     return von_neumann_entropies(matrices)
-
-
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """Disjoint label sets that together cover a layout."""
-
-    side_a: frozenset[Subsystem]
-    side_b: frozenset[Subsystem]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side_a", frozenset(self.side_a))
-        object.__setattr__(self, "side_b", frozenset(self.side_b))
-        if self.side_a & self.side_b:
-            raise LayoutError("split sides must be disjoint")
-        if not self.side_a or not self.side_b:
-            raise LayoutError("both split sides must be non-empty")
-
-
-@dataclass(frozen=True)
-class TripartiteSplit:
-    """Three disjoint label sets that together cover a layout."""
-
-    side_a: frozenset[Subsystem]
-    side_b: frozenset[Subsystem]
-    side_c: frozenset[Subsystem]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side_a", frozenset(self.side_a))
-        object.__setattr__(self, "side_b", frozenset(self.side_b))
-        object.__setattr__(self, "side_c", frozenset(self.side_c))
-        sides = (self.side_a, self.side_b, self.side_c)
-        if any(not side for side in sides):
-            raise LayoutError("all split sides must be non-empty")
-        total = len(self.side_a) + len(self.side_b) + len(self.side_c)
-        if len(self.side_a | self.side_b | self.side_c) != total:
-            raise LayoutError("split sides must be pairwise disjoint")
-
-
-def _check_cover(rho: DensityMatrix, *sides: frozenset[Subsystem]) -> None:
-    union = frozenset().union(*sides)
-    if union != frozenset(rho.layout.factors):
-        raise LayoutError(
-            f"split {sorted(s.name for s in union)} does not cover the layout "
-            f"{tuple(f.name for f in rho.layout.factors)}"
-        )
-
-
-def subsystem_entropies(rho: DensityMatrix, split: BipartiteSplit) -> tuple[float, float, float]:
-    """(S(A), S(B), S(AB)) for a bipartite split of ``rho``."""
-    _check_cover(rho, split.side_a, split.side_b)
-    entropies = subsystem_entropies_batch(rho.entries[np.newaxis], rho.layout, split)
-    return tuple(float(values[0]) for values in entropies)
-
-
-def subsystem_entropies_batch(
-    matrices: np.ndarray, layout: SubsystemLayout, split: BipartiteSplit
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`subsystem_entropies` of each density matrix of a stack (N, d, d) over ``layout``."""
-    s_a = checked_entropies(trace_out(matrices, layout, split.side_b)[0])
-    s_b = checked_entropies(trace_out(matrices, layout, split.side_a)[0])
-    return s_a, s_b, von_neumann_entropies(matrices)
-
-
-def mutual_information(rho: DensityMatrix, split: BipartiteSplit) -> float:
-    """S(A) + S(B) - S(AB) in bits; the channel-capacity proxy."""
-    s_a, s_b, s_ab = subsystem_entropies(rho, split)
-    return s_a + s_b - s_ab
-
-
-def conditional_entropy(rho: DensityMatrix, split: BipartiteSplit) -> float:
-    """S(A|B) = S(AB) - S(B) in bits; negative values flag quantum advantage."""
-    _, s_b, s_ab = subsystem_entropies(rho, split)
-    return s_ab - s_b
-
-
-def strong_additivity(rho: DensityMatrix, split: TripartiteSplit) -> float:
-    """The conditional-entropy combination S(A|B) + S(A|C) in bits.
-
-    Equals S(AB) - S(B) + S(AC) - S(C); weak monotonicity guarantees it is
-    non-negative for every state.  Reported as computed, no sign enforced.
-    """
-    _check_cover(rho, split.side_a, split.side_b, split.side_c)
-    return strong_additivities(
-        [von_neumann_entropy(partial_trace(rho, discard)) for discard in ssa_discards(split)]
-    )
-
-
-def ssa_discards(split: TripartiteSplit) -> tuple[frozenset[Subsystem], ...]:
-    """What :func:`strong_additivity` traces out for S(AB), S(AC), S(B), S(C), in its order."""
-    return (
-        split.side_c,
-        split.side_b,
-        split.side_a | split.side_c,
-        split.side_a | split.side_b,
-    )
-
-
-def strong_additivities(entropies: Sequence) -> np.ndarray | float:
-    """S(AB) - S(B) + S(AC) - S(C) from the entropies of the :func:`ssa_discards` parts.
-
-    Each entropy is a float or a stack of them (N,), one per state.
-    """
-    s_ab, s_ac, s_b, s_c = entropies
-    return s_ab - s_b + s_ac - s_c
-
-
-def region_split(region: BobRegion) -> BipartiteSplit:
-    """Alice versus the two kept wedge modes, for a reduced three-factor state."""
-    return BipartiteSplit(frozenset({Subsystem.ALICE}), region.kept_factors)
-
-
-# Alice / region-I modes / region-II modes on the five-factor joint state.
-JOINT_TRIPARTITE = TripartiteSplit(
-    frozenset({Subsystem.ALICE}), REGION_I_FACTORS, REGION_II_FACTORS
-)

@@ -12,6 +12,7 @@ bytes do not depend on locale or platform.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,8 +46,15 @@ class OutputFormat:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError("format", f"must be one of {_KINDS}, got {self.kind!r}")
-        if not (6 <= self.precision <= 17):
-            raise DomainError("precision", f"must be within [6, 17], got {self.precision}")
+        try:
+            precision = operator.index(self.precision)
+        except TypeError:
+            raise DomainError(
+                "precision", f"must be an integer, got {self.precision!r}"
+            ) from None
+        if not (6 <= precision <= 17):
+            raise DomainError("precision", f"must be within [6, 17], got {precision}")
+        object.__setattr__(self, "precision", precision)
 
 
 def format_number(value: float | None, precision: int = 12) -> str:
@@ -138,13 +146,21 @@ def write_figure_files(
     out_dir: str | Path,
     fmt: OutputFormat = OutputFormat(),
 ) -> list[Path]:
-    """One data file per (family, region, q_r[, f]) series; returns the paths."""
+    """One data file per (family, region, q_r[, f]) series; returns the paths.
+
+    Raises :class:`DomainError` naming the grid, before any file is
+    written, when two series would share a file name.
+    """
     figure = FigurePreset(figure) if not isinstance(figure, FigurePreset) else figure
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    files: dict[Path, list[SweepRecord]] = {}
     for series in split_series(records).values():
         path = out_dir / series_filename(figure, series[0], fmt.kind)
+        if path in files:
+            raise _name_clash(files[path][0], series[0])
+        files[path] = series
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, series in files.items():
         if fmt.kind == "csv":
             text = render_csv(series, fmt.precision)
         elif fmt.kind == "json":
@@ -153,5 +169,16 @@ def write_figure_files(
             text = render_plot_data(series, spec.measure, fmt.precision)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        written.append(path)
-    return written
+    return list(files)
+
+
+def _name_clash(first: SweepRecord, second: SweepRecord) -> DomainError:
+    """The error for two series whose grid values render to the same file name."""
+    name, a, b = (
+        ("q_r_grid", first.q_r, second.q_r)
+        if first.q_r != second.q_r
+        else ("f_grid", first.f, second.f)
+    )
+    return DomainError(
+        name, f"values {a!r} and {b!r} share the file name token {_series_token(a)}"
+    )

@@ -17,18 +17,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SweepPointError, UnruhLabError
-from .fock import check_density_stack, trace_out
-from .measures import (
-    JOINT_TRIPARTITE,
-    checked_entropies,
-    region_split,
-    ssa_discards,
-    strong_additivities,
-    subsystem_entropies_batch,
-)
+from .fock import Subsystem, check_density_stack, trace_out
+from .measures import checked_entropies, von_neumann_entropies
 from .states import (
     GAMMA_MAX,
     JOINT_LAYOUT,
+    REGION_I_FACTORS,
+    REGION_II_FACTORS,
     AccelerationParams,
     BobRegion,
     ChannelFamily,
@@ -46,7 +41,15 @@ from .states import (
 BATCH_POINTS = 200
 JOINT_CHUNK = 8
 
-_SSA_DISCARDS = ssa_discards(JOINT_TRIPARTITE)
+# The strong-additivity value is S(AB) - S(B) + S(AC) - S(C) of the joint
+# state, with A Alice, B the wedge-I modes and C the wedge-II modes.  These
+# are the factors the joint traces out for S(AB), S(AC), S(B) and S(C).
+_SSA_DISCARDS = (
+    REGION_II_FACTORS,
+    REGION_I_FACTORS,
+    REGION_II_FACTORS | {Subsystem.ALICE},
+    REGION_I_FACTORS | {Subsystem.ALICE},
+)
 
 
 class Measure(Enum):
@@ -215,10 +218,10 @@ def _evaluate_batch(
     inertial = _prepared_states(family, points, alpha)
     isometries = bob_isometries(family.encoding, gammas, q_rs)
 
-    # A wedge keeps Alice and two modes (8x8).  strong_additivity takes the
-    # AB and AC states (8x8) and the B and C states (4x4) of the joint; one
-    # of AB and AC is the wedge's own state, computed the same way, so its
-    # entropy is S(AB) of the record.
+    # A wedge keeps Alice and two modes (8x8).  The strong-additivity value
+    # takes the AB and AC states (8x8) and the B and C states (4x4) of the
+    # joint; one of AB and AC is the wedge's own state, computed the same
+    # way, so its entropy is S(AB) of the record.
     reduced = np.empty((len(points), 8, 8), dtype=complex)
     joint_parts = {
         discard: np.empty((len(points), dim, dim), dtype=complex)
@@ -231,17 +234,20 @@ def _evaluate_batch(
         reduced[chunk], reduced_layout = trace_out(joints, JOINT_LAYOUT, region.traced_factors)
         check_density_stack(reduced[chunk])
         for discard, part in joint_parts.items():
-            # checked later, when strong_additivity would check them
+            # checked later, with their entropies
             part[chunk], _ = trace_out(joints, JOINT_LAYOUT, discard)
 
-    s_a, s_b, s_ab = subsystem_entropies_batch(reduced, reduced_layout, region_split(region))
+    s_a = checked_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])
+    s_b = checked_entropies(trace_out(reduced, reduced_layout, {Subsystem.ALICE})[0])
+    s_ab = von_neumann_entropies(reduced)
     ssa = [None] * len(points)
     if with_ssa:
         parts = {region.traced_factors: s_ab}
         for discard in _SSA_DISCARDS:
             if discard not in parts:
                 parts[discard] = checked_entropies(joint_parts[discard])
-        ssa = strong_additivities([parts[discard] for discard in _SSA_DISCARDS]).tolist()
+        s_ab_joint, s_ac, s_b_joint, s_c = (parts[discard] for discard in _SSA_DISCARDS)
+        ssa = (s_ab_joint - s_b_joint + s_ac - s_c).tolist()
     measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, s_ab - s_b)
     return [
         SweepRecord(family, region, gamma, q_r, alpha, f, *values)

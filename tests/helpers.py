@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from unruh_lab import DensityMatrix, StateVector, Subsystem, SubsystemLayout
+from unruh_lab import (
+    DensityMatrix,
+    StateVector,
+    Subsystem,
+    SubsystemLayout,
+    partial_trace,
+    von_neumann_entropy,
+)
 
 TWO_QUBITS = SubsystemLayout((Subsystem.ALICE, Subsystem.BOB))
 THREE_QUBITS = SubsystemLayout(
@@ -31,3 +38,8 @@ def bell_state(layout=TWO_QUBITS) -> StateVector:
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = np.sqrt(0.5)
     return StateVector(layout, amps)
+
+
+def entropy_without(rho, *labels) -> float:
+    """Entropy in bits of ``rho`` with ``labels`` traced out (none: of ``rho`` itself)."""
+    return von_neumann_entropy(partial_trace(rho, set(labels)) if labels else rho)

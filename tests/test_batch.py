@@ -19,6 +19,7 @@ from unruh_lab import (
     FigurePreset,
     Measure,
     SpectrumError,
+    Subsystem,
     SweepPointError,
     SweepSpec,
     SymmetryError,
@@ -32,14 +33,9 @@ from unruh_lab import (
     reduce_to_region,
     run_sweep,
 )
-from unruh_lab import crosscheck, fock, states
+from unruh_lab import crosscheck, fock, states, sweep
 from unruh_lab.fock import eigvals_hermitian_batch, trace_out
-from unruh_lab.measures import (
-    JOINT_TRIPARTITE,
-    entropies_from_eigenvalues,
-    region_split,
-    ssa_discards,
-)
+from unruh_lab.measures import entropies_from_eigenvalues
 from unruh_lab.states import JOINT_LAYOUT, bob_isometries, build_joints
 
 from helpers import random_hermitian
@@ -78,10 +74,12 @@ def single_point_matrices(points):
     for family, region, gamma, q_r, alpha, f in points:
         joint = build_joint(ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f))
         reduced = reduce_to_region(joint, region)
-        split = region_split(region)
-        parts = [partial_trace(reduced, split.side_b), partial_trace(reduced, split.side_a)]
-        parts.append(reduced)
-        parts += [partial_trace(joint, discard) for discard in ssa_discards(JOINT_TRIPARTITE)]
+        parts = [
+            partial_trace(reduced, region.kept_factors),
+            partial_trace(reduced, {Subsystem.ALICE}),
+            reduced,
+        ]
+        parts += [partial_trace(joint, discard) for discard in sweep._SSA_DISCARDS]
         for part in parts:
             by_dim.setdefault(part.dim, []).append(part.entries)
     return {dim: np.array(matrices) for dim, matrices in by_dim.items()}

@@ -56,6 +56,21 @@ class TestCharpolyEigensolver:
                 want = np.sort(np.linalg.eigvalsh(h))[::-1]
                 assert np.abs(got - want).max() < 1e-9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_diagonal_entry_rejected(self, bad):
+        # the entry is a 1x1 block of its own: NaN passed the trace and PSD tests
+        matrix = np.diag([0.5, bad, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            crosscheck.eigvals_charpoly(matrix)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            crosscheck.brute_entropy(matrix)
+
+    def test_non_finite_entry_inside_a_block_rejected(self):
+        matrix = random_hermitian(np.random.default_rng(61), 4)
+        matrix[1, 2] = matrix[2, 1] = math.nan
+        with pytest.raises(ValueError, match="non-finite entry"):
+            crosscheck.eigvals_charpoly(matrix)
+
     def test_multiplicity_four_exact(self):
         m = np.diag([0.125, 0.125, 0.125, 0.125, 0.25, 0.25]).astype(complex)
         got = crosscheck.eigvals_charpoly(m)

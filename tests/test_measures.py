@@ -7,40 +7,40 @@ from hypothesis import strategies as st
 
 from unruh_lab import (
     AccelerationParams,
-    BipartiteSplit,
     BobRegion,
     ChannelFamily,
     ChannelSpec,
     DensityMatrix,
-    JOINT_TRIPARTITE,
-    LayoutError,
     SpectrumError,
     Subsystem,
     SubsystemLayout,
-    TripartiteSplit,
     bob_isometry,
     build_inertial,
     build_joint,
-    conditional_entropy,
     entropy_from_eigenvalues,
     evaluate_point,
-    mutual_information,
     outer_product,
     partial_trace,
     reduce_to_region,
-    region_split,
-    strong_additivity,
-    subsystem_entropies,
     von_neumann_entropy,
 )
 from unruh_lab import crosscheck
 
-from helpers import TWO_QUBITS, bell_state, random_density, random_state
+from helpers import TWO_QUBITS, bell_state, entropy_without, random_density, random_state
 
 PI4 = math.pi / 4
 ALICE = Subsystem.ALICE
 BOB = Subsystem.BOB
-SPLIT_AB = BipartiteSplit({ALICE}, {BOB})
+
+
+def two_qubit_mutual_information(rho):
+    """S(A) + S(B) - S(AB), with A Alice and B Bob."""
+    return entropy_without(rho, BOB) + entropy_without(rho, ALICE) - entropy_without(rho)
+
+
+def two_qubit_conditional_entropy(rho):
+    """S(A|B) = S(AB) - S(B), with A Alice and B Bob."""
+    return entropy_without(rho) - entropy_without(rho, ALICE)
 
 # frozen oracle values; see test_frozen_values_match_oracle for their recomputation
 MUTUAL_INFO_INFINITE_ACCEL = 1.0
@@ -77,53 +77,50 @@ class TestVonNeumannEntropy:
 class TestMutualInformation:
     def test_bell_pair_two_bits(self):
         rho = outer_product(bell_state())
-        assert abs(mutual_information(rho, SPLIT_AB) - 2.0) < 1e-12
+        assert abs(two_qubit_mutual_information(rho) - 2.0) < 1e-12
 
     def test_product_state_zero(self):
         rng = np.random.default_rng(7)
         a = random_density(rng, SubsystemLayout((ALICE,)))
         b = random_density(rng, SubsystemLayout((BOB,)))
         rho = DensityMatrix(TWO_QUBITS, np.kron(a.entries, b.entries))
-        assert abs(mutual_information(rho, SPLIT_AB)) < 1e-9
+        assert abs(two_qubit_mutual_information(rho)) < 1e-9
 
     def test_infinite_acceleration_value_frozen(self):
-        spec = ChannelSpec(
-            ChannelFamily.QUANTUM_SINGLE_RAIL, AccelerationParams(PI4, 1.0), alpha=PI4
-        )
-        near = reduce_to_region(build_joint(spec), BobRegion.I)
-        single = mutual_information(near, region_split(BobRegion.I))
+        single = evaluate_point(
+            ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I, PI4, 1.0, alpha=PI4
+        ).mutual_info
         assert abs(single - MUTUAL_INFO_INFINITE_ACCEL) < 1e-9
-        dual_spec = ChannelSpec(
-            ChannelFamily.QUANTUM_DUAL_RAIL, AccelerationParams(PI4, 1.0), alpha=PI4
-        )
-        dual = mutual_information(
-            reduce_to_region(build_joint(dual_spec), BobRegion.I),
-            region_split(BobRegion.I),
-        )
+        dual = evaluate_point(
+            ChannelFamily.QUANTUM_DUAL_RAIL, BobRegion.I, PI4, 1.0, alpha=PI4
+        ).mutual_info
         assert abs(single - dual) < 1e-9
-
-    def test_split_must_cover_layout(self):
-        rho = outer_product(bell_state())
-        with pytest.raises(LayoutError):
-            mutual_information(rho, BipartiteSplit({ALICE}, {Subsystem.REGION_I_PARTICLE}))
 
 
 class TestConditionalEntropy:
     def test_bell_pair_minus_one(self):
         rho = outer_product(bell_state())
-        assert abs(conditional_entropy(rho, SPLIT_AB) + 1.0) < 1e-12
+        assert abs(two_qubit_conditional_entropy(rho) + 1.0) < 1e-12
 
     def test_classically_correlated_zero(self):
         rho = DensityMatrix(TWO_QUBITS, np.diag([0.5, 0.0, 0.0, 0.5]))
-        assert abs(conditional_entropy(rho, SPLIT_AB)) < 1e-12
+        assert abs(two_qubit_conditional_entropy(rho)) < 1e-12
 
     def test_two_qubit_white_noise_one_bit(self):
         rho = DensityMatrix(TWO_QUBITS, np.eye(4) / 4)
-        assert abs(conditional_entropy(rho, SPLIT_AB) - 1.0) < 1e-12
+        assert abs(two_qubit_conditional_entropy(rho) - 1.0) < 1e-12
 
 
-GHZ_LAYOUT = SubsystemLayout((ALICE, BOB, Subsystem.REGION_I_PARTICLE))
-GHZ_SPLIT = TripartiteSplit({ALICE}, {BOB}, {Subsystem.REGION_I_PARTICLE})
+CHARLIE = Subsystem.REGION_I_PARTICLE
+GHZ_LAYOUT = SubsystemLayout((ALICE, BOB, CHARLIE))
+
+
+def ghz_layout_strong_additivity(rho):
+    """S(AB) - S(B) + S(AC) - S(C), with A Alice, B Bob and C the third qubit."""
+    return (
+        entropy_without(rho, CHARLIE) - entropy_without(rho, ALICE, CHARLIE)
+        + entropy_without(rho, BOB) - entropy_without(rho, ALICE, BOB)
+    )
 
 
 def swapped_variant(ssa, s_a, s_b):
@@ -131,8 +128,14 @@ def swapped_variant(ssa, s_a, s_b):
     return ssa + s_b - s_a
 
 
+def werner_ssa(gamma, q_r, f):
+    return evaluate_point(
+        ChannelFamily.WERNER, BobRegion.I, gamma, q_r, PI4, f, with_ssa=True
+    ).ssa_value
+
+
 def werner_swapped_variant(gamma, q_r, f):
-    # on JOINT_TRIPARTITE, A is Alice and B the wedge-I modes: a wedge-I record's s_a, s_b
+    # in ssa_value, A is Alice and B the wedge-I modes: a wedge-I record's s_a, s_b
     record = evaluate_point(
         ChannelFamily.WERNER, BobRegion.I, gamma, q_r, PI4, f, with_ssa=True
     )
@@ -148,24 +151,20 @@ class TestStrongAdditivity:
             factor = random_state(rng, SubsystemLayout((label,)))
             amps = np.kron(amps, factor.amplitudes)
         rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps.conj()))
-        assert abs(strong_additivity(rho, GHZ_SPLIT)) < 1e-9
+        assert abs(ghz_layout_strong_additivity(rho)) < 1e-9
 
     def test_ghz_is_zero(self):
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[7] = math.sqrt(0.5)
         rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps.conj()))
-        ssa = strong_additivity(rho, GHZ_SPLIT)
+        ssa = ghz_layout_strong_additivity(rho)
         assert abs(ssa) < 1e-12
-        s_a = von_neumann_entropy(partial_trace(rho, {BOB, Subsystem.REGION_I_PARTICLE}))
-        s_b = von_neumann_entropy(partial_trace(rho, {ALICE, Subsystem.REGION_I_PARTICLE}))
+        s_a = von_neumann_entropy(partial_trace(rho, {BOB, CHARLIE}))
+        s_b = von_neumann_entropy(partial_trace(rho, {ALICE, CHARLIE}))
         assert abs(swapped_variant(ssa, s_a, s_b)) < 1e-12
 
     def test_werner_value_frozen(self):
-        spec = ChannelSpec(
-            ChannelFamily.WERNER, AccelerationParams(math.pi / 8, 1.0), fidelity_f=0.95
-        )
-        joint = build_joint(spec)
-        assert abs(strong_additivity(joint, JOINT_TRIPARTITE) - WERNER_SSA_F95) < 1e-9
+        assert abs(werner_ssa(math.pi / 8, 1.0, 0.95) - WERNER_SSA_F95) < 1e-9
         swapped = werner_swapped_variant(math.pi / 8, 1.0, 0.95)
         assert abs(swapped - WERNER_SSA_SWAPPED_F95) < 1e-9
 
@@ -183,48 +182,36 @@ class TestStrongAdditivity:
         assert abs(oracle_mi - MUTUAL_INFO_INFINITE_ACCEL) < 1e-9
 
     def test_swapped_variant_goes_negative_where_reported_does_not(self):
-        spec = ChannelSpec(
-            ChannelFamily.WERNER, AccelerationParams(0.0, 0.25), fidelity_f=0.95
-        )
-        joint = build_joint(spec)
-        assert strong_additivity(joint, JOINT_TRIPARTITE) >= -1e-9
+        assert werner_ssa(0.0, 0.25, 0.95) >= -1e-9
         assert werner_swapped_variant(0.0, 0.25, 0.95) < -0.5
 
 
 class TestMeasureProperties:
-    def channel_states(self):
+    def channel_records(self):
         rng = np.random.default_rng(19)
         for _ in range(12):
             family = list(ChannelFamily)[int(rng.integers(5))]
             f = float(rng.uniform()) if family is ChannelFamily.WERNER else None
-            spec = ChannelSpec(
-                family,
-                AccelerationParams(float(rng.uniform(0, PI4)), float(rng.uniform())),
-                fidelity_f=f,
-            )
-            joint = build_joint(spec)
+            gamma, q_r = float(rng.uniform(0, PI4)), float(rng.uniform())
             region = BobRegion.I if rng.uniform() < 0.5 else BobRegion.II
-            yield reduce_to_region(joint, region), region_split(region)
+            yield evaluate_point(family, region, gamma, q_r, f=f)
 
     def test_mutual_information_bounds(self):
-        for rho, split in self.channel_states():
-            s_a, s_b, s_ab = subsystem_entropies(rho, split)
-            mi = s_a + s_b - s_ab
-            assert mi >= -1e-9
-            assert mi <= 2.0 * min(s_a, s_b) + 1e-9
+        for r in self.channel_records():
+            assert r.mutual_info >= -1e-9
+            assert r.mutual_info <= 2.0 * min(r.s_a, r.s_b) + 1e-9
 
     def test_conditional_entropy_lower_bound(self):
-        for rho, split in self.channel_states():
-            s_a, _, _ = subsystem_entropies(rho, split)
-            assert conditional_entropy(rho, split) >= -s_a - 1e-9
+        for r in self.channel_records():
+            assert r.cond_entropy >= -r.s_a - 1e-9
 
     def test_pure_state_identities(self):
         rng = np.random.default_rng(23)
         for _ in range(8):
             rho = outer_product(random_state(rng, TWO_QUBITS))
-            s_a, _, _ = subsystem_entropies(rho, SPLIT_AB)
-            assert abs(conditional_entropy(rho, SPLIT_AB) + s_a) < 1e-9
-            assert abs(mutual_information(rho, SPLIT_AB) - 2.0 * s_a) < 1e-9
+            s_a = entropy_without(rho, BOB)
+            assert abs(two_qubit_conditional_entropy(rho) + s_a) < 1e-9
+            assert abs(two_qubit_mutual_information(rho) - 2.0 * s_a) < 1e-9
 
     def test_entropy_invariant_under_isometry(self):
         rng = np.random.default_rng(29)

@@ -1,9 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from unruh_lab import BobRegion, ChannelFamily, DomainError, FigurePreset, OutputFormat
+from unruh_lab import (
+    BobRegion,
+    ChannelFamily,
+    DomainError,
+    FigurePreset,
+    OutputFormat,
+    SweepSpec,
+    run_sweep,
+    write_figure_files,
+)
 from unruh_lab.output import (
     CSV_COLUMNS,
     format_number,
@@ -53,6 +63,16 @@ class TestFormatting:
             OutputFormat("csv", 5)
         with pytest.raises(DomainError, match="precision"):
             OutputFormat("csv", 18)
+
+    @pytest.mark.parametrize("precision", [6.5, 7.0, "7", None])
+    def test_precision_must_be_an_integer(self, precision):
+        with pytest.raises(DomainError, match="precision: must be an integer"):
+            OutputFormat("csv", precision)
+
+    def test_numpy_integer_precision_accepted(self):
+        fmt = OutputFormat("csv", np.int64(7))
+        assert fmt.precision == 7 and type(fmt.precision) is int
+        assert render_csv([make_record()], fmt.precision).endswith("1.2500000,-0.2500000,\n")
 
     def test_kind_validated(self):
         with pytest.raises(DomainError, match="format"):
@@ -113,3 +133,27 @@ class TestSeries:
         assert list(series) == [(family, region, 1.0, None), (family, region, 0.9, None)]
         assert all(len(group) == 2 for group in series.values())
         assert [r.gamma for r in series[family, region, 1.0, None]] == [0.0, 0.1]
+
+
+class TestWriteFigureFiles:
+    @pytest.mark.parametrize(
+        "grids, name, values",
+        [
+            (dict(q_r_grid=(0.70710678119, 1 / math.sqrt(2))), "q_r_grid",
+             ("0.70710678119", repr(1 / math.sqrt(2)))),
+            (dict(families=(ChannelFamily.WERNER,), q_r_grid=(0.5,),
+                  f_grid=(0.250000000001, 0.25)), "f_grid", ("0.250000000001", "0.25")),
+        ],
+    )
+    def test_series_sharing_a_file_name_rejected(self, tmp_path, grids, name, values):
+        spec = SweepSpec(
+            **{"families": (ChannelFamily.QUANTUM_SINGLE_RAIL,), **grids},
+            gamma_grid=(0.0, 0.5),
+            regions=(BobRegion.I,),
+        )
+        records = run_sweep(spec)
+        out_dir = tmp_path / "out"
+        with pytest.raises(DomainError, match=name) as caught:
+            write_figure_files("fig1", records, spec, out_dir)
+        assert all(value in str(caught.value) for value in values)
+        assert not out_dir.exists()

@@ -21,12 +21,11 @@ from unruh_lab import (
     build_inertial,
     build_joint,
     eigvals_hermitian,
+    evaluate_point,
     gamma_from_acceleration,
-    mutual_information,
     outer_product,
     partial_trace,
     reduce_to_region,
-    region_split,
     unruh_antiparticle,
     unruh_particle,
     unruh_vacuum,
@@ -259,7 +258,8 @@ class TestReduceToRegion:
         )
         near = reduce_to_region(build_joint(spec), BobRegion.I)
         assert abs(near.purity() - 1.0) < 1e-12
-        assert abs(mutual_information(near, region_split(BobRegion.I)) - 2.0) < 1e-9
+        record = evaluate_point(spec.family, BobRegion.I, 0.0, 1.0, alpha=PI4)
+        assert abs(record.mutual_info - 2.0) < 1e-9
 
     def test_inertial_region_two_is_product_vacuum(self):
         spec = ChannelSpec(
@@ -311,4 +311,5 @@ class TestReduceToRegion:
             far = reduce_to_region(build_joint(spec), BobRegion.II)
             wedge = partial_trace(far, {Subsystem.ALICE})
             assert abs(wedge.entries[0, 0].real - 1.0) < 1e-12
-            assert abs(mutual_information(far, region_split(BobRegion.II))) < 1e-9
+            record = evaluate_point(family, BobRegion.II, 0.0, 1.0, f=f)
+            assert abs(record.mutual_info) < 1e-9
