@@ -78,6 +78,12 @@ def check_isometries(matrices: np.ndarray) -> None:
         )
 
 
+def _check_finite(entries: np.ndarray) -> None:
+    # NaN passes every tolerance test, so the state types reject it up front
+    if not np.isfinite(entries).all():
+        raise NormalizationError("state has a non-finite entry")
+
+
 def check_density_stack(matrices: np.ndarray) -> None:
     """Check each matrix (N, n, n) as :class:`DensityMatrix` does: Hermitian, unit trace."""
     check_hermitian(matrices)
@@ -126,7 +132,7 @@ class SubsystemLayout:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm complex amplitude vector over a layout's basis."""
+    """Unit-norm, finite complex amplitude vector over a layout's basis."""
 
     layout: SubsystemLayout
     amplitudes: np.ndarray
@@ -138,6 +144,7 @@ class StateVector:
                 f"amplitude vector of length {amps.size} does not fit a "
                 f"{self.layout.dim}-dimensional layout"
             )
+        _check_finite(amps)
         check_norms(amps[np.newaxis])
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -151,9 +158,10 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace matrix over a layout.
 
-    Hermiticity and trace are checked at construction; positivity is
-    enforced wherever eigenvalues are actually computed (a value below
-    ``-PSD_TOL`` raises there, see :func:`unruh_lab.measures.von_neumann_entropy`).
+    Finite entries, Hermiticity and trace are checked at construction;
+    positivity is enforced wherever eigenvalues are actually computed (a
+    value below ``-PSD_TOL`` raises there, see
+    :func:`unruh_lab.measures.von_neumann_entropy`).
     """
 
     layout: SubsystemLayout
@@ -164,6 +172,7 @@ class DensityMatrix:
         dim = self.layout.dim
         if m.shape != (dim, dim):
             raise ShapeError(f"matrix of shape {m.shape} does not fit dimension {dim}")
+        _check_finite(m)
         check_density_stack(m[np.newaxis])
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)

@@ -9,6 +9,7 @@ measures built from these entropies are computed by :mod:`unruh_lab.sweep`.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -27,20 +28,25 @@ def entropy_from_eigenvalues(eigenvalues: Iterable[float]) -> float:
     """Shannon entropy in bits of an eigenvalue distribution.
 
     Applies the clamping policy: values in [-PSD_TOL, 0) become 0 (with
-    0 log 0 = 0), values below -PSD_TOL raise :class:`SpectrumError`.
+    0 log 0 = 0), values below -PSD_TOL or not finite raise :class:`SpectrumError`.
     """
     lam = np.asarray(list(eigenvalues) if not isinstance(eigenvalues, np.ndarray) else eigenvalues, dtype=float)
-    if lam.size and float(lam.min()) < -PSD_TOL:
+    if lam.size and not lam.min() >= -PSD_TOL:
         raise _spectrum_error(float(lam.min()))
     lam = np.clip(lam, 0.0, None)
     positive = lam[lam > 0.0]
     if positive.size == 0:
         return 0.0
-    return float(-(positive * np.log2(positive)).sum()) + 0.0
+    entropy = float(-(positive * np.log2(positive)).sum())
+    if not math.isfinite(entropy):
+        raise _spectrum_error(math.inf)
+    return entropy + 0.0
 
 
-def _spectrum_error(lowest: float) -> SpectrumError:
-    return SpectrumError(f"eigenvalue {lowest:.3e} below the PSD tolerance -{PSD_TOL}")
+def _spectrum_error(value: float) -> SpectrumError:
+    if not math.isfinite(value):
+        return SpectrumError(f"non-finite eigenvalue {value}")
+    return SpectrumError(f"eigenvalue {value:.3e} below the PSD tolerance -{PSD_TOL}")
 
 
 def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
@@ -50,11 +56,12 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     returns them, so the positive values of a row are a prefix of it.  Rows
     with the same number of positive values are summed together, in the
     order a single row is, so each result equals the scalar one bit for bit.
-    Raises :class:`SpectrumError` for the first row below ``-PSD_TOL``.
+    Raises :class:`SpectrumError` for the first row below ``-PSD_TOL`` or
+    holding NaN, and for any row holding an infinity.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     lowest = lam.min(axis=1, initial=0.0)
-    low = lowest < -PSD_TOL
+    low = ~(lowest >= -PSD_TOL)
     if low.any():
         raise _spectrum_error(float(lowest[np.argmax(low)]))
     lam = np.clip(lam, 0.0, None)
@@ -64,6 +71,8 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
         rows = positives == count
         p = lam[rows, :count]
         entropies[rows] = -(p * np.log2(p)).sum(axis=1)
+    if not np.isfinite(entropies).all():
+        raise _spectrum_error(math.inf)
     return entropies + 0.0
 
 

@@ -151,7 +151,7 @@ def write_figure_files(
     Raises :class:`DomainError` naming the grid, before any file is
     written, when two series would share a file name.
     """
-    figure = FigurePreset(figure) if not isinstance(figure, FigurePreset) else figure
+    figure = FigurePreset(figure)
     out_dir = Path(out_dir)
     files: dict[Path, list[SweepRecord]] = {}
     for series in split_series(records).values():

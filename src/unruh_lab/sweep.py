@@ -279,6 +279,11 @@ class FigurePreset(Enum):
     FIG3 = "fig3"
     FIG4 = "fig4"
 
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(preset.value for preset in cls)
+        raise DomainError("figure", f"{value!r} is not one of {names}")
+
 
 def default_gamma_grid() -> tuple[float, ...]:
     """Uniform 101-point gamma grid over [0, pi/4] including both endpoints."""
@@ -299,7 +304,7 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
     fig4: the strong-additivity combination for the Werner family, wedge I.
     All use alpha = pi/4 and a 101-point gamma grid.
     """
-    which = FigurePreset(which) if not isinstance(which, FigurePreset) else which
+    which = FigurePreset(which)
     gamma_grid = default_gamma_grid()
     if which is FigurePreset.FIG1:
         return SweepSpec(

@@ -1,11 +1,15 @@
 """The acceptance/verification suite behind ``unruh-lab verify``.
 
-Each check returns a named PASS/FAIL result with a one-line detail string.
-The checks pin the headline claims of the model: inertial limits, the
-infinite-acceleration coincidences, conditional-entropy signs, curve
-shapes, Werner strong additivity, agreement with the brute-force
-cross-check, state invariants, and byte-level determinism of the figure
-datasets.
+:data:`CHECKS` is one table of ``(name, check)`` rows.  Each check takes the
+shared sweep tables and returns ``(passed, detail)``: a verdict and a
+one-line detail string.  :func:`run_checks` walks the table in order and
+builds every :class:`CheckResult`; a check that raises is reported as FAIL
+under its row's name, with the exception as its detail.  The checks pin the
+headline claims of the model: inertial limits, the infinite-acceleration
+coincidences, conditional-entropy signs, curve shapes, Werner strong
+additivity, agreement with the brute-force cross-check, state invariants,
+and byte-level determinism of the figure datasets.  The last row is an
+informational note comparing two forms of the strong-additivity sum.
 
 Check 5 (monotonicity at q_r = 0.9 and 0.8) is expected to fail: the
 claimed shapes hold only at q_r = 1 for the states as defined.  The detail
@@ -66,7 +70,7 @@ class _SeriesTables(dict):
         return self[figure]
 
 
-def _check_inertial_limit(tables: _SeriesTables) -> CheckResult:
+def _check_inertial_limit(tables: _SeriesTables) -> tuple[bool, str]:
     fig1 = tables[FigurePreset.FIG1]
     worst = 0.0
     for family in QUANTUM_PAIR:
@@ -79,18 +83,13 @@ def _check_inertial_limit(tables: _SeriesTables) -> CheckResult:
             abs(near.cond_entropy + 1.0),
             abs(far.mutual_info),
         )
-    return CheckResult(
-        "1-inertial-limit",
-        worst <= TOL,
-        f"worst deviation from (MI_I, CE_I, MI_II) = (2, -1, 0) is {worst:.3e}",
-    )
+    return worst <= TOL, f"worst deviation from (MI_I, CE_I, MI_II) = (2, -1, 0) is {worst:.3e}"
 
 
-def _check_infinite_acceleration(tables: _SeriesTables) -> CheckResult:
+def _check_infinite_acceleration(tables: _SeriesTables) -> tuple[bool, str]:
     end = {key: s[-1].mutual_info for key, s in tables[FigurePreset.FIG1].items()}
     spec = figure_preset(FigurePreset.FIG1)
-    worst_pair = 0.0
-    worst_spread = 0.0
+    worst_pair = worst_spread = 0.0
     for region in spec.regions:
         for q_r in spec.q_r_grid:
             single, dual = (end[family, region, q_r, None] for family in QUANTUM_PAIR)
@@ -98,29 +97,24 @@ def _check_infinite_acceleration(tables: _SeriesTables) -> CheckResult:
         for family in spec.families:
             values = [end[family, region, q_r, None] for q_r in spec.q_r_grid]
             worst_spread = max(worst_spread, max(values) - min(values))
-    passed = worst_pair <= TOL and worst_spread <= TOL
-    return CheckResult(
-        "2-infinite-acceleration-coincidence",
-        passed,
+    return worst_pair <= TOL and worst_spread <= TOL, (
         f"max |MI_single - MI_dual| = {worst_pair:.3e}, "
-        f"max MI spread across q_r = {worst_spread:.3e} at gamma = pi/4",
+        f"max MI spread across q_r = {worst_spread:.3e} at gamma = pi/4"
     )
 
 
-def _check_quantum_conditional_entropy(tables: _SeriesTables) -> CheckResult:
+def _check_quantum_conditional_entropy(tables: _SeriesTables) -> tuple[bool, str]:
     worst = max(
         abs(s[-1].cond_entropy)
         for (family, *_), s in tables[FigurePreset.FIG3].items()
         if family.is_quantum
     )
-    return CheckResult(
-        "3-quantum-conditional-entropy-vanishes",
-        worst <= TOL,
-        f"max |conditional entropy| of the pure-state channels at pi/4 is {worst:.3e}",
+    return worst <= TOL, (
+        f"max |conditional entropy| of the pure-state channels at pi/4 is {worst:.3e}"
     )
 
 
-def _check_classical_contrast(tables: _SeriesTables) -> CheckResult:
+def _check_classical_contrast(tables: _SeriesTables) -> tuple[bool, str]:
     ce_min = min(
         r.cond_entropy
         for (family, *_), s in tables[FigurePreset.FIG3].items()
@@ -133,16 +127,13 @@ def _check_classical_contrast(tables: _SeriesTables) -> CheckResult:
         abs(end[single, BobRegion.I, q_r, None] - end[dual, BobRegion.I, q_r, None])
         for q_r in figure_preset(FigurePreset.FIG2).q_r_grid
     )
-    passed = ce_min >= -TOL and min_gap > 1e-6
-    return CheckResult(
-        "4-classical-channel-contrast",
-        passed,
+    return ce_min >= -TOL and min_gap > 1e-6, (
         f"min classical conditional entropy = {ce_min:.3e} (needs >= -1e-9); "
-        f"min |MI_single - MI_dual| at pi/4 = {min_gap:.3e} (needs > 1e-6)",
+        f"min |MI_single - MI_dual| at pi/4 = {min_gap:.3e} (needs > 1e-6)"
     )
 
 
-def _check_monotonicity(tables: _SeriesTables) -> CheckResult:
+def _check_monotonicity(tables: _SeriesTables) -> tuple[bool, str]:
     violations = []
     for figure in (FigurePreset.FIG1, FigurePreset.FIG2):
         table = tables[figure]
@@ -150,42 +141,32 @@ def _check_monotonicity(tables: _SeriesTables) -> CheckResult:
             for q_r in (1.0, 0.9, 0.8):
                 for region, sense in ((BobRegion.I, -1.0), (BobRegion.II, 1.0)):
                     values = [r.mutual_info for r in table[family, region, q_r, None]]
-                    worst_step = min(
-                        sense * (b - a) for a, b in zip(values, values[1:])
-                    )
+                    worst_step = min(sense * (b - a) for a, b in zip(values, values[1:]))
                     if worst_step < -MONOTONE_SLACK:
                         violations.append(
                             f"{family.value}/{region.value}/q_r={q_r}: {worst_step:.1e}"
                         )
     if violations:
-        detail = (
+        return False, (
             f"holds at q_r=1 but fails at q_r in (0.9, 0.8) with worst steps "
             f"[{'; '.join(violations)}]; the curves genuinely overshoot near their "
             f"common infinite-acceleration value (see README)"
         )
-        return CheckResult("5-mutual-information-monotonicity", False, detail)
-    return CheckResult(
-        "5-mutual-information-monotonicity",
-        True,
-        "all families monotone for q_r in (1, 0.9, 0.8), both wedges",
-    )
+    return True, "all families monotone for q_r in (1, 0.9, 0.8), both wedges"
 
 
-def _check_werner_strong_additivity(tables: _SeriesTables) -> CheckResult:
+def _check_werner_strong_additivity(tables: _SeriesTables) -> tuple[bool, str]:
     fig4 = tables[FigurePreset.FIG4]
     ssa_min = min(r.ssa_value for s in fig4.values() for r in s)
     q_r_1, q_r_75 = (fig4[ChannelFamily.WERNER, BobRegion.I, q_r, 0.33] for q_r in (1.0, 0.75))
     crossing = sum(a.ssa_value < b.ssa_value - TOL for a, b in zip(q_r_1, q_r_75))
-    passed = ssa_min >= -TOL and crossing > 0
-    return CheckResult(
-        "6-werner-strong-additivity",
-        passed,
-        f"min value over the grid = {ssa_min:.6f} (needs >= -1e-9); "
-        f"F=0.33 curve has q_r=1 below q_r=0.75 at {crossing} of 101 grid points",
+    return ssa_min >= -TOL and crossing > 0, (
+        f"min value over the grid = {ssa_min:.6f} (needs >= -1e-9); F=0.33 curve has "
+        f"q_r=1 below q_r=0.75 at {crossing} of {len(q_r_1)} grid points"
     )
 
 
-def _check_oracle_equivalence(tables: _SeriesTables) -> CheckResult:
+def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
     rng = np.random.default_rng(ORACLE_SEED)
     families = list(ChannelFamily)
     worst = 0.0
@@ -205,23 +186,19 @@ def _check_oracle_equivalence(tables: _SeriesTables) -> CheckResult:
                 abs(record.s_b - reference[1]),
                 abs(record.s_ab - reference[2]),
             )
-    return CheckResult(
-        "7-oracle-equivalence",
-        worst <= TOL,
+    return worst <= TOL, (
         f"{ORACLE_SAMPLES} random channels, both wedges: worst entropy deviation "
-        f"between the Jacobi path and the characteristic-polynomial oracle is {worst:.3e}",
+        f"between the Jacobi path and the characteristic-polynomial oracle is {worst:.3e}"
     )
 
 
-def _check_state_invariants(tables: _SeriesTables) -> CheckResult:
+def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
     # pure joints have S(AB) of one wedge = S(B) of the other; the classical
     # joints are mixed, so only their spectra are checked
     gammas = [i * math.pi / 16 for i in range(5)]
     spec = SweepSpec(tuple(ChannelFamily), gammas, (1.0, 0.8, 0.5, 0.2), f_grid=(1.0,))
     series = split_series(run_sweep(spec))
-    worst_schmidt = 0.0
-    worst_psd = 0.0
-    worst_sum = 0.0
+    worst_schmidt = worst_psd = worst_sum = 0.0
     for (family, region, q_r, f), wedge_i in series.items():
         if region is BobRegion.II:
             continue
@@ -234,13 +211,10 @@ def _check_state_invariants(tables: _SeriesTables) -> CheckResult:
             eigs = eigvals_hermitian(build_joint(ChannelSpec(family, accel, fidelity_f=f)))
             worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
             worst_sum = max(worst_sum, abs(float(eigs.sum()) - 1.0))
-    passed = worst_schmidt <= TOL and worst_psd <= 1e-8 and worst_sum <= 1e-10
-    return CheckResult(
-        "8-purity-and-invariants",
-        passed,
+    return worst_schmidt <= TOL and worst_psd <= 1e-8 and worst_sum <= 1e-10, (
         f"max |S(AB_I) - S(B_II)|-type gap = {worst_schmidt:.3e}; joint spectra lie in "
         f"[-{max(worst_psd, 0.0):.1e}, 1+{max(worst_psd, 0.0):.1e}] and sum to 1 within "
-        f"{worst_sum:.1e}; every sweep reduction passed the PSD gate inside the entropy path",
+        f"{worst_sum:.1e}; every sweep reduction passed the PSD gate inside the entropy path"
     )
 
 
@@ -248,14 +222,11 @@ def _emit_all_figures(out_dir: Path) -> list[Path]:
     written = []
     for figure in FigurePreset:
         spec = figure_preset(figure)
-        records = run_sweep(spec)
-        written.extend(
-            write_figure_files(figure, records, spec, out_dir, OutputFormat())
-        )
+        written += write_figure_files(figure, run_sweep(spec), spec, out_dir, OutputFormat())
     return written
 
 
-def _check_determinism(tables: _SeriesTables) -> CheckResult:
+def _check_determinism(tables: _SeriesTables) -> tuple[bool, str]:
     with tempfile.TemporaryDirectory(prefix="unruh-verify-") as tmp:
         tmp_path = Path(tmp)
         first = _emit_all_figures(tmp_path / "first")
@@ -263,60 +234,62 @@ def _check_determinism(tables: _SeriesTables) -> CheckResult:
         second = _emit_all_figures(tmp_path / "second")
         elapsed = time.monotonic() - start
         if len(first) != len(second):
-            return CheckResult(
-                "9-figure-determinism",
-                False,
-                f"file counts differ: {len(first)} vs {len(second)}",
-            )
+            return False, f"file counts differ: {len(first)} vs {len(second)}"
         mismatched = [
             a.name
             for a, b in zip(sorted(first), sorted(second))
             if not filecmp.cmp(a, b, shallow=False)
         ]
-    passed = not mismatched and elapsed < RUNTIME_BUDGET_SECONDS
-    detail = (
+    if mismatched:
+        return False, f"files differ between runs: {mismatched[:4]}"
+    return elapsed < RUNTIME_BUDGET_SECONDS, (
         f"{len(first)} files byte-identical between two runs; "
         f"full figure set took {elapsed:.1f}s (budget {RUNTIME_BUDGET_SECONDS:.0f}s)"
     )
-    if mismatched:
-        detail = f"files differ between runs: {mismatched[:4]}"
-    return CheckResult("9-figure-determinism", passed, detail)
 
 
-def _report_eq13_variants(tables: _SeriesTables) -> CheckResult:
+def _report_eq13_variants(tables: _SeriesTables) -> tuple[bool, str]:
     records = [r for s in tables[FigurePreset.FIG4].values() for r in s]
     gap = max(abs(r.s_a - r.s_b) for r in records)
     swapped_min = min(r.ssa_value + r.s_b - r.s_a for r in records)
-    return CheckResult(
-        "strong-additivity-variant-comparison",
-        True,
+    return True, (
         f"the S(AB)-S(A)+S(AC)-S(C) variant differs from the reported "
         f"S(AB)-S(B)+S(AC)-S(C) by up to {gap:.6f} on the Werner grid and dips to "
-        f"{swapped_min:.6f}; only the reported form stays non-negative",
-        informational=True,
+        f"{swapped_min:.6f}; only the reported form stays non-negative"
     )
 
 
+# every row of `verify`, in report order; the last row is informational
+CHECKS = (
+    ("1-inertial-limit", _check_inertial_limit),
+    ("2-infinite-acceleration-coincidence", _check_infinite_acceleration),
+    ("3-quantum-conditional-entropy-vanishes", _check_quantum_conditional_entropy),
+    ("4-classical-channel-contrast", _check_classical_contrast),
+    ("5-mutual-information-monotonicity", _check_monotonicity),
+    ("6-werner-strong-additivity", _check_werner_strong_additivity),
+    ("7-oracle-equivalence", _check_oracle_equivalence),
+    ("8-purity-and-invariants", _check_state_invariants),
+    ("9-figure-determinism", _check_determinism),
+    ("strong-additivity-variant-comparison", _report_eq13_variants),
+)
+
+
 def run_checks(include_determinism: bool = True) -> list[CheckResult]:
-    """Run the acceptance checks and return their results in order."""
+    """Run the rows of :data:`CHECKS` in order and return one result per row.
+
+    Check 9 is skipped unless ``include_determinism``.  A row that raises
+    is reported as a failed, non-informational result under its own name.
+    """
     tables = _SeriesTables()
-    checks = [
-        _check_inertial_limit,
-        _check_infinite_acceleration,
-        _check_quantum_conditional_entropy,
-        _check_classical_contrast,
-        _check_monotonicity,
-        _check_werner_strong_additivity,
-        _check_oracle_equivalence,
-        _check_state_invariants,
-    ]
-    if include_determinism:
-        checks.append(_check_determinism)
-    checks.append(_report_eq13_variants)
     results = []
-    for check in checks:
+    for name, check in CHECKS:
+        if check is _check_determinism and not include_determinism:
+            continue
         try:
-            results.append(check(tables))
+            passed, detail = check(tables)
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(check.__name__, False, f"raised {exc!r}"))
+            results.append(CheckResult(name, False, f"raised {exc!r}"))
+        else:
+            note = check is _report_eq13_variants
+            results.append(CheckResult(name, bool(passed), detail, informational=note))
     return results

@@ -53,6 +53,11 @@ class TestStateVector:
         with pytest.raises(ShapeError):
             StateVector(TWO_QUBITS, [1.0, 0.0])
 
+    def test_non_finite_amplitude_rejected(self):
+        # a NaN norm is not off unit norm by more than the tolerance
+        with pytest.raises(NormalizationError, match="non-finite"):
+            StateVector(single(ALICE), [math.nan, 1.0])
+
     def test_amplitudes_read_only(self):
         state = StateVector(TWO_QUBITS, [0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
@@ -83,6 +88,11 @@ class TestDensityMatrix:
     def test_trace_enforced(self):
         with pytest.raises(NormalizationError):
             DensityMatrix(single(ALICE), [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_non_finite_entry_rejected(self):
+        # a NaN trace is not off unit trace by more than the tolerance
+        with pytest.raises(NormalizationError, match="non-finite"):
+            DensityMatrix(single(ALICE), np.diag([math.nan, 1.0]))
 
 
 class TestPartialTrace:

@@ -25,6 +25,7 @@ from unruh_lab import (
     von_neumann_entropy,
 )
 from unruh_lab import crosscheck
+from unruh_lab.measures import entropies_from_eigenvalues
 
 from helpers import TWO_QUBITS, bell_state, entropy_without, random_density, random_state
 
@@ -72,6 +73,20 @@ class TestVonNeumannEntropy:
     def test_rejects_psd_violations(self):
         with pytest.raises(SpectrumError):
             entropy_from_eigenvalues([1.1, -0.1])
+
+    def test_nan_eigenvalue_rejected_by_both_sums(self):
+        # the scalar sum skipped the NaN and returned 1.0; the stack returned nan
+        with pytest.raises(SpectrumError, match="non-finite"):
+            entropy_from_eigenvalues([0.5, math.nan, 0.5])
+        with pytest.raises(SpectrumError, match="non-finite"):
+            entropies_from_eigenvalues(np.array([[math.nan, 0.5, 0.5]]))
+
+    @pytest.mark.parametrize("row", [[math.inf], [math.inf, 0.5, 0.0], [0.5, -math.inf]])
+    def test_infinite_eigenvalue_rejected_by_both_sums(self, row):
+        with pytest.raises(SpectrumError, match="non-finite"):
+            entropy_from_eigenvalues(row)
+        with pytest.raises(SpectrumError, match="non-finite"):
+            entropies_from_eigenvalues(np.array([row, [1.0] + [0.0] * (len(row) - 1)]))
 
 
 class TestMutualInformation:

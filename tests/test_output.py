@@ -11,6 +11,7 @@ from unruh_lab import (
     FigurePreset,
     OutputFormat,
     SweepSpec,
+    figure_preset,
     run_sweep,
     write_figure_files,
 )
@@ -136,6 +137,12 @@ class TestSeries:
 
 
 class TestWriteFigureFiles:
+    def test_unknown_preset_is_a_domain_error(self, tmp_path):
+        with pytest.raises(DomainError, match="'fig5' is not one of") as caught:
+            write_figure_files("fig5", [], figure_preset("fig1"), tmp_path / "out")
+        assert caught.value.param == "figure"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "grids, name, values",
         [

@@ -284,6 +284,11 @@ class TestFigurePresets:
             assert repr(records) == repr(sliced)
             assert tables[figure] == split_series(records)
 
+    def test_unknown_preset_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="fig1, fig2, fig3, fig4") as caught:
+            figure_preset("fig5")
+        assert caught.value.param == "figure"
+
     def test_accepts_string_names(self):
         assert figure_preset("fig2").families == (
             ChannelFamily.CLASSICAL_SINGLE_RAIL,
