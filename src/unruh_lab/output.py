@@ -61,8 +61,8 @@ def format_number(value: float | None, precision: int = 12) -> str:
     if value is None:
         return ""
     rendered = f"{value + 0.0:.{precision}f}"
-    if float(rendered) == 0.0:
-        rendered = rendered.lstrip("-")
+    if rendered.startswith("-") and float(rendered) == 0.0:
+        rendered = rendered[1:]
     return rendered
 
 

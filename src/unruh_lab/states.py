@@ -11,16 +11,19 @@ the single-mode approximation).
 Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
 Rindler space, and either wedge is obtained by tracing out the other.
-:func:`bob_isometries` and :func:`build_joints` do this for a whole stack
-of grid points at once; :func:`build_joint` is a stack of one.
+:func:`bob_isometries` and :func:`trace_lifted` do this for a whole stack
+of grid points at once.  :func:`trace_lifted` reduces the lifted states
+without forming the 32x32 joint states; :func:`build_joints` is its case
+with nothing traced out, and :func:`build_joint` is a stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -299,14 +302,62 @@ def build_joint(spec: ChannelSpec) -> DensityMatrix:
 def build_joints(inertial: np.ndarray, isometries: np.ndarray) -> np.ndarray:
     """Prepared states (N, 4, 4) lifted by Bob's isometries (N, 16, 2) into ``JOINT_LAYOUT``.
 
-    Bob is the second factor of ``INERTIAL_LAYOUT``, so each state is lifted
-    through ``kron(eye(2), V)``.  Each joint (32, 32) is checked as
-    :class:`DensityMatrix` checks it.
+    This is :func:`trace_lifted` with nothing traced out.  Each joint
+    (32, 32) is checked as :class:`DensityMatrix` checks it.
     """
-    lift = np.kron(np.eye(2), isometries)
-    joints = lift @ inertial @ np.conj(lift).transpose(0, 2, 1)
+    joints, _ = trace_lifted(inertial, isometries, [()])[0]
     check_density_stack(joints)
     return joints
+
+
+def trace_lifted(
+    inertial: np.ndarray,
+    isometries: np.ndarray,
+    discards: Sequence[Iterable[Subsystem]],
+) -> list[tuple[np.ndarray, SubsystemLayout]]:
+    """Partial traces of the lifted states over each discard set, without the joints.
+
+    The prepared states (N, 4, 4) are lifted by Bob's isometries (N, 16, 2)
+    through ``kron(eye(2), V)`` into ``JOINT_LAYOUT``.  For each discard
+    set this returns the reduced stack and its layout, equal bit for bit to
+    :func:`~unruh_lab.fock.trace_out` of the joint states: every row of the
+    lift has at most one nonzero entry, so each joint entry is one product,
+    and the joint's blocks for each value t of the traced factors are added
+    in lexicographic order of t, as ``trace_out`` adds them.  One matrix
+    product that also contracted over t would round differently.  The
+    reduced stacks are not checked.
+    """
+    lift = np.zeros((len(isometries), JOINT_LAYOUT.dim, 4), dtype=complex)
+    lift[:, :16, :2] = isometries
+    lift[:, 16:, 2:] = isometries
+    lifted = lift @ inertial
+    np.conj(lift, out=lift)
+    reductions = []
+    for discard in discards:
+        rows, kept_layout = _lift_rows(frozenset(discard))
+        blocks = lifted[:, rows] @ lift[:, rows].swapaxes(2, 3)  # (N, T, K, K)
+        reductions.append((blocks.sum(axis=1), kept_layout))
+        del blocks  # freed before the next discard's blocks are made
+    return reductions
+
+
+@functools.lru_cache(maxsize=16)
+def _lift_rows(discard: frozenset[Subsystem]) -> tuple[np.ndarray, SubsystemLayout]:
+    """Joint basis indices (T, K), row t holding those whose traced factors read t.
+
+    Rows and columns both run in lexicographic order, Alice most
+    significant; the second item is the layout of the kept factors.
+    """
+    unknown = discard - set(JOINT_FACTORS)
+    if unknown:
+        raise LayoutError(f"unknown labels {sorted(s.name for s in unknown)}")
+    traced = [i for i, factor in enumerate(JOINT_FACTORS) if factor in discard]
+    kept = [i for i, factor in enumerate(JOINT_FACTORS) if factor not in discard]
+    kept_layout = SubsystemLayout(tuple(JOINT_FACTORS[i] for i in kept))
+    indices = np.arange(JOINT_LAYOUT.dim).reshape((2,) * len(JOINT_FACTORS))
+    rows = indices.transpose(traced + kept).reshape(2 ** len(traced), kept_layout.dim)
+    rows.flags.writeable = False
+    return rows, kept_layout
 
 
 class BobRegion(Enum):

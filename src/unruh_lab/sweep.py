@@ -21,7 +21,6 @@ from .fock import Subsystem, check_density_stack, trace_out
 from .measures import checked_entropies, von_neumann_entropies
 from .states import (
     GAMMA_MAX,
-    JOINT_LAYOUT,
     REGION_I_FACTORS,
     REGION_II_FACTORS,
     AccelerationParams,
@@ -30,16 +29,13 @@ from .states import (
     ChannelSpec,
     bob_isometries,
     build_inertial,
-    build_joints,
     check_alpha,
+    trace_lifted,
 )
 
-# Batch sizes, which bound a sweep's extra memory: at most BATCH_POINTS
-# points' reduced states wait for one batched eigensolve, and the 32x32
-# joints (about 90 KB a point with the temporaries of their checks) are
-# built JOINT_CHUNK points at a time.
+# The batch size, which bounds a sweep's extra memory: at most BATCH_POINTS
+# points' reduced states wait for one batched eigensolve.
 BATCH_POINTS = 200
-JOINT_CHUNK = 8
 
 # The strong-additivity value is S(AB) - S(B) + S(AC) - S(C) of the joint
 # state, with A Alice, B the wedge-I modes and C the wedge-II modes.  These
@@ -220,22 +216,13 @@ def _evaluate_batch(
 
     # A wedge keeps Alice and two modes (8x8).  The strong-additivity value
     # takes the AB and AC states (8x8) and the B and C states (4x4) of the
-    # joint; one of AB and AC is the wedge's own state, computed the same
-    # way, so its entropy is S(AB) of the record.
-    reduced = np.empty((len(points), 8, 8), dtype=complex)
-    joint_parts = {
-        discard: np.empty((len(points), dim, dim), dtype=complex)
-        for discard, dim in zip(_SSA_DISCARDS, (8, 8, 4, 4))
-        if with_ssa and discard != region.traced_factors
-    }
-    for start in range(0, len(points), JOINT_CHUNK):
-        chunk = slice(start, start + JOINT_CHUNK)
-        joints = build_joints(inertial[chunk], isometries[chunk])
-        reduced[chunk], reduced_layout = trace_out(joints, JOINT_LAYOUT, region.traced_factors)
-        check_density_stack(reduced[chunk])
-        for discard, part in joint_parts.items():
-            # checked later, with their entropies
-            part[chunk], _ = trace_out(joints, JOINT_LAYOUT, discard)
+    # joint; one of AB and AC is the wedge's own state, so its entropy is
+    # S(AB) of the record.
+    discards = [region.traced_factors]
+    if with_ssa:
+        discards += [d for d in _SSA_DISCARDS if d != region.traced_factors]
+    (reduced, reduced_layout), *ssa_parts = trace_lifted(inertial, isometries, discards)
+    check_density_stack(reduced)
 
     s_a = checked_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])
     s_b = checked_entropies(trace_out(reduced, reduced_layout, {Subsystem.ALICE})[0])
@@ -243,9 +230,8 @@ def _evaluate_batch(
     ssa = [None] * len(points)
     if with_ssa:
         parts = {region.traced_factors: s_ab}
-        for discard in _SSA_DISCARDS:
-            if discard not in parts:
-                parts[discard] = checked_entropies(joint_parts[discard])
+        for discard, (part, _) in zip(discards[1:], ssa_parts):
+            parts[discard] = checked_entropies(part)
         s_ab_joint, s_ac, s_b_joint, s_c = (parts[discard] for discard in _SSA_DISCARDS)
         ssa = (s_ab_joint - s_b_joint + s_ac - s_c).tolist()
     measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, s_ab - s_b)

@@ -36,7 +36,14 @@ from unruh_lab import (
 from unruh_lab import crosscheck, fock, states, sweep
 from unruh_lab.fock import eigvals_hermitian_batch, trace_out
 from unruh_lab.measures import entropies_from_eigenvalues
-from unruh_lab.states import JOINT_LAYOUT, bob_isometries, build_joints
+from unruh_lab.states import (
+    JOINT_LAYOUT,
+    REGION_I_FACTORS,
+    REGION_II_FACTORS,
+    bob_isometries,
+    build_joints,
+    trace_lifted,
+)
 
 from helpers import random_hermitian
 
@@ -83,6 +90,35 @@ def single_point_matrices(points):
         for part in parts:
             by_dim.setdefault(part.dim, []).append(part.entries)
     return {dim: np.array(matrices) for dim, matrices in by_dim.items()}
+
+
+def seeded_points(seed, count):
+    """(family, region, gamma, q_r, alpha, f): random interior points, alpha off pi/4."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
+        family = list(ChannelFamily)[i % len(ChannelFamily)]
+        region = list(BobRegion)[i % 2]
+        werner = family is ChannelFamily.WERNER
+        alpha = PI4 if werner else float(rng.uniform(0.0, math.pi))
+        f = float(rng.uniform()) if werner else None
+        gamma, q_r = float(rng.uniform(0.0, PI4)), float(rng.uniform())
+        points.append((family, region, gamma, q_r, alpha, f))
+    return points
+
+
+def lift_inputs(family, points):
+    """The prepared states and Bob's isometries of the given points of one family."""
+    inertial = np.array([
+        build_inertial(ChannelSpec(family, AccelerationParams(g, q), alpha, f)).entries
+        for _, _, g, q, alpha, f in points
+    ])
+    return inertial, bob_isometries(family.encoding, [p[2] for p in points], [p[3] for p in points])
+
+
+# the factors each reduction of a sweep traces out: either wedge, then the
+# AB, AC, B and C states of strong additivity
+SWEEP_DISCARDS = (REGION_II_FACTORS, REGION_I_FACTORS) + sweep._SSA_DISCARDS[2:]
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +221,40 @@ class TestBatchedStates:
                 spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
                 assert (joint == build_joint(spec).entries).all()
 
+    @pytest.mark.parametrize("source", ["sample", "seeded"])
+    def test_traced_lift_equals_trace_of_joints(self, sample, source):
+        points = sample if source == "sample" else seeded_points(31, 150)
+        assert set(sweep._SSA_DISCARDS) <= set(SWEEP_DISCARDS)
+        for family in ChannelFamily:
+            inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
+            joints = build_joints(inertial, isometries)
+            got = trace_lifted(inertial, isometries, SWEEP_DISCARDS)
+            for discard, (stack, layout) in zip(SWEEP_DISCARDS, got):
+                want, want_layout = trace_out(joints, JOINT_LAYOUT, discard)
+                assert layout == want_layout
+                assert stack.shape == want.shape
+                assert (stack == want).all()
+            # a stack of one gives its point's rows
+            for i in range(0, len(inertial), 7):
+                one = trace_lifted(inertial[i : i + 1], isometries[i : i + 1], SWEEP_DISCARDS)
+                for (stack, _), (single, _) in zip(got, one):
+                    assert (single[0] == stack[i]).all()
+
+    def test_strong_additivity_reductions_match_oracle(self, sample):
+        # AB, AC, B and C, by the factor positions the oracle keeps
+        keep = ([0, 1, 3], [0, 2, 4], [1, 3], [2, 4])
+        for points in (sample, seeded_points(37, 60)):
+            for family in ChannelFamily:
+                family_points = [p for p in points if p[0] is family]
+                inertial, isometries = lift_inputs(family, family_points)
+                parts = trace_lifted(inertial, isometries, sweep._SSA_DISCARDS)
+                for i, (_, _, gamma, q_r, alpha, f) in enumerate(family_points):
+                    joint = crosscheck.brute_joint_matrix(family, gamma, q_r, alpha, f)
+                    for (stack, layout), kept in zip(parts, keep):
+                        assert layout.factors == tuple(JOINT_LAYOUT.factors[k] for k in kept)
+                        want = crosscheck.brute_partial_trace(joint, 5, kept)
+                        assert np.abs(stack[i] - want).max() < 1e-12
+
 
 class TestSweepBatches:
     def test_sweep_equals_point_by_point(self):
@@ -250,3 +320,17 @@ class TestSweepFailures:
         object.__setattr__(spec, "gamma_grid", (0.0, 0.1, math.nan, 0.3))
         with pytest.raises(SweepPointError, match=r"gamma=nan .*gamma: must be within"):
             run_sweep(spec)
+
+    def test_inertial_state_off_unit_trace_is_named(self, monkeypatch):
+        real = sweep._prepared_states
+
+        def doubled_at(family, points, alpha):
+            prepared = real(family, points, alpha)
+            for i, (gamma, _, _) in enumerate(points):
+                if gamma == 0.2:
+                    prepared[i] *= 2.0
+            return prepared
+
+        monkeypatch.setattr(sweep, "_prepared_states", doubled_at)
+        with pytest.raises(SweepPointError, match=r"gamma=0\.2 .*trace is"):
+            run_sweep(four_point_spec())

@@ -59,6 +59,9 @@ class TestFormatting:
         assert format_number(-0.0) == "0.000000000000"
         assert format_number(-1e-15) == "0.000000000000"
 
+    def test_negative_value_that_rounds_away_from_zero_keeps_its_sign(self):
+        assert format_number(-6e-13) == "-0.000000000001"
+
     def test_precision_bounds(self):
         with pytest.raises(DomainError, match="precision"):
             OutputFormat("csv", 5)
