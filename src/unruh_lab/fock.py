@@ -9,7 +9,8 @@ matrices.  Everything is small (at most 32x32) and immutable.
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
 the first item that fails it, so on a stack of one it raises what the
-single item's check raises.
+single item's check raises.  A value fails a check unless it is within the
+tolerance, so NaN fails every check.
 """
 
 from __future__ import annotations
@@ -44,15 +45,22 @@ PSD_TOL = 1e-8
 def check_norms(vectors: np.ndarray) -> None:
     """Raise for the first vector of a stack (N, d) off unit norm by more than ``NORM_TOL``."""
     norms = np.linalg.norm(vectors, axis=-1)
-    failed = np.abs(norms - 1.0) > NORM_TOL
-    if failed.any():
-        raise NormalizationError(f"state norm is {float(norms[failed][0])!r}, expected 1")
+    within = np.abs(norms - 1.0) <= NORM_TOL
+    if not within.all():
+        raise NormalizationError(f"state norm is {float(norms[~within][0])!r}, expected 1")
 
 
 def check_hermitian(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off Hermitian by more than ``HERMITIAN_TOL``."""
+    _check_hermitian(matrices, nan_fails=True)
+
+
+def _check_hermitian(matrices: np.ndarray, nan_fails: bool) -> None:
     defects = np.abs(matrices - matrices.conj().swapaxes(1, 2)).reshape(len(matrices), -1).max(1)
-    failed = defects > HERMITIAN_TOL
+    within = defects <= HERMITIAN_TOL
+    if within.all():
+        return
+    failed = ~within if nan_fails else defects > HERMITIAN_TOL
     if failed.any():
         raise SymmetryError(
             f"Hermiticity defect {float(defects[failed][0]):.3e} exceeds {HERMITIAN_TOL}"
@@ -62,19 +70,19 @@ def check_hermitian(matrices: np.ndarray) -> None:
 def check_traces(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off unit trace by more than ``TRACE_TOL``."""
     traces = matrices.trace(axis1=1, axis2=2)
-    failed = np.abs(traces - 1.0) > TRACE_TOL
-    if failed.any():
-        raise NormalizationError(f"trace is {complex(traces[failed][0])!r}, expected 1")
+    within = np.abs(traces - 1.0) <= TRACE_TOL
+    if not within.all():
+        raise NormalizationError(f"trace is {complex(traces[~within][0])!r}, expected 1")
 
 
 def check_isometries(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, d, k) with columns off orthonormal by > ``ISOMETRY_TOL``."""
     gram = matrices.conj().swapaxes(1, 2) @ matrices
     defects = np.abs(gram - np.eye(matrices.shape[2])).reshape(len(matrices), -1).max(1)
-    failed = defects > ISOMETRY_TOL
-    if failed.any():
+    within = defects <= ISOMETRY_TOL
+    if not within.all():
         raise NormalizationError(
-            f"columns are not orthonormal (defect {float(defects[failed][0]):.3e})"
+            f"columns are not orthonormal (defect {float(defects[~within][0]):.3e})"
         )
 
 
@@ -260,7 +268,8 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    check_hermitian(a[np.newaxis])
+    # NaN passes, so a NaN matrix fails as not converging
+    _check_hermitian(a[np.newaxis], nan_fails=False)
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
     if n == 1:
@@ -332,7 +341,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     a = np.array(matrices, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
-    check_hermitian(a)
+    _check_hermitian(a, nan_fails=False)  # as in eigvals_hermitian
     a = (a + np.conj(a).transpose(0, 2, 1)) / 2.0
     n = a.shape[1]
     if n == 1:

@@ -12,9 +12,21 @@ Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
 Rindler space, and either wedge is obtained by tracing out the other.
 :func:`bob_isometries` and :func:`trace_lifted` do this for a whole stack
-of grid points at once.  :func:`trace_lifted` reduces the lifted states
-without forming the 32x32 joint states; :func:`build_joints` is its case
-with nothing traced out, and :func:`build_joint` is a stack of one.
+of grid points at once.  :func:`build_joints` is :func:`trace_lifted` with
+nothing traced out, and :func:`build_joint` is a stack of one.
+
+The reductions use the structure of the lift, not a dense product.  Each
+Unruh state has amplitudes on four fixed Rindler basis states
+(``VACUUM_MODES``, ``PARTICLE_MODES``, ``ANTIPARTICLE_MODES``), and every
+prepared state is zero outside its {|00>, |11>} block and diagonal.  So
+each entry of a joint state is one product of an isometry entry, a
+prepared-state entry and a conjugated isometry entry, and which entries
+can be nonzero (96 of 1024) is known before any arithmetic.  Index plans,
+computed once from those constants for each encoding and discard set,
+gather just these products and add, for each reduced entry, the products
+of each value of the traced factors in lexicographic order.  That is the
+order in which the partial trace of the joint adds them, so the reduced
+states keep every bit.
 """
 
 from __future__ import annotations
@@ -106,6 +118,14 @@ def gamma_from_acceleration(omega: float, acceleration: float, light_speed: floa
     return math.acos((math.exp(exponent) + 1.0) ** -0.5)
 
 
+# The basis states over RINDLER_LAYOUT on which each Unruh state has its
+# amplitudes, in the order _rindler_amplitudes writes them.  Every other
+# amplitude is zero, which fixes where the lifted states can be nonzero.
+VACUUM_MODES = (0b0000, 0b0011, 0b1100, 0b1111)
+PARTICLE_MODES = (0b1000, 0b1011, 0b1101, 0b0001)
+ANTIPARTICLE_MODES = (0b0100, 0b0111, 0b1110, 0b0010)
+
+
 def _rindler_amplitudes(
     gammas: Sequence[float], q_rs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,22 +134,18 @@ def _rindler_amplitudes(
     s = np.array([math.sin(gamma) for gamma in gammas])
     q_r = np.array(q_rs, dtype=float)
     q_l = np.array([_left_weight(q) for q in q_rs])
-    vacuum = np.zeros((len(c), 16), dtype=complex)
-    vacuum[:, 0b0000] = c * c
-    vacuum[:, 0b0011] = -s * c
-    vacuum[:, 0b1100] = s * c
-    vacuum[:, 0b1111] = -s * s
-    particle = np.zeros((len(c), 16), dtype=complex)
-    particle[:, 0b1000] = q_r * c
-    particle[:, 0b1011] = -q_r * s
-    particle[:, 0b1101] = q_l * s
-    particle[:, 0b0001] = q_l * c
-    antiparticle = np.zeros((len(c), 16), dtype=complex)
-    antiparticle[:, 0b0100] = q_l * c
-    antiparticle[:, 0b0111] = -q_l * s
-    antiparticle[:, 0b1110] = q_r * s
-    antiparticle[:, 0b0010] = q_r * c
+    vacuum = _on_modes(VACUUM_MODES, c * c, -s * c, s * c, -s * s)
+    particle = _on_modes(PARTICLE_MODES, q_r * c, -q_r * s, q_l * s, q_l * c)
+    antiparticle = _on_modes(ANTIPARTICLE_MODES, q_l * c, -q_l * s, q_r * s, q_r * c)
     return vacuum, particle, antiparticle
+
+
+def _on_modes(modes: tuple[int, ...], *amplitudes: np.ndarray) -> np.ndarray:
+    """States (N, 16) with the given amplitudes on ``modes`` and zeros elsewhere."""
+    states = np.zeros((len(amplitudes[0]), 16), dtype=complex)
+    for mode, amplitude in zip(modes, amplitudes):
+        states[:, mode] = amplitude
+    return states
 
 
 def unruh_vacuum(accel: AccelerationParams) -> StateVector:
@@ -157,6 +173,12 @@ class Encoding(Enum):
     DUAL_RAIL = "dual-rail"  # particle vs antiparticle
 
 
+# Which of (vacuum, particle, antiparticle) carry Bob's basis states 0 and 1,
+# and the modes each of those two isometry columns can be nonzero on.
+_ENCODING_STATES = {Encoding.SINGLE_RAIL: (0, 1), Encoding.DUAL_RAIL: (1, 2)}
+_STATE_MODES = (VACUUM_MODES, PARTICLE_MODES, ANTIPARTICLE_MODES)
+
+
 def bob_isometry(encoding: Encoding, accel: AccelerationParams) -> np.ndarray:
     """Embedding (16, 2) of Bob's inertial qubit basis into the Rindler space.
 
@@ -173,13 +195,10 @@ def bob_isometries(
     Each column must have unit norm, as :class:`StateVector` checks it, and
     the columns must be orthonormal.  The parameters are not checked here.
     """
-    vacuum, particle, antiparticle = _rindler_amplitudes(gammas, q_rs)
-    if encoding is Encoding.SINGLE_RAIL:
-        columns = (vacuum, particle)
-    elif encoding is Encoding.DUAL_RAIL:
-        columns = (particle, antiparticle)
-    else:
+    if not isinstance(encoding, Encoding):
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
+    amplitudes = _rindler_amplitudes(gammas, q_rs)
+    columns = [amplitudes[i] for i in _ENCODING_STATES[encoding]]
     matrices = np.stack(columns, axis=2)
     check_norms(columns[0])
     check_norms(columns[1])
@@ -264,6 +283,13 @@ def _bell_pair() -> StateVector:
     return StateVector(INERTIAL_LAYOUT, amps)
 
 
+# Every family's prepared state is zero outside the {|00>, |11>} block and
+# the diagonal, which only the Werner noise fills.
+_PREPARED_SUPPORT = np.eye(4, dtype=bool)
+_PREPARED_SUPPORT[np.ix_((0b00, 0b11), (0b00, 0b11))] = True
+_PREPARED_SUPPORT.flags.writeable = False
+
+
 def build_inertial(spec: ChannelSpec) -> DensityMatrix:
     """The prepared Alice (x) Bob state before Bob accelerates.
 
@@ -295,22 +321,26 @@ def build_joint(spec: ChannelSpec) -> DensityMatrix:
     """The shared state after Bob accelerates: Alice plus four Rindler modes."""
     inertial = build_inertial(spec).entries[np.newaxis]
     accel = spec.accel
-    isometries = bob_isometries(spec.family.encoding, [accel.gamma], [accel.q_r])
-    return DensityMatrix(JOINT_LAYOUT, build_joints(inertial, isometries)[0])
+    encoding = spec.family.encoding
+    isometries = bob_isometries(encoding, [accel.gamma], [accel.q_r])
+    return DensityMatrix(JOINT_LAYOUT, build_joints(encoding, inertial, isometries)[0])
 
 
-def build_joints(inertial: np.ndarray, isometries: np.ndarray) -> np.ndarray:
+def build_joints(
+    encoding: Encoding, inertial: np.ndarray, isometries: np.ndarray
+) -> np.ndarray:
     """Prepared states (N, 4, 4) lifted by Bob's isometries (N, 16, 2) into ``JOINT_LAYOUT``.
 
     This is :func:`trace_lifted` with nothing traced out.  Each joint
     (32, 32) is checked as :class:`DensityMatrix` checks it.
     """
-    joints, _ = trace_lifted(inertial, isometries, [()])[0]
+    joints, _ = trace_lifted(encoding, inertial, isometries, [()])[0]
     check_density_stack(joints)
     return joints
 
 
 def trace_lifted(
+    encoding: Encoding,
     inertial: np.ndarray,
     isometries: np.ndarray,
     discards: Sequence[Iterable[Subsystem]],
@@ -318,30 +348,122 @@ def trace_lifted(
     """Partial traces of the lifted states over each discard set, without the joints.
 
     The prepared states (N, 4, 4) are lifted by Bob's isometries (N, 16, 2)
-    through ``kron(eye(2), V)`` into ``JOINT_LAYOUT``.  For each discard
-    set this returns the reduced stack and its layout, equal bit for bit to
-    :func:`~unruh_lab.fock.trace_out` of the joint states: every row of the
-    lift has at most one nonzero entry, so each joint entry is one product,
-    and the joint's blocks for each value t of the traced factors are added
-    in lexicographic order of t, as ``trace_out`` adds them.  One matrix
-    product that also contracted over t would round differently.  The
+    of ``encoding`` through ``kron(eye(2), V)`` into ``JOINT_LAYOUT``.  For
+    each discard set this returns the reduced stack and its layout, equal
+    bit for bit to :func:`~unruh_lab.fock.trace_out` of the joint states.
+
+    Every row r of the lift has at most one nonzero entry, in a column c_r
+    fixed by the encoding, so each joint entry is the single product
+    ``(lift[r, c_r] * rho[c_r, c_r']) * conj(lift[r', c_r'])``.  Only the
+    products that can be nonzero are computed (:func:`_joint_plan`), and
+    each reduced entry adds its products in lexicographic order of the
+    traced factors (:func:`_gather_plan`), as ``trace_out`` adds them.  The
+    inputs must be zero outside the pattern the plans assume, as
+    :func:`bob_isometries` and :func:`build_inertial` make them; the
     reduced stacks are not checked.
     """
-    lift = np.zeros((len(isometries), JOINT_LAYOUT.dim, 4), dtype=complex)
-    lift[:, :16, :2] = isometries
-    lift[:, 16:, 2:] = isometries
-    lifted = lift @ inertial
-    np.conj(lift, out=lift)
+    n = len(isometries)
+    _, first, middle, last = _joint_plan(encoding)
+    values = np.ascontiguousarray(isometries.reshape(n, -1).T)
+    prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
+    # the joint entries that can be nonzero (96, N), then a row of zeros
+    # for the gather plans to pad with
+    entries = np.zeros((len(first) + 1, n), dtype=complex)
+    np.multiply(values[first], prepared[middle], out=entries[:-1])
+    entries[:-1] *= np.conj(values[last])
+    # a -0 product becomes +0, as in the sums of a dense matrix product;
+    # then no sum below can be -0, and adding the padding changes no bit
+    entries += 0.0
     reductions = []
     for discard in discards:
-        rows, kept_layout = _lift_rows(frozenset(discard))
-        blocks = lifted[:, rows] @ lift[:, rows].swapaxes(2, 3)  # (N, T, K, K)
-        reductions.append((blocks.sum(axis=1), kept_layout))
-        del blocks  # freed before the next discard's blocks are made
+        positions, terms, kept_layout = _gather_plan(encoding, frozenset(discard))
+        gathered = entries[terms]  # (M, P, N)
+        sums = gathered[0]
+        # one term after another: numpy's sum may add pairwise, and did so
+        # for a stack of one in another layout, which rounds differently
+        for term in gathered[1:]:
+            sums += term
+        reduced = np.zeros((n, kept_layout.dim**2), dtype=complex)
+        reduced[:, positions] = sums.T
+        reductions.append((reduced.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout))
     return reductions
 
 
+@functools.lru_cache(maxsize=2)
+def _isometry_support(encoding: Encoding) -> np.ndarray:
+    """Where the isometries (16, 2) of ``encoding`` can be nonzero."""
+    support = np.zeros((16, 2), dtype=bool)
+    for j, state in enumerate(_ENCODING_STATES[encoding]):
+        support[_STATE_MODES[state], j] = True
+    support.flags.writeable = False
+    return support
+
+
+@functools.lru_cache(maxsize=2)
+def _joint_plan(encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The joint entries that can be nonzero for ``encoding``, and their factors.
+
+    Returns their flat positions (Q,) in the (32, 32) joint, in ascending
+    order, and for each the index of ``lift[r, c_r]`` in
+    ``isometries.reshape(N, 32)``, of ``rho[c_r, c_r']`` in
+    ``inertial.reshape(N, 16)`` and of ``lift[r', c_r']``.  They follow
+    from the mode constants and the prepared-state pattern alone, never
+    from the values at a sample point.
+    """
+    # joint row 16a + m (Alice reads a, the Rindler modes read m) has its
+    # lift entry at isometry entry (m, j), where column j is nonzero on m,
+    # and that entry multiplies prepared-state row (or column) 2a + j
+    modes, js = np.nonzero(_isometry_support(encoding))
+    value = np.full(JOINT_LAYOUT.dim, -1)
+    column = np.full(JOINT_LAYOUT.dim, -1)
+    for a in (0, 1):
+        value[16 * a + modes] = 2 * modes + js
+        column[16 * a + modes] = 2 * a + js
+    lifted = column >= 0
+    nonzero = np.outer(lifted, lifted) & _PREPARED_SUPPORT[np.ix_(column, column)]
+    rows, cols = np.nonzero(nonzero)
+    plan = (
+        np.flatnonzero(nonzero),
+        value[rows],
+        4 * column[rows] + column[cols],
+        value[cols],
+    )
+    for indices in plan:
+        indices.flags.writeable = False
+    return plan
+
+
 @functools.lru_cache(maxsize=16)
+def _gather_plan(
+    encoding: Encoding, discard: frozenset[Subsystem]
+) -> tuple[np.ndarray, np.ndarray, SubsystemLayout]:
+    """The index plan of :func:`trace_lifted` for one encoding and discard set.
+
+    Returns the flat positions (P,) of the reduced entries that can be
+    nonzero; for each of them, the indices (M, P) of the joint entries of
+    :func:`_joint_plan` that add up to it, in lexicographic order of the
+    traced factors and padded at the end with the index of the zero row;
+    and the kept layout.
+    """
+    rows, kept_layout = _lift_rows(discard)
+    joint_positions = _joint_plan(encoding)[0]
+    padding = len(joint_positions)
+    slot = np.full(JOINT_LAYOUT.dim**2, padding)
+    slot[joint_positions] = np.arange(padding)
+    # the joint entry (rows[t, k], rows[t, l]) of reduced entry (k, l), as (T, K * K)
+    slots = slot[(JOINT_LAYOUT.dim * rows[:, :, np.newaxis] + rows[:, np.newaxis, :])]
+    slots = slots.reshape(len(rows), -1)
+    present = slots != padding
+    positions = np.flatnonzero(present.any(axis=0))
+    # each entry's present terms first, in their order, then the padding
+    order = np.argsort(~present[:, positions], axis=0, kind="stable")
+    terms = np.take_along_axis(slots[:, positions], order, axis=0)
+    terms = np.ascontiguousarray(terms[: present.sum(axis=0).max()])
+    positions.flags.writeable = False
+    terms.flags.writeable = False
+    return positions, terms, kept_layout
+
+
 def _lift_rows(discard: frozenset[Subsystem]) -> tuple[np.ndarray, SubsystemLayout]:
     """Joint basis indices (T, K), row t holding those whose traced factors read t.
 
@@ -356,7 +478,6 @@ def _lift_rows(discard: frozenset[Subsystem]) -> tuple[np.ndarray, SubsystemLayo
     kept_layout = SubsystemLayout(tuple(JOINT_FACTORS[i] for i in kept))
     indices = np.arange(JOINT_LAYOUT.dim).reshape((2,) * len(JOINT_FACTORS))
     rows = indices.transpose(traced + kept).reshape(2 ** len(traced), kept_layout.dim)
-    rows.flags.writeable = False
     return rows, kept_layout
 
 

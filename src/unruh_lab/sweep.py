@@ -35,7 +35,7 @@ from .states import (
 
 # The batch size, which bounds a sweep's extra memory: at most BATCH_POINTS
 # points' reduced states wait for one batched eigensolve.
-BATCH_POINTS = 200
+BATCH_POINTS = 400
 
 # The strong-additivity value is S(AB) - S(B) + S(AC) - S(C) of the joint
 # state, with A Alice, B the wedge-I modes and C the wedge-II modes.  These
@@ -221,7 +221,9 @@ def _evaluate_batch(
     discards = [region.traced_factors]
     if with_ssa:
         discards += [d for d in _SSA_DISCARDS if d != region.traced_factors]
-    (reduced, reduced_layout), *ssa_parts = trace_lifted(inertial, isometries, discards)
+    (reduced, reduced_layout), *ssa_parts = trace_lifted(
+        family.encoding, inertial, isometries, discards
+    )
     check_density_stack(reduced)
 
     s_a = checked_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])

@@ -40,6 +40,14 @@ def bell_state(layout=TWO_QUBITS) -> StateVector:
     return StateVector(layout, amps)
 
 
+def assert_same_bits(got, want) -> None:
+    """Equal shapes and equal bits: unlike ``==``, a -0 does not match a +0."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
 def entropy_without(rho, *labels) -> float:
     """Entropy in bits of ``rho`` with ``labels`` traced out (none: of ``rho`` itself)."""
     return von_neumann_entropy(partial_trace(rho, set(labels)) if labels else rho)

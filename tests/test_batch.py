@@ -16,8 +16,10 @@ from unruh_lab import (
     ChannelFamily,
     ChannelSpec,
     ConvergenceError,
+    Encoding,
     FigurePreset,
     Measure,
+    NormalizationError,
     SpectrumError,
     Subsystem,
     SweepPointError,
@@ -45,7 +47,7 @@ from unruh_lab.states import (
     trace_lifted,
 )
 
-from helpers import random_hermitian
+from helpers import assert_same_bits, random_hermitian
 
 PI4 = math.pi / 4
 SAMPLES_PER_PRESET = 40
@@ -114,6 +116,15 @@ def lift_inputs(family, points):
         for _, _, g, q, alpha, f in points
     ])
     return inertial, bob_isometries(family.encoding, [p[2] for p in points], [p[3] for p in points])
+
+
+def dense_lift_reductions(inertial, isometries, discards):
+    """The joints through the dense lift kron(I2, V) and two matrix products, then traced."""
+    lift = np.zeros((len(isometries), JOINT_LAYOUT.dim, 4), dtype=complex)
+    lift[:, :16, :2] = isometries
+    lift[:, 16:, 2:] = isometries
+    joints = (lift @ inertial) @ np.conj(lift).swapaxes(1, 2)
+    return [trace_out(joints, JOINT_LAYOUT, d)[0] if d else joints for d in discards]
 
 
 # the factors each reduction of a sweep traces out: either wedge, then the
@@ -194,7 +205,9 @@ class TestBatchedStates:
             ])
             gammas = [p[2] for p in points]
             q_rs = [p[3] for p in points]
-            joints = build_joints(inertial, bob_isometries(family.encoding, gammas, q_rs))
+            joints = build_joints(
+                family.encoding, inertial, bob_isometries(family.encoding, gammas, q_rs)
+            )
             reduced = {
                 region: trace_out(joints, JOINT_LAYOUT, region.traced_factors)
                 for region in BobRegion
@@ -216,7 +229,9 @@ class TestBatchedStates:
                 build_inertial(ChannelSpec(family, AccelerationParams(0.0), alpha, f)).entries
                 for _, _, _, _, alpha, f in points
             ])
-            joints = build_joints(inertial, bob_isometries(family.encoding, gammas, q_rs))
+            joints = build_joints(
+                family.encoding, inertial, bob_isometries(family.encoding, gammas, q_rs)
+            )
             for joint, (_, _, gamma, q_r, alpha, f) in zip(joints, points):
                 spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
                 assert (joint == build_joint(spec).entries).all()
@@ -227,8 +242,8 @@ class TestBatchedStates:
         assert set(sweep._SSA_DISCARDS) <= set(SWEEP_DISCARDS)
         for family in ChannelFamily:
             inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
-            joints = build_joints(inertial, isometries)
-            got = trace_lifted(inertial, isometries, SWEEP_DISCARDS)
+            joints = build_joints(family.encoding, inertial, isometries)
+            got = trace_lifted(family.encoding, inertial, isometries, SWEEP_DISCARDS)
             for discard, (stack, layout) in zip(SWEEP_DISCARDS, got):
                 want, want_layout = trace_out(joints, JOINT_LAYOUT, discard)
                 assert layout == want_layout
@@ -236,9 +251,32 @@ class TestBatchedStates:
                 assert (stack == want).all()
             # a stack of one gives its point's rows
             for i in range(0, len(inertial), 7):
-                one = trace_lifted(inertial[i : i + 1], isometries[i : i + 1], SWEEP_DISCARDS)
+                one = trace_lifted(
+                    family.encoding, inertial[i : i + 1], isometries[i : i + 1], SWEEP_DISCARDS
+                )
                 for (stack, _), (single, _) in zip(got, one):
                     assert (single[0] == stack[i]).all()
+
+    @pytest.mark.parametrize("source", ["sample", "seeded"])
+    def test_traced_lift_has_the_bits_of_the_dense_lift(self, sample, source):
+        # each joint entry is one product, (V[r] * rho) * conj(V[r']), as
+        # the dense products multiply it; unlike ==, the bits also pin the
+        # sign of every zero
+        points = sample if source == "sample" else seeded_points(59, 150)
+        discards = [()] + list(SWEEP_DISCARDS)
+        for family in ChannelFamily:
+            inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
+            got = trace_lifted(family.encoding, inertial, isometries, discards)
+            want = dense_lift_reductions(inertial, isometries, discards)
+            for (stack, _), reference in zip(got, want):
+                assert_same_bits(stack, reference)
+            # a stack of one adds its terms in the same order as a batch
+            for i in range(len(inertial)):
+                one = trace_lifted(
+                    family.encoding, inertial[i : i + 1], isometries[i : i + 1], discards
+                )
+                for (stack, _), (single, _) in zip(got, one):
+                    assert_same_bits(single[0], stack[i])
 
     def test_strong_additivity_reductions_match_oracle(self, sample):
         # AB, AC, B and C, by the factor positions the oracle keeps
@@ -247,13 +285,57 @@ class TestBatchedStates:
             for family in ChannelFamily:
                 family_points = [p for p in points if p[0] is family]
                 inertial, isometries = lift_inputs(family, family_points)
-                parts = trace_lifted(inertial, isometries, sweep._SSA_DISCARDS)
+                parts = trace_lifted(
+                    family.encoding, inertial, isometries, sweep._SSA_DISCARDS
+                )
                 for i, (_, _, gamma, q_r, alpha, f) in enumerate(family_points):
                     joint = crosscheck.brute_joint_matrix(family, gamma, q_r, alpha, f)
                     for (stack, layout), kept in zip(parts, keep):
                         assert layout.factors == tuple(JOINT_LAYOUT.factors[k] for k in kept)
                         want = crosscheck.brute_partial_trace(joint, 5, kept)
                         assert np.abs(stack[i] - want).max() < 1e-12
+
+
+class TestGatherPlan:
+    """The structural pattern the reductions gather, against the states it must hold."""
+
+    @pytest.mark.parametrize("source", ["sample", "seeded"])
+    def test_inputs_lie_inside_the_pattern(self, sample, source):
+        points = sample if source == "sample" else seeded_points(47, 100)
+        for family in ChannelFamily:
+            inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
+            assert not inertial[:, ~states._PREPARED_SUPPORT].any()
+            assert not isometries[:, ~states._isometry_support(family.encoding)].any()
+
+    @pytest.mark.parametrize("source", ["sample", "seeded"])
+    def test_plan_covers_every_nonzero(self, sample, source):
+        # the sample holds gamma in {0, pi/4}, q_r in {0, 1} and F in {0, 1};
+        # the oracle builds its joints from its own amplitudes
+        points = sample if source == "sample" else seeded_points(53, 100)
+        for family in ChannelFamily:
+            family_points = [p for p in points if p[0] is family]
+            inertial, isometries = lift_inputs(family, family_points)
+            joints = {
+                "lifted": build_joints(family.encoding, inertial, isometries),
+                "oracle": np.array([
+                    crosscheck.brute_joint_matrix(family, g, q, alpha, f)
+                    for _, _, g, q, alpha, f in family_points
+                ]),
+            }
+            for discard in [()] + list(SWEEP_DISCARDS):
+                positions = states._gather_plan(family.encoding, frozenset(discard))[0]
+                for name, stack in joints.items():
+                    if discard:
+                        stack = trace_out(stack, JOINT_LAYOUT, discard)[0]
+                    nonzero = np.flatnonzero((stack != 0).any(axis=0))
+                    assert set(nonzero) <= set(positions), (family, discard, name)
+
+    def test_plans_are_sparse(self):
+        # a wedge state has 14 (dual rail) or 20 (single rail) entries of 64
+        # that can be nonzero, and the joint 96 of 1024
+        for encoding, wedge in ((Encoding.DUAL_RAIL, 14), (Encoding.SINGLE_RAIL, 20)):
+            assert len(states._gather_plan(encoding, REGION_II_FACTORS)[0]) == wedge
+            assert len(states._gather_plan(encoding, frozenset())[0]) == 96
 
 
 class TestSweepBatches:
@@ -308,11 +390,28 @@ class TestSweepFailures:
             run_sweep(four_point_spec())
 
     def test_earlier_point_failing_at_a_later_stage_wins(self, monkeypatch):
-        # point 3 fails when its isometry is checked; point 1, all NaN,
-        # passes every check until its first eigensolve does not converge
+        # point 3 fails when its isometry is checked; point 1, Hermitian with
+        # unit trace but not PSD, passes every check until its entropies
         corrupt_amplitudes_at(monkeypatch, 0.3)
+        real = sweep._prepared_states
+
+        def not_psd_at(family, points, alpha):
+            prepared = real(family, points, alpha)
+            for i, (gamma, _, _) in enumerate(points):
+                if gamma == 0.1:
+                    prepared[i] = np.diag([1.5, 0.0, 0.0, -0.5])
+            return prepared
+
+        monkeypatch.setattr(sweep, "_prepared_states", not_psd_at)
+        with pytest.raises(SweepPointError, match=r"gamma=0\.1 .*below the PSD tolerance"):
+            run_sweep(four_point_spec())
+
+    def test_nan_isometry_is_refused(self, monkeypatch):
+        # NaN fails the norm check, so it never reaches a reduction
         corrupt_amplitudes_at(monkeypatch, 0.1, factor=math.nan)
-        with pytest.raises(SweepPointError, match=r"gamma=0\.1 .*after 100 sweeps"):
+        with pytest.raises(NormalizationError, match="state norm is nan"):
+            bob_isometries(Encoding.DUAL_RAIL, [0.0, 0.1], [0.9, 0.9])
+        with pytest.raises(SweepPointError, match=r"gamma=0\.1 .*state norm is nan"):
             run_sweep(four_point_spec())
 
     def test_out_of_domain_point_in_a_batch(self):

@@ -18,6 +18,13 @@ from unruh_lab import (
     partial_trace,
 )
 from unruh_lab.crosscheck import eigvals_charpoly
+from unruh_lab.fock import (
+    check_density_stack,
+    check_hermitian,
+    check_isometries,
+    check_norms,
+    check_traces,
+)
 
 from helpers import TWO_QUBITS, bell_state, random_density, random_hermitian, random_state
 
@@ -93,6 +100,31 @@ class TestDensityMatrix:
         # a NaN trace is not off unit trace by more than the tolerance
         with pytest.raises(NormalizationError, match="non-finite"):
             DensityMatrix(single(ALICE), np.diag([math.nan, 1.0]))
+
+
+class TestStackChecksRejectNaN:
+    """NaN is not within any tolerance, so each stack check names the NaN item."""
+
+    def test_norms(self):
+        with pytest.raises(NormalizationError, match="state norm is nan"):
+            check_norms(np.array([[1.0, 0.0], [math.nan, 0.0]]))
+
+    def test_isometries(self):
+        isometries = np.array([np.eye(2), np.full((2, 2), math.nan)])
+        with pytest.raises(NormalizationError, match=r"defect nan\)"):
+            check_isometries(isometries)
+
+    def test_hermitian_and_traces(self):
+        nan_off_diagonal = np.array([[0.5, math.nan], [math.nan, 0.5]])
+        with pytest.raises(SymmetryError, match="defect nan"):
+            check_hermitian(np.array([np.eye(2) / 2, nan_off_diagonal]))
+        with pytest.raises(NormalizationError, match=r"trace is \(nan"):
+            check_traces(np.array([np.eye(2) / 2, np.diag([math.nan, 0.5])]))
+
+    def test_density_stack(self):
+        stack = np.array([np.eye(2) / 2, np.full((2, 2), math.nan)])
+        with pytest.raises(SymmetryError, match="defect nan"):
+            check_density_stack(stack)
 
 
 class TestPartialTrace:

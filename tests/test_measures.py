@@ -333,6 +333,35 @@ class TestMeasureProperties:
 
     @settings(deadline=None, database=None)
     @given(
+        family=st.sampled_from([f for f in ChannelFamily if f.is_quantum]),
+        gamma=st.floats(0.0, PI4),
+        q_r=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, math.pi),
+    )
+    def test_pure_channel_sum_rule(self, family, gamma, q_r, alpha):
+        # the joint is pure, so S(AB_I) = S(B_II) and S(AB_II) = S(B_I):
+        # CE_I = S(B_II) - S(B_I) = -CE_II and MI_I + MI_II = 2 S(A)
+        near = evaluate_point(family, BobRegion.I, gamma, q_r, alpha)
+        far = evaluate_point(family, BobRegion.II, gamma, q_r, alpha)
+        assert abs(near.cond_entropy + far.cond_entropy) <= 1e-12
+        assert abs(near.mutual_info + far.mutual_info - 2.0 * near.s_a) <= 1e-12
+
+    @settings(deadline=None, database=None)
+    @given(
+        family=st.sampled_from([f for f in ChannelFamily if f.is_quantum]),
+        region=st.sampled_from(list(BobRegion)),
+        gamma=st.floats(0.0, PI4),
+        alpha=st.floats(0.0, math.pi),
+    )
+    def test_pure_channels_at_equal_weights(self, family, region, gamma, alpha):
+        # at q_r = q_l the wedge swap adds S(B_I) = S(B_II) to the sum rule,
+        # so either rail has CE = 0 and MI = S(A) in both wedges
+        r = evaluate_point(family, region, gamma, 1 / math.sqrt(2), alpha)
+        assert abs(r.cond_entropy) <= 1e-12
+        assert abs(r.mutual_info - r.s_a) <= 1e-12
+
+    @settings(deadline=None, database=None)
+    @given(
         family=st.sampled_from(list(ChannelFamily)),
         region=st.sampled_from(list(BobRegion)),
         gamma=st.floats(0.0, PI4),
