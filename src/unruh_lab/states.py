@@ -355,7 +355,8 @@ def trace_lifted(
     Every row r of the lift has at most one nonzero entry, in a column c_r
     fixed by the encoding, so each joint entry is the single product
     ``(lift[r, c_r] * rho[c_r, c_r']) * conj(lift[r', c_r'])``.  Only the
-    products that can be nonzero are computed (:func:`_joint_plan`), and
+    products that can be nonzero (:func:`_joint_plan`) and that the
+    discard sets read (:func:`_call_plan`) are computed, and
     each reduced entry adds its products in lexicographic order of the
     traced factors (:func:`_gather_plan`), as ``trace_out`` adds them.  The
     inputs must be zero outside the pattern the plans assume, as
@@ -363,11 +364,13 @@ def trace_lifted(
     reduced stacks are not checked.
     """
     n = len(isometries)
-    _, first, middle, last = _joint_plan(encoding)
+    first, middle, last, plans = _call_plan(
+        encoding, tuple(frozenset(discard) for discard in discards)
+    )
     values = np.ascontiguousarray(isometries.reshape(n, -1).T)
     prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
-    # the joint entries that can be nonzero (96, N), then a row of zeros
-    # for the gather plans to pad with
+    # the joint entries the reductions read (R, N), then a row of zeros for
+    # the gather plans to pad with
     entries = np.zeros((len(first) + 1, n), dtype=complex)
     np.multiply(values[first], prepared[middle], out=entries[:-1])
     entries[:-1] *= np.conj(values[last])
@@ -375,8 +378,7 @@ def trace_lifted(
     # then no sum below can be -0, and adding the padding changes no bit
     entries += 0.0
     reductions = []
-    for discard in discards:
-        positions, terms, kept_layout = _gather_plan(encoding, frozenset(discard))
+    for positions, terms, kept_layout in plans:
         gathered = entries[terms]  # (M, P, N)
         sums = gathered[0]
         # one term after another: numpy's sum may add pairwise, and did so
@@ -431,6 +433,39 @@ def _joint_plan(encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     for indices in plan:
         indices.flags.writeable = False
     return plan
+
+
+@functools.lru_cache(maxsize=16)
+def _call_plan(
+    encoding: Encoding, discards: tuple[frozenset[Subsystem], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The plans of one :func:`trace_lifted` call: only the joint entries it reads.
+
+    Returns the factor indices of :func:`_joint_plan` for the R joint
+    entries that the gather plans of ``discards`` use, in ascending
+    order, and for each discard set its :func:`_gather_plan` with the
+    terms renumbered into those R entries, padding with index R.  A wedge
+    reads 28 of the 96 joint entries.
+    """
+    _, first, middle, last = _joint_plan(encoding)
+    gathers = [_gather_plan(encoding, discard) for discard in discards]
+    padding = len(first)
+    # a mask, not np.unique, which imports numpy.ma (about 1 MB)
+    read = np.zeros(padding + 1, dtype=bool)
+    for _, terms, _ in gathers:
+        read[terms] = True
+    used = np.flatnonzero(read[:padding])
+    renumber = np.full(padding + 1, len(used))
+    renumber[used] = np.arange(len(used))
+    plans = []
+    for positions, terms, kept_layout in gathers:
+        terms = renumber[terms]
+        terms.flags.writeable = False
+        plans.append((positions, terms, kept_layout))
+    indices = (first[used], middle[used], last[used])
+    for factor in indices:
+        factor.flags.writeable = False
+    return (*indices, tuple(plans))
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from unruh_lab import (
+    ConvergenceError,
     DensityMatrix,
     StateVector,
     Subsystem,
@@ -10,6 +13,7 @@ from unruh_lab import (
     partial_trace,
     von_neumann_entropy,
 )
+from unruh_lab import fock
 
 TWO_QUBITS = SubsystemLayout((Subsystem.ALICE, Subsystem.BOB))
 THREE_QUBITS = SubsystemLayout(
@@ -51,3 +55,76 @@ def assert_same_bits(got, want) -> None:
 def entropy_without(rho, *labels) -> float:
     """Entropy in bits of ``rho`` with ``labels`` traced out (none: of ``rho`` itself)."""
     return von_neumann_entropy(partial_trace(rho, set(labels)) if labels else rho)
+
+
+def dense_jacobi_eigvals(matrix) -> np.ndarray:
+    """The cyclic Jacobi of ``fock.eigvals_hermitian`` as it was when it swept every pair.
+
+    A reference for the solvers that rotate only inside the blocks of the
+    zero pattern: each sweep visits every pair (k, l) of the full matrix
+    in row order.  The constants are read from ``fock`` when called, so a
+    test that patches them there patches them here too.
+    """
+    a = np.array(matrix, dtype=complex)
+    fock._check_hermitian(a[np.newaxis], nan_fails=False)
+    a = (a + a.conj().T) / 2.0
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real])
+
+    skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * n)
+    for _ in range(fock.JACOBI_MAX_SWEEPS):
+        if _dense_off_diagonal_norm_sq(a) <= fock.JACOBI_OFF_NORM_TOL**2:
+            break
+        for k in range(n - 1):
+            for l in range(k + 1, n):
+                _dense_jacobi_rotate(a, k, l, skip_below)
+    else:
+        raise ConvergenceError(
+            f"off-diagonal norm still {math.sqrt(_dense_off_diagonal_norm_sq(a)):.3e} "
+            f"after {fock.JACOBI_MAX_SWEEPS} sweeps"
+        )
+    eigs = np.sort(np.diag(a).real)
+    return eigs[::-1]
+
+
+def _dense_off_diagonal_norm_sq(a: np.ndarray) -> float:
+    mags = np.abs(a) ** 2
+    np.fill_diagonal(mags, 0.0)
+    return float(mags.sum())
+
+
+def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
+    """Annihilate a[k, l] (and a[l, k]) by a unitary plane rotation, in place."""
+    pivot = a[k, l]
+    beta = abs(pivot)
+    if not beta > 0.0:  # zero, or NaN: nothing to rotate
+        return
+    if beta < skip_below:
+        # negligible against the convergence tolerance; drop it outright
+        a[k, l] = 0.0
+        a[l, k] = 0.0
+        return
+    akk = a[k, k].real
+    all_ = a[l, l].real
+    phase = pivot / beta
+    tau = (all_ - akk) / (2.0 * beta)
+    t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
+    new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
+
+    col_k = a[:, k].copy()
+    col_l = a[:, l].copy()
+    a[:, k] = c * col_k + (s * np.conj(phase)) * col_l
+    a[:, l] = (-s * phase) * col_k + c * col_l
+    row_k = a[k, :].copy()
+    row_l = a[l, :].copy()
+    a[k, :] = c * row_k + (s * phase) * row_l
+    a[l, :] = (-s * np.conj(phase)) * row_k + c * row_l
+
+    a[k, k] = new_kk
+    a[l, l] = new_ll
+    a[k, l] = 0.0
+    a[l, k] = 0.0

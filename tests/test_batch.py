@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unruh_lab import (
     AccelerationParams,
@@ -47,7 +49,7 @@ from unruh_lab.states import (
     trace_lifted,
 )
 
-from helpers import assert_same_bits, random_hermitian
+from helpers import assert_same_bits, dense_jacobi_eigvals, random_hermitian
 
 PI4 = math.pi / 4
 SAMPLES_PER_PRESET = 40
@@ -177,6 +179,130 @@ class TestBatchedJacobi:
             eigvals_hermitian(nan_matrix)
         with pytest.raises(ConvergenceError, match="still nan"):
             eigvals_hermitian_batch(np.array([np.eye(3) / 3, nan_matrix]))
+
+
+def assert_solvers_match_dense(stack):
+    """Both solvers give the bits of the sweep over every pair, matrix by matrix."""
+    want = np.array([dense_jacobi_eigvals(m) for m in stack])
+    for matrix, row in zip(stack, want):
+        assert_same_bits(eigvals_hermitian(matrix), row)
+    assert_same_bits(eigvals_hermitian_batch(stack), want)
+
+
+@st.composite
+def block_structured_stacks(draw):
+    """Hermitian stacks (N, n, n) whose zero pattern splits into blocks of 1-4.
+
+    The blocks sit under a random permutation, and some matrices get extra
+    exact zeros inside a block, so a matrix's own pattern can be finer
+    than the union pattern of the stack.
+    """
+    n = draw(st.integers(2, 12))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(4, n - sum(sizes)))))
+    order = draw(st.permutations(range(n)))
+    count = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((count, n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        members = np.array(order[start : start + size])
+        start += size
+        block = np.array([random_hermitian(rng, size) for _ in range(count)])
+        stack[:, members[:, np.newaxis], members[np.newaxis, :]] = block
+    for matrix in stack[: draw(st.integers(0, count))]:
+        k, l = rng.integers(n, size=2)
+        matrix[k, l] = matrix[l, k] = 0.0
+    return stack
+
+
+class TestBlockJacobi:
+    """The block-restricted sweeps against the sweep over every pair they replace."""
+
+    def test_preset_matrices_match_dense_reference(self, matrices):
+        for stack in matrices.values():
+            assert_solvers_match_dense(stack)
+
+    def test_joints_match_dense_reference(self, sample):
+        # the sample holds gamma in {0, pi/4}, q_r in {0, 1} and F in {0, 1}
+        points = {p[:1] + p[2:] for p in sample + seeded_points(61, 40)}
+        for family in ChannelFamily:
+            joints = np.array([
+                build_joint(ChannelSpec(family, AccelerationParams(g, q), alpha, f)).entries
+                for fam, g, q, alpha, f in sorted(points, key=repr)
+                if fam is family
+            ])
+            assert_solvers_match_dense(joints)
+
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(stack=block_structured_stacks())
+    def test_block_structured_stacks_match_dense_reference(self, stack):
+        assert_solvers_match_dense(stack)
+
+    def test_dense_matrices_match_dense_reference(self):
+        rng = np.random.default_rng(67)
+        for n in (2, 3, 5, 8, 12):
+            stack = np.array([random_hermitian(rng, n) for _ in range(6)])
+            assert fock._blocks(np.any(stack != 0, axis=0).tobytes(), n)[0].shape == (1, n)
+            assert_solvers_match_dense(stack)
+
+    def test_blocks_of_the_preset_patterns(self):
+        # components of two or more, by size: a wedge or the AB/AC state has
+        # three 2-blocks (dual rail) or two 3-blocks (single rail), the B and
+        # C states one 2-block, Alice's state none
+        def shapes(positions, dim):
+            pattern = np.zeros(dim * dim, dtype=bool)
+            pattern[positions] = True
+            return [members.shape for members in fock._blocks(pattern.tobytes(), dim)]
+
+        wedge = {Encoding.DUAL_RAIL: [(3, 2)], Encoding.SINGLE_RAIL: [(2, 3)]}
+        for encoding in Encoding:
+            for discard in (REGION_I_FACTORS, REGION_II_FACTORS):
+                assert shapes(*self.plan(encoding, discard)) == wedge[encoding]
+            for discard in sweep._SSA_DISCARDS:
+                want = wedge[encoding] if len(discard) == 2 else [(1, 2)]
+                assert shapes(*self.plan(encoding, discard)) == want
+            alice = frozenset(states.RINDLER_FACTORS)
+            assert shapes(*self.plan(encoding, alice)) == []
+        # the 32x32 joints: one 8-block for a pure state, two 4-blocks for a
+        # classical one, and both for Werner
+        joint = {"quantum": [(1, 8)], "classical": [(2, 4)], "werner": [(2, 4), (1, 8)]}
+        for family in ChannelFamily:
+            f = 0.6 if family is ChannelFamily.WERNER else None
+            spec = ChannelSpec(family, AccelerationParams(0.3, 0.8), PI4, f)
+            entries = build_joint(spec).entries
+            got = [members.shape for members in fock._blocks((entries != 0).tobytes(), 32)]
+            assert got == joint[family.value.split("-")[0]]
+
+    @staticmethod
+    def plan(encoding, discard):
+        positions, _, layout = states._gather_plan(encoding, frozenset(discard))
+        return positions, layout.dim
+
+    def test_blocks_members_ascending_and_nonfinite_linked(self):
+        pattern = np.zeros((6, 6))
+        pattern[4, 1] = math.nan
+        pattern[0, 5] = math.inf
+        pattern[5, 3] = 1.0
+        blocks = fock._blocks((pattern != 0).tobytes(), 6)
+        assert [members.tolist() for members in blocks] == [[[1, 4]], [[0, 3, 5]]]
+
+    def test_convergence_message_matches_dense_reference(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        matrix = np.zeros((6, 6), dtype=complex)
+        for members in ([0, 2, 5], [1, 4]):
+            matrix[np.ix_(members, members)] = random_hermitian(rng, len(members))
+        monkeypatch.setattr(fock, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as want:
+            dense_jacobi_eigvals(matrix)
+        assert "after 1 sweeps" in str(want.value)
+        with pytest.raises(ConvergenceError) as got:
+            eigvals_hermitian(matrix)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ConvergenceError) as got:
+            eigvals_hermitian_batch(np.array([np.diag([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), matrix]))
+        assert str(got.value) == str(want.value)
 
 
 class TestBatchedEntropy:
@@ -337,6 +463,17 @@ class TestGatherPlan:
             assert len(states._gather_plan(encoding, REGION_II_FACTORS)[0]) == wedge
             assert len(states._gather_plan(encoding, frozenset())[0]) == 96
 
+    def test_calls_compute_only_the_entries_they_read(self):
+        # a wedge reads 28 of the 96 joint entries, the SSA discards 40,
+        # the joint all of them
+        for encoding in Encoding:
+            for discards, count in (
+                ((REGION_II_FACTORS,), 28),
+                ((REGION_I_FACTORS,), 28),
+                (sweep._SSA_DISCARDS, 40),
+                ((frozenset(),), 96),
+            ):
+                assert len(states._call_plan(encoding, discards)[0]) == count
 
 class TestSweepBatches:
     def test_sweep_equals_point_by_point(self):

@@ -79,6 +79,17 @@ class TestPoint:
         )
         assert degrees_out == radians_out
 
+    @pytest.mark.parametrize("degrees", ["50", "-1", "nan"])
+    def test_out_of_range_gamma_degrees_names_parameter(self, capsys, degrees):
+        code, out, err = run_cli(
+            capsys,
+            "point", "--family", "quantum-dual", "--region", "bob-i",
+            "--gamma-degrees", degrees, "--qr", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert f"gamma-degrees: must be within [0, 45], got {float(degrees)}" in err
+
     def test_acceleration_triple(self, capsys):
         code, out, _ = run_cli(
             capsys,

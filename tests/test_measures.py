@@ -277,6 +277,24 @@ class TestMeasureProperties:
             expected = -expected
         assert (dual.mutual_info - single.mutual_info) * expected > 0
 
+    @pytest.mark.parametrize("q_r", [0.3, 0.75, 0.8, 0.9, 0.97])
+    def test_wedge_entropy_gap_in_closed_form_at_gamma_zero(self, q_r):
+        # in wedge I, MI = S(A) + Delta with Delta = S(B_I) - S(B_II); at
+        # gamma = 0 and alpha = pi/4, Delta is h(q_r^2 / 2) - h(q_l^2 / 2)
+        # for the single rail and q_r^2 - q_l^2 for the dual rail
+        def h(p):
+            return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+
+        x = q_r * q_r
+        want = {
+            ChannelFamily.QUANTUM_SINGLE_RAIL: h(x / 2) - h((1 - x) / 2),
+            ChannelFamily.QUANTUM_DUAL_RAIL: 2 * x - 1,
+        }
+        for family, delta in want.items():
+            wedges = [evaluate_point(family, region, 0.0, q_r, PI4) for region in BobRegion]
+            assert wedges[0].s_b - wedges[1].s_b == pytest.approx(delta, abs=1e-12)
+            assert wedges[0].mutual_info - wedges[0].s_a == pytest.approx(delta, abs=1e-12)
+
     @settings(deadline=None, database=None)
     @given(
         family=st.sampled_from(list(ChannelFamily)),
