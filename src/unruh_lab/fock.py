@@ -6,6 +6,13 @@ written mode order.  On top of the layouts sit unit state vectors, density
 matrices, the partial trace, and a cyclic Jacobi eigensolver for Hermitian
 matrices.  Everything is small (at most 32x32) and immutable.
 
+A partial trace is one term plan and one sum.  The plan (``_trace_terms``)
+lists, for each value of the traced factors in lexicographic order, the
+entry each reduced entry reads; the sum (``_add_in_order``) adds those
+terms one after another, from +0.  :func:`trace_out` uses both on dense
+stacks, and :func:`unruh_lab.states.trace_lifted` uses both on the lifted
+states' few nonzero entries, so the two reductions agree bit for bit.
+
 The eigensolvers rotate only inside the connected components of a
 matrix's exact zero pattern, or of the union of the patterns of a stack.
 The entries between components are zero and stay zero, because a
@@ -229,31 +236,52 @@ def trace_out(
     checked; :func:`check_density_stack` checks them as
     :func:`partial_trace` does.
     """
-    in_ids, out_ids, kept_layout = _trace_plan(layout, frozenset(discard))
-    tensor = entries.reshape((len(entries),) + (2,) * (2 * len(layout)))
-    reduced = np.einsum(tensor, in_ids, out_ids)
-    return reduced.reshape(len(entries), kept_layout.dim, kept_layout.dim), kept_layout
+    terms, kept_layout = _trace_terms(layout, frozenset(discard))
+    n = len(entries)
+    sums = _add_in_order(entries.reshape(n, -1).T, terms)
+    return sums.T.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout
 
 
 @functools.lru_cache(maxsize=64)
-def _trace_plan(
+def _trace_terms(
     layout: SubsystemLayout, discard: frozenset[Subsystem]
-) -> tuple[tuple[int, ...], tuple[int, ...], SubsystemLayout]:
-    """einsum subscripts of trace_out, with a leading batch axis, and the kept layout."""
+) -> tuple[np.ndarray, SubsystemLayout]:
+    """The terms of a partial trace over ``layout``, and the kept layout.
+
+    Returns flat positions (T, K * K) into a (d, d) matrix: row t lists, for
+    each reduced entry in row-major order, the entry whose traced factors
+    both read t.  The rows run in lexicographic order of the traced
+    factors, the first traced factor most significant.  Nothing traced out
+    gives one row, the identity.
+    """
     labels = set(layout.factors)
     unknown = discard - labels
     if unknown:
         raise LayoutError(f"unknown labels {sorted(s.name for s in unknown)}")
     if discard == labels:
         raise DomainError("discard", "cannot trace out every factor")
-    n = len(layout)
-    keep = [i for i, f in enumerate(layout.factors) if f not in discard]
-    batch = 2 * n
-    row_ids = list(range(n))
-    col_ids = [i if layout.factors[i] in discard else n + i for i in range(n)]
-    out_ids = [i for i in keep] + [n + i for i in keep]
-    kept_layout = SubsystemLayout(tuple(layout.factors[i] for i in keep))
-    return (batch, *row_ids, *col_ids), (batch, *out_ids), kept_layout
+    traced = [i for i, f in enumerate(layout.factors) if f in discard]
+    kept = [i for i, f in enumerate(layout.factors) if f not in discard]
+    kept_layout = SubsystemLayout(tuple(layout.factors[i] for i in kept))
+    indices = np.arange(layout.dim).reshape((2,) * len(layout))
+    rows = indices.transpose(traced + kept).reshape(2 ** len(traced), kept_layout.dim)
+    terms = (layout.dim * rows[:, :, np.newaxis] + rows[:, np.newaxis, :]).reshape(len(rows), -1)
+    terms.flags.writeable = False
+    return terms, kept_layout
+
+
+def _add_in_order(values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The rows of ``values`` (V, N) that ``terms`` (T, P) index, added row t after row t.
+
+    Returns (P, N).  Adding the first row to +0 turns a -0 into +0, as a
+    sum started from zero does, so no sum is -0.  One row after another,
+    because numpy's own sums may add pairwise, which rounds differently.
+    """
+    gathered = values[terms]
+    sums = gathered[0] + 0.0
+    for term in gathered[1:]:
+        sums += term
+    return sums
 
 
 def _off_diagonal_norm_sq(a: np.ndarray) -> float:

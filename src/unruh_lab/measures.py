@@ -67,7 +67,8 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     lam = np.clip(lam, 0.0, None)
     positives = (lam > 0.0).sum(axis=1)
     entropies = np.zeros(len(lam))
-    for count in np.unique(positives[positives > 0]):
+    # the distinct counts, ascending; np.unique would import numpy.ma (about 1 MB)
+    for count in np.flatnonzero(np.bincount(positives)[1:]) + 1:
         rows = positives == count
         p = lam[rows, :count]
         entropies[rows] = -(p * np.log2(p)).sum(axis=1)

@@ -23,10 +23,10 @@ each entry of a joint state is one product of an isometry entry, a
 prepared-state entry and a conjugated isometry entry, and which entries
 can be nonzero (96 of 1024) is known before any arithmetic.  Index plans,
 computed once from those constants for each encoding and discard set,
-gather just these products and add, for each reduced entry, the products
-of each value of the traced factors in lexicographic order.  That is the
-order in which the partial trace of the joint adds them, so the reduced
-states keep every bit.
+gather just these products.  They are taken from the term plan of
+:func:`~unruh_lab.fock.trace_out` and added by its in-order sum, so both
+reductions add each reduced entry's terms in one order, lexicographic in
+the traced factors, and the reduced states keep every bit.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .fock import (
     StateVector,
     Subsystem,
     SubsystemLayout,
+    _add_in_order,
+    _trace_terms,
     check_density_stack,
     check_isometries,
     check_norms,
@@ -356,9 +358,10 @@ def trace_lifted(
     fixed by the encoding, so each joint entry is the single product
     ``(lift[r, c_r] * rho[c_r, c_r']) * conj(lift[r', c_r'])``.  Only the
     products that can be nonzero (:func:`_joint_plan`) and that the
-    discard sets read (:func:`_call_plan`) are computed, and
-    each reduced entry adds its products in lexicographic order of the
-    traced factors (:func:`_gather_plan`), as ``trace_out`` adds them.  The
+    discard sets read (:func:`_call_plan`) are computed.  Each reduced
+    entry takes its terms from the plan ``trace_out`` uses, and adds them
+    with the same in-order sum, one value of the traced factors after
+    another in lexicographic order, skipping only terms that are zero.  The
     inputs must be zero outside the pattern the plans assume, as
     :func:`bob_isometries` and :func:`build_inertial` make them; the
     reduced stacks are not checked.
@@ -370,23 +373,14 @@ def trace_lifted(
     values = np.ascontiguousarray(isometries.reshape(n, -1).T)
     prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
     # the joint entries the reductions read (R, N), then a row of zeros for
-    # the gather plans to pad with
+    # the plans to pad with; the sums start from +0, so adding it changes no bit
     entries = np.zeros((len(first) + 1, n), dtype=complex)
     np.multiply(values[first], prepared[middle], out=entries[:-1])
     entries[:-1] *= np.conj(values[last])
-    # a -0 product becomes +0, as in the sums of a dense matrix product;
-    # then no sum below can be -0, and adding the padding changes no bit
-    entries += 0.0
     reductions = []
     for positions, terms, kept_layout in plans:
-        gathered = entries[terms]  # (M, P, N)
-        sums = gathered[0]
-        # one term after another: numpy's sum may add pairwise, and did so
-        # for a stack of one in another layout, which rounds differently
-        for term in gathered[1:]:
-            sums += term
         reduced = np.zeros((n, kept_layout.dim**2), dtype=complex)
-        reduced[:, positions] = sums.T
+        reduced[:, positions] = _add_in_order(entries, terms).T
         reductions.append((reduced.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout))
     return reductions
 
@@ -442,78 +436,44 @@ def _call_plan(
     """The plans of one :func:`trace_lifted` call: only the joint entries it reads.
 
     Returns the factor indices of :func:`_joint_plan` for the R joint
-    entries that the gather plans of ``discards`` use, in ascending
-    order, and for each discard set its :func:`_gather_plan` with the
-    terms renumbered into those R entries, padding with index R.  A wedge
-    reads 28 of the 96 joint entries.
+    entries that ``discards`` read, in ascending order, and for each
+    discard set a plan: the flat positions (P,) of the reduced entries
+    that can be nonzero; for each of them, the indices (M, P) of the R
+    entries that add up to it, in the order of the terms of
+    :func:`~unruh_lab.fock.trace_out`, padded at the end with index R; and
+    the kept layout.  A wedge reads 28 of the 96 joint entries.
     """
-    _, first, middle, last = _joint_plan(encoding)
-    gathers = [_gather_plan(encoding, discard) for discard in discards]
-    padding = len(first)
+    joint_positions, first, middle, last = _joint_plan(encoding)
+    padding = len(joint_positions)
+    slot = np.full(JOINT_LAYOUT.dim**2, padding)
+    slot[joint_positions] = np.arange(padding)
     # a mask, not np.unique, which imports numpy.ma (about 1 MB)
     read = np.zeros(padding + 1, dtype=bool)
-    for _, terms, _ in gathers:
+    gathers = []
+    for discard in discards:
+        plan_terms, kept_layout = _trace_terms(JOINT_LAYOUT, discard)
+        slots = slot[plan_terms]  # (T, K * K)
+        present = slots != padding
+        positions = np.flatnonzero(present.any(axis=0))
+        # each entry's present terms first, in their order, then the padding
+        order = np.argsort(~present[:, positions], axis=0, kind="stable")
+        terms = np.take_along_axis(slots[:, positions], order, axis=0)
+        terms = terms[: present.sum(axis=0).max()]
         read[terms] = True
+        gathers.append((positions, terms, kept_layout))
     used = np.flatnonzero(read[:padding])
     renumber = np.full(padding + 1, len(used))
     renumber[used] = np.arange(len(used))
     plans = []
     for positions, terms, kept_layout in gathers:
         terms = renumber[terms]
+        positions.flags.writeable = False
         terms.flags.writeable = False
         plans.append((positions, terms, kept_layout))
     indices = (first[used], middle[used], last[used])
     for factor in indices:
         factor.flags.writeable = False
     return (*indices, tuple(plans))
-
-
-@functools.lru_cache(maxsize=16)
-def _gather_plan(
-    encoding: Encoding, discard: frozenset[Subsystem]
-) -> tuple[np.ndarray, np.ndarray, SubsystemLayout]:
-    """The index plan of :func:`trace_lifted` for one encoding and discard set.
-
-    Returns the flat positions (P,) of the reduced entries that can be
-    nonzero; for each of them, the indices (M, P) of the joint entries of
-    :func:`_joint_plan` that add up to it, in lexicographic order of the
-    traced factors and padded at the end with the index of the zero row;
-    and the kept layout.
-    """
-    rows, kept_layout = _lift_rows(discard)
-    joint_positions = _joint_plan(encoding)[0]
-    padding = len(joint_positions)
-    slot = np.full(JOINT_LAYOUT.dim**2, padding)
-    slot[joint_positions] = np.arange(padding)
-    # the joint entry (rows[t, k], rows[t, l]) of reduced entry (k, l), as (T, K * K)
-    slots = slot[(JOINT_LAYOUT.dim * rows[:, :, np.newaxis] + rows[:, np.newaxis, :])]
-    slots = slots.reshape(len(rows), -1)
-    present = slots != padding
-    positions = np.flatnonzero(present.any(axis=0))
-    # each entry's present terms first, in their order, then the padding
-    order = np.argsort(~present[:, positions], axis=0, kind="stable")
-    terms = np.take_along_axis(slots[:, positions], order, axis=0)
-    terms = np.ascontiguousarray(terms[: present.sum(axis=0).max()])
-    positions.flags.writeable = False
-    terms.flags.writeable = False
-    return positions, terms, kept_layout
-
-
-def _lift_rows(discard: frozenset[Subsystem]) -> tuple[np.ndarray, SubsystemLayout]:
-    """Joint basis indices (T, K), row t holding those whose traced factors read t.
-
-    Rows and columns both run in lexicographic order, Alice most
-    significant; the second item is the layout of the kept factors.
-    """
-    unknown = discard - set(JOINT_FACTORS)
-    if unknown:
-        raise LayoutError(f"unknown labels {sorted(s.name for s in unknown)}")
-    traced = [i for i, factor in enumerate(JOINT_FACTORS) if factor in discard]
-    kept = [i for i, factor in enumerate(JOINT_FACTORS) if factor not in discard]
-    kept_layout = SubsystemLayout(tuple(JOINT_FACTORS[i] for i in kept))
-    indices = np.arange(JOINT_LAYOUT.dim).reshape((2,) * len(JOINT_FACTORS))
-    rows = indices.transpose(traced + kept).reshape(2 ** len(traced), kept_layout.dim)
-    return rows, kept_layout
 
 
 class BobRegion(Enum):

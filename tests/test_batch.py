@@ -38,9 +38,10 @@ from unruh_lab import (
     run_sweep,
 )
 from unruh_lab import crosscheck, fock, states, sweep
-from unruh_lab.fock import eigvals_hermitian_batch, trace_out
+from unruh_lab.fock import SubsystemLayout, eigvals_hermitian_batch, trace_out
 from unruh_lab.measures import entropies_from_eigenvalues
 from unruh_lab.states import (
+    JOINT_FACTORS,
     JOINT_LAYOUT,
     REGION_I_FACTORS,
     REGION_II_FACTORS,
@@ -120,13 +121,30 @@ def lift_inputs(family, points):
     return inertial, bob_isometries(family.encoding, [p[2] for p in points], [p[3] for p in points])
 
 
+def brute_traces(joints, discard):
+    """crosscheck.brute_partial_trace of each joint of a stack, and the kept layout.
+
+    The reference for the reductions' bits: an explicit sum from zero in
+    ascending order of the traced bits, sharing no plan with trace_out or
+    trace_lifted.
+    """
+    keep = [i for i, factor in enumerate(JOINT_FACTORS) if factor not in discard]
+    stack = [crosscheck.brute_partial_trace(joint, len(JOINT_FACTORS), keep) for joint in joints]
+    return np.array(stack), SubsystemLayout(tuple(JOINT_FACTORS[i] for i in keep))
+
+
+def reduction_plan(encoding, discard):
+    """trace_lifted's plan for one discard set: (positions, terms, kept layout)."""
+    return states._call_plan(encoding, (frozenset(discard),))[3][0]
+
+
 def dense_lift_reductions(inertial, isometries, discards):
     """The joints through the dense lift kron(I2, V) and two matrix products, then traced."""
     lift = np.zeros((len(isometries), JOINT_LAYOUT.dim, 4), dtype=complex)
     lift[:, :16, :2] = isometries
     lift[:, 16:, 2:] = isometries
     joints = (lift @ inertial) @ np.conj(lift).swapaxes(1, 2)
-    return [trace_out(joints, JOINT_LAYOUT, d)[0] if d else joints for d in discards]
+    return [brute_traces(joints, discard)[0] for discard in discards]
 
 
 # the factors each reduction of a sweep traces out: either wedge, then the
@@ -277,7 +295,7 @@ class TestBlockJacobi:
 
     @staticmethod
     def plan(encoding, discard):
-        positions, _, layout = states._gather_plan(encoding, frozenset(discard))
+        positions, _, layout = reduction_plan(encoding, discard)
         return positions, layout.dim
 
     def test_blocks_members_ascending_and_nonfinite_linked(self):
@@ -343,6 +361,9 @@ class TestBatchedStates:
                 assert np.abs(joints[i] - want).max() < 1e-12
                 stack, layout = reduced[region]
                 assert layout.factors == tuple(JOINT_LAYOUT.factors[k] for k in keep[region])
+                assert_same_bits(
+                    stack[i], crosscheck.brute_partial_trace(joints[i], 5, keep[region])
+                )
                 want = crosscheck.brute_partial_trace(want, 5, keep[region])
                 assert np.abs(stack[i] - want).max() < 1e-12
 
@@ -371,10 +392,9 @@ class TestBatchedStates:
             joints = build_joints(family.encoding, inertial, isometries)
             got = trace_lifted(family.encoding, inertial, isometries, SWEEP_DISCARDS)
             for discard, (stack, layout) in zip(SWEEP_DISCARDS, got):
-                want, want_layout = trace_out(joints, JOINT_LAYOUT, discard)
+                want, want_layout = brute_traces(joints, discard)
                 assert layout == want_layout
-                assert stack.shape == want.shape
-                assert (stack == want).all()
+                assert_same_bits(stack, want)
             # a stack of one gives its point's rows
             for i in range(0, len(inertial), 7):
                 one = trace_lifted(
@@ -449,10 +469,9 @@ class TestGatherPlan:
                 ]),
             }
             for discard in [()] + list(SWEEP_DISCARDS):
-                positions = states._gather_plan(family.encoding, frozenset(discard))[0]
+                positions = reduction_plan(family.encoding, discard)[0]
                 for name, stack in joints.items():
-                    if discard:
-                        stack = trace_out(stack, JOINT_LAYOUT, discard)[0]
+                    stack = brute_traces(stack, discard)[0]
                     nonzero = np.flatnonzero((stack != 0).any(axis=0))
                     assert set(nonzero) <= set(positions), (family, discard, name)
 
@@ -460,8 +479,8 @@ class TestGatherPlan:
         # a wedge state has 14 (dual rail) or 20 (single rail) entries of 64
         # that can be nonzero, and the joint 96 of 1024
         for encoding, wedge in ((Encoding.DUAL_RAIL, 14), (Encoding.SINGLE_RAIL, 20)):
-            assert len(states._gather_plan(encoding, REGION_II_FACTORS)[0]) == wedge
-            assert len(states._gather_plan(encoding, frozenset())[0]) == 96
+            assert len(reduction_plan(encoding, REGION_II_FACTORS)[0]) == wedge
+            assert len(reduction_plan(encoding, ())[0]) == 96
 
     def test_calls_compute_only_the_entries_they_read(self):
         # a wedge reads 28 of the 96 joint entries, the SSA discards 40,

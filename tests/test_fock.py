@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,16 +18,24 @@ from unruh_lab import (
     outer_product,
     partial_trace,
 )
-from unruh_lab.crosscheck import eigvals_charpoly
+from unruh_lab.crosscheck import brute_partial_trace, eigvals_charpoly
 from unruh_lab.fock import (
     check_density_stack,
     check_hermitian,
     check_isometries,
     check_norms,
     check_traces,
+    trace_out,
 )
 
-from helpers import TWO_QUBITS, bell_state, random_density, random_hermitian, random_state
+from helpers import (
+    TWO_QUBITS,
+    assert_same_bits,
+    bell_state,
+    random_density,
+    random_hermitian,
+    random_state,
+)
 
 ALICE = Subsystem.ALICE
 BOB = Subsystem.BOB
@@ -174,6 +183,27 @@ class TestPartialTrace:
             + (1 - weight) * partial_trace(sigma, {ALICE}).entries
         )
         assert np.abs(lhs - rhs).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_trace_out_has_the_bits_of_explicit_sums(self, n):
+        # parts that cancel exactly or round differently in another order,
+        # and signed zeros, which trace_out must turn into +0 as a sum from
+        # zero does; the factors are out of enum order, which layouts keep
+        parts = np.array([0.0, -0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e-17, -1e-17])
+        factors = tuple(reversed(Subsystem))
+        rng = np.random.default_rng(41)
+        for size in range(1, 6):
+            layout = SubsystemLayout(factors[:size])
+            shape = (n, layout.dim, layout.dim)
+            stack = rng.choice(parts, shape) + 1j * rng.choice(parts, shape)
+            stack[rng.random(shape) < 0.2] = complex(-0.0, -0.0)
+            for k in range(size):
+                for discard in itertools.combinations(layout.factors, k):
+                    got, kept = trace_out(stack, layout, discard)
+                    positions = [i for i, f in enumerate(layout.factors) if f not in discard]
+                    assert kept.factors == tuple(layout.factors[i] for i in positions)
+                    want = [brute_partial_trace(m, size, positions) for m in stack]
+                    assert_same_bits(got, np.array(want))
 
     def test_empty_discard_is_identity(self):
         rho = outer_product(bell_state())

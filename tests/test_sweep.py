@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import unruh_lab
 
 from unruh_lab import (
     BobRegion,
@@ -83,6 +89,27 @@ class TestRunSweep:
         assert [p.name for p in first] == [p.name for p in second]
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_does_not_import_numpy_ma(self):
+        # numpy.ma costs about 1 MB of memory; np.unique imports it
+        script = (
+            "import sys\n"
+            "from unruh_lab import ChannelFamily, SweepSpec, run_sweep\n"
+            "spec = SweepSpec(\n"
+            "    families=(ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.WERNER),\n"
+            "    gamma_grid=(0.0, 0.3, 0.7), q_r_grid=(1.0, 0.8), f_grid=(0.5,),\n"
+            ")\n"
+            "assert len(run_sweep(spec)) == 24\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(unruh_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_canonical_ordering(self):
         spec = SweepSpec(
