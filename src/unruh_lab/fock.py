@@ -26,7 +26,9 @@ The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
 the first item that fails it, so on a stack of one it raises what the
 single item's check raises.  A value fails a check unless it is within the
-tolerance, so NaN fails every check.
+tolerance, so NaN fails every check.  Both eigensolvers run
+:func:`check_hermitian` on their input, so NaN fails there too, with no
+exception, and a stack on the entropy path is tested for Hermiticity once.
 """
 
 from __future__ import annotations
@@ -68,18 +70,11 @@ def check_norms(vectors: np.ndarray) -> None:
 
 def check_hermitian(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off Hermitian by more than ``HERMITIAN_TOL``."""
-    _check_hermitian(matrices, nan_fails=True)
-
-
-def _check_hermitian(matrices: np.ndarray, nan_fails: bool) -> None:
     defects = np.abs(matrices - matrices.conj().swapaxes(1, 2)).reshape(len(matrices), -1).max(1)
     within = defects <= HERMITIAN_TOL
-    if within.all():
-        return
-    failed = ~within if nan_fails else defects > HERMITIAN_TOL
-    if failed.any():
+    if not within.all():
         raise SymmetryError(
-            f"Hermiticity defect {float(defects[failed][0]):.3e} exceeds {HERMITIAN_TOL}"
+            f"Hermiticity defect {float(defects[~within][0]):.3e} exceeds {HERMITIAN_TOL}"
         )
 
 
@@ -103,7 +98,8 @@ def check_isometries(matrices: np.ndarray) -> None:
 
 
 def _check_finite(entries: np.ndarray) -> None:
-    # NaN passes every tolerance test, so the state types reject it up front
+    # NaN would fail the tolerance tests too; this check runs first so the
+    # error names the non-finite entry, not a defect it causes
     if not np.isfinite(entries).all():
         raise NormalizationError("state has a non-finite entry")
 
@@ -296,8 +292,9 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     Cyclic Jacobi: unitary two-sided rotations annihilate one off-diagonal
     pair at a time, swept in row order until the off-diagonal Frobenius
     norm drops below ``JACOBI_OFF_NORM_TOL``.  The eigenvalue sum equals
-    the trace to the same accuracy.  Raises :class:`SymmetryError` beyond
-    ``HERMITIAN_TOL`` and :class:`ConvergenceError` after
+    the trace to the same accuracy.  Raises :class:`SymmetryError` as
+    :func:`check_hermitian` does, so for a defect beyond ``HERMITIAN_TOL``
+    or a NaN entry, and :class:`ConvergenceError` after
     ``JACOBI_MAX_SWEEPS`` sweeps.
 
     A sweep visits only the pairs inside the connected components of the
@@ -312,8 +309,7 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    # NaN passes, so a NaN matrix fails as not converging
-    _check_hermitian(a[np.newaxis], nan_fails=False)
+    check_hermitian(a[np.newaxis])
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
     if n == 1:
@@ -424,8 +420,8 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     test and the same skip rule for each matrix, so each row equals that
     function's result for its matrix bit for bit.  A matrix stops rotating
     once it has converged.  Raises as that function does for the first
-    matrix that is not Hermitian or does not converge within
-    ``JACOBI_MAX_SWEEPS`` sweeps.
+    matrix that fails :func:`check_hermitian` (NaN included) or does not
+    converge within ``JACOBI_MAX_SWEEPS`` sweeps.
 
     The rotations run inside the connected components of the union of the
     stack's zero patterns (:func:`_blocks`).  Each sweep gathers the
@@ -441,7 +437,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     a = np.array(matrices, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
-    _check_hermitian(a, nan_fails=False)  # as in eigvals_hermitian
+    check_hermitian(a)
     # C order, so that the flat view below shares a's memory
     a = np.ascontiguousarray((a + np.conj(a).transpose(0, 2, 1)) / 2.0)
     n = a.shape[1]

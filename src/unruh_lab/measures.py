@@ -5,6 +5,10 @@ each carry one bit.  Eigenvalues in [-PSD_TOL, 0) are treated as numerical
 noise and clamped to zero; anything below that raises, signalling an
 invalid construction rather than being silently absorbed.  The channel
 measures built from these entropies are computed by :mod:`unruh_lab.sweep`.
+
+:func:`von_neumann_entropies` checks each matrix as :class:`DensityMatrix`
+does, each check once: it tests the traces, and the eigensolver tests
+Hermiticity.  So a stack needs no check before it is passed in.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .errors import SpectrumError
 from .fock import (
     PSD_TOL,
     DensityMatrix,
-    check_density_stack,
+    check_traces,
     eigvals_hermitian,
     eigvals_hermitian_batch,
 )
@@ -85,15 +89,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def von_neumann_entropies(matrices: np.ndarray) -> np.ndarray:
     """:func:`von_neumann_entropy` of each matrix of a stack (N, n, n).
 
-    A stack of one goes to :func:`eigvals_hermitian`, which is faster than
-    the batched solver for a single matrix; the results are the same.
+    Raises :class:`NormalizationError` for the first matrix off unit trace,
+    then :class:`SymmetryError` (from the eigensolver) for the first one
+    that is not Hermitian, as :class:`DensityMatrix` would.  A stack of one
+    goes to :func:`eigvals_hermitian`, which is faster than the batched
+    solver for a single matrix; the results are the same.
     """
+    check_traces(matrices)
     if len(matrices) == 1:
         return np.array([entropy_from_eigenvalues(eigvals_hermitian(matrices[0]))])
     return entropies_from_eigenvalues(eigvals_hermitian_batch(matrices))
-
-
-def checked_entropies(matrices: np.ndarray) -> np.ndarray:
-    """Entropies of a stack (N, n, n), each checked first as :class:`DensityMatrix` checks it."""
-    check_density_stack(matrices)
-    return von_neumann_entropies(matrices)

@@ -357,14 +357,13 @@ def trace_lifted(
     Every row r of the lift has at most one nonzero entry, in a column c_r
     fixed by the encoding, so each joint entry is the single product
     ``(lift[r, c_r] * rho[c_r, c_r']) * conj(lift[r', c_r'])``.  Only the
-    products that can be nonzero (:func:`_joint_plan`) and that the
-    discard sets read (:func:`_call_plan`) are computed.  Each reduced
-    entry takes its terms from the plan ``trace_out`` uses, and adds them
-    with the same in-order sum, one value of the traced factors after
-    another in lexicographic order, skipping only terms that are zero.  The
-    inputs must be zero outside the pattern the plans assume, as
-    :func:`bob_isometries` and :func:`build_inertial` make them; the
-    reduced stacks are not checked.
+    products that can be nonzero and that the discard sets read
+    (:func:`_call_plan`) are computed.  Each reduced entry takes its terms
+    from the plan ``trace_out`` uses, and adds them with the same in-order
+    sum, one value of the traced factors after another in lexicographic
+    order, skipping only terms that are zero.  The inputs must be zero
+    outside the pattern the plans assume, as :func:`bob_isometries` and
+    :func:`build_inertial` make them; the reduced stacks are not checked.
     """
     n = len(isometries)
     first, middle, last, plans = _call_plan(
@@ -395,16 +394,24 @@ def _isometry_support(encoding: Encoding) -> np.ndarray:
     return support
 
 
-@functools.lru_cache(maxsize=2)
-def _joint_plan(encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The joint entries that can be nonzero for ``encoding``, and their factors.
+@functools.lru_cache(maxsize=16)
+def _call_plan(
+    encoding: Encoding, discards: tuple[frozenset[Subsystem], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The plans of one :func:`trace_lifted` call: only the joint entries it reads.
 
-    Returns their flat positions (Q,) in the (32, 32) joint, in ascending
-    order, and for each the index of ``lift[r, c_r]`` in
-    ``isometries.reshape(N, 32)``, of ``rho[c_r, c_r']`` in
-    ``inertial.reshape(N, 16)`` and of ``lift[r', c_r']``.  They follow
-    from the mode constants and the prepared-state pattern alone, never
-    from the values at a sample point.
+    Returns, for the R joint entries that ``discards`` read, in ascending
+    order of their flat positions in the (32, 32) joint, the index of
+    ``lift[r, c_r]`` in ``isometries.reshape(N, 32)``, of
+    ``rho[c_r, c_r']`` in ``inertial.reshape(N, 16)`` and of
+    ``lift[r', c_r']``.  Then, for each discard set, a plan: the flat
+    positions (P,) of the reduced entries that can be nonzero; for each of
+    them, the indices (M, P) of the R entries that add up to it, in the
+    order of the terms of :func:`~unruh_lab.fock.trace_out`, padded at the
+    end with index R; and the kept layout.  Which joint entries can be
+    nonzero (96) follows from the mode constants and the prepared-state
+    pattern alone, never from the values at a sample point.  A wedge reads
+    28 of them.
     """
     # joint row 16a + m (Alice reads a, the Rindler modes read m) has its
     # lift entry at isometry entry (m, j), where column j is nonzero on m,
@@ -416,48 +423,19 @@ def _joint_plan(encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         value[16 * a + modes] = 2 * modes + js
         column[16 * a + modes] = 2 * a + js
     lifted = column >= 0
-    nonzero = np.outer(lifted, lifted) & _PREPARED_SUPPORT[np.ix_(column, column)]
-    rows, cols = np.nonzero(nonzero)
-    plan = (
-        np.flatnonzero(nonzero),
-        value[rows],
-        4 * column[rows] + column[cols],
-        value[cols],
-    )
-    for indices in plan:
-        indices.flags.writeable = False
-    return plan
-
-
-@functools.lru_cache(maxsize=16)
-def _call_plan(
-    encoding: Encoding, discards: tuple[frozenset[Subsystem], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """The plans of one :func:`trace_lifted` call: only the joint entries it reads.
-
-    Returns the factor indices of :func:`_joint_plan` for the R joint
-    entries that ``discards`` read, in ascending order, and for each
-    discard set a plan: the flat positions (P,) of the reduced entries
-    that can be nonzero; for each of them, the indices (M, P) of the R
-    entries that add up to it, in the order of the terms of
-    :func:`~unruh_lab.fock.trace_out`, padded at the end with index R; and
-    the kept layout.  A wedge reads 28 of the 96 joint entries.
-    """
-    joint_positions, first, middle, last = _joint_plan(encoding)
-    padding = len(joint_positions)
-    slot = np.full(JOINT_LAYOUT.dim**2, padding)
-    slot[joint_positions] = np.arange(padding)
+    nonzero = (np.outer(lifted, lifted) & _PREPARED_SUPPORT[np.ix_(column, column)]).ravel()
+    padding = len(nonzero)
     # a mask, not np.unique, which imports numpy.ma (about 1 MB)
     read = np.zeros(padding + 1, dtype=bool)
     gathers = []
     for discard in discards:
         plan_terms, kept_layout = _trace_terms(JOINT_LAYOUT, discard)
-        slots = slot[plan_terms]  # (T, K * K)
-        present = slots != padding
+        present = nonzero[plan_terms]  # (T, K * K)
         positions = np.flatnonzero(present.any(axis=0))
         # each entry's present terms first, in their order, then the padding
+        slots = np.where(present, plan_terms, padding)[:, positions]
         order = np.argsort(~present[:, positions], axis=0, kind="stable")
-        terms = np.take_along_axis(slots[:, positions], order, axis=0)
+        terms = np.take_along_axis(slots, order, axis=0)
         terms = terms[: present.sum(axis=0).max()]
         read[terms] = True
         gathers.append((positions, terms, kept_layout))
@@ -470,7 +448,8 @@ def _call_plan(
         positions.flags.writeable = False
         terms.flags.writeable = False
         plans.append((positions, terms, kept_layout))
-    indices = (first[used], middle[used], last[used])
+    rows, cols = np.divmod(used, JOINT_LAYOUT.dim)
+    indices = (value[rows], 4 * column[rows] + column[cols], value[cols])
     for factor in indices:
         factor.flags.writeable = False
     return (*indices, tuple(plans))

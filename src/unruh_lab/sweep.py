@@ -17,8 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SweepPointError, UnruhLabError
-from .fock import Subsystem, check_density_stack, trace_out
-from .measures import checked_entropies, von_neumann_entropies
+from .fock import Subsystem, trace_out
+from .measures import von_neumann_entropies
 from .states import (
     GAMMA_MAX,
     REGION_I_FACTORS,
@@ -207,7 +207,10 @@ def _evaluate_batch(
     """Records for (gamma, q_r, f) points of one (family, region) block, in order.
 
     Every point gets the checks the single-point functions make; a failure
-    raises the error of the first check that some point fails.
+    raises the error of the first check that some point fails.  Each
+    reduced stack is checked once, by :func:`von_neumann_entropies`; the
+    wedge state is solved first, so its defects are reported before those
+    of its partial traces.
     """
     gammas = [gamma for gamma, _, _ in points]
     q_rs = [q_r for _, q_r, _ in points]
@@ -224,16 +227,15 @@ def _evaluate_batch(
     (reduced, reduced_layout), *ssa_parts = trace_lifted(
         family.encoding, inertial, isometries, discards
     )
-    check_density_stack(reduced)
 
-    s_a = checked_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])
-    s_b = checked_entropies(trace_out(reduced, reduced_layout, {Subsystem.ALICE})[0])
     s_ab = von_neumann_entropies(reduced)
+    s_a = von_neumann_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])
+    s_b = von_neumann_entropies(trace_out(reduced, reduced_layout, {Subsystem.ALICE})[0])
     ssa = [None] * len(points)
     if with_ssa:
         parts = {region.traced_factors: s_ab}
         for discard, (part, _) in zip(discards[1:], ssa_parts):
-            parts[discard] = checked_entropies(part)
+            parts[discard] = von_neumann_entropies(part)
         s_ab_joint, s_ac, s_b_joint, s_c = (parts[discard] for discard in _SSA_DISCARDS)
         ssa = (s_ab_joint - s_b_joint + s_ac - s_c).tolist()
     measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, s_ab - s_b)
@@ -250,14 +252,17 @@ def _prepared_states(
 ) -> np.ndarray:
     """The inertial state (N, 4, 4) of each point, after the checks of ChannelSpec.
 
-    The state depends only on ``f`` within a block, so it is built once for
-    each ``f``; every point's acceleration parameters are checked.
+    The state depends only on ``f`` within a block, so it is built, and its
+    :class:`ChannelSpec` checked, at the first point of each ``f``.  The
+    other points of a sweep are on grids that :class:`SweepSpec` checked
+    against the same bounds; a single point, and each point that
+    :func:`_raise_first_point_error` re-runs, is a first point.
     """
     states: dict[float | None, np.ndarray] = {}
     for gamma, q_r, f in points:
-        accel = AccelerationParams(gamma, q_r)
         if f not in states:
-            states[f] = build_inertial(ChannelSpec(family, accel, alpha, f)).entries
+            spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
+            states[f] = build_inertial(spec).entries
     return np.array([states[f] for _, _, f in points])
 
 

@@ -66,7 +66,7 @@ def dense_jacobi_eigvals(matrix) -> np.ndarray:
     test that patches them there patches them here too.
     """
     a = np.array(matrix, dtype=complex)
-    fock._check_hermitian(a[np.newaxis], nan_fails=False)
+    fock.check_hermitian(a[np.newaxis])
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
     if n == 1:

@@ -190,12 +190,12 @@ class TestBatchedJacobi:
         with pytest.raises(ConvergenceError, match="after 1 sweeps"):
             eigvals_hermitian_batch(stack)
 
-    def test_nan_matrix_does_not_converge(self):
-        # as in the scalar solver, where the convergence test fails on NaN
+    def test_nan_matrix_fails_the_hermiticity_check(self):
+        # both solvers run check_hermitian, where NaN fails as in every check
         nan_matrix = np.full((3, 3), math.nan)
-        with pytest.raises(ConvergenceError, match="still nan"):
+        with pytest.raises(SymmetryError, match="defect nan"):
             eigvals_hermitian(nan_matrix)
-        with pytest.raises(ConvergenceError, match="still nan"):
+        with pytest.raises(SymmetryError, match="defect nan"):
             eigvals_hermitian_batch(np.array([np.eye(3) / 3, nan_matrix]))
 
 

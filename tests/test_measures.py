@@ -11,9 +11,11 @@ from unruh_lab import (
     ChannelFamily,
     ChannelSpec,
     DensityMatrix,
+    NormalizationError,
     SpectrumError,
     Subsystem,
     SubsystemLayout,
+    SymmetryError,
     bob_isometry,
     build_inertial,
     build_joint,
@@ -25,7 +27,7 @@ from unruh_lab import (
     von_neumann_entropy,
 )
 from unruh_lab import crosscheck
-from unruh_lab.measures import entropies_from_eigenvalues
+from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 
 from helpers import TWO_QUBITS, bell_state, entropy_without, random_density, random_state
 
@@ -87,6 +89,56 @@ class TestVonNeumannEntropy:
             entropy_from_eigenvalues(row)
         with pytest.raises(SpectrumError, match="non-finite"):
             entropies_from_eigenvalues(np.array([row, [1.0] + [0.0] * (len(row) - 1)]))
+
+
+def stacks_failing_at(first, later):
+    """``first`` alone, and as item 2 of a stack of 3 after a valid matrix.
+
+    The third item, ``later``, fails too, with a larger defect, so a
+    message naming the first failing item tells the two apart.  The stack
+    of one goes to the scalar solver, the stack of 3 to the batched one.
+    """
+    first, later = np.array(first, dtype=complex), np.array(later, dtype=complex)
+    valid = np.eye(len(first)) / len(first)
+    return [first[np.newaxis], np.array([valid, first, later])]
+
+
+ROUTES = ["scalar", "batched"]
+
+
+class TestVonNeumannEntropiesChecks:
+    """The stack checks of DensityMatrix, each made once: traces here, Hermiticity in the solver."""
+
+    @pytest.mark.parametrize(
+        "stack", stacks_failing_at(2 * np.eye(2) / 2, 3 * np.eye(2) / 2), ids=ROUTES
+    )
+    def test_trace_off_one_raises(self, stack):
+        with pytest.raises(NormalizationError, match=r"trace is \(2\+0j\)"):
+            von_neumann_entropies(stack)
+
+    @pytest.mark.parametrize(
+        "stack",
+        stacks_failing_at([[0.5, 0.1], [0.0, 0.5]], [[0.5, 0.2], [0.0, 0.5]]),
+        ids=ROUTES,
+    )
+    def test_non_hermitian_matrix_raises(self, stack):
+        with pytest.raises(SymmetryError, match="defect 1.000e-01 exceeds"):
+            von_neumann_entropies(stack)
+
+    @pytest.mark.parametrize(
+        "stack",
+        stacks_failing_at([[0.5, math.nan], [math.nan, 0.5]], [[0.5, 0.2], [0.0, 0.5]]),
+        ids=ROUTES,
+    )
+    def test_nan_matrix_raises(self, stack):
+        # unit trace, so the Hermiticity test is the one that sees the NaN
+        with pytest.raises(SymmetryError, match="defect nan"):
+            von_neumann_entropies(stack)
+
+    def test_trace_is_checked_before_hermiticity(self):
+        both = np.array([[[1.0, 0.1], [0.0, 1.0]]], dtype=complex)
+        with pytest.raises(NormalizationError, match=r"trace is \(2\+0j\)"):
+            von_neumann_entropies(both)
 
 
 class TestMutualInformation:
