@@ -12,8 +12,8 @@ Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
 Rindler space, and either wedge is obtained by tracing out the other.
 :func:`bob_isometries` and :func:`trace_lifted` do this for a whole stack
-of grid points at once.  :func:`build_joints` is :func:`trace_lifted` with
-nothing traced out, and :func:`build_joint` is a stack of one.
+of grid points at once.  :func:`build_joints` and :func:`build_joint` are
+:func:`trace_lifted` with nothing traced out, for a stack and for one point.
 
 The reductions use the structure of the lift, not a dense product.  Each
 Unruh state has amplitudes on four fixed Rindler basis states
@@ -325,7 +325,8 @@ def build_joint(spec: ChannelSpec) -> DensityMatrix:
     accel = spec.accel
     encoding = spec.family.encoding
     isometries = bob_isometries(encoding, [accel.gamma], [accel.q_r])
-    return DensityMatrix(JOINT_LAYOUT, build_joints(encoding, inertial, isometries)[0])
+    joint, _ = trace_lifted(encoding, inertial, isometries, [()])[0]
+    return DensityMatrix(JOINT_LAYOUT, joint[0])
 
 
 def build_joints(
@@ -384,13 +385,11 @@ def trace_lifted(
     return reductions
 
 
-@functools.lru_cache(maxsize=2)
 def _isometry_support(encoding: Encoding) -> np.ndarray:
     """Where the isometries (16, 2) of ``encoding`` can be nonzero."""
     support = np.zeros((16, 2), dtype=bool)
     for j, state in enumerate(_ENCODING_STATES[encoding]):
         support[_STATE_MODES[state], j] = True
-    support.flags.writeable = False
     return support
 
 

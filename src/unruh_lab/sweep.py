@@ -21,8 +21,6 @@ from .fock import Subsystem, trace_out
 from .measures import von_neumann_entropies
 from .states import (
     GAMMA_MAX,
-    REGION_I_FACTORS,
-    REGION_II_FACTORS,
     AccelerationParams,
     BobRegion,
     ChannelFamily,
@@ -36,16 +34,6 @@ from .states import (
 # The batch size, which bounds a sweep's extra memory: at most BATCH_POINTS
 # points' reduced states wait for one batched eigensolve.
 BATCH_POINTS = 400
-
-# The strong-additivity value is S(AB) - S(B) + S(AC) - S(C) of the joint
-# state, with A Alice, B the wedge-I modes and C the wedge-II modes.  These
-# are the factors the joint traces out for S(AB), S(AC), S(B) and S(C).
-_SSA_DISCARDS = (
-    REGION_II_FACTORS,
-    REGION_I_FACTORS,
-    REGION_II_FACTORS | {Subsystem.ALICE},
-    REGION_I_FACTORS | {Subsystem.ALICE},
-)
 
 
 class Measure(Enum):
@@ -218,27 +206,26 @@ def _evaluate_batch(
     isometries = bob_isometries(family.encoding, gammas, q_rs)
 
     # A wedge keeps Alice and two modes (8x8).  The strong-additivity value
-    # takes the AB and AC states (8x8) and the B and C states (4x4) of the
-    # joint; one of AB and AC is the wedge's own state, so its entropy is
-    # S(AB) of the record.
+    # S(AB) - S(B) + S(AC) - S(C), with A Alice, B the wedge-I modes and C
+    # the wedge-II modes, is the sum of the two wedges' conditional
+    # entropies, so it also takes the other wedge's state and its modes.
     discards = [region.traced_factors]
     if with_ssa:
-        discards += [d for d in _SSA_DISCARDS if d != region.traced_factors]
-    (reduced, reduced_layout), *ssa_parts = trace_lifted(
-        family.encoding, inertial, isometries, discards
-    )
+        discards.append(region.kept_factors)
+    wedges = trace_lifted(family.encoding, inertial, isometries, discards)
+    reduced, reduced_layout = wedges[0]
 
     s_ab = von_neumann_entropies(reduced)
     s_a = von_neumann_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])
     s_b = von_neumann_entropies(trace_out(reduced, reduced_layout, {Subsystem.ALICE})[0])
+    cond_entropy = s_ab - s_b
     ssa = [None] * len(points)
     if with_ssa:
-        parts = {region.traced_factors: s_ab}
-        for discard, (part, _) in zip(discards[1:], ssa_parts):
-            parts[discard] = von_neumann_entropies(part)
-        s_ab_joint, s_ac, s_b_joint, s_c = (parts[discard] for discard in _SSA_DISCARDS)
-        ssa = (s_ab_joint - s_b_joint + s_ac - s_c).tolist()
-    measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, s_ab - s_b)
+        other, other_layout = wedges[1]
+        s_other = von_neumann_entropies(other)
+        s_other_b = von_neumann_entropies(trace_out(other, other_layout, {Subsystem.ALICE})[0])
+        ssa = (cond_entropy + (s_other - s_other_b)).tolist()
+    measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, cond_entropy)
     return [
         SweepRecord(family, region, gamma, q_r, alpha, f, *values)
         for (gamma, q_r, f), *values in zip(

@@ -28,9 +28,17 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck
-from .fock import eigvals_hermitian
+from .fock import eigvals_hermitian_batch
 from .output import OutputFormat, split_series, write_figure_files
-from .states import AccelerationParams, BobRegion, ChannelFamily, ChannelSpec, build_joint
+from .states import (
+    AccelerationParams,
+    BobRegion,
+    ChannelFamily,
+    ChannelSpec,
+    bob_isometries,
+    build_inertial,
+    build_joints,
+)
 from .sweep import FigurePreset, SweepRecord, SweepSpec, evaluate_point, figure_preset, run_sweep
 
 TOL = 1e-9
@@ -196,21 +204,26 @@ def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
     # pure joints have S(AB) of one wedge = S(B) of the other; the classical
     # joints are mixed, so only their spectra are checked
     gammas = [i * math.pi / 16 for i in range(5)]
-    spec = SweepSpec(tuple(ChannelFamily), gammas, (1.0, 0.8, 0.5, 0.2), f_grid=(1.0,))
+    q_rs = (1.0, 0.8, 0.5, 0.2)
+    spec = SweepSpec(tuple(ChannelFamily), gammas, q_rs, f_grid=(1.0,))
     series = split_series(run_sweep(spec))
-    worst_schmidt = worst_psd = worst_sum = 0.0
+    worst_schmidt = 0.0
     for (family, region, q_r, f), wedge_i in series.items():
-        if region is BobRegion.II:
+        if region is BobRegion.II or family.is_classical:
             continue
         for near, far in zip(wedge_i, series[family, BobRegion.II, q_r, f]):
-            if not family.is_classical:
-                worst_schmidt = max(
-                    worst_schmidt, abs(near.s_ab - far.s_b), abs(far.s_ab - near.s_b)
-                )
-            accel = AccelerationParams(near.gamma, q_r)
-            eigs = eigvals_hermitian(build_joint(ChannelSpec(family, accel, fidelity_f=f)))
-            worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
-            worst_sum = max(worst_sum, abs(float(eigs.sum()) - 1.0))
+            worst_schmidt = max(worst_schmidt, abs(near.s_ab - far.s_b), abs(far.s_ab - near.s_b))
+    # each family's joints over the same grid, solved as one stack
+    grid_gammas, grid_q_rs = zip(*((gamma, q_r) for gamma in gammas for q_r in q_rs))
+    worst_psd = worst_sum = 0.0
+    for family in ChannelFamily:
+        f = 1.0 if family is ChannelFamily.WERNER else None
+        prepared = build_inertial(ChannelSpec(family, AccelerationParams(0.0), fidelity_f=f))
+        inertial = np.array([prepared.entries] * len(grid_gammas))
+        isometries = bob_isometries(family.encoding, grid_gammas, grid_q_rs)
+        eigs = eigvals_hermitian_batch(build_joints(family.encoding, inertial, isometries))
+        worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
+        worst_sum = max(worst_sum, float(np.abs(eigs.sum(axis=1) - 1.0).max()))
     return worst_schmidt <= TOL and worst_psd <= 1e-8 and worst_sum <= 1e-10, (
         f"max |S(AB_I) - S(B_II)|-type gap = {worst_schmidt:.3e}; joint spectra lie in "
         f"[-{max(worst_psd, 0.0):.1e}, 1+{max(worst_psd, 0.0):.1e}] and sum to 1 within "

@@ -86,12 +86,14 @@ def single_point_matrices(points):
     for family, region, gamma, q_r, alpha, f in points:
         joint = build_joint(ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f))
         reduced = reduce_to_region(joint, region)
+        other = partial_trace(joint, region.kept_factors)
         parts = [
             partial_trace(reduced, region.kept_factors),
             partial_trace(reduced, {Subsystem.ALICE}),
             reduced,
+            other,
+            partial_trace(other, {Subsystem.ALICE}),
         ]
-        parts += [partial_trace(joint, discard) for discard in sweep._SSA_DISCARDS]
         for part in parts:
             by_dim.setdefault(part.dim, []).append(part.entries)
     return {dim: np.array(matrices) for dim, matrices in by_dim.items()}
@@ -147,9 +149,19 @@ def dense_lift_reductions(inertial, isometries, discards):
     return [brute_traces(joints, discard)[0] for discard in discards]
 
 
-# the factors each reduction of a sweep traces out: either wedge, then the
-# AB, AC, B and C states of strong additivity
-SWEEP_DISCARDS = (REGION_II_FACTORS, REGION_I_FACTORS) + sweep._SSA_DISCARDS[2:]
+# the factors the joint traces out for the AB, AC, B and C states of the
+# strong-additivity value S(AB) - S(B) + S(AC) - S(C), with A Alice, B the
+# wedge-I modes and C the wedge-II modes
+SSA_DISCARDS = (
+    REGION_II_FACTORS,
+    REGION_I_FACTORS,
+    REGION_II_FACTORS | {Subsystem.ALICE},
+    REGION_I_FACTORS | {Subsystem.ALICE},
+)
+
+# the wedges a sweep reduces to, then the B and C states, which the sweep
+# takes from the wedges but trace_lifted must give as well
+SWEEP_DISCARDS = (REGION_II_FACTORS, REGION_I_FACTORS) + SSA_DISCARDS[2:]
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +290,7 @@ class TestBlockJacobi:
         for encoding in Encoding:
             for discard in (REGION_I_FACTORS, REGION_II_FACTORS):
                 assert shapes(*self.plan(encoding, discard)) == wedge[encoding]
-            for discard in sweep._SSA_DISCARDS:
+            for discard in SSA_DISCARDS:
                 want = wedge[encoding] if len(discard) == 2 else [(1, 2)]
                 assert shapes(*self.plan(encoding, discard)) == want
             alice = frozenset(states.RINDLER_FACTORS)
@@ -386,7 +398,7 @@ class TestBatchedStates:
     @pytest.mark.parametrize("source", ["sample", "seeded"])
     def test_traced_lift_equals_trace_of_joints(self, sample, source):
         points = sample if source == "sample" else seeded_points(31, 150)
-        assert set(sweep._SSA_DISCARDS) <= set(SWEEP_DISCARDS)
+        assert set(SSA_DISCARDS) <= set(SWEEP_DISCARDS)
         for family in ChannelFamily:
             inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
             joints = build_joints(family.encoding, inertial, isometries)
@@ -432,7 +444,7 @@ class TestBatchedStates:
                 family_points = [p for p in points if p[0] is family]
                 inertial, isometries = lift_inputs(family, family_points)
                 parts = trace_lifted(
-                    family.encoding, inertial, isometries, sweep._SSA_DISCARDS
+                    family.encoding, inertial, isometries, SSA_DISCARDS
                 )
                 for i, (_, _, gamma, q_r, alpha, f) in enumerate(family_points):
                     joint = crosscheck.brute_joint_matrix(family, gamma, q_r, alpha, f)
@@ -483,13 +495,14 @@ class TestGatherPlan:
             assert len(reduction_plan(encoding, ())[0]) == 96
 
     def test_calls_compute_only_the_entries_they_read(self):
-        # a wedge reads 28 of the 96 joint entries, the SSA discards 40,
-        # the joint all of them
+        # a wedge reads 28 of the 96 joint entries, both wedges or the SSA
+        # discards 40, the joint all of them
         for encoding in Encoding:
             for discards, count in (
                 ((REGION_II_FACTORS,), 28),
                 ((REGION_I_FACTORS,), 28),
-                (sweep._SSA_DISCARDS, 40),
+                ((REGION_II_FACTORS, REGION_I_FACTORS), 40),
+                (SSA_DISCARDS, 40),
                 ((frozenset(),), 96),
             ):
                 assert len(states._call_plan(encoding, discards)[0]) == count

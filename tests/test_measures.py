@@ -29,7 +29,14 @@ from unruh_lab import (
 from unruh_lab import crosscheck
 from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 
-from helpers import TWO_QUBITS, bell_state, entropy_without, random_density, random_state
+from helpers import (
+    TWO_QUBITS,
+    assert_same_bits,
+    bell_state,
+    entropy_without,
+    random_density,
+    random_state,
+)
 
 PI4 = math.pi / 4
 ALICE = Subsystem.ALICE
@@ -251,6 +258,30 @@ class TestStrongAdditivity:
     def test_swapped_variant_goes_negative_where_reported_does_not(self):
         assert werner_ssa(0.0, 0.25, 0.95) >= -1e-9
         assert werner_swapped_variant(0.0, 0.25, 0.95) < -0.5
+
+    @pytest.mark.parametrize("family", list(ChannelFamily))
+    def test_equals_the_sum_of_both_wedges_conditional_entropies(self, family):
+        # with A Alice, B the wedge-I and C the wedge-II modes, S(AB) - S(B)
+        # + S(AC) - S(C) is CE_I + CE_II: the same bits, in either wedge
+        rng = np.random.default_rng(1515)
+        werner = family is ChannelFamily.WERNER
+        f_values = (0.0, 1.0) if werner else (None,)
+        points = [
+            (gamma, q_r, PI4, f) for gamma in (0.0, PI4) for q_r in (0.0, 1.0) for f in f_values
+        ]
+        for _ in range(60):
+            alpha = PI4 if werner else float(rng.uniform(0.0, math.pi))
+            f = float(rng.uniform()) if werner else None
+            points.append((float(rng.uniform(0.0, PI4)), float(rng.uniform()), alpha, f))
+        got, want = [], []
+        for gamma, q_r, alpha, f in points:
+            near, far = (
+                evaluate_point(family, region, gamma, q_r, alpha, f, with_ssa=True)
+                for region in (BobRegion.I, BobRegion.II)
+            )
+            got += [near.ssa_value, far.ssa_value]
+            want += [near.cond_entropy + far.cond_entropy] * 2
+        assert_same_bits(np.array(got), np.array(want))
 
 
 class TestMeasureProperties:
