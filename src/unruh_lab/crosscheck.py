@@ -81,12 +81,6 @@ def _exact_charpoly(matrix: np.ndarray) -> list[int]:
     return coeffs
 
 
-def charpoly_coefficients(matrix: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] as floats."""
-    coeffs = _exact_charpoly(np.asarray(matrix, dtype=complex))
-    return np.array([a / coeffs[0] for a in coeffs])
-
-
 def _eval_scaled(coeffs: list[int], m: int, s: int) -> int:
     """sum a_k m**(deg-k) 2**(s k): the polynomial at x = m / 2**s, times 2**(s deg) a_0."""
     acc = 0
@@ -323,18 +317,6 @@ def brute_subsystem_entropies(
     rho_a = brute_partial_trace(reduced, 3, [0])
     rho_b = brute_partial_trace(reduced, 3, [1, 2])
     return brute_entropy(rho_a), brute_entropy(rho_b), brute_entropy(reduced)
-
-
-def brute_mutual_information(
-    family: ChannelFamily,
-    region: BobRegion,
-    gamma: float,
-    q_r: float,
-    alpha: float = math.pi / 4,
-    fidelity_f: float | None = None,
-) -> float:
-    s_a, s_b, s_ab = brute_subsystem_entropies(family, region, gamma, q_r, alpha, fidelity_f)
-    return s_a + s_b - s_ab
 
 
 def brute_tripartite_entropies(

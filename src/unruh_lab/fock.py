@@ -13,22 +13,32 @@ terms one after another, from +0.  :func:`trace_out` uses both on dense
 stacks, and :func:`unruh_lab.states.trace_lifted` uses both on the lifted
 states' few nonzero entries, so the two reductions agree bit for bit.
 
-The eigensolvers rotate only inside the connected components of a
-matrix's exact zero pattern, or of the union of the patterns of a stack.
-The entries between components are zero and stay zero, because a
-rotation writes ``c * 0 + s * 0`` there; so the pairs a full sweep would
-visit between components rotate nothing, and skipping them keeps every
-bit of the sweep over all pairs.  The channel states are sparse this
-way: a wedge state (8x8) has three components of 2 (dual rail) or two of
-3 (single rail), so a sweep rotates 3 or 6 of its 28 pairs.
+The eigensolvers are block-native: they rotate only inside the blocks
+(connected components) of a matrix's exact zero pattern, or of the union
+of the patterns of a stack.  The entries between blocks are zero and stay
+zero, because a rotation writes ``c * 0 + s * 0`` there; so the pairs a
+full sweep would visit between blocks rotate nothing, and skipping them
+keeps every bit of the sweep over all pairs.  The channel states are
+sparse this way: a wedge state (8x8) has three blocks of 2 (dual rail) or
+two of 3 (single rail), the wedge-mode marginal (4x4) one block of 2, and
+Alice's marginal is diagonal.  A diagonal matrix needs no sweep, and one
+whose blocks are all 2x2 needs one, after which every off-diagonal entry
+is an exact zero.  The batched solver gathers the blocks of each size
+into one compact stack, once, and rotates that stack across all sweeps.
+Three rules keep the bits of the sweep over all pairs: the convergence
+test reads the whole matrix's off-diagonal sum, in numpy's summation
+order; the skip threshold uses the full size n; and a converged matrix
+stops rotating all its blocks.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
 the first item that fails it, so on a stack of one it raises what the
 single item's check raises.  A value fails a check unless it is within the
-tolerance, so NaN fails every check.  Both eigensolvers run
-:func:`check_hermitian` on their input, so NaN fails there too, with no
-exception, and a stack on the entropy path is tested for Hermiticity once.
+tolerance, so NaN fails every check.  Both eigensolvers make the test of
+:func:`check_hermitian` on their input (the batched one on the diagonal
+and the blocks, which hold every nonzero entry), so NaN fails there too,
+with no exception, and a stack on the entropy path is tested for
+Hermiticity once.
 """
 
 from __future__ import annotations
@@ -70,7 +80,11 @@ def check_norms(vectors: np.ndarray) -> None:
 
 def check_hermitian(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off Hermitian by more than ``HERMITIAN_TOL``."""
-    defects = np.abs(matrices - matrices.conj().swapaxes(1, 2)).reshape(len(matrices), -1).max(1)
+    _check_hermitian_defects(np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)))
+
+
+def _check_hermitian_defects(defects: np.ndarray) -> None:
+    """Raise for the first of the matrices' largest defects (N,) beyond ``HERMITIAN_TOL``."""
     within = defects <= HERMITIAN_TOL
     if not within.all():
         raise SymmetryError(
@@ -89,7 +103,7 @@ def check_traces(matrices: np.ndarray) -> None:
 def check_isometries(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, d, k) with columns off orthonormal by > ``ISOMETRY_TOL``."""
     gram = matrices.conj().swapaxes(1, 2) @ matrices
-    defects = np.abs(gram - np.eye(matrices.shape[2])).reshape(len(matrices), -1).max(1)
+    defects = np.abs(gram - np.eye(matrices.shape[2])).max(axis=(1, 2))
     within = defects <= ISOMETRY_TOL
     if not within.all():
         raise NormalizationError(
@@ -292,36 +306,39 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     Cyclic Jacobi: unitary two-sided rotations annihilate one off-diagonal
     pair at a time, swept in row order until the off-diagonal Frobenius
     norm drops below ``JACOBI_OFF_NORM_TOL``.  The eigenvalue sum equals
-    the trace to the same accuracy.  Raises :class:`SymmetryError` as
-    :func:`check_hermitian` does, so for a defect beyond ``HERMITIAN_TOL``
-    or a NaN entry, and :class:`ConvergenceError` after
-    ``JACOBI_MAX_SWEEPS`` sweeps.
+    the trace to the same accuracy.  Raises :class:`ShapeError` for a 0x0
+    matrix, :class:`SymmetryError` as :func:`check_hermitian` does, so for
+    a defect beyond ``HERMITIAN_TOL`` or a NaN entry, and
+    :class:`ConvergenceError` after ``JACOBI_MAX_SWEEPS`` sweeps.
 
-    A sweep visits only the pairs inside the connected components of the
-    matrix's zero pattern (:func:`_blocks`), in row order.  A pair between
-    two components has a zero pivot before the first sweep, and a rotation
-    inside one component writes ``c * 0 + s * 0`` between components, so
-    that pivot stays zero and the rotation a full sweep would make there
-    does nothing: every bit is that of the sweep over all pairs.
+    A sweep visits only the pairs inside the blocks of the matrix's zero
+    pattern (:func:`_blocks`), each block's in row order.  A diagonal
+    matrix is not swept, and a matrix whose blocks are all 2x2 is swept at
+    most once (:func:`_sweeps_to_diagonal`); a rotation inside a 2x2
+    block writes only the block's four entries, since the rest of its
+    rows and columns is zero.
     """
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
     a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ShapeError(f"expected a nonempty square matrix, got shape {a.shape}")
     check_hermitian(a[np.newaxis])
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
 
-    pairs = _block_pairs((a != 0).tobytes(), n)
+    blocks = _blocks((a != 0).tobytes(), n)
+    exact_after = _sweeps_to_diagonal(blocks)
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm_sq(a) <= JACOBI_OFF_NORM_TOL**2:
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        if sweep == exact_after or _off_diagonal_norm_sq(a) <= JACOBI_OFF_NORM_TOL**2:
             break
-        for k, l in pairs:
-            _jacobi_rotate(a, k, l, skip_below)
+        for members in blocks:
+            lines = members.shape[1] > 2
+            for block in members.tolist():
+                for i, k in enumerate(block):
+                    for l in block[i + 1 :]:
+                        _jacobi_rotate(a, k, l, skip_below, lines)
     else:
         raise ConvergenceError(
             f"off-diagonal norm still {math.sqrt(_off_diagonal_norm_sq(a)):.3e} "
@@ -363,21 +380,20 @@ def _blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-@functools.lru_cache(maxsize=256)
-def _block_pairs(pattern: bytes, n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (k, l), k < l, inside the components of :func:`_blocks`, in row order."""
-    pairs = [
-        (members[i], members[j])
-        for group in _blocks(pattern, n)
-        for members in group.tolist()
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    ]
-    return tuple(sorted(pairs))
+def _sweeps_to_diagonal(blocks: tuple[np.ndarray, ...]) -> Union[int, None]:
+    """The sweeps after which every off-diagonal entry is an exact zero: 0
+    without blocks, 1 if all are 2x2 (a rotation zeroes its pivot), else None."""
+    sizes = {members.shape[1] for members in blocks}
+    return 0 if not sizes else 1 if sizes == {2} else None
 
 
-def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
-    """Annihilate a[k, l] (and a[l, k]) by a unitary plane rotation, in place."""
+def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float, lines: bool) -> None:
+    """Annihilate a[k, l] (and a[l, k]) by a unitary plane rotation, in place.
+
+    Without ``lines`` only the entries (k, k), (k, l), (l, k) and (l, l)
+    are written, which is exact where rows and columns k and l are zero
+    elsewhere, as in a 2x2 block.
+    """
     pivot = a[k, l]
     beta = abs(pivot)
     if not beta > 0.0:  # zero, or NaN: nothing to rotate
@@ -397,14 +413,15 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
     new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
     new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
 
-    col_k = a[:, k].copy()
-    col_l = a[:, l].copy()
-    a[:, k] = c * col_k + (s * np.conj(phase)) * col_l
-    a[:, l] = (-s * phase) * col_k + c * col_l
-    row_k = a[k, :].copy()
-    row_l = a[l, :].copy()
-    a[k, :] = c * row_k + (s * phase) * row_l
-    a[l, :] = (-s * np.conj(phase)) * row_k + c * row_l
+    if lines:
+        col_k = a[:, k].copy()
+        col_l = a[:, l].copy()
+        a[:, k] = c * col_k + (s * np.conj(phase)) * col_l
+        a[:, l] = (-s * phase) * col_k + c * col_l
+        row_k = a[k, :].copy()
+        row_l = a[l, :].copy()
+        a[k, :] = c * row_k + (s * phase) * row_l
+        a[l, :] = (-s * np.conj(phase)) * row_k + c * row_l
 
     a[k, k] = new_kk
     a[l, l] = new_ll
@@ -418,121 +435,161 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     Runs the cyclic Jacobi of :func:`eigvals_hermitian` on every matrix at
     once, with the same rotations in the same order, the same convergence
     test and the same skip rule for each matrix, so each row equals that
-    function's result for its matrix bit for bit.  A matrix stops rotating
-    once it has converged.  Raises as that function does for the first
-    matrix that fails :func:`check_hermitian` (NaN included) or does not
-    converge within ``JACOBI_MAX_SWEEPS`` sweeps.
+    function's result for its matrix bit for bit.  Returns (0, n) for an
+    empty stack.  Raises as that function does for 0x0 matrices, for the
+    first matrix that fails :func:`check_hermitian` (NaN included), and
+    for the first that does not converge within ``JACOBI_MAX_SWEEPS``
+    sweeps.
 
-    The rotations run inside the connected components of the union of the
-    stack's zero patterns (:func:`_blocks`).  Each sweep gathers the
-    components of one size from every active matrix into one compact stack
-    (N * C, b, b), rotates its pairs in row order, and scatters it back.
-    The members of a component are ascending, so its pairs come in the
-    order of the full sweep; rotations of different components touch
-    different entries, so their order does not matter; and a pair between
-    components has a zero pivot throughout, so the full sweep does nothing
-    there.  The convergence test reads the full matrices, as before, so
-    the sweep count and every bit are those of the sweep over all pairs.
+    The blocks are those of the union of the stack's zero patterns
+    (:func:`_blocks`); every entry outside them and the diagonal is zero
+    in every matrix, so its Hermiticity defect is zero too, and the test
+    and the symmetrisation read only the diagonal and the blocks.  The
+    blocks of each size are gathered once into a compact stack (b, b, M),
+    the block index last, which every sweep rotates in place.  Three rules
+    keep every bit of the sweep over the whole matrix:
+
+    - the convergence test sums each whole matrix in numpy's order: the
+      blocks' squared magnitudes go into zeros (N, n * n), the diagonal
+      is cleared and each row summed, as :func:`_off_diagonal_norm_sq`
+      sums one matrix;
+    - ``skip_below`` uses the full size n;
+    - a matrix that converges stops rotating all its blocks: its
+      diagonal is written out and its blocks leave the stacks.
     """
-    a = np.array(matrices, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
-    check_hermitian(a)
-    # C order, so that the flat view below shares a's memory
-    a = np.ascontiguousarray((a + np.conj(a).transpose(0, 2, 1)) / 2.0)
-    n = a.shape[1]
-    if n == 1:
-        return a[:, :, 0].real
+    a = np.asarray(matrices, dtype=complex, order="C")  # only read: the stacks are copies
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
+        raise ShapeError(f"expected a stack of nonempty square matrices, got shape {a.shape}")
+    count, n = a.shape[:2]
+    # the parts of each entry compared separately: complex != 0 is slower
+    nonzero = (a.view(float) != 0).any(axis=0).reshape(n, n, 2).any(axis=2)
+    blocks = _blocks(nonzero.tobytes(), n)
+    # the flat positions (C, b, b) of the blocks of each size in a matrix,
+    # led by the diagonal as n blocks of one
+    positions = [(n + 1) * np.arange(n).reshape(n, 1, 1)] + [
+        n * members[:, :, np.newaxis] + members[:, np.newaxis, :] for members in blocks
+    ]
+    flat = a.reshape(count, n * n)
+    parts = [(flat[:, p.ravel()], flat[:, p.swapaxes(1, 2).ravel()].conj()) for p in positions]
+    _check_hermitian_defects(
+        functools.reduce(np.maximum, [np.abs(x - adjoint).max(axis=1) for x, adjoint in parts])
+    )
+    eigs, *symmetric = [(x + adjoint) / 2.0 for x, adjoint in parts]
+    eigs = eigs.real
+    stacks = [
+        part.reshape(count, *p.shape).transpose(2, 3, 0, 1).reshape(*p.shape[1:], -1)
+        for p, part in zip(positions[1:], symmetric)
+    ]
 
-    blocks = _blocks(np.any(a != 0, axis=0).tobytes(), n)
-    flat = a.reshape(len(a), n * n)
+    exact_after = _sweeps_to_diagonal(blocks)
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
-    active = np.arange(len(a))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # the negation of the scalar test, so a NaN matrix stays active
-        converged = _off_diagonal_norms_sq(a[active]) <= JACOBI_OFF_NORM_TOL**2
-        active = active[~converged]
+    active = np.arange(count)
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        if sweep == exact_after:
+            converged = np.ones(len(active), dtype=bool)
+        else:
+            norms = _off_diagonal_norms_sq(stacks, positions, len(active))
+            converged = norms <= JACOBI_OFF_NORM_TOL**2
+        if converged.any():
+            for i, (members, stack) in enumerate(zip(blocks, stacks)):
+                done = np.repeat(converged, len(members))
+                diagonals = np.diagonal(stack)[done].real.reshape(-1, *members.shape)
+                eigs[active[converged, np.newaxis, np.newaxis], members] = diagonals
+                stacks[i] = stack[:, :, ~done]
+            active = active[~converged]
         if not active.size:
             break
-        for members in blocks:
-            b = members.shape[1]
-            # the flat positions (C * b * b) of the components' entries in
-            # each active matrix, gathered into (N * C, b, b)
-            index = (
-                active[:, np.newaxis],
-                (n * members[:, :, np.newaxis] + members[:, np.newaxis, :]).ravel(),
-            )
-            block = flat[index].reshape(-1, b, b)
-            for k in range(b - 1):
-                for l in range(k + 1, b):
-                    _jacobi_rotate_batch(block, k, l, skip_below)
-            flat[index] = block.reshape(len(active), -1)
+        for stack in stacks:
+            for k in range(len(stack) - 1):
+                for l in range(k + 1, len(stack)):
+                    _jacobi_rotate_batch(stack, k, l, skip_below)
     else:
+        norms = _off_diagonal_norms_sq(stacks, positions, len(active))
         raise ConvergenceError(
-            f"off-diagonal norm still "
-            f"{math.sqrt(_off_diagonal_norm_sq(a[active[0]])):.3e} "
+            f"off-diagonal norm still {math.sqrt(norms[0]):.3e} "
             f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
-    eigs = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
+    eigs = np.sort(eigs, axis=1)
     return eigs[:, ::-1]
 
 
-def _off_diagonal_norms_sq(a: np.ndarray) -> np.ndarray:
-    """_off_diagonal_norm_sq of each matrix, summed in the same order."""
-    mags = np.abs(a) ** 2
-    diagonal = np.arange(a.shape[1])
-    mags[:, diagonal, diagonal] = 0.0
-    return mags.reshape(len(a), -1).sum(axis=1)
+def _off_diagonal_norms_sq(
+    stacks: list[np.ndarray], positions: list[np.ndarray], count: int
+) -> np.ndarray:
+    """_off_diagonal_norm_sq of each of ``count`` matrices, from their compact stacks."""
+    diagonal = positions[0]
+    mags = np.zeros((count, len(diagonal) ** 2))
+    for stack, p in zip(stacks, positions[1:]):
+        mags[:, p] = (np.abs(stack) ** 2).reshape(*p.shape[1:], count, -1).transpose(2, 3, 0, 1)
+    mags[:, diagonal.ravel()] = 0.0
+    return mags.sum(axis=1)
 
 
 def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
-    """_jacobi_rotate on each matrix of a stack, in place, with the same arithmetic.
+    """_jacobi_rotate on each block of a compact stack (b, b, M), in place.
+
+    ``abs`` of a complex scalar is ``np.hypot`` of its parts, which
+    ``np.abs`` of a complex array is not in the last bit.  A nonzero pivot
+    below ``skip_below`` is set to zero, as there; the other blocks are
+    rotated by :func:`_rotate_blocks`, in place when none is skipped.
+    """
+    pivot = a[k, l]
+    beta = np.hypot(pivot.real, pivot.imag)
+    rotate = beta >= skip_below
+    if rotate.all():
+        _rotate_blocks(a, k, l, beta)
+        return
+    small = (beta < skip_below) & (beta != 0.0)
+    a[k, l, small] = 0.0
+    a[l, k, small] = 0.0
+    if rotate.any():
+        rotated = a[:, :, rotate]
+        _rotate_blocks(rotated, k, l, beta[rotate])
+        a[:, :, rotate] = rotated
+
+
+def _rotate_blocks(a: np.ndarray, k: int, l: int, beta: np.ndarray) -> None:
+    """Rotate every block of a compact stack (b, b, M) whose pivot (k, l) has modulus ``beta``.
 
     Every value is computed by the same operations in the same order as in
-    the scalar rotation, each coefficient multiplying whole rows and
-    columns as it does there; the stack may hold blocks of the matrices,
-    since the updates are elementwise.  Two functions need care: ``abs`` of a
-    complex scalar is ``np.hypot`` of its parts, which ``np.abs`` of a
-    complex array is not in the last bit; and ``hypot(tau, 1)`` comes from
-    ``math.hypot`` for each matrix, which ``np.hypot`` is not.
+    :func:`_jacobi_rotate`, each coefficient multiplying rows and columns
+    of the block as it does there.  ``hypot(tau, 1)`` comes from
+    ``math.hypot`` for each block, which ``np.hypot`` is not in the last
+    bit.
     """
-    pivot = a[:, k, l]
-    beta = np.hypot(pivot.real, pivot.imag)
-    negligible = beta < skip_below
-    small = negligible & (beta != 0.0)
-    a[small, k, l] = 0.0
-    a[small, l, k] = 0.0
-    rotate = np.flatnonzero(beta >= skip_below)  # a NaN pivot is not rotated
-    if not rotate.size:
-        return
-    beta = beta[rotate]
-    akk = a[rotate, k, k].real
-    all_ = a[rotate, l, l].real
-    phase = a[rotate, k, l] / beta
+    akk = a[k, k].real
+    all_ = a[l, l].real
+    phase = a[k, l] / beta
     tau = (all_ - akk) / (2.0 * beta)
     hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
     t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
-    new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
+    cross = 2.0 * beta * c * s
+    new_kk = akk * c * c + cross + all_ * s * s
+    new_ll = akk * s * s - cross + all_ * c * c
 
-    # on a 2x2 matrix the row and column updates write only the four
-    # entries set below, so they are skipped there
-    if a.shape[1] > 2:
-        c = c[:, np.newaxis]
-        s_phase = (s * phase)[:, np.newaxis]
-        s_phase_conj = (s * np.conj(phase))[:, np.newaxis]
-        col_k = a[rotate, :, k]
-        col_l = a[rotate, :, l]
-        a[rotate, :, k] = c * col_k + s_phase_conj * col_l
-        a[rotate, :, l] = -s_phase * col_k + c * col_l
-        row_k = a[rotate, k, :]
-        row_l = a[rotate, l, :]
-        a[rotate, k, :] = c * row_k + s_phase * row_l
-        a[rotate, l, :] = -s_phase_conj * row_k + c * row_l
+    # the row and column updates write the four entries set below, which
+    # they overwrite, and the entries of rows and columns k and l in the
+    # other rows and columns, which alone are computed here
+    others = [m for m in range(len(a)) if m not in (k, l)]
+    if others:
+        if len(others) == 1:
+            others = others[0]  # views, not copies
+        s_phase = s * phase
+        s_phase_conj = s * np.conj(phase)
+        col_k, col_l = a[others, k], a[others, l]
+        a[others, k], a[others, l] = (
+            c * col_k + s_phase_conj * col_l,
+            -s_phase * col_k + c * col_l,
+        )
+        row_k, row_l = a[k, others], a[l, others]
+        a[k, others], a[l, others] = (
+            c * row_k + s_phase * row_l,
+            -s_phase_conj * row_k + c * row_l,
+        )
 
-    a[rotate, k, k] = new_kk
-    a[rotate, l, l] = new_ll
-    a[rotate, k, l] = 0.0
-    a[rotate, l, k] = 0.0
+    a[k, k] = new_kk
+    a[l, l] = new_ll
+    a[k, l] = 0.0
+    a[l, k] = 0.0

@@ -13,7 +13,10 @@ from unruh_lab import (
     partial_trace,
     von_neumann_entropy,
 )
-from unruh_lab import fock
+from unruh_lab import crosscheck, fock
+
+# numpy's x86 dispatch levels above its baseline, highest first
+DISPATCH_LEVELS = ("X86_V4", "X86_V3")
 
 TWO_QUBITS = SubsystemLayout((Subsystem.ALICE, Subsystem.BOB))
 THREE_QUBITS = SubsystemLayout(
@@ -36,6 +39,32 @@ def random_density(rng, layout, rank=None) -> DensityMatrix:
 def random_hermitian(rng, n) -> np.ndarray:
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (x + x.conj().T) / 2
+
+
+def random_block_stack(rng) -> np.ndarray:
+    """A Hermitian stack (N, n, n), n in 2..12, whose zero pattern splits into blocks of 1-4.
+
+    The blocks sit under a random permutation, and some matrices get extra
+    exact zeros inside a block, so a matrix's own pattern can be finer
+    than the union pattern of the stack.
+    """
+    n = int(rng.integers(2, 13))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(int(rng.integers(1, min(4, n - sum(sizes)) + 1)))
+    order = rng.permutation(n)
+    count = int(rng.integers(1, 6))
+    stack = np.zeros((count, n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        members = order[start : start + size]
+        start += size
+        block = np.array([random_hermitian(rng, size) for _ in range(count)])
+        stack[:, members[:, np.newaxis], members[np.newaxis, :]] = block
+    for matrix in stack[: int(rng.integers(0, count + 1))]:
+        k, l = rng.integers(n, size=2)
+        matrix[k, l] = matrix[l, k] = 0.0
+    return stack
 
 
 def bell_state(layout=TWO_QUBITS) -> StateVector:
@@ -128,3 +157,43 @@ def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     a[l, l] = new_ll
     a[k, l] = 0.0
     a[l, k] = 0.0
+
+
+def charpoly_coefficients(matrix) -> np.ndarray:
+    """The oracle's characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] as floats."""
+    coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=complex))
+    return np.array([a / coeffs[0] for a in coeffs])
+
+
+def brute_mutual_information(family, region, gamma, q_r, alpha=math.pi / 4, fidelity_f=None):
+    """S(Alice) + S(wedge modes) - S(joint reduction) for one wedge, from the oracle."""
+    s_a, s_b, s_ab = crosscheck.brute_subsystem_entropies(
+        family, region, gamma, q_r, alpha, fidelity_f
+    )
+    return s_a + s_b - s_ab
+
+
+def cpu_features() -> dict:
+    """numpy's map of CPU features to whether it dispatches to them in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def dispatch_level() -> str:
+    """The highest of ``DISPATCH_LEVELS`` numpy dispatches to here, else "baseline"."""
+    features = cpu_features()
+    return next((level for level in DISPATCH_LEVELS if features.get(level)), "baseline")
+
+
+def check_solvers_on_block_stacks(seed, count) -> None:
+    """Both solvers against dense_jacobi_eigvals, bit for bit, on seeded complex block stacks."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        stack = random_block_stack(rng)
+        want = np.array([dense_jacobi_eigvals(matrix) for matrix in stack])
+        for matrix, row in zip(stack, want):
+            assert_same_bits(fock.eigvals_hermitian(matrix), row)
+        assert_same_bits(fock.eigvals_hermitian_batch(stack), want)

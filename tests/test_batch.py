@@ -6,6 +6,10 @@ pin the scalar path's rounding.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from unruh_lab import (
     FigurePreset,
     Measure,
     NormalizationError,
+    ShapeError,
     SpectrumError,
     Subsystem,
     SweepPointError,
@@ -39,7 +44,7 @@ from unruh_lab import (
 )
 from unruh_lab import crosscheck, fock, states, sweep
 from unruh_lab.fock import SubsystemLayout, eigvals_hermitian_batch, trace_out
-from unruh_lab.measures import entropies_from_eigenvalues
+from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 from unruh_lab.states import (
     JOINT_FACTORS,
     JOINT_LAYOUT,
@@ -50,7 +55,13 @@ from unruh_lab.states import (
     trace_lifted,
 )
 
-from helpers import assert_same_bits, dense_jacobi_eigvals, random_hermitian
+from helpers import (
+    DISPATCH_LEVELS,
+    assert_same_bits,
+    cpu_features,
+    dense_jacobi_eigvals,
+    random_hermitian,
+)
 
 PI4 = math.pi / 4
 SAMPLES_PER_PRESET = 40
@@ -333,6 +344,87 @@ class TestBlockJacobi:
         with pytest.raises(ConvergenceError) as got:
             eigvals_hermitian_batch(np.array([np.diag([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), matrix]))
         assert str(got.value) == str(want.value)
+
+    def test_convergence_reads_the_whole_matrix(self):
+        # each 2x2 block's off-diagonal sum, 0.8e-24, is below the tolerance
+        # squared, 1e-24, but the matrix's, 1.6e-24, is above it: so both
+        # blocks rotate, where a test of each block alone would stop
+        matrix = np.diag([0.2, 0.2, 0.1, 0.2, 0.2, 0.1]).astype(complex)
+        pivot = math.sqrt(0.4e-24)
+        matrix[0, 1] = matrix[1, 0] = matrix[3, 4] = matrix[4, 3] = pivot
+        want = dense_jacobi_eigvals(matrix)
+        assert np.allclose(want[:4] - 0.2, [pivot, pivot, -pivot, -pivot], rtol=1e-3, atol=0)
+        assert_solvers_match_dense(np.array([matrix, np.diag([0.5, 0.2, 0.1, 0.1, 0.1, 0.0])]))
+
+    def test_mixed_blocks_converging_at_different_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        three, two = [0, 2, 4], [1, 3]
+        stack = np.zeros((6, 5, 5), dtype=complex)
+        stack[:, range(5), range(5)] = rng.uniform(0.0, 1.0, size=(6, 5))
+        stack[1][np.ix_(two, two)] += random_hermitian(rng, 2)
+        for matrix in stack[2:]:
+            matrix[np.ix_(three, three)] += random_hermitian(rng, 3)
+            matrix[np.ix_(two, two)] += random_hermitian(rng, 2)
+
+        def sweeps(matrix):
+            # the fewest sweeps the dense reference completes without raising
+            for allowed in range(1, fock.JACOBI_MAX_SWEEPS + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(fock, "JACOBI_MAX_SWEEPS", allowed)
+                    try:
+                        dense_jacobi_eigvals(matrix)
+                    except ConvergenceError:
+                        continue
+                return allowed - 1
+
+        counts = [sweeps(matrix) for matrix in stack]
+        assert counts[:2] == [0, 1] and len(set(counts)) >= 3
+        assert_solvers_match_dense(stack)
+
+    @pytest.mark.parametrize("level", DISPATCH_LEVELS + ("baseline",))
+    def test_solvers_match_dense_reference_at_each_dispatch_level(self, level):
+        # complex products round differently at each level, and the compact
+        # stacks may reach numpy's loops by other strides than the reference
+        features = cpu_features()
+        if level != "baseline" and not features.get(level):
+            pytest.skip(f"numpy does not dispatch to {level} on this CPU")
+        # the levels above this one: all of them above the baseline
+        above = DISPATCH_LEVELS[: (DISPATCH_LEVELS + (level,)).index(level)]
+        root = Path(__file__).resolve().parents[1]
+        env = dict(
+            os.environ,
+            NPY_DISABLE_CPU_FEATURES=" ".join(f for f in above if features.get(f)),
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
+        )
+        script = (
+            "import helpers\n"
+            "print(helpers.dispatch_level())\n"
+            "helpers.check_solvers_on_block_stacks(seed=83, count=40)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{level}\n"
+
+
+class TestEmptyInputs:
+    def test_empty_stack_has_empty_spectra(self):
+        assert eigvals_hermitian_batch(np.zeros((0, 2, 2))).shape == (0, 2)
+        assert eigvals_hermitian_batch(np.zeros((0, 8, 8), dtype=complex)).shape == (0, 8)
+
+    def test_empty_stack_has_no_entropies(self):
+        assert von_neumann_entropies(np.zeros((0, 2, 2))).shape == (0,)
+
+    def test_checks_pass_an_empty_stack(self):
+        fock.check_density_stack(np.zeros((0, 4, 4)))
+        fock.check_isometries(np.zeros((0, 16, 2)))
+
+    def test_zero_by_zero_matrices_rejected(self):
+        with pytest.raises(ShapeError, match=r"got shape \(0, 0\)"):
+            eigvals_hermitian(np.zeros((0, 0)))
+        with pytest.raises(ShapeError, match=r"got shape \(3, 0, 0\)"):
+            eigvals_hermitian_batch(np.zeros((3, 0, 0)))
 
 
 class TestBatchedEntropy:

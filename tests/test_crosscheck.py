@@ -19,7 +19,7 @@ from unruh_lab import (
 )
 from unruh_lab import crosscheck
 
-from helpers import random_hermitian
+from helpers import brute_mutual_information, charpoly_coefficients, random_hermitian
 
 PI4 = math.pi / 4
 
@@ -43,7 +43,7 @@ def lapack_entropy(matrix):
 class TestCharpolyEigensolver:
     def test_coefficients_exact_for_diagonal(self):
         m = np.diag([0.125, 0.125, 0.375, 0.375]).astype(complex)
-        got = crosscheck.charpoly_coefficients(m)
+        got = charpoly_coefficients(m)
         want = np.polynomial.polynomial.polyfromroots([0.125, 0.125, 0.375, 0.375])[::-1]
         assert np.abs(got - want).max() < 1e-15
 
@@ -183,7 +183,7 @@ class TestExactCoefficients:
         coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=complex))
         want = fraction_charpoly(matrix)
         assert [Fraction(a, coeffs[0]) for a in coeffs] == want
-        assert crosscheck.charpoly_coefficients(matrix).tolist() == [float(c) for c in want]
+        assert charpoly_coefficients(matrix).tolist() == [float(c) for c in want]
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -198,7 +198,7 @@ class TestExactCoefficients:
         matrix = np.eye(3, dtype=complex)
         matrix[1, 2] = bad
         with pytest.raises(error):
-            crosscheck.charpoly_coefficients(matrix)
+            charpoly_coefficients(matrix)
 
     def test_entropies_are_python_floats(self):
         args = (ChannelFamily.WERNER, 0.3, 0.8, PI4, 0.6)
@@ -206,7 +206,7 @@ class TestExactCoefficients:
         values = [
             crosscheck.brute_entropy(np.diag([0.25, 0.75]).astype(complex)),
             *crosscheck.brute_subsystem_entropies(*region_args),
-            crosscheck.brute_mutual_information(*region_args),
+            brute_mutual_information(*region_args),
             *crosscheck.brute_tripartite_entropies(*args).values(),
             crosscheck.brute_strong_additivity(*args),
         ]

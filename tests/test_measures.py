@@ -33,6 +33,7 @@ from helpers import (
     TWO_QUBITS,
     assert_same_bits,
     bell_state,
+    brute_mutual_information,
     entropy_without,
     random_density,
     random_state,
@@ -250,7 +251,7 @@ class TestStrongAdditivity:
         oracle_swapped = parts["s_ab"] - parts["s_a"] + parts["s_ac"] - parts["s_c"]
         assert abs(oracle - WERNER_SSA_F95) < 1e-9
         assert abs(oracle_swapped - WERNER_SSA_SWAPPED_F95) < 1e-9
-        oracle_mi = crosscheck.brute_mutual_information(
+        oracle_mi = brute_mutual_information(
             ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I, PI4, 1.0
         )
         assert abs(oracle_mi - MUTUAL_INFO_INFINITE_ACCEL) < 1e-9
