@@ -7,10 +7,18 @@ The CSV schema is stable for golden-file comparison:
 Inapplicable fields stay empty.  Numbers are rendered in fixed-point with a
 configurable number of digits, always with a ``.`` decimal point, so output
 bytes do not depend on locale or platform.
+
+The three formats share one row writer, which formats each distinct number
+once per call and takes the family and region text once per run of
+records that share them.  :func:`write_figure_files` passes it every
+series of a figure with one table of formatted numbers, so a value that
+recurs across series and columns (grid values, and Alice's entropy, which
+the acceleration does not change) is formatted once per figure.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -66,51 +74,67 @@ def format_number(value: float | None, precision: int = 12) -> str:
     return rendered
 
 
+_NUMBER_COLUMNS = operator.attrgetter(*CSV_COLUMNS[2:])
+
+
 def record_fields(record: SweepRecord, precision: int = 12) -> list[str]:
     """The record as CSV-schema strings, empty where not applicable."""
-    numbers = (
-        record.gamma,
-        record.q_r,
-        record.alpha,
-        record.f,
-        record.s_a,
-        record.s_b,
-        record.s_ab,
-        record.mutual_info,
-        record.cond_entropy,
-        record.ssa_value,
-    )
     return [record.family.value, record.region.value] + [
-        format_number(x, precision) for x in numbers
+        format_number(x, precision) for x in _NUMBER_COLUMNS(record)
     ]
 
 
 def render_csv(records: list[SweepRecord], precision: int = 12) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for record in records:
-        lines.append(",".join(record_fields(record, precision)))
-    return "\n".join(lines) + "\n"
+    return _render("csv", records, _Numbers(precision))
 
 
 def render_json(records: list[SweepRecord], precision: int = 12) -> str:
-    rows = []
-    for record in records:
-        row = dict(zip(CSV_COLUMNS, record_fields(record, precision)))
-        rows.append(
-            {key: (value if value != "" else None) for key, value in row.items()}
-        )
-    return json.dumps(rows, indent=2) + "\n"
+    return _render("json", records, _Numbers(precision))
 
 
 def render_plot_data(
     records: list[SweepRecord], measure: Measure, precision: int = 12
 ) -> str:
     """Two whitespace-separated columns, gamma then the measure value."""
-    lines = []
-    for record in records:
-        value = getattr(record, measure.value)
-        lines.append(f"{format_number(record.gamma, precision)} {format_number(value, precision)}")
-    return "\n".join(lines) + "\n"
+    return _render("plot", records, _Numbers(precision), measure)
+
+
+class _Numbers(dict):
+    """:func:`format_number` of each number looked up (``None`` included), formatted once."""
+
+    def __init__(self, precision: int):
+        super().__init__({None: ""})
+        self.precision = precision
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = format_number(value, self.precision)
+        return text
+
+
+_SERIES_LABEL = operator.attrgetter("family", "region")
+
+
+def _render(
+    kind: str, records: list[SweepRecord], numbers: _Numbers, measure: Measure | None = None
+) -> str:
+    """The text of ``records`` in format ``kind``, its numbers looked up in ``numbers``.
+
+    ``0.0`` and ``-0.0`` share a key, which is safe because
+    :func:`format_number` renders both as zero.
+    """
+    text = numbers.__getitem__
+    if kind == "plot":
+        columns = operator.attrgetter("gamma", measure.value)
+        return "\n".join(" ".join(map(text, columns(record))) for record in records) + "\n"
+    rows = []
+    for (family, region), run in itertools.groupby(records, _SERIES_LABEL):
+        label = (family.value, region.value)
+        rows += ([*label, *map(text, _NUMBER_COLUMNS(record))] for record in run)
+    if kind == "csv":
+        return "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n"
+    # an empty field is null in JSON
+    rows = [dict(zip(CSV_COLUMNS, [field or None for field in row])) for row in rows]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _series_token(value: float) -> str:
@@ -160,13 +184,9 @@ def write_figure_files(
             raise _name_clash(files[path][0], series[0])
         files[path] = series
     out_dir.mkdir(parents=True, exist_ok=True)
+    numbers = _Numbers(fmt.precision)
     for path, series in files.items():
-        if fmt.kind == "csv":
-            text = render_csv(series, fmt.precision)
-        elif fmt.kind == "json":
-            text = render_json(series, fmt.precision)
-        else:
-            text = render_plot_data(series, spec.measure, fmt.precision)
+        text = _render(fmt.kind, series, numbers, spec.measure)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return list(files)

@@ -2,10 +2,16 @@
 
 Records come in the canonical order (family, region, gamma index, q_r
 index, f index), so repeated runs are bitwise identical.  The points of one
-(family, region) block are evaluated together in batches: each stage (state
-build, partial traces, eigensolves, entropies) runs on a stack of points at
-once, with the same arithmetic as the single-matrix functions, so a batch
-gives the same bits as evaluating its points one by one.
+family are evaluated together in batches that serve every region at once:
+each stage (state build, partial traces, eigensolves, entropies) runs on a
+stack of points, with the same arithmetic as the single-matrix functions,
+so a batch gives the same bits as evaluating its points one by one.  A
+batch builds the prepared states and isometries once and reduces them to
+every wedge it needs in one call, so it holds up to two wedges' states.
+Each wedge's states are solved as their own stack, since the two wedges'
+zero patterns would merge into coarser blocks; the marginals of the
+requested regions are solved together, Alice's as one stack and the
+modes' as another, since their blocks are the same in both wedges.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from .states import (
     trace_lifted,
 )
 
-# The batch size, which bounds a sweep's extra memory: at most BATCH_POINTS
-# points' reduced states wait for one batched eigensolve.
+# The batch size, which bounds a sweep's extra memory: a batch reduces at
+# most BATCH_POINTS points, to up to two wedges' states each, before its
+# batched eigensolves.
 BATCH_POINTS = 400
 
 
@@ -131,7 +138,7 @@ def evaluate_point(
     """Build the channel at one grid point and compute its measures."""
     if not isinstance(region, BobRegion):
         raise DomainError("region", f"must be a BobRegion, got {region!r}")
-    return _evaluate_batch(family, region, [(gamma, q_r, f)], alpha, with_ssa)[0]
+    return _evaluate_batch(family, (region,), [(gamma, q_r, f)], alpha, with_ssa)[0][0]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -150,55 +157,70 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             for q_r in spec.q_r_grid
             for f in f_values
         ]
-        batches = -(-len(points) // BATCH_POINTS)
-        size = -(-len(points) // batches)
-        for region in spec.regions:
-            for start in range(0, len(points), size):
-                batch = points[start : start + size]
-                try:
-                    records += _evaluate_batch(family, region, batch, spec.alpha, with_ssa)
-                except UnruhLabError:
-                    _raise_first_point_error(family, region, batch, spec.alpha, with_ssa)
-                    raise
+        count = -(-len(points) // BATCH_POINTS)
+        size = -(-len(points) // count)
+        batches = [points[start : start + size] for start in range(0, len(points), size)]
+        by_region: list[list[SweepRecord]] = [[] for _ in spec.regions]
+        try:
+            for batch in batches:
+                evaluated = _evaluate_batch(family, spec.regions, batch, spec.alpha, with_ssa)
+                for region_records, batch_records in zip(by_region, evaluated):
+                    region_records += batch_records
+        except UnruhLabError:
+            _raise_first_point_error(family, spec.regions, batches, spec.alpha, with_ssa)
+            raise
+        for region_records in by_region:
+            records += region_records
     return records
 
 
 def _raise_first_point_error(
     family: ChannelFamily,
-    region: BobRegion,
-    points: list[tuple],
+    regions: tuple[BobRegion, ...],
+    batches: list[list[tuple]],
     alpha: float,
     with_ssa: bool,
 ) -> None:
-    """Evaluate the points one by one; raise :class:`SweepPointError` for the first that fails.
+    """Evaluate a family's points again; raise :class:`SweepPointError` for the first that fails.
 
-    That point is the first failing one of the batch, with the error of its
-    first failing check, whatever stage the batch failed at.
+    The points are run region by region and batch by batch, and a failing
+    batch point by point, so the point named is the first failing one in
+    canonical order, with the error of its first failing check, whatever
+    stage and region the batch of all regions failed at.
     """
-    for gamma, q_r, f in points:
-        try:
-            _evaluate_batch(family, region, [(gamma, q_r, f)], alpha, with_ssa)
-        except UnruhLabError as exc:
-            raise SweepPointError(
-                f"sweep aborted at family={family.value} region={region.value} "
-                f"gamma={gamma!r} q_r={q_r!r} f={f!r}: {exc}"
-            ) from exc
+    for region in regions:
+        for batch in batches:
+            try:
+                _evaluate_batch(family, (region,), batch, alpha, with_ssa)
+            except UnruhLabError:
+                for gamma, q_r, f in batch:
+                    try:
+                        _evaluate_batch(family, (region,), [(gamma, q_r, f)], alpha, with_ssa)
+                    except UnruhLabError as exc:
+                        raise SweepPointError(
+                            f"sweep aborted at family={family.value} region={region.value} "
+                            f"gamma={gamma!r} q_r={q_r!r} f={f!r}: {exc}"
+                        ) from exc
 
 
 def _evaluate_batch(
     family: ChannelFamily,
-    region: BobRegion,
+    regions: tuple[BobRegion, ...],
     points: list[tuple],
     alpha: float,
     with_ssa: bool,
-) -> list[SweepRecord]:
-    """Records for (gamma, q_r, f) points of one (family, region) block, in order.
+) -> list[list[SweepRecord]]:
+    """Records for (gamma, q_r, f) points of one family, a list per region, in order.
 
     Every point gets the checks the single-point functions make; a failure
     raises the error of the first check that some point fails.  Each
-    reduced stack is checked once, by :func:`von_neumann_entropies`; the
-    wedge state is solved first, so its defects are reported before those
-    of its partial traces.
+    reduced stack is checked once, by :func:`von_neumann_entropies`.  The
+    requested wedges' states are solved first, each as its own stack, so
+    their defects are reported before those of their partial traces; then
+    their Alice marginals as one stack and their mode marginals as
+    another; then the wedge only strong additivity reads, and its modes.
+    So one region takes exactly the stacks a single point needs, and a
+    stack of one point reaches the scalar eigensolver.
     """
     gammas = [gamma for gamma, _, _ in points]
     q_rs = [q_r for _, q_r, _ in points]
@@ -208,30 +230,49 @@ def _evaluate_batch(
     # A wedge keeps Alice and two modes (8x8).  The strong-additivity value
     # S(AB) - S(B) + S(AC) - S(C), with A Alice, B the wedge-I modes and C
     # the wedge-II modes, is the sum of the two wedges' conditional
-    # entropies, so it also takes the other wedge's state and its modes.
-    discards = [region.traced_factors]
+    # entropies, so it also takes the wedge not requested and its modes.
+    wedge_regions = regions
     if with_ssa:
-        discards.append(region.kept_factors)
-    wedges = trace_lifted(family.encoding, inertial, isometries, discards)
-    reduced, reduced_layout = wedges[0]
-
-    s_ab = von_neumann_entropies(reduced)
-    s_a = von_neumann_entropies(trace_out(reduced, reduced_layout, region.kept_factors)[0])
-    s_b = von_neumann_entropies(trace_out(reduced, reduced_layout, {Subsystem.ALICE})[0])
-    cond_entropy = s_ab - s_b
+        wedge_regions += tuple(region for region in BobRegion if region not in regions)
+    wedges = trace_lifted(
+        family.encoding, inertial, isometries, [r.traced_factors for r in wedge_regions]
+    )
+    requested = wedges[: len(regions)]
+    s_ab = [von_neumann_entropies(wedge) for wedge, _ in requested]
+    s_a = _entropies(
+        [trace_out(wedge, layout, region.kept_factors)[0]
+         for (wedge, layout), region in zip(requested, regions)]
+    )
+    s_b = _entropies([trace_out(wedge, layout, {Subsystem.ALICE})[0] for wedge, layout in requested])
+    for wedge, layout in wedges[len(regions) :]:
+        s_ab.append(von_neumann_entropies(wedge))
+        s_b.append(von_neumann_entropies(trace_out(wedge, layout, {Subsystem.ALICE})[0]))
+    cond_entropy = [ab - b for ab, b in zip(s_ab, s_b)]
+    # both wedges' states are present with SSA, so the sum is the same for both
     ssa = [None] * len(points)
     if with_ssa:
-        other, other_layout = wedges[1]
-        s_other = von_neumann_entropies(other)
-        s_other_b = von_neumann_entropies(trace_out(other, other_layout, {Subsystem.ALICE})[0])
-        ssa = (cond_entropy + (s_other - s_other_b)).tolist()
-    measures = (s_a, s_b, s_ab, s_a + s_b - s_ab, cond_entropy)
-    return [
-        SweepRecord(family, region, gamma, q_r, alpha, f, *values)
-        for (gamma, q_r, f), *values in zip(
-            points, *(values.tolist() for values in measures), ssa
-        )
-    ]
+        ssa = (cond_entropy[0] + cond_entropy[1]).tolist()
+    records = []
+    for i, region in enumerate(regions):
+        measures = (s_a[i], s_b[i], s_ab[i], s_a[i] + s_b[i] - s_ab[i], cond_entropy[i])
+        records.append([
+            SweepRecord(family, region, gamma, q_r, alpha, f, *values)
+            for (gamma, q_r, f), *values in zip(
+                points, *(values.tolist() for values in measures), ssa
+            )
+        ])
+    return records
+
+
+def _entropies(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """:func:`von_neumann_entropies` of each stack, all solved as one stack.
+
+    One stack is solved as it is, so a stack of one point still reaches
+    the scalar eigensolver.
+    """
+    if len(stacks) == 1:
+        return [von_neumann_entropies(stacks[0])]
+    return np.split(von_neumann_entropies(np.concatenate(stacks)), len(stacks))
 
 
 def _prepared_states(

@@ -42,7 +42,7 @@ from unruh_lab import (
     reduce_to_region,
     run_sweep,
 )
-from unruh_lab import crosscheck, fock, states, sweep
+from unruh_lab import crosscheck, fock, measures, states, sweep
 from unruh_lab.fock import SubsystemLayout, eigvals_hermitian_batch, trace_out
 from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 from unruh_lab.states import (
@@ -620,6 +620,93 @@ class TestSweepBatches:
                 )
                 assert point == record
 
+    def test_records_follow_the_spec_region_order(self, monkeypatch):
+        # one batch serves both wedges; its records still come wedge by wedge
+        monkeypatch.setattr(sweep, "BATCH_POINTS", 2)
+        forward = run_sweep(two_wedge_spec((BobRegion.I, BobRegion.II)))
+        backward = run_sweep(two_wedge_spec((BobRegion.II, BobRegion.I)))
+        assert [record.region for record in backward] == [BobRegion.II] * 4 + [BobRegion.I] * 4
+        assert [record.gamma for record in backward] == [0.0, 0.1, 0.2, 0.3] * 2
+        assert backward == forward[4:] + forward[:4]
+
+
+class TestSweepTraffic:
+    """Deterministic call counts: how many stacks a sweep builds, reduces and solves."""
+
+    @staticmethod
+    def count_calls(monkeypatch, *targets):
+        calls = {}
+        for module, name in targets:
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_batch_per_family_serves_every_wedge(self, monkeypatch):
+        # 21 batches: fig1, fig2 and fig3 have 2 per family, fig4's werner 5;
+        # each solves its wedges apart and its marginals together (4 stacks),
+        # and fig4's one wedge with strong additivity takes 5
+        calls = self.count_calls(
+            monkeypatch,
+            (sweep, "trace_lifted"),
+            (sweep, "bob_isometries"),
+            (measures, "eigvals_hermitian_batch"),
+        )
+        for preset in FigurePreset:
+            run_sweep(figure_preset(preset))
+        assert calls == {"trace_lifted": 21, "bob_isometries": 21, "eigvals_hermitian_batch": 89}
+
+    def test_one_point_takes_only_scalar_solves(self, monkeypatch):
+        # the wedge, Alice's marginal and the modes, then the other wedge and
+        # its modes: five stacks of one, none stacked with another
+        calls = self.count_calls(
+            monkeypatch,
+            (measures, "eigvals_hermitian"),
+            (measures, "eigvals_hermitian_batch"),
+        )
+        evaluate_point(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.II, 0.3, 0.8, with_ssa=True)
+        assert calls == {"eigvals_hermitian": 5, "eigvals_hermitian_batch": 0}
+
+
+def two_wedge_spec(regions):
+    return SweepSpec(
+        families=(ChannelFamily.QUANTUM_DUAL_RAIL,),
+        gamma_grid=(0.0, 0.1, 0.2, 0.3),
+        q_r_grid=(0.9,),
+        regions=regions,
+    )
+
+
+def double_wedge_at(monkeypatch, bad):
+    """Double the wedge state of each (region, gamma) in ``bad``; its trace check fails.
+
+    The sweep calls ``bob_isometries`` with a batch's gammas just before it
+    reduces the batch, so the wrapper of ``trace_lifted`` reads them there.
+    """
+    real_isometries, real_trace = sweep.bob_isometries, sweep.trace_lifted
+    batch = []
+
+    def isometries(encoding, gammas, q_rs):
+        batch[:] = gammas
+        return real_isometries(encoding, gammas, q_rs)
+
+    def defective(encoding, inertial, isometries, discards):
+        reductions = real_trace(encoding, inertial, isometries, discards)
+        for (wedge, _), discard in zip(reductions, discards):
+            region = BobRegion.I if frozenset(discard) == REGION_II_FACTORS else BobRegion.II
+            for i, gamma in enumerate(batch):
+                if (region, gamma) in bad:
+                    wedge[i] *= 2.0
+        return reductions
+
+    monkeypatch.setattr(sweep, "bob_isometries", isometries)
+    monkeypatch.setattr(sweep, "trace_lifted", defective)
+
 
 def four_point_spec():
     return SweepSpec(
@@ -694,3 +781,19 @@ class TestSweepFailures:
         monkeypatch.setattr(sweep, "_prepared_states", doubled_at)
         with pytest.raises(SweepPointError, match=r"gamma=0\.2 .*trace is"):
             run_sweep(four_point_spec())
+
+    @pytest.mark.parametrize(
+        "regions, named",
+        [
+            ((BobRegion.I, BobRegion.II), r"region=bob-i gamma=0\.3 "),
+            ((BobRegion.II, BobRegion.I), r"region=bob-ii gamma=0\.0 "),
+        ],
+    )
+    def test_first_failing_region_wins_over_an_earlier_batch(self, monkeypatch, regions, named):
+        # batches (0.0, 0.1) and (0.2, 0.3): the wedge-II defect fails the
+        # first batch of both wedges, but a wedge-I point comes first in
+        # canonical order when wedge I is listed first
+        monkeypatch.setattr(sweep, "BATCH_POINTS", 2)
+        double_wedge_at(monkeypatch, {(BobRegion.I, 0.3), (BobRegion.II, 0.0)})
+        with pytest.raises(SweepPointError, match=named + r".*trace is"):
+            run_sweep(two_wedge_spec(regions))

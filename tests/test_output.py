@@ -140,6 +140,47 @@ class TestSeries:
 
 
 class TestWriteFigureFiles:
+    @pytest.mark.parametrize("kind", ["csv", "json", "plot"])
+    def test_files_hold_the_bytes_of_the_renderers(self, tmp_path, kind):
+        # one table of formatted numbers serves every file of a figure, so a
+        # value shared by series and columns must read the same everywhere,
+        # and values that round to zero from below must lose their sign
+        shared = 0.1 + 0.2
+        records = [
+            make_record(gamma=0.0, s_a=-1e-15, s_b=-6e-13, s_ab=math.nan, mutual_info=shared),
+            make_record(gamma=shared, s_a=-0.0, s_b=0.0, cond_entropy=shared),
+            make_record(
+                family=ChannelFamily.WERNER, region=BobRegion.II, gamma=0.0, q_r=shared,
+                f=0.5, s_a=shared, s_b=-1e-15, mutual_info=-6e-13, ssa_value=shared,
+            ),
+            make_record(
+                family=ChannelFamily.WERNER, region=BobRegion.II, gamma=shared, q_r=shared,
+                f=0.5, s_ab=shared, cond_entropy=math.nan, ssa_value=-1e-15,
+            ),
+        ]
+        spec = SweepSpec(
+            families=(ChannelFamily.WERNER,), gamma_grid=(0.0, 0.5), q_r_grid=(0.5,),
+            f_grid=(0.5,), measure=Measure.STRONG_ADDITIVITY,
+        )
+        series = list(split_series(records).values())
+        written = write_figure_files("fig4", records, spec, tmp_path, OutputFormat(kind, 12))
+        assert len(written) == len(series) == 2
+        texts = []
+        for path, group in zip(written, series):
+            if kind == "csv":
+                expected = render_csv(group, 12)
+            elif kind == "json":
+                expected = render_json(group, 12)
+            else:
+                expected = render_plot_data(group, spec.measure, 12)
+            assert path.read_bytes() == expected.encode("utf-8")
+            texts.append(expected)
+        text = "".join(texts)
+        if kind != "plot":
+            assert "-0.000000000001" in text and "nan" in text
+        assert "-0.000000000000" not in text
+        assert text.count(format_number(shared)) == (9 if kind != "plot" else 3)
+
     def test_unknown_preset_is_a_domain_error(self, tmp_path):
         with pytest.raises(DomainError, match="'fig5' is not one of") as caught:
             write_figure_files("fig5", [], figure_preset("fig1"), tmp_path / "out")
