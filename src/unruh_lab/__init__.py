@@ -39,11 +39,9 @@ from .states import (
     ChannelFamily,
     ChannelSpec,
     Encoding,
-    bob_isometry,
     build_inertial,
     build_joint,
     gamma_from_acceleration,
-    reduce_to_region,
     unruh_antiparticle,
     unruh_particle,
     unruh_vacuum,
@@ -91,7 +89,6 @@ __all__ = [
     "SweepSpec",
     "SymmetryError",
     "UnruhLabError",
-    "bob_isometry",
     "build_inertial",
     "build_joint",
     "default_gamma_grid",
@@ -102,7 +99,6 @@ __all__ = [
     "gamma_from_acceleration",
     "outer_product",
     "partial_trace",
-    "reduce_to_region",
     "render_csv",
     "run_sweep",
     "unruh_antiparticle",

@@ -1,6 +1,7 @@
 """Record rendering: fixed CSV schema, JSON, and two-column plot data.
 
-The CSV schema is stable for golden-file comparison:
+The CSV schema is the fields of :class:`~unruh_lab.sweep.SweepRecord`, in
+their order, and is stable for golden-file comparison:
 
     family,region,gamma,q_r,alpha,f,s_a,s_b,s_ab,mutual_info,cond_entropy,ssa_value
 
@@ -27,20 +28,7 @@ from pathlib import Path
 from .errors import DomainError
 from .sweep import FigurePreset, Measure, SweepRecord, SweepSpec
 
-CSV_COLUMNS = (
-    "family",
-    "region",
-    "gamma",
-    "q_r",
-    "alpha",
-    "f",
-    "s_a",
-    "s_b",
-    "s_ab",
-    "mutual_info",
-    "cond_entropy",
-    "ssa_value",
-)
+CSV_COLUMNS = SweepRecord._fields
 
 _KINDS = ("csv", "json", "plot")
 _EXTENSIONS = {"csv": "csv", "json": "json", "plot": "dat"}
@@ -74,29 +62,15 @@ def format_number(value: float | None, precision: int = 12) -> str:
     return rendered
 
 
-_NUMBER_COLUMNS = operator.attrgetter(*CSV_COLUMNS[2:])
-
-
 def record_fields(record: SweepRecord, precision: int = 12) -> list[str]:
     """The record as CSV-schema strings, empty where not applicable."""
     return [record.family.value, record.region.value] + [
-        format_number(x, precision) for x in _NUMBER_COLUMNS(record)
+        format_number(x, precision) for x in record[2:]
     ]
 
 
 def render_csv(records: list[SweepRecord], precision: int = 12) -> str:
     return _render("csv", records, _Numbers(precision))
-
-
-def render_json(records: list[SweepRecord], precision: int = 12) -> str:
-    return _render("json", records, _Numbers(precision))
-
-
-def render_plot_data(
-    records: list[SweepRecord], measure: Measure, precision: int = 12
-) -> str:
-    """Two whitespace-separated columns, gamma then the measure value."""
-    return _render("plot", records, _Numbers(precision), measure)
 
 
 class _Numbers(dict):
@@ -129,7 +103,7 @@ def _render(
     rows = []
     for (family, region), run in itertools.groupby(records, _SERIES_LABEL):
         label = (family.value, region.value)
-        rows += ([*label, *map(text, _NUMBER_COLUMNS(record))] for record in run)
+        rows += ([*label, *map(text, record[2:])] for record in run)
     if kind == "csv":
         return "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n"
     # an empty field is null in JSON

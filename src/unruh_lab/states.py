@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LayoutError
+from .errors import DomainError
 from .fock import (
     DensityMatrix,
     StateVector,
@@ -51,7 +51,6 @@ from .fock import (
     check_isometries,
     check_norms,
     outer_product,
-    partial_trace,
 )
 
 GAMMA_MAX = math.pi / 4
@@ -181,21 +180,15 @@ _ENCODING_STATES = {Encoding.SINGLE_RAIL: (0, 1), Encoding.DUAL_RAIL: (1, 2)}
 _STATE_MODES = (VACUUM_MODES, PARTICLE_MODES, ANTIPARTICLE_MODES)
 
 
-def bob_isometry(encoding: Encoding, accel: AccelerationParams) -> np.ndarray:
-    """Embedding (16, 2) of Bob's inertial qubit basis into the Rindler space.
-
-    Column j is the image of Bob's basis state j over ``RINDLER_LAYOUT``.
-    """
-    return bob_isometries(encoding, [accel.gamma], [accel.q_r])[0]
-
-
 def bob_isometries(
     encoding: Encoding, gammas: Sequence[float], q_rs: Sequence[float]
 ) -> np.ndarray:
-    """The matrices of :func:`bob_isometry` at each (gamma, q_r), stacked (N, 16, 2).
+    """Embeddings of Bob's inertial qubit basis into the Rindler space, stacked (N, 16, 2).
 
-    Each column must have unit norm, as :class:`StateVector` checks it, and
-    the columns must be orthonormal.  The parameters are not checked here.
+    Matrix i is the embedding at ``(gammas[i], q_rs[i])``: its column j is
+    the image of Bob's basis state j over ``RINDLER_LAYOUT``.  Each column
+    must have unit norm, as :class:`StateVector` checks it, and the columns
+    must be orthonormal.  The parameters are not checked here.
     """
     if not isinstance(encoding, Encoding):
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
@@ -457,7 +450,10 @@ def _call_plan(
 class BobRegion(Enum):
     """Which Rindler wedge the receiver occupies.
 
-    Enum values double as the command-line tokens.
+    The receiver's state is ``partial_trace(joint, region.traced_factors)``:
+    both modes of the kept wedge (particle and antiparticle) are retained,
+    since the receiver's detector does not distinguish them.  Enum values
+    double as the command-line tokens.
     """
 
     I = "bob-i"
@@ -470,17 +466,3 @@ class BobRegion(Enum):
     @property
     def traced_factors(self) -> frozenset[Subsystem]:
         return REGION_II_FACTORS if self is BobRegion.I else REGION_I_FACTORS
-
-
-def reduce_to_region(joint: DensityMatrix, region: BobRegion) -> DensityMatrix:
-    """Trace out the wedge the receiver cannot access.
-
-    Both modes of the kept wedge (particle and antiparticle) are retained:
-    the receiver's detector does not distinguish them.
-    """
-    if joint.layout != JOINT_LAYOUT:
-        raise LayoutError(
-            f"expected the five-factor joint layout {JOINT_FACTORS}, "
-            f"got {joint.layout.factors}"
-        )
-    return partial_trace(joint, region.traced_factors)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,9 +108,11 @@ class SweepSpec:
             raise DomainError("f_grid", "only meaningful when the werner family is swept")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated grid point; entropies and measures are in bits."""
+class SweepRecord(NamedTuple):
+    """One evaluated grid point; entropies and measures are in bits.
+
+    The fields are the CSV columns, in their order.
+    """
 
     family: ChannelFamily
     region: BobRegion
@@ -267,12 +270,11 @@ def _evaluate_batch(
 def _entropies(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """:func:`von_neumann_entropies` of each stack, all solved as one stack.
 
-    One stack is solved as it is, so a stack of one point still reaches
-    the scalar eigensolver.
+    The stacks hold one matrix per point of a batch, so they are equally
+    long.  Joining one stack gives that same stack, so a stack of one point
+    still reaches the scalar eigensolver.
     """
-    if len(stacks) == 1:
-        return [von_neumann_entropies(stacks[0])]
-    return np.split(von_neumann_entropies(np.concatenate(stacks)), len(stacks))
+    return list(von_neumann_entropies(np.concatenate(stacks)).reshape(len(stacks), -1))
 
 
 def _prepared_states(

@@ -30,16 +30,16 @@ import numpy as np
 from . import crosscheck
 from .fock import eigvals_hermitian_batch
 from .output import OutputFormat, split_series, write_figure_files
-from .states import (
-    AccelerationParams,
-    BobRegion,
-    ChannelFamily,
-    ChannelSpec,
-    bob_isometries,
-    build_inertial,
-    build_joints,
+from .states import BobRegion, ChannelFamily, bob_isometries, build_joints
+from .sweep import (
+    FigurePreset,
+    SweepRecord,
+    SweepSpec,
+    _prepared_states,
+    evaluate_point,
+    figure_preset,
+    run_sweep,
 )
-from .sweep import FigurePreset, SweepRecord, SweepSpec, evaluate_point, figure_preset, run_sweep
 
 TOL = 1e-9
 MONOTONE_SLACK = 1e-12
@@ -214,12 +214,12 @@ def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
         for near, far in zip(wedge_i, series[family, BobRegion.II, q_r, f]):
             worst_schmidt = max(worst_schmidt, abs(near.s_ab - far.s_b), abs(far.s_ab - near.s_b))
     # each family's joints over the same grid, solved as one stack
-    grid_gammas, grid_q_rs = zip(*((gamma, q_r) for gamma in gammas for q_r in q_rs))
+    grid = [(gamma, q_r) for gamma in gammas for q_r in q_rs]
+    grid_gammas, grid_q_rs = zip(*grid)
     worst_psd = worst_sum = 0.0
     for family in ChannelFamily:
         f = 1.0 if family is ChannelFamily.WERNER else None
-        prepared = build_inertial(ChannelSpec(family, AccelerationParams(0.0), fidelity_f=f))
-        inertial = np.array([prepared.entries] * len(grid_gammas))
+        inertial = _prepared_states(family, [(gamma, q_r, f) for gamma, q_r in grid], spec.alpha)
         isometries = bob_isometries(family.encoding, grid_gammas, grid_q_rs)
         eigs = eigvals_hermitian_batch(build_joints(family.encoding, inertial, isometries))
         worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)

@@ -39,7 +39,6 @@ from unruh_lab import (
     evaluate_point,
     figure_preset,
     partial_trace,
-    reduce_to_region,
     run_sweep,
 )
 from unruh_lab import crosscheck, fock, measures, states, sweep
@@ -96,7 +95,7 @@ def single_point_matrices(points):
     by_dim = {}
     for family, region, gamma, q_r, alpha, f in points:
         joint = build_joint(ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f))
-        reduced = reduce_to_region(joint, region)
+        reduced = partial_trace(joint, region.traced_factors)
         other = partial_trace(joint, region.kept_factors)
         parts = [
             partial_trace(reduced, region.kept_factors),

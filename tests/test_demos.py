@@ -1,11 +1,20 @@
-"""Each script under demos/ runs to the end against the current API."""
+"""Each script under demos/ and each Python example in the README runs to the end
+against the current API."""
 
+import os
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_EXAMPLES = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
 
 
 def test_all_four_demos_found():
@@ -18,3 +27,21 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_has_a_python_example():
+    assert README_EXAMPLES
+
+
+@pytest.mark.parametrize(
+    "example", README_EXAMPLES, ids=[f"block{i}" for i in range(len(README_EXAMPLES))]
+)
+def test_readme_example_runs(example, tmp_path):
+    # the checkout's src/ on the path, as the README's examples assume
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", example],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

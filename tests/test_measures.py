@@ -16,18 +16,17 @@ from unruh_lab import (
     Subsystem,
     SubsystemLayout,
     SymmetryError,
-    bob_isometry,
     build_inertial,
     build_joint,
     entropy_from_eigenvalues,
     evaluate_point,
     outer_product,
     partial_trace,
-    reduce_to_region,
     von_neumann_entropy,
 )
 from unruh_lab import crosscheck
 from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
+from unruh_lab.states import bob_isometries
 
 from helpers import (
     TWO_QUBITS,
@@ -505,12 +504,12 @@ class TestMeasureProperties:
                 AccelerationParams(float(rng.uniform(0, PI4)), float(rng.uniform())),
                 fidelity_f=f,
             )
-            reduced = reduce_to_region(build_joint(spec), BobRegion.I)
+            reduced = partial_trace(build_joint(spec), BobRegion.I.traced_factors)
             cases.append(partial_trace(reduced, BobRegion.I.kept_factors))
         for family in (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL):
             # at gamma = 0, q_r = 1 the classical reductions are exactly rank 2
             spec = ChannelSpec(family, AccelerationParams(0.0, 1.0))
-            cases.append(reduce_to_region(build_joint(spec), BobRegion.I))
+            cases.append(partial_trace(build_joint(spec), BobRegion.I.traced_factors))
         for rho in cases:
             closed = binary_entropy_from_purity(rho.trace(), rho.purity())
             assert abs(von_neumann_entropy(rho) - closed) < 1e-9
@@ -521,6 +520,6 @@ class TestBobIsometryEntropyConsistency:
         from unruh_lab import Encoding
 
         # at gamma = pi/4 every encoding spreads weight over both wedges
-        iso = bob_isometry(Encoding.SINGLE_RAIL, AccelerationParams(PI4, 0.8))
+        iso = bob_isometries(Encoding.SINGLE_RAIL, [PI4], [0.8])[0]
         weights = np.abs(iso) ** 2
         assert weights[:8].sum() > 0 and weights[8:].sum() > 0

@@ -15,13 +15,12 @@ from unruh_lab import (
     run_sweep,
     write_figure_files,
 )
+from unruh_lab import cli
 from unruh_lab.output import (
     CSV_COLUMNS,
     format_number,
     record_fields,
     render_csv,
-    render_json,
-    render_plot_data,
     series_filename,
     split_series,
 )
@@ -45,6 +44,47 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return SweepRecord(**base)
+
+
+def write_texts(tmp_path, records, kind, measure=Measure.MUTUAL_INFORMATION) -> list[str]:
+    """The text of each file ``write_figure_files`` writes for ``records``."""
+    spec = SweepSpec(
+        families=(ChannelFamily.WERNER,), gamma_grid=(0.0, 0.5), q_r_grid=(0.5,),
+        f_grid=(0.5,), measure=measure,
+    )
+    paths = write_figure_files("fig4", records, spec, tmp_path, OutputFormat(kind, 12))
+    return [path.read_bytes().decode("utf-8") for path in paths]
+
+
+def expected_text(records, kind, measure) -> str:
+    """The bytes a file of ``records`` should hold, formatted field by field."""
+    if kind == "csv":
+        lines = [",".join(CSV_COLUMNS)] + [",".join(record_fields(r)) for r in records]
+        return "\n".join(lines) + "\n"
+    if kind == "json":
+        # an empty field is null in JSON
+        rows = [dict(zip(CSV_COLUMNS, [x or None for x in record_fields(r)])) for r in records]
+        return json.dumps(rows, indent=2) + "\n"
+    columns = ("gamma", measure.value)
+    return "".join(
+        " ".join(format_number(getattr(r, column)) for column in columns) + "\n"
+        for r in records
+    )
+
+
+class TestSchema:
+    def test_columns_are_the_record_fields(self):
+        assert CSV_COLUMNS == SweepRecord._fields
+        assert CSV_COLUMNS[:2] == ("family", "region")
+
+    def test_point_prints_one_line_per_column_in_schema_order(self, capsys):
+        code = cli.main([
+            "point", "--family", "werner", "--region", "bob-i",
+            "--gamma", "0.3", "--qr", "0.8", "--f", "0.7",
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split("=", 1)[0] for line in lines] == list(CSV_COLUMNS)
 
 
 class TestFormatting:
@@ -97,15 +137,15 @@ class TestRenderers:
     def test_record_fields_align_with_columns(self):
         assert len(record_fields(make_record())) == len(CSV_COLUMNS)
 
-    def test_json_round_trip(self):
-        text = render_json([make_record(f=0.95, ssa_value=0.25)])
+    def test_json_round_trip(self, tmp_path):
+        (text,) = write_texts(tmp_path, [make_record(f=0.95, ssa_value=0.25)], "json")
         rows = json.loads(text)
         assert rows[0]["family"] == "quantum-single"
         assert rows[0]["f"] == "0.950000000000"
         assert rows[0]["ssa_value"] == "0.250000000000"
 
-    def test_plot_data_two_columns(self):
-        text = render_plot_data([make_record()], Measure.MUTUAL_INFORMATION)
+    def test_plot_data_two_columns(self, tmp_path):
+        (text,) = write_texts(tmp_path, [make_record()], "plot")
         gamma, value = text.strip().split(" ")
         assert gamma == "0.500000000000"
         assert value == "1.250000000000"
@@ -158,24 +198,16 @@ class TestWriteFigureFiles:
                 f=0.5, s_ab=shared, cond_entropy=math.nan, ssa_value=-1e-15,
             ),
         ]
-        spec = SweepSpec(
-            families=(ChannelFamily.WERNER,), gamma_grid=(0.0, 0.5), q_r_grid=(0.5,),
-            f_grid=(0.5,), measure=Measure.STRONG_ADDITIVITY,
-        )
+        measure = Measure.STRONG_ADDITIVITY
         series = list(split_series(records).values())
-        written = write_figure_files("fig4", records, spec, tmp_path, OutputFormat(kind, 12))
-        assert len(written) == len(series) == 2
-        texts = []
-        for path, group in zip(written, series):
-            if kind == "csv":
-                expected = render_csv(group, 12)
-            elif kind == "json":
-                expected = render_json(group, 12)
-            else:
-                expected = render_plot_data(group, spec.measure, 12)
-            assert path.read_bytes() == expected.encode("utf-8")
-            texts.append(expected)
+        texts = write_texts(tmp_path, records, kind, measure)
+        assert len(texts) == len(series) == 2
+        assert texts == [expected_text(group, kind, measure) for group in series]
+        if kind == "csv":
+            assert texts == [render_csv(group, 12) for group in series]
         text = "".join(texts)
+        if kind == "json":
+            assert '"f": null' in text and '"ssa_value": null' in text
         if kind != "plot":
             assert "-0.000000000001" in text and "nan" in text
         assert "-0.000000000000" not in text

@@ -14,10 +14,8 @@ from unruh_lab import (
     Encoding,
     INERTIAL_LAYOUT,
     JOINT_LAYOUT,
-    LayoutError,
     NormalizationError,
     Subsystem,
-    bob_isometry,
     build_inertial,
     build_joint,
     eigvals_hermitian,
@@ -25,11 +23,11 @@ from unruh_lab import (
     gamma_from_acceleration,
     outer_product,
     partial_trace,
-    reduce_to_region,
     unruh_antiparticle,
     unruh_particle,
     unruh_vacuum,
 )
+from unruh_lab.states import bob_isometries
 
 from helpers import bell_state
 
@@ -129,21 +127,19 @@ class TestUnruhStates:
 
 class TestBobIsometry:
     def test_single_rail_at_zero(self):
-        iso = bob_isometry(Encoding.SINGLE_RAIL, AccelerationParams(0.0, 1.0))
+        iso = bob_isometries(Encoding.SINGLE_RAIL, [0.0], [1.0])[0]
         assert iso[0b0000, 0] == 1.0
         assert iso[0b1000, 1] == 1.0
 
     def test_dual_rail_at_zero(self):
-        iso = bob_isometry(Encoding.DUAL_RAIL, AccelerationParams(0.0, 1.0))
+        iso = bob_isometries(Encoding.DUAL_RAIL, [0.0], [1.0])[0]
         assert iso[0b1000, 0] == 1.0
         assert iso[0b0010, 1] == 1.0
 
     def test_isometric_on_grid(self):
         for gamma in np.linspace(0.0, PI4, 10):
             for q_r in np.linspace(0.0, 1.0, 10):
-                iso = bob_isometry(
-                    Encoding.SINGLE_RAIL, AccelerationParams(float(gamma), float(q_r))
-                )
+                iso = bob_isometries(Encoding.SINGLE_RAIL, [float(gamma)], [float(q_r)])[0]
                 gram = iso.conj().T @ iso
                 assert np.abs(gram - np.eye(2)).max() < 1e-12
 
@@ -256,7 +252,7 @@ class TestReduceToRegion:
         spec = ChannelSpec(
             ChannelFamily.QUANTUM_SINGLE_RAIL, AccelerationParams(0.0, 1.0), alpha=PI4
         )
-        near = reduce_to_region(build_joint(spec), BobRegion.I)
+        near = partial_trace(build_joint(spec), BobRegion.I.traced_factors)
         assert abs(near.purity() - 1.0) < 1e-12
         record = evaluate_point(spec.family, BobRegion.I, 0.0, 1.0, alpha=PI4)
         assert abs(record.mutual_info - 2.0) < 1e-9
@@ -265,7 +261,7 @@ class TestReduceToRegion:
         spec = ChannelSpec(
             ChannelFamily.QUANTUM_SINGLE_RAIL, AccelerationParams(0.0, 1.0), alpha=PI4
         )
-        far = reduce_to_region(build_joint(spec), BobRegion.II)
+        far = partial_trace(build_joint(spec), BobRegion.II.traced_factors)
         alice = partial_trace(far, BobRegion.II.kept_factors)
         wedge = np.zeros((4, 4))
         wedge[0, 0] = 1.0
@@ -277,12 +273,7 @@ class TestReduceToRegion:
         )
         joint = build_joint(spec)
         for region in BobRegion:
-            assert abs(reduce_to_region(joint, region).trace() - 1.0) < 1e-12
-
-    def test_wrong_layout_rejected(self):
-        rho = outer_product(bell_state())
-        with pytest.raises(LayoutError):
-            reduce_to_region(rho, BobRegion.I)
+            assert abs(partial_trace(joint, region.traced_factors).trace() - 1.0) < 1e-12
 
     def test_schmidt_complement(self):
         from unruh_lab import von_neumann_entropy
@@ -291,7 +282,7 @@ class TestReduceToRegion:
             ChannelFamily.QUANTUM_DUAL_RAIL, AccelerationParams(0.6, 0.8), alpha=PI4
         )
         joint = build_joint(spec)
-        near = reduce_to_region(joint, BobRegion.I)
+        near = partial_trace(joint, BobRegion.I.traced_factors)
         complement = partial_trace(
             joint, {Subsystem.ALICE} | BobRegion.I.kept_factors
         )
@@ -308,7 +299,7 @@ class TestReduceToRegion:
         for family in ChannelFamily:
             f = 0.6 if family is ChannelFamily.WERNER else None
             spec = ChannelSpec(family, AccelerationParams(0.0, 1.0), fidelity_f=f)
-            far = reduce_to_region(build_joint(spec), BobRegion.II)
+            far = partial_trace(build_joint(spec), BobRegion.II.traced_factors)
             wedge = partial_trace(far, {Subsystem.ALICE})
             assert abs(wedge.entries[0, 0].real - 1.0) < 1e-12
             record = evaluate_point(family, BobRegion.II, 0.0, 1.0, f=f)

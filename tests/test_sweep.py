@@ -14,6 +14,7 @@ from unruh_lab import (
     DomainError,
     FigurePreset,
     Measure,
+    SweepRecord,
     SweepSpec,
     default_gamma_grid,
     evaluate_point,
@@ -255,6 +256,28 @@ class TestSweepSpecValidation:
                 q_r_grid=(1.0,),
                 f_grid=(0.5,),
             )
+
+
+class TestSweepRecord:
+    def record(self):
+        return SweepRecord(
+            ChannelFamily.WERNER, BobRegion.II, 0.5, 0.75, PI4, 0.95,
+            1.0, 0.5, 0.25, 1.25, -0.25, None,
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        record = self.record()
+        with pytest.raises(AttributeError):
+            record.gamma = 0.1
+        assert record.gamma == 0.5
+
+    def test_repr_is_literal(self):
+        assert repr(self.record()) == (
+            "SweepRecord(family=<ChannelFamily.WERNER: 'werner'>, "
+            "region=<BobRegion.II: 'bob-ii'>, gamma=0.5, q_r=0.75, "
+            "alpha=0.7853981633974483, f=0.95, s_a=1.0, s_b=0.5, s_ab=0.25, "
+            "mutual_info=1.25, cond_entropy=-0.25, ssa_value=None)"
+        )
 
 
 class TestEvaluatePointValidation:
