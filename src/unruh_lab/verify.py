@@ -11,6 +11,12 @@ additivity, agreement with the brute-force cross-check, state invariants,
 and byte-level determinism of the figure datasets.  The last row is an
 informational note comparing two forms of the strong-additivity sum.
 
+Check 7 evaluates its seeded random channels through the sweep's batch
+path, one batch per family serving both wedges, and compares each record
+with the characteristic-polynomial oracle, one channel and wedge at a
+time.  The tier-1 tests pin that those records equal what the single-point
+route, :func:`evaluate_point`, gives for the same channels.
+
 Check 5 (monotonicity at q_r = 0.9 and 0.8) is expected to fail: the
 claimed shapes hold only at q_r = 1 for the states as defined.  The detail
 string quantifies the violations; the README discusses the analysis.
@@ -19,6 +25,7 @@ string quantifies the violations; the README discusses the analysis.
 from __future__ import annotations
 
 import filecmp
+import itertools
 import math
 import tempfile
 import time
@@ -28,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck
+from .errors import UnruhLabError
 from .fock import eigvals_hermitian_batch
 from .output import OutputFormat, split_series, write_figure_files
 from .states import BobRegion, ChannelFamily, bob_isometries, build_joints
@@ -35,8 +43,9 @@ from .sweep import (
     FigurePreset,
     SweepRecord,
     SweepSpec,
+    _evaluate_batch,
     _prepared_states,
-    evaluate_point,
+    _raise_first_point_error,
     figure_preset,
     run_sweep,
 )
@@ -174,19 +183,35 @@ def _check_werner_strong_additivity(tables: _SeriesTables) -> tuple[bool, str]:
     )
 
 
-def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
+def _oracle_samples() -> dict[ChannelFamily, list[tuple]]:
+    """Check 7's seeded random channels: (gamma, q_r, f) points per family, in draw order."""
     rng = np.random.default_rng(ORACLE_SEED)
     families = list(ChannelFamily)
-    worst = 0.0
+    samples: dict[ChannelFamily, list[tuple]] = {}
     for _ in range(ORACLE_SAMPLES):
         family = families[int(rng.integers(len(families)))]
         gamma = float(rng.uniform(0.0, math.pi / 4))
         q_r = float(rng.uniform(0.0, 1.0))
         f = float(rng.uniform(0.0, 1.0)) if family is ChannelFamily.WERNER else None
-        for region in BobRegion:
-            record = evaluate_point(family, region, gamma, q_r, f=f)
+        samples.setdefault(family, []).append((gamma, q_r, f))
+    return samples
+
+
+def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
+    # each family's channels go through the sweep's batch path for both
+    # wedges at once; the oracle stays one plain call per channel and wedge
+    regions = tuple(BobRegion)
+    worst = 0.0
+    for family, points in _oracle_samples().items():
+        try:
+            evaluated = _evaluate_batch(family, regions, points, math.pi / 4, False)
+        except UnruhLabError:
+            # name the first failing channel, as a sweep does
+            _raise_first_point_error(family, regions, [points], math.pi / 4, False)
+            raise
+        for record in itertools.chain.from_iterable(evaluated):
             reference = crosscheck.brute_subsystem_entropies(
-                family, region, gamma, q_r, fidelity_f=f
+                family, record.region, record.gamma, record.q_r, fidelity_f=record.f
             )
             worst = max(
                 worst,

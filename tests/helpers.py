@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from unruh_lab import (
+    BobRegion,
     ConvergenceError,
     DensityMatrix,
     StateVector,
@@ -13,7 +14,8 @@ from unruh_lab import (
     partial_trace,
     von_neumann_entropy,
 )
-from unruh_lab import crosscheck, fock
+from unruh_lab import crosscheck, fock, sweep
+from unruh_lab.states import REGION_II_FACTORS
 
 # numpy's x86 dispatch levels above its baseline, highest first
 DISPATCH_LEVELS = ("X86_V4", "X86_V3")
@@ -197,3 +199,44 @@ def check_solvers_on_block_stacks(seed, count) -> None:
         for matrix, row in zip(stack, want):
             assert_same_bits(fock.eigvals_hermitian(matrix), row)
         assert_same_bits(fock.eigvals_hermitian_batch(stack), want)
+
+
+def count_calls(monkeypatch, *targets) -> dict:
+    """Wrap each ``(module, name)`` function; the returned dict counts its calls by name."""
+    calls = {}
+    for module, name in targets:
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def double_wedge_at(monkeypatch, bad):
+    """Double the wedge state of each (region, gamma) in ``bad``; its trace check fails.
+
+    The sweep calls ``bob_isometries`` with a batch's gammas just before it
+    reduces the batch, so the wrapper of ``trace_lifted`` reads them there.
+    """
+    real_isometries, real_trace = sweep.bob_isometries, sweep.trace_lifted
+    batch = []
+
+    def isometries(encoding, gammas, q_rs):
+        batch[:] = gammas
+        return real_isometries(encoding, gammas, q_rs)
+
+    def defective(encoding, inertial, isometries, discards):
+        reductions = real_trace(encoding, inertial, isometries, discards)
+        for (wedge, _), discard in zip(reductions, discards):
+            region = BobRegion.I if frozenset(discard) == REGION_II_FACTORS else BobRegion.II
+            for i, gamma in enumerate(batch):
+                if (region, gamma) in bad:
+                    wedge[i] *= 2.0
+        return reductions
+
+    monkeypatch.setattr(sweep, "bob_isometries", isometries)
+    monkeypatch.setattr(sweep, "trace_lifted", defective)

@@ -57,8 +57,10 @@ from unruh_lab.states import (
 from helpers import (
     DISPATCH_LEVELS,
     assert_same_bits,
+    count_calls,
     cpu_features,
     dense_jacobi_eigvals,
+    double_wedge_at,
     random_hermitian,
 )
 
@@ -632,25 +634,11 @@ class TestSweepBatches:
 class TestSweepTraffic:
     """Deterministic call counts: how many stacks a sweep builds, reduces and solves."""
 
-    @staticmethod
-    def count_calls(monkeypatch, *targets):
-        calls = {}
-        for module, name in targets:
-            real = getattr(module, name)
-            calls[name] = 0
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-        return calls
-
     def test_one_batch_per_family_serves_every_wedge(self, monkeypatch):
         # 21 batches: fig1, fig2 and fig3 have 2 per family, fig4's werner 5;
         # each solves its wedges apart and its marginals together (4 stacks),
         # and fig4's one wedge with strong additivity takes 5
-        calls = self.count_calls(
+        calls = count_calls(
             monkeypatch,
             (sweep, "trace_lifted"),
             (sweep, "bob_isometries"),
@@ -663,7 +651,7 @@ class TestSweepTraffic:
     def test_one_point_takes_only_scalar_solves(self, monkeypatch):
         # the wedge, Alice's marginal and the modes, then the other wedge and
         # its modes: five stacks of one, none stacked with another
-        calls = self.count_calls(
+        calls = count_calls(
             monkeypatch,
             (measures, "eigvals_hermitian"),
             (measures, "eigvals_hermitian_batch"),
@@ -679,32 +667,6 @@ def two_wedge_spec(regions):
         q_r_grid=(0.9,),
         regions=regions,
     )
-
-
-def double_wedge_at(monkeypatch, bad):
-    """Double the wedge state of each (region, gamma) in ``bad``; its trace check fails.
-
-    The sweep calls ``bob_isometries`` with a batch's gammas just before it
-    reduces the batch, so the wrapper of ``trace_lifted`` reads them there.
-    """
-    real_isometries, real_trace = sweep.bob_isometries, sweep.trace_lifted
-    batch = []
-
-    def isometries(encoding, gammas, q_rs):
-        batch[:] = gammas
-        return real_isometries(encoding, gammas, q_rs)
-
-    def defective(encoding, inertial, isometries, discards):
-        reductions = real_trace(encoding, inertial, isometries, discards)
-        for (wedge, _), discard in zip(reductions, discards):
-            region = BobRegion.I if frozenset(discard) == REGION_II_FACTORS else BobRegion.II
-            for i, gamma in enumerate(batch):
-                if (region, gamma) in bad:
-                    wedge[i] *= 2.0
-        return reductions
-
-    monkeypatch.setattr(sweep, "bob_isometries", isometries)
-    monkeypatch.setattr(sweep, "trace_lifted", defective)
 
 
 def four_point_spec():
