@@ -25,10 +25,11 @@ Alice's marginal is diagonal.  A diagonal matrix needs no sweep, and one
 whose blocks are all 2x2 needs one, after which every off-diagonal entry
 is an exact zero.  The batched solver gathers the blocks of each size
 into one compact stack, once, and rotates that stack across all sweeps.
-Three rules keep the bits of the sweep over all pairs: the convergence
-test reads the whole matrix's off-diagonal sum, in numpy's summation
-order; the skip threshold uses the full size n; and a converged matrix
-stops rotating all its blocks.
+Each rotation turns every block, one whose pivot is zero or negligible
+by the identity, which keeps its bits.  Three rules keep the bits of the
+sweep over all pairs: the convergence test reads the whole matrix's
+off-diagonal sum, in numpy's summation order; the skip threshold uses
+the full size n; and a converged matrix stops rotating all its blocks.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
@@ -526,43 +527,30 @@ def _off_diagonal_norms_sq(
 
 
 def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
-    """_jacobi_rotate on each block of a compact stack (b, b, M), in place.
+    """_jacobi_rotate on every block of a compact stack (b, b, M), in place.
 
-    ``abs`` of a complex scalar is ``np.hypot`` of its parts, which
-    ``np.abs`` of a complex array is not in the last bit.  A nonzero pivot
-    below ``skip_below`` is set to zero, as there; the other blocks are
-    rotated by :func:`_rotate_blocks`, in place when none is skipped.
+    Every value comes from the same operations in the same order as there:
+    the pivot's modulus is ``np.hypot`` of its parts, as ``abs`` of a
+    complex scalar is, and ``hypot(tau, 1)`` is ``math.hypot`` for each
+    block; ``np.abs`` and ``np.hypot`` differ in the last bit.  A block
+    whose pivot is zero or below ``skip_below`` gets the identity rotation:
+    modulus 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each entry written
+    is the old one times 1 plus a zero, with its old bits, but for a -0
+    that may turn +0.  Only entries off the diagonal hold a -0 (the
+    symmetrisation divides by 2 as complex numbers, which turns a diagonal
+    -0 into +0), and the eigenvalues read only the diagonal.  Then its
+    pivot is set to zero, as there.
     """
     pivot = a[k, l]
     beta = np.hypot(pivot.real, pivot.imag)
     rotate = beta >= skip_below
-    if rotate.all():
-        _rotate_blocks(a, k, l, beta)
-        return
-    small = (beta < skip_below) & (beta != 0.0)
-    a[k, l, small] = 0.0
-    a[l, k, small] = 0.0
-    if rotate.any():
-        rotated = a[:, :, rotate]
-        _rotate_blocks(rotated, k, l, beta[rotate])
-        a[:, :, rotate] = rotated
-
-
-def _rotate_blocks(a: np.ndarray, k: int, l: int, beta: np.ndarray) -> None:
-    """Rotate every block of a compact stack (b, b, M) whose pivot (k, l) has modulus ``beta``.
-
-    Every value is computed by the same operations in the same order as in
-    :func:`_jacobi_rotate`, each coefficient multiplying rows and columns
-    of the block as it does there.  ``hypot(tau, 1)`` comes from
-    ``math.hypot`` for each block, which ``np.hypot`` is not in the last
-    bit.
-    """
+    beta = np.where(rotate, beta, 1.0)
     akk = a[k, k].real
     all_ = a[l, l].real
-    phase = a[k, l] / beta
+    phase = pivot / beta
     tau = (all_ - akk) / (2.0 * beta)
     hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
-    t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot)
+    t = np.where(rotate, np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot), 0.0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
     cross = 2.0 * beta * c * s

@@ -160,50 +160,47 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             for q_r in spec.q_r_grid
             for f in f_values
         ]
-        count = -(-len(points) // BATCH_POINTS)
-        size = -(-len(points) // count)
-        batches = [points[start : start + size] for start in range(0, len(points), size)]
-        by_region: list[list[SweepRecord]] = [[] for _ in spec.regions]
-        try:
-            for batch in batches:
-                evaluated = _evaluate_batch(family, spec.regions, batch, spec.alpha, with_ssa)
-                for region_records, batch_records in zip(by_region, evaluated):
-                    region_records += batch_records
-        except UnruhLabError:
-            _raise_first_point_error(family, spec.regions, batches, spec.alpha, with_ssa)
-            raise
-        for region_records in by_region:
+        for region_records in _evaluate_family(family, spec.regions, points, spec.alpha, with_ssa):
             records += region_records
     return records
 
 
-def _raise_first_point_error(
+def _evaluate_family(
     family: ChannelFamily,
     regions: tuple[BobRegion, ...],
-    batches: list[list[tuple]],
+    points: list[tuple],
     alpha: float,
     with_ssa: bool,
-) -> None:
-    """Evaluate a family's points again; raise :class:`SweepPointError` for the first that fails.
+) -> list[list[SweepRecord]]:
+    """:func:`_evaluate_batch` of a family's points, in batches of up to ``BATCH_POINTS``.
 
-    The points are run region by region and batch by batch, and a failing
-    batch point by point, so the point named is the first failing one in
-    canonical order, with the error of its first failing check, whatever
-    stage and region the batch of all regions failed at.
+    If a batch fails, the points are evaluated again one at a time, region
+    by region, and :class:`SweepPointError` names the first that fails
+    alone, in canonical order, with the error of its first failing check,
+    whatever stage and region the batch failed at.  If none fails alone,
+    the batch's error is raised.
     """
-    for region in regions:
-        for batch in batches:
-            try:
-                _evaluate_batch(family, (region,), batch, alpha, with_ssa)
-            except UnruhLabError:
-                for gamma, q_r, f in batch:
-                    try:
-                        _evaluate_batch(family, (region,), [(gamma, q_r, f)], alpha, with_ssa)
-                    except UnruhLabError as exc:
-                        raise SweepPointError(
-                            f"sweep aborted at family={family.value} region={region.value} "
-                            f"gamma={gamma!r} q_r={q_r!r} f={f!r}: {exc}"
-                        ) from exc
+    count = -(-len(points) // BATCH_POINTS)
+    size = -(-len(points) // count)
+    records: list[list[SweepRecord]] = [[] for _ in regions]
+    try:
+        for start in range(0, len(points), size):
+            batch = points[start : start + size]
+            evaluated = _evaluate_batch(family, regions, batch, alpha, with_ssa)
+            for region_records, batch_records in zip(records, evaluated):
+                region_records += batch_records
+    except UnruhLabError:
+        for region in regions:
+            for gamma, q_r, f in points:
+                try:
+                    _evaluate_batch(family, (region,), [(gamma, q_r, f)], alpha, with_ssa)
+                except UnruhLabError as exc:
+                    raise SweepPointError(
+                        f"sweep aborted at family={family.value} region={region.value} "
+                        f"gamma={gamma!r} q_r={q_r!r} f={f!r}: {exc}"
+                    ) from exc
+        raise
+    return records
 
 
 def _evaluate_batch(
@@ -286,7 +283,7 @@ def _prepared_states(
     :class:`ChannelSpec` checked, at the first point of each ``f``.  The
     other points of a sweep are on grids that :class:`SweepSpec` checked
     against the same bounds; a single point, and each point that
-    :func:`_raise_first_point_error` re-runs, is a first point.
+    :func:`_evaluate_family` re-runs after a failed batch, is a first point.
     """
     states: dict[float | None, np.ndarray] = {}
     for gamma, q_r, f in points:
@@ -317,6 +314,16 @@ QR_GRID_MIXING = (1.0, 0.9, 0.8, 1.0 / math.sqrt(2.0))
 QR_GRID_WERNER = (1.0, 0.75, 0.5, 0.25)
 F_GRID_WERNER = (0.95, 0.70, 0.50, 0.33)
 
+QUANTUM_PAIR = (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL)
+CLASSICAL_PAIR = (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL)
+
+# fig1-fig3: their families and measure, over the gamma grid and QR_GRID_MIXING
+_MIXING_PRESETS = {
+    FigurePreset.FIG1: (QUANTUM_PAIR, Measure.MUTUAL_INFORMATION),
+    FigurePreset.FIG2: (CLASSICAL_PAIR, Measure.MUTUAL_INFORMATION),
+    FigurePreset.FIG3: (CLASSICAL_PAIR + QUANTUM_PAIR, Measure.CONDITIONAL_ENTROPY),
+}
+
 
 def figure_preset(which: FigurePreset | str) -> SweepSpec:
     """The sweep configuration behind each bundled figure dataset.
@@ -328,39 +335,12 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
     All use alpha = pi/4 and a 101-point gamma grid.
     """
     which = FigurePreset(which)
-    gamma_grid = default_gamma_grid()
-    if which is FigurePreset.FIG1:
-        return SweepSpec(
-            families=(ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL),
-            gamma_grid=gamma_grid,
-            q_r_grid=QR_GRID_MIXING,
-            measure=Measure.MUTUAL_INFORMATION,
-        )
-    if which is FigurePreset.FIG2:
-        return SweepSpec(
-            families=(
-                ChannelFamily.CLASSICAL_SINGLE_RAIL,
-                ChannelFamily.CLASSICAL_DUAL_RAIL,
-            ),
-            gamma_grid=gamma_grid,
-            q_r_grid=QR_GRID_MIXING,
-            measure=Measure.MUTUAL_INFORMATION,
-        )
-    if which is FigurePreset.FIG3:
-        return SweepSpec(
-            families=(
-                ChannelFamily.CLASSICAL_SINGLE_RAIL,
-                ChannelFamily.CLASSICAL_DUAL_RAIL,
-                ChannelFamily.QUANTUM_SINGLE_RAIL,
-                ChannelFamily.QUANTUM_DUAL_RAIL,
-            ),
-            gamma_grid=gamma_grid,
-            q_r_grid=QR_GRID_MIXING,
-            measure=Measure.CONDITIONAL_ENTROPY,
-        )
+    if which in _MIXING_PRESETS:
+        families, measure = _MIXING_PRESETS[which]
+        return SweepSpec(families, default_gamma_grid(), QR_GRID_MIXING, measure=measure)
     return SweepSpec(
         families=(ChannelFamily.WERNER,),
-        gamma_grid=gamma_grid,
+        gamma_grid=default_gamma_grid(),
         q_r_grid=QR_GRID_WERNER,
         f_grid=F_GRID_WERNER,
         regions=(BobRegion.I,),

@@ -11,11 +11,11 @@ additivity, agreement with the brute-force cross-check, state invariants,
 and byte-level determinism of the figure datasets.  The last row is an
 informational note comparing two forms of the strong-additivity sum.
 
-Check 7 evaluates its seeded random channels through the sweep's batch
-path, one batch per family serving both wedges, and compares each record
-with the characteristic-polynomial oracle, one channel and wedge at a
-time.  The tier-1 tests pin that those records equal what the single-point
-route, :func:`evaluate_point`, gives for the same channels.
+Check 7 evaluates its seeded random channels as a sweep evaluates a
+family, both wedges at once, so a failing channel is named as a sweep
+names a point, and compares each record with the characteristic-polynomial
+oracle, one channel and wedge at a time.  The tier-1 tests pin that those
+records equal what the single-point route, :func:`evaluate_point`, gives.
 
 Check 5 (monotonicity at q_r = 0.9 and 0.8) is expected to fail: the
 claimed shapes hold only at q_r = 1 for the states as defined.  The detail
@@ -35,17 +35,17 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck
-from .errors import UnruhLabError
 from .fock import eigvals_hermitian_batch
 from .output import OutputFormat, split_series, write_figure_files
 from .states import BobRegion, ChannelFamily, bob_isometries, build_joints
 from .sweep import (
+    CLASSICAL_PAIR,
+    QUANTUM_PAIR,
     FigurePreset,
     SweepRecord,
     SweepSpec,
-    _evaluate_batch,
+    _evaluate_family,
     _prepared_states,
-    _raise_first_point_error,
     figure_preset,
     run_sweep,
 )
@@ -55,9 +55,6 @@ MONOTONE_SLACK = 1e-12
 ORACLE_SAMPLES = 50
 ORACLE_SEED = 20260808
 RUNTIME_BUDGET_SECONDS = 60.0
-
-QUANTUM_PAIR = (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL)
-CLASSICAL_PAIR = (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL)
 
 
 @dataclass(frozen=True)
@@ -198,17 +195,12 @@ def _oracle_samples() -> dict[ChannelFamily, list[tuple]]:
 
 
 def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
-    # each family's channels go through the sweep's batch path for both
-    # wedges at once; the oracle stays one plain call per channel and wedge
+    # each family's channels go through the sweep's path for both wedges at
+    # once, which names a failing channel; the oracle takes one at a time
     regions = tuple(BobRegion)
     worst = 0.0
     for family, points in _oracle_samples().items():
-        try:
-            evaluated = _evaluate_batch(family, regions, points, math.pi / 4, False)
-        except UnruhLabError:
-            # name the first failing channel, as a sweep does
-            _raise_first_point_error(family, regions, [points], math.pi / 4, False)
-            raise
+        evaluated = _evaluate_family(family, regions, points, math.pi / 4, False)
         for record in itertools.chain.from_iterable(evaluated):
             reference = crosscheck.brute_subsystem_entropies(
                 family, record.region, record.gamma, record.q_r, fidelity_f=record.f

@@ -214,6 +214,25 @@ class TestBatchedJacobi:
         with pytest.raises(ConvergenceError, match="after 1 sweeps"):
             eigvals_hermitian_batch(stack)
 
+    def test_unrotated_blocks_keep_their_bits(self):
+        # a compact (3, 3, 3) stack, the block index last: block 0 has a zero
+        # pivot, block 1 one below skip_below, and block 2 rotates
+        rng = np.random.default_rng(89)
+        blocks = np.array([random_hermitian(rng, 3) for _ in range(3)])
+        skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * 3)
+        blocks[0, 0, 1] = blocks[0, 1, 0] = 0.0
+        blocks[1, 0, 1] = blocks[1, 1, 0] = skip_below / 4
+        stack = blocks.transpose(1, 2, 0).copy()
+        fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
+        got = stack.transpose(2, 0, 1)
+        for block in (0, 1):
+            want = blocks[block].copy()
+            want[0, 1] = want[1, 0] = 0.0
+            assert_same_bits(got[block], want)
+        want = blocks[2].copy()
+        fock._jacobi_rotate(want, 0, 1, skip_below, lines=True)
+        assert_same_bits(got[2], want)
+
     def test_nan_matrix_fails_the_hermiticity_check(self):
         # both solvers run check_hermitian, where NaN fails as in every check
         nan_matrix = np.full((3, 3), math.nan)
@@ -742,6 +761,21 @@ class TestSweepFailures:
         monkeypatch.setattr(sweep, "_prepared_states", doubled_at)
         with pytest.raises(SweepPointError, match=r"gamma=0\.2 .*trace is"):
             run_sweep(four_point_spec())
+
+    def test_failure_of_the_batch_alone_is_raised_as_it_is(self, monkeypatch):
+        # no point fails alone, so no point is named: the batch's error stands
+        real = sweep._evaluate_batch
+        error = ConvergenceError("batch of four failed")
+
+        def fails_in_batches(family, regions, points, alpha, with_ssa):
+            if len(points) > 1:
+                raise error
+            return real(family, regions, points, alpha, with_ssa)
+
+        monkeypatch.setattr(sweep, "_evaluate_batch", fails_in_batches)
+        with pytest.raises(ConvergenceError) as raised:
+            run_sweep(four_point_spec())
+        assert raised.value is error
 
     @pytest.mark.parametrize(
         "regions, named",

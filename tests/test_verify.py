@@ -62,7 +62,7 @@ def test_crashed_sweep_fails_every_row_that_reads_it(monkeypatch):
 
 
 def test_crashed_oracle_batch_fails_under_its_own_name(monkeypatch, quick_results):
-    monkeypatch.setattr(verify, "_evaluate_batch", broken)
+    monkeypatch.setattr(verify, "_evaluate_family", broken)
     results = run_checks(include_determinism=False)
     crashed = verify.CheckResult("7-oracle-equivalence", False, "raised ValueError('broke')")
     assert results == [crashed if r.name == crashed.name else r for r in quick_results]
