@@ -406,7 +406,10 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float, lines: bool
         return
     akk = a[k, k].real
     all_ = a[l, l].real
-    phase = pivot / beta
+    # numpy divides a complex number by a real one as this product, so for
+    # about 15% of real pivots the phase is 0.9999999999999999, not +-1;
+    # the record bits depend on that
+    phase = pivot * (1.0 / beta)
     tau = (all_ - akk) / (2.0 * beta)
     t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
@@ -547,7 +550,7 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     beta = np.where(rotate, beta, 1.0)
     akk = a[k, k].real
     all_ = a[l, l].real
-    phase = pivot / beta
+    phase = pivot * (1.0 / beta)  # numpy's division, as in _jacobi_rotate
     tau = (all_ - akk) / (2.0 * beta)
     hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
     t = np.where(rotate, np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot), 0.0)

@@ -5,6 +5,7 @@ the comparisons here use ``==``, not a tolerance: the golden figure files
 pin the scalar path's rounding.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -233,6 +234,24 @@ class TestBatchedJacobi:
         fock._jacobi_rotate(want, 0, 1, skip_below, lines=True)
         assert_same_bits(got[2], want)
 
+    def test_real_pivot_phase_is_numpys_reciprocal_product(self):
+        # the pivot 0.41 has 0.41 * (1 / 0.41) == 0.9999999999999999, so the
+        # phase is not 1, and with a phase of exactly 1 the rotated lines
+        # differ in the last bit; both kernels must give the reference bits
+        pivot = 0.41
+        block = [[0.5, pivot, 0.3], [pivot, 0.25, 0.4], [0.3, 0.4, 0.25]]
+        phase = pivot * (1.0 / abs(pivot))
+        assert phase != 1.0
+        want = np.array(float_rotation(block, phase), dtype=complex)
+        assert float_rotation(block, 1.0) != float_rotation(block, phase)
+        skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * 3)
+        scalar = np.array(block, dtype=complex)
+        fock._jacobi_rotate(scalar, 0, 1, skip_below, lines=True)
+        assert_same_bits(scalar, want)
+        stack = np.array(block, dtype=complex)[:, :, np.newaxis].copy()
+        fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
+        assert_same_bits(stack[:, :, 0], want)
+
     def test_nan_matrix_fails_the_hermiticity_check(self):
         # both solvers run check_hermitian, where NaN fails as in every check
         nan_matrix = np.full((3, 3), math.nan)
@@ -240,6 +259,35 @@ class TestBatchedJacobi:
             eigvals_hermitian(nan_matrix)
         with pytest.raises(SymmetryError, match="defect nan"):
             eigvals_hermitian_batch(np.array([np.eye(3) / 3, nan_matrix]))
+
+
+def float_rotation(block, phase):
+    """One Jacobi rotation of (0, 1) in a real 3x3 block, in Python floats.
+
+    The formula of ``fock._jacobi_rotate`` with the given phase of the
+    pivot; the entries are real, so every complex product in the kernel
+    has a zero imaginary part and equals the float product here.
+    """
+    a = [list(row) for row in block]
+    beta = abs(a[0][1])
+    akk, all_ = a[0][0], a[1][1]
+    tau = (all_ - akk) / (2.0 * beta)
+    t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
+    new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
+    for m in range(3):  # columns 0 and 1, then rows 0 and 1, as the kernel
+        col_k, col_l = a[m][0], a[m][1]
+        a[m][0] = c * col_k + (s * phase) * col_l
+        a[m][1] = (-s * phase) * col_k + c * col_l
+    for m in range(3):
+        row_k, row_l = a[0][m], a[1][m]
+        a[0][m] = c * row_k + (s * phase) * row_l
+        a[1][m] = (-s * phase) * row_k + c * row_l
+    a[0][0], a[1][1] = new_kk, new_ll
+    a[0][1] = a[1][0] = 0.0
+    return a
 
 
 def assert_solvers_match_dense(stack):
@@ -654,9 +702,9 @@ class TestSweepTraffic:
     """Deterministic call counts: how many stacks a sweep builds, reduces and solves."""
 
     def test_one_batch_per_family_serves_every_wedge(self, monkeypatch):
-        # 21 batches: fig1, fig2 and fig3 have 2 per family, fig4's werner 5;
-        # each solves its wedges apart and its marginals together (4 stacks),
-        # and fig4's one wedge with strong additivity takes 5
+        # 12 batches: one per family in fig1, fig2 and fig3 (8), and fig4's
+        # werner 4; each solves three stacks per wedge but Alice's marginal
+        # of the wedge only strong additivity reads: 8 * 6 + 4 * 5 = 68
         calls = count_calls(
             monkeypatch,
             (sweep, "trace_lifted"),
@@ -665,7 +713,50 @@ class TestSweepTraffic:
         )
         for preset in FigurePreset:
             run_sweep(figure_preset(preset))
-        assert calls == {"trace_lifted": 21, "bob_isometries": 21, "eigvals_hermitian_batch": 89}
+        assert calls == {"trace_lifted": 12, "bob_isometries": 12, "eigvals_hermitian_batch": 68}
+
+    @pytest.mark.parametrize("preset", list(FigurePreset), ids=lambda preset: preset.value)
+    def test_preset_batches(self, monkeypatch, preset):
+        # a fig1-fig3 family has 101 x 4 = 404 points, one batch under
+        # BATCH_POINTS; fig4's 1 616 werner points split into four of 404
+        real = sweep._evaluate_batch
+        batches = []
+
+        def recorded(family, regions, points, alpha, with_ssa):
+            batches.append((family, len(points)))
+            return real(family, regions, points, alpha, with_ssa)
+
+        monkeypatch.setattr(sweep, "_evaluate_batch", recorded)
+        calls = count_calls(monkeypatch, (sweep, "trace_lifted"))
+        spec = figure_preset(preset)
+        run_sweep(spec)
+        if preset is FigurePreset.FIG4:
+            assert batches == [(ChannelFamily.WERNER, 404)] * 4
+        else:
+            assert batches == [(family, 404) for family in spec.families]
+        assert calls == {"trace_lifted": len(batches)}
+
+    @pytest.mark.parametrize(
+        "regions, measure, sizes",
+        [
+            ((BobRegion.I, BobRegion.II), Measure.CONDITIONAL_ENTROPY, [8, 2, 4, 8, 2, 4]),
+            ((BobRegion.I,), Measure.STRONG_ADDITIVITY, [8, 2, 4, 8, 4]),
+        ],
+        ids=["two-wedges", "one-wedge-with-ssa"],
+    )
+    def test_wedges_are_solved_one_after_another(self, monkeypatch, regions, measure, sizes):
+        # each wedge's states, Alice's marginal if the wedge is requested,
+        # then its modes; the wedge only strong additivity reads comes last
+        real = measures.eigvals_hermitian_batch
+        solved = []
+
+        def recorded(matrices):
+            solved.append(matrices.shape[1])
+            return real(matrices)
+
+        monkeypatch.setattr(measures, "eigvals_hermitian_batch", recorded)
+        run_sweep(dataclasses.replace(two_wedge_spec(regions), measure=measure))
+        assert solved == sizes
 
     def test_one_point_takes_only_scalar_solves(self, monkeypatch):
         # the wedge, Alice's marginal and the modes, then the other wedge and

@@ -82,8 +82,8 @@ class TestOracleCheck:
                 ]
 
     def test_one_batch_per_family(self, monkeypatch):
-        # five families, each one isometry build and four batched stacks:
-        # both wedges apart, then their Alice marginals and their mode marginals
+        # five families, each one isometry build and six batched stacks:
+        # wedge by wedge, its states, Alice's marginal and its modes
         calls = count_calls(
             monkeypatch,
             (sweep, "bob_isometries"),
@@ -95,7 +95,7 @@ class TestOracleCheck:
         assert calls == {
             "bob_isometries": 5,
             "eigvals_hermitian": 0,
-            "eigvals_hermitian_batch": 20,
+            "eigvals_hermitian_batch": 30,
         }
 
     def test_failing_channel_is_named(self, monkeypatch, quick_results):
