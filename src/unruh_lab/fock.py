@@ -22,14 +22,13 @@ keeps every bit of the sweep over all pairs.  The channel states are
 sparse this way: a wedge state (8x8) has three blocks of 2 (dual rail) or
 two of 3 (single rail), the wedge-mode marginal (4x4) one block of 2, and
 Alice's marginal is diagonal.  A diagonal matrix needs no sweep, and one
-whose blocks are all 2x2 needs one, after which every off-diagonal entry
-is an exact zero.  The batched solver gathers the blocks of each size
-into one compact stack, once, and rotates that stack across all sweeps.
-Each rotation turns every block, one whose pivot is zero or negligible
-by the identity, which keeps its bits.  Three rules keep the bits of the
-sweep over all pairs: the convergence test reads the whole matrix's
-off-diagonal sum, in numpy's summation order; the skip threshold uses
-the full size n; and a converged matrix stops rotating all its blocks.
+whose blocks are all 2x2 takes one, with no norm test, after which every
+off-diagonal entry is an exact zero.  The batched solver gathers the blocks
+of each size into one compact stack, once, and rotates that stack across
+all sweeps, a block whose pivot is zero or negligible by the identity;
+the rules of :func:`eigvals_hermitian_batch` keep every bit.  The solvers
+keep their input's dtype, at least float64, so the model's real states
+are solved in real arithmetic.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
@@ -314,25 +313,28 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
 
     A sweep visits only the pairs inside the blocks of the matrix's zero
     pattern (:func:`_blocks`), each block's in row order.  A diagonal
-    matrix is not swept, and a matrix whose blocks are all 2x2 is swept at
-    most once (:func:`_sweeps_to_diagonal`); a rotation inside a 2x2
-    block writes only the block's four entries, since the rest of its
-    rows and columns is zero.
+    matrix is not swept, and a matrix whose blocks are all 2x2 is swept
+    once (:func:`_sweeps_to_diagonal`), even if its norm passes the test;
+    a rotation inside a 2x2 block writes only the block's four entries,
+    since the rest of its rows and columns is zero.
     """
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
-    a = np.array(matrix, dtype=complex)
+    a = np.asarray(matrix)
+    a = np.asarray(a, dtype=np.promote_types(a.dtype, float))
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ShapeError(f"expected a nonempty square matrix, got shape {a.shape}")
     check_hermitian(a[np.newaxis])
-    a = (a + a.conj().T) / 2.0
+    a = (a + a.conj().T + 0.0) / 2.0
     n = a.shape[0]
 
     blocks = _blocks((a != 0).tobytes(), n)
     exact_after = _sweeps_to_diagonal(blocks)
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
     for sweep in range(JACOBI_MAX_SWEEPS):
-        if sweep == exact_after or _off_diagonal_norm_sq(a) <= JACOBI_OFF_NORM_TOL**2:
+        if sweep == exact_after:
+            break
+        if exact_after is None and _off_diagonal_norm_sq(a) <= JACOBI_OFF_NORM_TOL**2:
             break
         for members in blocks:
             lines = members.shape[1] > 2
@@ -397,18 +399,15 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float, lines: bool
     """
     pivot = a[k, l]
     beta = abs(pivot)
-    if not beta > 0.0:  # zero, or NaN: nothing to rotate
-        return
-    if beta < skip_below:
-        # negligible against the convergence tolerance; drop it outright
-        a[k, l] = 0.0
-        a[l, k] = 0.0
+    if not beta >= skip_below:
+        # zero, or negligible against the convergence tolerance: drop it
+        a[k, l] = a[l, k] = 0.0
         return
     akk = a[k, k].real
     all_ = a[l, l].real
-    # numpy divides a complex number by a real one as this product, so for
-    # about 15% of real pivots the phase is 0.9999999999999999, not +-1;
-    # the record bits depend on that
+    # the product, as numpy divides a complex number by a real one: for
+    # about 15% of real pivots the phase is 0.9999999999999999, not +-1,
+    # and the record bits depend on that
     phase = pivot * (1.0 / beta)
     tau = (all_ - akk) / (2.0 * beta)
     t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
@@ -420,12 +419,12 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float, lines: bool
     if lines:
         col_k = a[:, k].copy()
         col_l = a[:, l].copy()
-        a[:, k] = c * col_k + (s * np.conj(phase)) * col_l
+        a[:, k] = c * col_k + (s * phase.conj()) * col_l
         a[:, l] = (-s * phase) * col_k + c * col_l
         row_k = a[k, :].copy()
         row_l = a[l, :].copy()
         a[k, :] = c * row_k + (s * phase) * row_l
-        a[l, :] = (-s * np.conj(phase)) * row_k + c * row_l
+        a[l, :] = (-s * phase.conj()) * row_k + c * row_l
 
     a[k, k] = new_kk
     a[l, l] = new_ll
@@ -450,8 +449,8 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     in every matrix, so its Hermiticity defect is zero too, and the test
     and the symmetrisation read only the diagonal and the blocks.  The
     blocks of each size are gathered once into a compact stack (b, b, M),
-    the block index last, which every sweep rotates in place.  Three rules
-    keep every bit of the sweep over the whole matrix:
+    the block index last, which every sweep rotates in place.  Four rules
+    keep every bit of that function's result:
 
     - the convergence test sums each whole matrix in numpy's order: the
       blocks' squared magnitudes go into zeros (N, n * n), the diagonal
@@ -459,15 +458,16 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
       sums one matrix;
     - ``skip_below`` uses the full size n;
     - a matrix that converges stops rotating all its blocks: its
-      diagonal is written out and its blocks leave the stacks.
+      diagonal is written out and its blocks leave the stacks;
+    - a matrix whose own blocks are all 2x2 takes one sweep, as there,
+      even where the stack's blocks are larger.
     """
-    a = np.asarray(matrices, dtype=complex, order="C")  # only read: the stacks are copies
+    a = np.asarray(matrices)
+    a = np.asarray(a, np.promote_types(a.dtype, float), order="C")  # only read
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
         raise ShapeError(f"expected a stack of nonempty square matrices, got shape {a.shape}")
     count, n = a.shape[:2]
-    # the parts of each entry compared separately: complex != 0 is slower
-    nonzero = (a.view(float) != 0).any(axis=0).reshape(n, n, 2).any(axis=2)
-    blocks = _blocks(nonzero.tobytes(), n)
+    blocks = _blocks((a != 0).any(axis=0).tobytes(), n)
     # the flat positions (C, b, b) of the blocks of each size in a matrix,
     # led by the diagonal as n blocks of one
     positions = [(n + 1) * np.arange(n).reshape(n, 1, 1)] + [
@@ -478,8 +478,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     _check_hermitian_defects(
         functools.reduce(np.maximum, [np.abs(x - adjoint).max(axis=1) for x, adjoint in parts])
     )
-    eigs, *symmetric = [(x + adjoint) / 2.0 for x, adjoint in parts]
-    eigs = eigs.real
+    eigs, *symmetric = [(x + adjoint + 0.0) / 2.0 for x, adjoint in parts]
     stacks = [
         part.reshape(count, *p.shape).transpose(2, 3, 0, 1).reshape(*p.shape[1:], -1)
         for p, part in zip(positions[1:], symmetric)
@@ -489,15 +488,19 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
     active = np.arange(count)
     for sweep in range(JACOBI_MAX_SWEEPS):
-        if sweep == exact_after:
-            converged = np.ones(len(active), dtype=bool)
+        if exact_after is not None:
+            converged = np.full(len(active), sweep == exact_after)
         else:
             norms = _off_diagonal_norms_sq(stacks, positions, len(active))
             converged = norms <= JACOBI_OFF_NORM_TOL**2
+            if sweep == 0:  # every matrix is active: i indexes the input
+                for i in np.flatnonzero(converged & (norms > 0.0)):
+                    own = (a[i] + a[i].conj().T + 0.0) / 2.0  # as eigvals_hermitian reads it
+                    converged[i] = _sweeps_to_diagonal(_blocks((own != 0).tobytes(), n)) != 1
         if converged.any():
             for i, (members, stack) in enumerate(zip(blocks, stacks)):
                 done = np.repeat(converged, len(members))
-                diagonals = np.diagonal(stack)[done].real.reshape(-1, *members.shape)
+                diagonals = np.diagonal(stack)[done].reshape(-1, *members.shape)
                 eigs[active[converged, np.newaxis, np.newaxis], members] = diagonals
                 stacks[i] = stack[:, :, ~done]
             active = active[~converged]
@@ -513,7 +516,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
             f"off-diagonal norm still {math.sqrt(norms[0]):.3e} "
             f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
-    eigs = np.sort(eigs, axis=1)
+    eigs = np.sort(eigs.real, axis=1)
     return eigs[:, ::-1]
 
 
@@ -534,15 +537,15 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
 
     Every value comes from the same operations in the same order as there:
     the pivot's modulus is ``np.hypot`` of its parts, as ``abs`` of a
-    complex scalar is, and ``hypot(tau, 1)`` is ``math.hypot`` for each
-    block; ``np.abs`` and ``np.hypot`` differ in the last bit.  A block
-    whose pivot is zero or below ``skip_below`` gets the identity rotation:
-    modulus 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each entry written
-    is the old one times 1 plus a zero, with its old bits, but for a -0
-    that may turn +0.  Only entries off the diagonal hold a -0 (the
-    symmetrisation divides by 2 as complex numbers, which turns a diagonal
-    -0 into +0), and the eigenvalues read only the diagonal.  Then its
-    pivot is set to zero, as there.
+    complex or real scalar is, and ``hypot(tau, 1)`` is ``math.hypot`` for
+    each block; ``np.abs`` and ``np.hypot`` differ in the last bit.  A
+    block whose pivot is zero or below ``skip_below`` gets the identity
+    rotation: modulus 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each
+    entry written is the old one times 1 plus a zero, with its old bits,
+    but for a -0 that may turn +0.  Only entries off the diagonal hold a
+    -0 (the symmetrisation adds +0, which turns a diagonal -0 into +0),
+    and the eigenvalues read only the diagonal.  Then its pivot is set to
+    zero, as there.
     """
     pivot = a[k, l]
     beta = np.hypot(pivot.real, pivot.imag)
@@ -568,7 +571,7 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
         if len(others) == 1:
             others = others[0]  # views, not copies
         s_phase = s * phase
-        s_phase_conj = s * np.conj(phase)
+        s_phase_conj = s * phase.conj()
         col_k, col_l = a[others, k], a[others, l]
         a[others, k], a[others, l] = (
             c * col_k + s_phase_conj * col_l,

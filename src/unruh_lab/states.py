@@ -20,8 +20,8 @@ Unruh state has amplitudes on four fixed Rindler basis states
 (``VACUUM_MODES``, ``PARTICLE_MODES``, ``ANTIPARTICLE_MODES``), and every
 prepared state is zero outside its {|00>, |11>} block and diagonal.  So
 each entry of a joint state is one product of an isometry entry, a
-prepared-state entry and a conjugated isometry entry, and which entries
-can be nonzero (96 of 1024) is known before any arithmetic.  Index plans,
+prepared-state entry and another isometry entry, and which entries can
+be nonzero (96 of 1024) is known before any arithmetic.  Index plans,
 computed once from those constants for each encoding and discard set,
 gather just these products.  They are taken from the term plan of
 :func:`~unruh_lab.fock.trace_out` and added by its in-order sum, so both
@@ -143,7 +143,7 @@ def _rindler_amplitudes(
 
 def _on_modes(modes: tuple[int, ...], *amplitudes: np.ndarray) -> np.ndarray:
     """States (N, 16) with the given amplitudes on ``modes`` and zeros elsewhere."""
-    states = np.zeros((len(amplitudes[0]), 16), dtype=complex)
+    states = np.zeros((len(amplitudes[0]), 16))
     for mode, amplitude in zip(modes, amplitudes):
         states[:, mode] = amplitude
     return states
@@ -185,10 +185,10 @@ def bob_isometries(
 ) -> np.ndarray:
     """Embeddings of Bob's inertial qubit basis into the Rindler space, stacked (N, 16, 2).
 
-    Matrix i is the embedding at ``(gammas[i], q_rs[i])``: its column j is
-    the image of Bob's basis state j over ``RINDLER_LAYOUT``.  Each column
-    must have unit norm, as :class:`StateVector` checks it, and the columns
-    must be orthonormal.  The parameters are not checked here.
+    Matrix i is the embedding at ``(gammas[i], q_rs[i])``, in float64: its
+    column j is the image of Bob's basis state j over ``RINDLER_LAYOUT``.
+    Each column must have unit norm, as :class:`StateVector` checks it, and
+    the columns must be orthonormal.  The parameters are not checked here.
     """
     if not isinstance(encoding, Encoding):
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
@@ -350,13 +350,13 @@ def trace_lifted(
 
     Every row r of the lift has at most one nonzero entry, in a column c_r
     fixed by the encoding, so each joint entry is the single product
-    ``(lift[r, c_r] * rho[c_r, c_r']) * conj(lift[r', c_r'])``.  Only the
+    ``(lift[r, c_r] * rho[c_r, c_r']) * lift[r', c_r']``.  Only the
     products that can be nonzero and that the discard sets read
     (:func:`_call_plan`) are computed.  Each reduced entry takes its terms
     from the plan ``trace_out`` uses, and adds them with the same in-order
     sum, one value of the traced factors after another in lexicographic
-    order, skipping only terms that are zero.  The inputs must be zero
-    outside the pattern the plans assume, as :func:`bob_isometries` and
+    order, skipping only terms that are zero.  The lift must be real and the
+    inputs zero outside the plans' pattern, as :func:`bob_isometries` and
     :func:`build_inertial` make them; the reduced stacks are not checked.
     """
     n = len(isometries)
@@ -367,12 +367,12 @@ def trace_lifted(
     prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
     # the joint entries the reductions read (R, N), then a row of zeros for
     # the plans to pad with; the sums start from +0, so adding it changes no bit
-    entries = np.zeros((len(first) + 1, n), dtype=complex)
+    entries = np.zeros((len(first) + 1, n), dtype=np.result_type(values, prepared))
     np.multiply(values[first], prepared[middle], out=entries[:-1])
-    entries[:-1] *= np.conj(values[last])
+    entries[:-1] *= values[last]
     reductions = []
     for positions, terms, kept_layout in plans:
-        reduced = np.zeros((n, kept_layout.dim**2), dtype=complex)
+        reduced = np.zeros((n, kept_layout.dim**2), dtype=entries.dtype)
         reduced[:, positions] = _add_in_order(entries, terms).T
         reductions.append((reduced.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout))
     return reductions

@@ -11,7 +11,7 @@ every wedge it needs in one call, so it holds up to two wedges' states.
 It then solves wedge by wedge: the wedge's states, Alice's marginal (for a
 requested wedge) and the modes' marginal, each as its own stack.  The two
 wedges' states are not joined into one stack, since their zero patterns
-would merge into coarser blocks.
+would merge into coarser blocks.  The states are real: all of it is float64.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _evaluate_batch(
 def _prepared_states(
     family: ChannelFamily, points: list[tuple], alpha: float
 ) -> np.ndarray:
-    """The inertial state (N, 4, 4) of each point, after the checks of ChannelSpec.
+    """The real inertial state (N, 4, 4) of each point, after the checks of ChannelSpec.
 
     The state depends only on ``f`` within a block, so it is built, and its
     :class:`ChannelSpec` checked, at the first point of each ``f``.  The
@@ -278,7 +278,7 @@ def _prepared_states(
     for gamma, q_r, f in points:
         if f not in states:
             spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
-            states[f] = build_inertial(spec).entries
+            states[f] = build_inertial(spec).entries.real
     return np.array([states[f] for _, _, f in points])
 
 

@@ -94,7 +94,11 @@ def dense_jacobi_eigvals(matrix) -> np.ndarray:
     A reference for the solvers that rotate only inside the blocks of the
     zero pattern: each sweep visits every pair (k, l) of the full matrix
     in row order.  The constants are read from ``fock`` when called, so a
-    test that patches them there patches them here too.
+    test that patches them there patches them here too.  The solvers part
+    from it on one class of input: a matrix whose blocks are all 2x2 and
+    whose off-diagonal norm passes the convergence test while some pivot
+    is at least ``skip_below``.  They take their one sweep there, and this
+    reference stops before it.
     """
     a = np.array(matrix, dtype=complex)
     fock.check_hermitian(a[np.newaxis])

@@ -42,7 +42,7 @@ from unruh_lab import (
     partial_trace,
     run_sweep,
 )
-from unruh_lab import crosscheck, fock, measures, states, sweep
+from unruh_lab import crosscheck, fock, measures, states, sweep, verify
 from unruh_lab.fock import SubsystemLayout, eigvals_hermitian_batch, trace_out
 from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 from unruh_lab.states import (
@@ -62,6 +62,7 @@ from helpers import (
     cpu_features,
     dense_jacobi_eigvals,
     double_wedge_at,
+    random_block_stack,
     random_hermitian,
 )
 
@@ -414,15 +415,51 @@ class TestBlockJacobi:
         assert str(got.value) == str(want.value)
 
     def test_convergence_reads_the_whole_matrix(self):
-        # each 2x2 block's off-diagonal sum, 0.8e-24, is below the tolerance
+        # each block's off-diagonal sum, 0.8e-24, is below the tolerance
         # squared, 1e-24, but the matrix's, 1.6e-24, is above it: so both
-        # blocks rotate, where a test of each block alone would stop
+        # blocks rotate, where a test of each block alone would stop.  The
+        # 3x3 block makes the solvers run the test: all-2x2 blocks take
+        # their one sweep without it
         matrix = np.diag([0.2, 0.2, 0.1, 0.2, 0.2, 0.1]).astype(complex)
-        pivot = math.sqrt(0.4e-24)
-        matrix[0, 1] = matrix[1, 0] = matrix[3, 4] = matrix[4, 3] = pivot
+        pivot = math.sqrt(0.2e-24)
+        matrix[0, 1] = matrix[1, 0] = matrix[1, 2] = matrix[2, 1] = pivot
+        matrix[3, 4] = matrix[4, 3] = math.sqrt(2.0) * pivot
+        assert [m.shape for m in fock._blocks((matrix != 0).tobytes(), 6)] == [(1, 2), (1, 3)]
         want = dense_jacobi_eigvals(matrix)
-        assert np.allclose(want[:4] - 0.2, [pivot, pivot, -pivot, -pivot], rtol=1e-3, atol=0)
+        shifts = [math.sqrt(2.0) * pivot, pivot, -pivot, -math.sqrt(2.0) * pivot]
+        assert np.allclose(want[:4] - 0.2, shifts, rtol=1e-3, atol=0)
         assert_solvers_match_dense(np.array([matrix, np.diag([0.5, 0.2, 0.1, 0.1, 0.1, 0.0])]))
+
+    def test_tiny_two_by_two_blocks_take_their_sweep(self):
+        # the wedge-I state of the quantum dual rail at gamma = 0, q_r = 1e-6,
+        # alpha = 0.75: its block [[5.35e-13, 4.99e-13], [4.99e-13, 4.65e-13]]
+        # has an off-diagonal norm below the tolerance, but its spectrum is
+        # (1e-12, 0), so only the sweep gives the oracle's eigenvalues
+        matrix = crosscheck.brute_region_matrix(
+            ChannelFamily.QUANTUM_DUAL_RAIL, BobRegion.I, 0.0, 1e-6, 0.75
+        )
+        want = crosscheck.eigvals_charpoly(matrix)
+        assert fock._off_diagonal_norm_sq(matrix) <= fock.JACOBI_OFF_NORM_TOL**2
+        for stack in (matrix[np.newaxis], matrix.real[np.newaxis]):
+            assert np.abs(eigvals_hermitian(stack[0]) - want).max() <= 1e-20
+            assert np.abs(eigvals_hermitian_batch(stack)[0] - want).max() <= 1e-20
+
+    def test_own_two_by_two_blocks_sweep_in_a_stack_of_larger_blocks(self):
+        # the single rail's wedge-I state has one 2x2 block at gamma = 0 and
+        # two 3x3 blocks at gamma = 0.3; with alpha = 1e-7 and q_r = 1e-6 the
+        # first passes the norm test, and both solvers still sweep it once
+        first, second = (
+            crosscheck.brute_region_matrix(
+                ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I, gamma, 1e-6, 1e-7
+            ).real
+            for gamma in (0.0, 0.3)
+        )
+        assert [m.shape for m in fock._blocks((first != 0).tobytes(), 8)] == [(1, 2)]
+        assert fock._off_diagonal_norm_sq(first) <= fock.JACOBI_OFF_NORM_TOL**2
+        got = eigvals_hermitian_batch(np.array([first, second]))
+        assert_same_bits(got[0], eigvals_hermitian(first))
+        assert_same_bits(got[1], eigvals_hermitian(second))
+        assert np.abs(got[0] - crosscheck.eigvals_charpoly(first)).max() <= 1e-20
 
     def test_mixed_blocks_converging_at_different_sweeps(self, monkeypatch):
         rng = np.random.default_rng(79)
@@ -688,6 +725,23 @@ class TestSweepBatches:
                 )
                 assert point == record
 
+    def test_sweep_equals_point_by_point_at_tiny_weights(self):
+        # at gamma = 0 the single rail's wedge states have one 2x2 block whose
+        # norm passes the Jacobi test, in batches whose blocks are 3x3
+        spec = SweepSpec(
+            families=(ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL),
+            gamma_grid=(0.0, 1e-6, 0.3),
+            q_r_grid=(1e-6, 1e-7),
+            alpha=1e-7,
+            measure=Measure.STRONG_ADDITIVITY,
+        )
+        for record in run_sweep(spec):
+            point = evaluate_point(
+                record.family, record.region, record.gamma, record.q_r,
+                record.alpha, record.f, with_ssa=True,
+            )
+            assert point == record
+
     def test_records_follow_the_spec_region_order(self, monkeypatch):
         # one batch serves both wedges; its records still come wedge by wedge
         monkeypatch.setattr(sweep, "BATCH_POINTS", 2)
@@ -883,3 +937,77 @@ class TestSweepFailures:
         double_wedge_at(monkeypatch, {(BobRegion.I, 0.3), (BobRegion.II, 0.0)})
         with pytest.raises(SweepPointError, match=named + r".*trace is"):
             run_sweep(two_wedge_spec(regions))
+
+
+def record_dtypes(monkeypatch, *targets):
+    """Wrap each ``(module, name)`` function; the returned dict lists, by name,
+    the dtypes of the arrays it was given and returned."""
+    seen = {}
+    for module, name in targets:
+        real = getattr(module, name)
+        seen.setdefault(name, [])
+
+        def recorded(*args, _real=real, _name=name):
+            result = _real(*args)
+            outputs = [stack for stack, _ in result] if _name == "trace_lifted" else [result]
+            seen[_name] += [x.dtype for x in [*args, *outputs] if isinstance(x, np.ndarray)]
+            return result
+
+        monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
+class TestRealArithmetic:
+    """The model's states are real, and the sweep carries them in float64."""
+
+    def test_sweep_routes_solve_in_float64(self, monkeypatch):
+        seen = record_dtypes(
+            monkeypatch,
+            (measures, "eigvals_hermitian"),
+            (measures, "eigvals_hermitian_batch"),
+            (verify, "eigvals_hermitian_batch"),
+            (sweep, "bob_isometries"),
+            (verify, "bob_isometries"),
+            (sweep, "trace_lifted"),
+            (states, "trace_lifted"),
+        )
+        spec = dataclasses.replace(figure_preset("fig3"), gamma_grid=(0.0, 0.3, PI4))
+        run_sweep(spec)
+        run_sweep(dataclasses.replace(figure_preset("fig4"), gamma_grid=(0.0, 0.3)))
+        for family in ChannelFamily:
+            werner = family is ChannelFamily.WERNER
+            f, alpha = (0.7, PI4) if werner else (None, 0.4)
+            evaluate_point(family, BobRegion.II, 0.2, 0.6, alpha, f, with_ssa=True)
+        verify.run_checks(include_determinism=False)
+        assert all(seen.values()), seen
+        assert {dtype for dtypes in seen.values() for dtype in dtypes} == {np.dtype(float)}
+
+    def test_real_lift_has_the_bits_of_the_complex_lift(self, sample):
+        for family in ChannelFamily:
+            inertial, isometries = lift_inputs(family, [p for p in sample if p[0] is family])
+            assert not inertial.imag.any()
+            real = trace_lifted(family.encoding, inertial.real, isometries, SWEEP_DISCARDS)
+            mixed = trace_lifted(family.encoding, inertial, isometries, SWEEP_DISCARDS)
+            for (got, _), (want, _) in zip(real, mixed):
+                assert got.dtype == float and not want.imag.any()
+                assert_same_bits(got, want.real)
+
+    def test_preset_matrices_give_the_same_bits_real_and_complex(self, matrices):
+        for stack in matrices.values():
+            assert stack.dtype == complex and not stack.imag.any()
+            assert_solvers_agree_real_and_complex(stack.real.copy())
+
+    def test_seeded_real_block_stacks_give_the_same_bits_real_and_complex(self):
+        rng = np.random.default_rng(101)
+        for _ in range(60):
+            assert_solvers_agree_real_and_complex(random_block_stack(rng).real.copy())
+
+
+def assert_solvers_agree_real_and_complex(stack):
+    """Both solvers give a real stack's rows the bits they give its complex copy."""
+    copy = stack.astype(complex)
+    batched = eigvals_hermitian_batch(stack)
+    assert batched.dtype == float
+    assert_same_bits(batched, eigvals_hermitian_batch(copy))
+    for matrix, complex_matrix in zip(stack, copy):
+        assert_same_bits(eigvals_hermitian(matrix), eigvals_hermitian(complex_matrix))

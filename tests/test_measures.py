@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unruh_lab import (
@@ -439,6 +439,10 @@ class TestMeasureProperties:
         q_r=st.floats(0.0, 1.0),
         alpha=st.floats(0.0, math.pi),
     )
+    # the wedge-I state's 2x2 block here has entries near 5e-13 and an
+    # off-diagonal norm below the Jacobi tolerance; unrotated, its diagonal
+    # put S(AB_I) 1e-12 off and the sum 1.0011e-12 off
+    @example(ChannelFamily.QUANTUM_DUAL_RAIL, 0.0, 1e-06, 0.75)
     def test_pure_channel_sum_rule(self, family, gamma, q_r, alpha):
         # the joint is pure, so S(AB_I) = S(B_II) and S(AB_II) = S(B_I):
         # CE_I = S(B_II) - S(B_I) = -CE_II and MI_I + MI_II = 2 S(A)
