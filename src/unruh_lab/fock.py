@@ -26,9 +26,12 @@ whose blocks are all 2x2 takes one, with no norm test, after which every
 off-diagonal entry is an exact zero.  The batched solver gathers the blocks
 of each size into one compact stack, once, and rotates that stack across
 all sweeps, a block whose pivot is zero or negligible by the identity;
-the rules of :func:`eigvals_hermitian_batch` keep every bit.  The solvers
-keep their input's dtype, at least float64, so the model's real states
-are solved in real arithmetic.
+the rules of :func:`eigvals_hermitian_batch` keep every bit.  The batched
+solver keeps its input's dtype, at least float64, so the model's real
+states are solved in real arithmetic.  The single-matrix solver rotates a
+real matrix as a list of rows of Python floats, which round as numpy's
+float64 does, without numpy's cost per scalar, and hands a complex matrix
+to the batched solver as a stack of one.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
@@ -312,11 +315,16 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     :class:`ConvergenceError` after ``JACOBI_MAX_SWEEPS`` sweeps.
 
     A sweep visits only the pairs inside the blocks of the matrix's zero
-    pattern (:func:`_blocks`), each block's in row order.  A diagonal
+    pattern (:func:`_pairs`), each block's in row order.  A diagonal
     matrix is not swept, and a matrix whose blocks are all 2x2 is swept
-    once (:func:`_sweeps_to_diagonal`), even if its norm passes the test;
-    a rotation inside a 2x2 block writes only the block's four entries,
-    since the rest of its rows and columns is zero.
+    once (:func:`_sweeps_to_diagonal`), even if its norm passes the test.
+
+    Real input is checked and symmetrised in numpy, then rotated as
+    Python floats (:func:`_jacobi_rotate_rows`), whose arithmetic gives
+    numpy's float64 results bit for bit without numpy's cost per scalar;
+    the convergence test stays in numpy, to sum in numpy's order.  Complex
+    input is solved by :func:`eigvals_hermitian_batch` as a stack of one,
+    which gives the same bits.
     """
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
@@ -324,30 +332,30 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     a = np.asarray(a, dtype=np.promote_types(a.dtype, float))
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ShapeError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if a.dtype.kind == "c":
+        return eigvals_hermitian_batch(a[np.newaxis])[0]
     check_hermitian(a[np.newaxis])
-    a = (a + a.conj().T + 0.0) / 2.0
+    a = (a + a.T + 0.0) / 2.0
     n = a.shape[0]
 
-    blocks = _blocks((a != 0).tobytes(), n)
-    exact_after = _sweeps_to_diagonal(blocks)
+    pattern = (a != 0).tobytes()
+    exact_after = _sweeps_to_diagonal(_blocks(pattern, n))
+    pairs = _pairs(pattern, n)
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
+    rows = a.tolist()
     for sweep in range(JACOBI_MAX_SWEEPS):
         if sweep == exact_after:
             break
-        if exact_after is None and _off_diagonal_norm_sq(a) <= JACOBI_OFF_NORM_TOL**2:
+        if exact_after is None and _off_diagonal_norm_sq(np.array(rows)) <= JACOBI_OFF_NORM_TOL**2:
             break
-        for members in blocks:
-            lines = members.shape[1] > 2
-            for block in members.tolist():
-                for i, k in enumerate(block):
-                    for l in block[i + 1 :]:
-                        _jacobi_rotate(a, k, l, skip_below, lines)
+        for k, l, others in pairs:
+            _jacobi_rotate_rows(rows, k, l, others, skip_below)
     else:
         raise ConvergenceError(
-            f"off-diagonal norm still {math.sqrt(_off_diagonal_norm_sq(a)):.3e} "
+            f"off-diagonal norm still {math.sqrt(_off_diagonal_norm_sq(np.array(rows))):.3e} "
             f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
-    eigs = np.sort(np.diag(a).real)
+    eigs = np.sort([rows[k][k] for k in range(n)])
     return eigs[::-1]
 
 
@@ -390,21 +398,45 @@ def _sweeps_to_diagonal(blocks: tuple[np.ndarray, ...]) -> Union[int, None]:
     return 0 if not sizes else 1 if sizes == {2} else None
 
 
-def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float, lines: bool) -> None:
-    """Annihilate a[k, l] (and a[l, k]) by a unitary plane rotation, in place.
+@functools.lru_cache(maxsize=256)
+def _pairs(pattern: bytes, n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The pairs (k, l, others) a sweep of :func:`eigvals_hermitian` rotates, in order.
 
-    Without ``lines`` only the entries (k, k), (k, l), (l, k) and (l, l)
-    are written, which is exact where rows and columns k and l are zero
-    elsewhere, as in a 2x2 block.
+    For each block of :func:`_blocks`, in its order, the pairs k < l of the
+    block in row order, each with the block's other members, ascending:
+    the only rows and columns besides k and l where the rotation can
+    write a nonzero.
     """
-    pivot = a[k, l]
+    return tuple(
+        (k, l, tuple(m for m in block if m not in (k, l)))
+        for members in _blocks(pattern, n)
+        for block in members.tolist()
+        for i, k in enumerate(block)
+        for l in block[i + 1 :]
+    )
+
+
+def _jacobi_rotate_rows(
+    rows: list[list[float]], k: int, l: int, others: tuple[int, ...], skip_below: float
+) -> None:
+    """Annihilate rows[k][l] (and rows[l][k]) of a real symmetric matrix by a plane rotation.
+
+    In place, on a list of rows of Python floats.  Only the entries (k, k),
+    (k, l), (l, k) and (l, l) and those of rows and columns k and l in
+    ``others`` are written, which is exact where rows and columns k and l
+    are zero elsewhere, as outside a block.  The rotation keeps the matrix
+    exactly symmetric, so each entry off the pivot is computed once, from
+    the column, and written to its mirror too.
+    """
+    row_k, row_l = rows[k], rows[l]
+    pivot = row_k[l]
     beta = abs(pivot)
     if not beta >= skip_below:
         # zero, or negligible against the convergence tolerance: drop it
-        a[k, l] = a[l, k] = 0.0
+        row_k[l] = row_l[k] = 0.0
         return
-    akk = a[k, k].real
-    all_ = a[l, l].real
+    akk = row_k[k]
+    all_ = row_l[l]
     # the product, as numpy divides a complex number by a real one: for
     # about 15% of real pivots the phase is 0.9999999999999999, not +-1,
     # and the record bits depend on that
@@ -416,20 +448,16 @@ def _jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float, lines: bool
     new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
     new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
 
-    if lines:
-        col_k = a[:, k].copy()
-        col_l = a[:, l].copy()
-        a[:, k] = c * col_k + (s * phase.conj()) * col_l
-        a[:, l] = (-s * phase) * col_k + c * col_l
-        row_k = a[k, :].copy()
-        row_l = a[l, :].copy()
-        a[k, :] = c * row_k + (s * phase) * row_l
-        a[l, :] = (-s * phase.conj()) * row_k + c * row_l
+    s_phase = s * phase
+    for m in others:
+        row_m = rows[m]
+        col_k, col_l = row_m[k], row_m[l]
+        row_m[k] = row_k[m] = c * col_k + s_phase * col_l
+        row_m[l] = row_l[m] = -s_phase * col_k + c * col_l
 
-    a[k, k] = new_kk
-    a[l, l] = new_ll
-    a[k, l] = 0.0
-    a[l, k] = 0.0
+    row_k[k] = new_kk
+    row_l[l] = new_ll
+    row_k[l] = row_l[k] = 0.0
 
 
 def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
@@ -533,12 +561,14 @@ def _off_diagonal_norms_sq(
 
 
 def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
-    """_jacobi_rotate on every block of a compact stack (b, b, M), in place.
+    """_jacobi_rotate_rows on every block of a compact stack (b, b, M), in place.
 
-    Every value comes from the same operations in the same order as there:
-    the pivot's modulus is ``np.hypot`` of its parts, as ``abs`` of a
-    complex or real scalar is, and ``hypot(tau, 1)`` is ``math.hypot`` for
-    each block; ``np.abs`` and ``np.hypot`` differ in the last bit.  A
+    The stack is real or complex; a complex one takes the phase's
+    conjugate where a unitary rotation needs it.  On a real stack every
+    value comes from the same operations in the same order as there: the
+    pivot's modulus is ``np.hypot`` of its parts, which is ``abs`` of a
+    real pivot, and ``hypot(tau, 1)`` is ``math.hypot`` for each block;
+    ``np.abs`` and ``np.hypot`` differ in the last bit.  A
     block whose pivot is zero or below ``skip_below`` gets the identity
     rotation: modulus 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each
     entry written is the old one times 1 plus a zero, with its old bits,
@@ -553,7 +583,7 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     beta = np.where(rotate, beta, 1.0)
     akk = a[k, k].real
     all_ = a[l, l].real
-    phase = pivot * (1.0 / beta)  # numpy's division, as in _jacobi_rotate
+    phase = pivot * (1.0 / beta)  # numpy's division; see _jacobi_rotate_rows
     tau = (all_ - akk) / (2.0 * beta)
     hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
     t = np.where(rotate, np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot), 0.0)

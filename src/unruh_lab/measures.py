@@ -92,8 +92,9 @@ def von_neumann_entropies(matrices: np.ndarray) -> np.ndarray:
     Raises :class:`NormalizationError` for the first matrix off unit trace,
     then :class:`SymmetryError` (from the eigensolver) for the first one
     that is not Hermitian, as :class:`DensityMatrix` would.  A stack of one
-    goes to :func:`eigvals_hermitian`, which is faster than the batched
-    solver for a single matrix; the results are the same.
+    goes to :func:`eigvals_hermitian`, which rotates a real matrix in
+    Python floats, faster than the batched solver for a single matrix, and
+    passes a complex one on to the batched solver; the results are the same.
     """
     check_traces(matrices)
     if len(matrices) == 1:

@@ -8,6 +8,7 @@ pin the scalar path's rounding.
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,22 +219,32 @@ class TestBatchedJacobi:
 
     def test_unrotated_blocks_keep_their_bits(self):
         # a compact (3, 3, 3) stack, the block index last: block 0 has a zero
-        # pivot, block 1 one below skip_below, and block 2 rotates
+        # pivot, block 1 one below skip_below, and block 2 rotates; complex,
+        # then its real part, whose blocks the rows kernel rotates too
         rng = np.random.default_rng(89)
-        blocks = np.array([random_hermitian(rng, 3) for _ in range(3)])
+        complex_blocks = np.array([random_hermitian(rng, 3) for _ in range(3)])
         skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * 3)
-        blocks[0, 0, 1] = blocks[0, 1, 0] = 0.0
-        blocks[1, 0, 1] = blocks[1, 1, 0] = skip_below / 4
-        stack = blocks.transpose(1, 2, 0).copy()
-        fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
-        got = stack.transpose(2, 0, 1)
-        for block in (0, 1):
-            want = blocks[block].copy()
-            want[0, 1] = want[1, 0] = 0.0
-            assert_same_bits(got[block], want)
-        want = blocks[2].copy()
-        fock._jacobi_rotate(want, 0, 1, skip_below, lines=True)
+        complex_blocks[0, 0, 1] = complex_blocks[0, 1, 0] = 0.0
+        complex_blocks[1, 0, 1] = complex_blocks[1, 1, 0] = skip_below / 4
+        for blocks in (complex_blocks, complex_blocks.real.copy()):
+            stack = blocks.transpose(1, 2, 0).copy()
+            fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
+            got = stack.transpose(2, 0, 1)
+            for block in (0, 1):
+                want = blocks[block].copy()
+                want[0, 1] = want[1, 0] = 0.0
+                assert_same_bits(got[block], want)
+            # the rotated block has the bits it has alone, whatever its neighbours
+            alone = blocks[2][:, :, np.newaxis].copy()
+            fock._jacobi_rotate_batch(alone, 0, 1, skip_below)
+            assert_same_bits(got[2], alone[:, :, 0])
+        pivot = blocks[2, 0, 1]
+        want = np.array(float_rotation(blocks[2].tolist(), pivot * (1.0 / abs(pivot))))
         assert_same_bits(got[2], want)
+        for block, rotated in zip(blocks, got):
+            rows = block.tolist()
+            fock._jacobi_rotate_rows(rows, 0, 1, (2,), skip_below)
+            assert_same_bits(np.array(rows), rotated)
 
     def test_real_pivot_phase_is_numpys_reciprocal_product(self):
         # the pivot 0.41 has 0.41 * (1 / 0.41) == 0.9999999999999999, so the
@@ -243,15 +254,16 @@ class TestBatchedJacobi:
         block = [[0.5, pivot, 0.3], [pivot, 0.25, 0.4], [0.3, 0.4, 0.25]]
         phase = pivot * (1.0 / abs(pivot))
         assert phase != 1.0
-        want = np.array(float_rotation(block, phase), dtype=complex)
+        want = np.array(float_rotation(block, phase))
         assert float_rotation(block, 1.0) != float_rotation(block, phase)
         skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * 3)
-        scalar = np.array(block, dtype=complex)
-        fock._jacobi_rotate(scalar, 0, 1, skip_below, lines=True)
-        assert_same_bits(scalar, want)
-        stack = np.array(block, dtype=complex)[:, :, np.newaxis].copy()
-        fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
-        assert_same_bits(stack[:, :, 0], want)
+        rows = [list(row) for row in block]
+        fock._jacobi_rotate_rows(rows, 0, 1, (2,), skip_below)
+        assert_same_bits(np.array(rows), want)
+        for dtype in (complex, float):
+            stack = np.array(block, dtype=dtype)[:, :, np.newaxis].copy()
+            fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
+            assert_same_bits(stack[:, :, 0], want.astype(dtype))
 
     def test_nan_matrix_fails_the_hermiticity_check(self):
         # both solvers run check_hermitian, where NaN fails as in every check
@@ -261,13 +273,43 @@ class TestBatchedJacobi:
         with pytest.raises(SymmetryError, match="defect nan"):
             eigvals_hermitian_batch(np.array([np.eye(3) / 3, nan_matrix]))
 
+    def test_diagonal_negative_zero_is_a_positive_zero_eigenvalue(self):
+        # both symmetrisations add +0 before halving, so a -0 on the diagonal
+        # outside every block is a +0 eigenvalue in both solvers and dtypes
+        matrix = np.diag([0.5, -0.0, 0.5])
+        matrix[0, 2] = matrix[2, 0] = 0.1
+        for stack in (matrix[np.newaxis], matrix.astype(complex)[np.newaxis]):
+            got = eigvals_hermitian(stack[0])
+            assert_same_bits(got[2:], np.zeros(1))
+            assert_same_bits(got, eigvals_hermitian_batch(stack)[0])
+
+    def test_complex_matrix_is_solved_as_a_stack_of_one(self, monkeypatch):
+        # the scalar solver rotates only real matrices; a complex one goes to
+        # the batched solver, after the scalar solver's own shape check
+        rng = np.random.default_rng(97)
+        matrices = [random_hermitian(rng, n) for n in (1, 2, 3, 5, 8)]
+        matrices += list(random_block_stack(rng))
+        want = [eigvals_hermitian_batch(m[np.newaxis])[0] for m in matrices]
+        calls = count_calls(monkeypatch, (fock, "eigvals_hermitian_batch"))
+        for matrix, row in zip(matrices, want):
+            assert_same_bits(eigvals_hermitian(matrix), row)
+        assert calls["eigvals_hermitian_batch"] == len(matrices)
+        for matrix in matrices:
+            eigvals_hermitian(matrix.real)
+        assert calls["eigvals_hermitian_batch"] == len(matrices)
+        for shape in ((0, 0), (2, 3), (2, 2, 2)):
+            message = f"expected a nonempty square matrix, got shape {shape}"
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                eigvals_hermitian(np.zeros(shape, dtype=complex))
+
 
 def float_rotation(block, phase):
     """One Jacobi rotation of (0, 1) in a real 3x3 block, in Python floats.
 
-    The formula of ``fock._jacobi_rotate`` with the given phase of the
-    pivot; the entries are real, so every complex product in the kernel
-    has a zero imaginary part and equals the float product here.
+    The formulas of ``fock._jacobi_rotate_rows`` with the given phase of
+    the pivot, but the columns, then the rows, rotated in full, as a dense
+    rotation does; on real entries every complex product of the batched
+    kernel has a zero imaginary part and equals the float product here.
     """
     a = [list(row) for row in block]
     beta = abs(a[0][1])
@@ -348,7 +390,9 @@ class TestBlockJacobi:
     @settings(deadline=None, database=None, max_examples=60)
     @given(stack=block_structured_stacks())
     def test_block_structured_stacks_match_dense_reference(self, stack):
+        # the real part too, which the scalar solver rotates in Python floats
         assert_solvers_match_dense(stack)
+        assert_solvers_match_dense(stack.real.copy())
 
     def test_dense_matrices_match_dense_reference(self):
         rng = np.random.default_rng(67)
@@ -489,7 +533,8 @@ class TestBlockJacobi:
     @pytest.mark.parametrize("level", DISPATCH_LEVELS + ("baseline",))
     def test_solvers_match_dense_reference_at_each_dispatch_level(self, level):
         # complex products round differently at each level, and the compact
-        # stacks may reach numpy's loops by other strides than the reference
+        # stacks may reach numpy's loops by other strides than the reference;
+        # the stacks' real parts pin the scalar solver's Python floats too
         features = cpu_features()
         if level != "baseline" and not features.get(level):
             pytest.skip(f"numpy does not dispatch to {level} on this CPU")

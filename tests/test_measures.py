@@ -99,18 +99,23 @@ class TestVonNeumannEntropy:
 
 
 def stacks_failing_at(first, later):
-    """``first`` alone, and as item 2 of a stack of 3 after a valid matrix.
+    """``first`` alone, and as item 2 of a stack of 3 after a valid matrix; complex, then float64.
 
     The third item, ``later``, fails too, with a larger defect, so a
     message naming the first failing item tells the two apart.  The stack
     of one goes to the scalar solver, the stack of 3 to the batched one.
+    The scalar solver hands a complex matrix to the batched one as a stack
+    of one, and rotates a float64 matrix itself, in Python floats.
     """
-    first, later = np.array(first, dtype=complex), np.array(later, dtype=complex)
-    valid = np.eye(len(first)) / len(first)
-    return [first[np.newaxis], np.array([valid, first, later])]
+    stacks = []
+    for dtype in (complex, float):
+        one, other = np.array(first, dtype=dtype), np.array(later, dtype=dtype)
+        valid = np.eye(len(one)) / len(one)
+        stacks += [one[np.newaxis], np.array([valid, one, other])]
+    return stacks
 
 
-ROUTES = ["scalar", "batched"]
+ROUTES = ["scalar", "batched", "scalar-float64", "batched-float64"]
 
 
 class TestVonNeumannEntropiesChecks:
@@ -143,9 +148,10 @@ class TestVonNeumannEntropiesChecks:
             von_neumann_entropies(stack)
 
     def test_trace_is_checked_before_hermiticity(self):
-        both = np.array([[[1.0, 0.1], [0.0, 1.0]]], dtype=complex)
-        with pytest.raises(NormalizationError, match=r"trace is \(2\+0j\)"):
-            von_neumann_entropies(both)
+        for dtype in (complex, float):
+            both = np.array([[[1.0, 0.1], [0.0, 1.0]]], dtype=dtype)
+            with pytest.raises(NormalizationError, match=r"trace is \(2\+0j\)"):
+                von_neumann_entropies(both)
 
 
 class TestMutualInformation:
