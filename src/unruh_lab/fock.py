@@ -3,8 +3,10 @@
 Layouts name an ordered set of two-level subsystems; factor 0 is the most
 significant bit of a basis index, so a basis ket reads left to right in the
 written mode order.  On top of the layouts sit unit state vectors, density
-matrices, the partial trace, and a cyclic Jacobi eigensolver for Hermitian
-matrices.  Everything is small (at most 32x32) and immutable.
+matrices, the partial trace, and a cyclic Jacobi eigensolver for symmetric
+matrices.  Everything is small (at most 32x32), immutable and real, as
+every amplitude of the model is: the classes and both solvers read their
+input by :func:`_as_real`, so a nonzero imaginary part raises.
 
 A partial trace is one term plan and one sum.  The plan (``_trace_terms``)
 lists, for each value of the traced factors in lexicographic order, the
@@ -26,12 +28,9 @@ whose blocks are all 2x2 takes one, with no norm test, after which every
 off-diagonal entry is an exact zero.  The batched solver gathers the blocks
 of each size into one compact stack, once, and rotates that stack across
 all sweeps, a block whose pivot is zero or negligible by the identity;
-the rules of :func:`eigvals_hermitian_batch` keep every bit.  The batched
-solver keeps its input's dtype, at least float64, so the model's real
-states are solved in real arithmetic.  The single-matrix solver rotates a
-real matrix as a list of rows of Python floats, which round as numpy's
-float64 does, without numpy's cost per scalar, and hands a complex matrix
-to the batched solver as a stack of one.
+the rules of :func:`eigvals_hermitian_batch` keep every bit.  The
+single-matrix solver rotates a matrix as a list of rows of Python floats,
+which round as numpy's float64 does, without numpy's cost per scalar.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
@@ -73,6 +72,17 @@ JACOBI_MAX_SWEEPS = 100
 PSD_TOL = 1e-8
 
 
+def _as_real(values, param: str) -> np.ndarray:
+    """A float64 copy of ``values``, or of the real part of complex ones whose imaginary
+    part is exactly zero; any other complex input raises DomainError naming ``param``."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        if a.imag.any():
+            raise DomainError(param, "must be real, got a nonzero imaginary part")
+        a = a.real
+    return np.array(a, dtype=float)
+
+
 def check_norms(vectors: np.ndarray) -> None:
     """Raise for the first vector of a stack (N, d) off unit norm by more than ``NORM_TOL``."""
     norms = np.linalg.norm(vectors, axis=-1)
@@ -82,8 +92,8 @@ def check_norms(vectors: np.ndarray) -> None:
 
 
 def check_hermitian(matrices: np.ndarray) -> None:
-    """Raise for the first matrix (N, n, n) off Hermitian by more than ``HERMITIAN_TOL``."""
-    _check_hermitian_defects(np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)))
+    """Raise for the first matrix (N, n, n) off symmetric by more than ``HERMITIAN_TOL``."""
+    _check_hermitian_defects(np.abs(matrices - matrices.swapaxes(1, 2)).max(axis=(1, 2)))
 
 
 def _check_hermitian_defects(defects: np.ndarray) -> None:
@@ -100,12 +110,12 @@ def check_traces(matrices: np.ndarray) -> None:
     traces = matrices.trace(axis1=1, axis2=2)
     within = np.abs(traces - 1.0) <= TRACE_TOL
     if not within.all():
-        raise NormalizationError(f"trace is {complex(traces[~within][0])!r}, expected 1")
+        raise NormalizationError(f"trace is {float(traces[~within][0])!r}, expected 1")
 
 
 def check_isometries(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, d, k) with columns off orthonormal by > ``ISOMETRY_TOL``."""
-    gram = matrices.conj().swapaxes(1, 2) @ matrices
+    gram = matrices.swapaxes(1, 2) @ matrices
     defects = np.abs(gram - np.eye(matrices.shape[2])).max(axis=(1, 2))
     within = defects <= ISOMETRY_TOL
     if not within.all():
@@ -169,13 +179,13 @@ class SubsystemLayout:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm, finite complex amplitude vector over a layout's basis."""
+    """Unit-norm, finite real amplitude vector over a layout's basis."""
 
     layout: SubsystemLayout
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _as_real(self.amplitudes, "amplitudes").reshape(-1)
         if amps.shape != (self.layout.dim,):
             raise ShapeError(
                 f"amplitude vector of length {amps.size} does not fit a "
@@ -193,9 +203,9 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace matrix over a layout.
+    """Real symmetric, unit-trace matrix over a layout.
 
-    Finite entries, Hermiticity and trace are checked at construction;
+    Finite entries, symmetry and trace are checked at construction;
     positivity is enforced wherever eigenvalues are actually computed (a
     value below ``-PSD_TOL`` raises there, see
     :func:`unruh_lab.measures.von_neumann_entropy`).
@@ -205,7 +215,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = _as_real(self.entries, "entries")
         dim = self.layout.dim
         if m.shape != (dim, dim):
             raise ShapeError(f"matrix of shape {m.shape} does not fit dimension {dim}")
@@ -219,16 +229,16 @@ class DensityMatrix:
         return self.layout.dim
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        return float(np.trace(self.entries))
 
     def purity(self) -> float:
         """tr(rho^2); 1 for pure states."""
-        return float(np.einsum("ij,ji->", self.entries, self.entries).real)
+        return float(np.einsum("ij,ji->", self.entries, self.entries))
 
 
 def outer_product(v: StateVector) -> DensityMatrix:
     """Rank-1 projector |v><v| as a density matrix."""
-    return DensityMatrix(v.layout, np.outer(v.amplitudes, v.amplitudes.conj()))
+    return DensityMatrix(v.layout, np.outer(v.amplitudes, v.amplitudes))
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[Subsystem]) -> DensityMatrix:
@@ -304,36 +314,32 @@ def _off_diagonal_norm_sq(a: np.ndarray) -> float:
 
 
 def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, descending.
+    """All eigenvalues of a real symmetric matrix, descending.
 
-    Cyclic Jacobi: unitary two-sided rotations annihilate one off-diagonal
-    pair at a time, swept in row order until the off-diagonal Frobenius
-    norm drops below ``JACOBI_OFF_NORM_TOL``.  The eigenvalue sum equals
-    the trace to the same accuracy.  Raises :class:`ShapeError` for a 0x0
-    matrix, :class:`SymmetryError` as :func:`check_hermitian` does, so for
-    a defect beyond ``HERMITIAN_TOL`` or a NaN entry, and
-    :class:`ConvergenceError` after ``JACOBI_MAX_SWEEPS`` sweeps.
+    Cyclic Jacobi: plane rotations annihilate one off-diagonal pair at a
+    time, swept in row order until the off-diagonal Frobenius norm drops
+    below ``JACOBI_OFF_NORM_TOL``.  The eigenvalue sum equals the trace to
+    the same accuracy.  Raises :class:`DomainError` for a nonzero imaginary
+    part (:func:`_as_real`), :class:`ShapeError` for a 0x0 matrix,
+    :class:`SymmetryError` as :func:`check_hermitian` does, so for a defect
+    beyond ``HERMITIAN_TOL`` or a NaN entry, and :class:`ConvergenceError`
+    after ``JACOBI_MAX_SWEEPS`` sweeps.
 
     A sweep visits only the pairs inside the blocks of the matrix's zero
     pattern (:func:`_pairs`), each block's in row order.  A diagonal
     matrix is not swept, and a matrix whose blocks are all 2x2 is swept
     once (:func:`_sweeps_to_diagonal`), even if its norm passes the test.
 
-    Real input is checked and symmetrised in numpy, then rotated as
+    The matrix is checked and symmetrised in numpy, then rotated as
     Python floats (:func:`_jacobi_rotate_rows`), whose arithmetic gives
     numpy's float64 results bit for bit without numpy's cost per scalar;
-    the convergence test stays in numpy, to sum in numpy's order.  Complex
-    input is solved by :func:`eigvals_hermitian_batch` as a stack of one,
-    which gives the same bits.
+    the convergence test stays in numpy, to sum in numpy's order.
     """
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
-    a = np.asarray(matrix)
-    a = np.asarray(a, dtype=np.promote_types(a.dtype, float))
+    a = _as_real(matrix, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ShapeError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if a.dtype.kind == "c":
-        return eigvals_hermitian_batch(a[np.newaxis])[0]
     check_hermitian(a[np.newaxis])
     a = (a + a.T + 0.0) / 2.0
     n = a.shape[0]
@@ -437,9 +443,9 @@ def _jacobi_rotate_rows(
         return
     akk = row_k[k]
     all_ = row_l[l]
-    # the product, as numpy divides a complex number by a real one: for
-    # about 15% of real pivots the phase is 0.9999999999999999, not +-1,
-    # and the record bits depend on that
+    # the pivot times the reciprocal, not the quotient: for about 15% of
+    # pivots the phase is 0.9999999999999999, not +-1, and the record bits
+    # depend on that
     phase = pivot * (1.0 / beta)
     tau = (all_ - akk) / (2.0 * beta)
     t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
@@ -461,16 +467,16 @@ def _jacobi_rotate_rows(
 
 
 def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each Hermitian matrix of a stack (N, n, n), rows descending.
+    """Eigenvalues of each real symmetric matrix of a stack (N, n, n), rows descending.
 
     Runs the cyclic Jacobi of :func:`eigvals_hermitian` on every matrix at
     once, with the same rotations in the same order, the same convergence
     test and the same skip rule for each matrix, so each row equals that
     function's result for its matrix bit for bit.  Returns (0, n) for an
-    empty stack.  Raises as that function does for 0x0 matrices, for the
-    first matrix that fails :func:`check_hermitian` (NaN included), and
-    for the first that does not converge within ``JACOBI_MAX_SWEEPS``
-    sweeps.
+    empty stack.  Raises as that function does for a nonzero imaginary
+    part, for 0x0 matrices, for the first matrix that fails
+    :func:`check_hermitian` (NaN included), and for the first that does
+    not converge within ``JACOBI_MAX_SWEEPS`` sweeps.
 
     The blocks are those of the union of the stack's zero patterns
     (:func:`_blocks`); every entry outside them and the diagonal is zero
@@ -490,8 +496,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     - a matrix whose own blocks are all 2x2 takes one sweep, as there,
       even where the stack's blocks are larger.
     """
-    a = np.asarray(matrices)
-    a = np.asarray(a, np.promote_types(a.dtype, float), order="C")  # only read
+    a = _as_real(matrices, "matrices")  # only read
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
         raise ShapeError(f"expected a stack of nonempty square matrices, got shape {a.shape}")
     count, n = a.shape[:2]
@@ -502,11 +507,11 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
         n * members[:, :, np.newaxis] + members[:, np.newaxis, :] for members in blocks
     ]
     flat = a.reshape(count, n * n)
-    parts = [(flat[:, p.ravel()], flat[:, p.swapaxes(1, 2).ravel()].conj()) for p in positions]
+    parts = [(flat[:, p.ravel()], flat[:, p.swapaxes(1, 2).ravel()]) for p in positions]
     _check_hermitian_defects(
-        functools.reduce(np.maximum, [np.abs(x - adjoint).max(axis=1) for x, adjoint in parts])
+        functools.reduce(np.maximum, [np.abs(x - mirror).max(axis=1) for x, mirror in parts])
     )
-    eigs, *symmetric = [(x + adjoint + 0.0) / 2.0 for x, adjoint in parts]
+    eigs, *symmetric = [(x + mirror + 0.0) / 2.0 for x, mirror in parts]
     stacks = [
         part.reshape(count, *p.shape).transpose(2, 3, 0, 1).reshape(*p.shape[1:], -1)
         for p, part in zip(positions[1:], symmetric)
@@ -523,7 +528,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
             converged = norms <= JACOBI_OFF_NORM_TOL**2
             if sweep == 0:  # every matrix is active: i indexes the input
                 for i in np.flatnonzero(converged & (norms > 0.0)):
-                    own = (a[i] + a[i].conj().T + 0.0) / 2.0  # as eigvals_hermitian reads it
+                    own = (a[i] + a[i].T + 0.0) / 2.0  # as eigvals_hermitian reads it
                     converged[i] = _sweeps_to_diagonal(_blocks((own != 0).tobytes(), n)) != 1
         if converged.any():
             for i, (members, stack) in enumerate(zip(blocks, stacks)):
@@ -544,7 +549,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
             f"off-diagonal norm still {math.sqrt(norms[0]):.3e} "
             f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
-    eigs = np.sort(eigs.real, axis=1)
+    eigs = np.sort(eigs, axis=1)
     return eigs[:, ::-1]
 
 
@@ -563,12 +568,11 @@ def _off_diagonal_norms_sq(
 def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
     """_jacobi_rotate_rows on every block of a compact stack (b, b, M), in place.
 
-    The stack is real or complex; a complex one takes the phase's
-    conjugate where a unitary rotation needs it.  On a real stack every
-    value comes from the same operations in the same order as there: the
-    pivot's modulus is ``np.hypot`` of its parts, which is ``abs`` of a
-    real pivot, and ``hypot(tau, 1)`` is ``math.hypot`` for each block;
-    ``np.abs`` and ``np.hypot`` differ in the last bit.  A
+    Every value comes from the same operations in the same order as
+    there, and ``hypot(tau, 1)`` is ``math.hypot`` for each block, since
+    ``np.hypot`` can differ from it in the last bit.  The rotation keeps
+    each block exactly symmetric, so, as there, each entry off the pivot
+    is computed once, from the columns, and written to its mirror too.  A
     block whose pivot is zero or below ``skip_below`` gets the identity
     rotation: modulus 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each
     entry written is the old one times 1 plus a zero, with its old bits,
@@ -578,12 +582,12 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     zero, as there.
     """
     pivot = a[k, l]
-    beta = np.hypot(pivot.real, pivot.imag)
+    beta = np.abs(pivot)
     rotate = beta >= skip_below
     beta = np.where(rotate, beta, 1.0)
-    akk = a[k, k].real
-    all_ = a[l, l].real
-    phase = pivot * (1.0 / beta)  # numpy's division; see _jacobi_rotate_rows
+    akk = a[k, k]
+    all_ = a[l, l]
+    phase = pivot * (1.0 / beta)  # not the quotient; see _jacobi_rotate_rows
     tau = (all_ - akk) / (2.0 * beta)
     hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
     t = np.where(rotate, np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot), 0.0)
@@ -593,25 +597,18 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     new_kk = akk * c * c + cross + all_ * s * s
     new_ll = akk * s * s - cross + all_ * c * c
 
-    # the row and column updates write the four entries set below, which
-    # they overwrite, and the entries of rows and columns k and l in the
-    # other rows and columns, which alone are computed here
+    # the entries of columns k and l in the other rows, and their mirrors
+    # in rows k and l; the four entries set below are not computed here
     others = [m for m in range(len(a)) if m not in (k, l)]
     if others:
         if len(others) == 1:
-            others = others[0]  # views, not copies
+            others = others[0]  # views, not copies: both are read before either is written
         s_phase = s * phase
-        s_phase_conj = s * phase.conj()
         col_k, col_l = a[others, k], a[others, l]
-        a[others, k], a[others, l] = (
-            c * col_k + s_phase_conj * col_l,
-            -s_phase * col_k + c * col_l,
-        )
-        row_k, row_l = a[k, others], a[l, others]
-        a[k, others], a[l, others] = (
-            c * row_k + s_phase * row_l,
-            -s_phase_conj * row_k + c * row_l,
-        )
+        new_k = c * col_k + s_phase * col_l
+        new_l = -s_phase * col_k + c * col_l
+        a[others, k] = a[k, others] = new_k
+        a[others, l] = a[l, others] = new_l
 
     a[k, k] = new_kk
     a[l, l] = new_ll

@@ -1,10 +1,12 @@
 """Entropies of density matrices.
 
 All entropies are in bits (base-2 logarithms), so a Bell pair's halves
-each carry one bit.  Eigenvalues in [-PSD_TOL, 0) are treated as numerical
-noise and clamped to zero; anything below that raises, signalling an
-invalid construction rather than being silently absorbed.  The channel
-measures built from these entropies are computed by :mod:`unruh_lab.sweep`.
+each carry one bit.  The matrices are real: the eigensolvers reject a
+nonzero imaginary part.  Eigenvalues in [-PSD_TOL, 0) are treated as
+numerical noise and clamped to zero; anything below that raises,
+signalling an invalid construction rather than being silently absorbed.
+The channel measures built from these entropies are computed by
+:mod:`unruh_lab.sweep`.
 
 :func:`von_neumann_entropies` checks each matrix as :class:`DensityMatrix`
 does, each check once: it tests the traces, and the eigensolver tests
@@ -92,9 +94,9 @@ def von_neumann_entropies(matrices: np.ndarray) -> np.ndarray:
     Raises :class:`NormalizationError` for the first matrix off unit trace,
     then :class:`SymmetryError` (from the eigensolver) for the first one
     that is not Hermitian, as :class:`DensityMatrix` would.  A stack of one
-    goes to :func:`eigvals_hermitian`, which rotates a real matrix in
-    Python floats, faster than the batched solver for a single matrix, and
-    passes a complex one on to the batched solver; the results are the same.
+    goes to :func:`eigvals_hermitian`, which rotates it in Python floats,
+    faster than the batched solver for a single matrix; the results are
+    the same.
     """
     check_traces(matrices)
     if len(matrices) == 1:

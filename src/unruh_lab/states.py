@@ -6,7 +6,9 @@ region-II antiparticle, region-I antiparticle, region-II particle, in that
 order).  The acceleration enters through a mixing angle ``gamma`` in
 [0, pi/4], with pi/4 the infinite-acceleration limit; ``q_r`` in [0, 1]
 interpolates between right- and left-wedge Unruh operators (``q_r = 1`` is
-the single-mode approximation).
+the single-mode approximation).  Every amplitude is real, so the states
+are float64, as the :mod:`unruh_lab.fock` classes hold them; those
+classes reject a nonzero imaginary part.
 
 Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
@@ -272,12 +274,6 @@ def check_alpha(alpha: float, werner: bool) -> None:
         raise DomainError("alpha", "fixed at pi/4 for the werner family")
 
 
-def _bell_pair() -> StateVector:
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = amps[0b11] = math.sqrt(0.5)
-    return StateVector(INERTIAL_LAYOUT, amps)
-
-
 # Every family's prepared state is zero outside the {|00>, |11>} block and
 # the diagonal, which only the Werner noise fills.
 _PREPARED_SUPPORT = np.eye(4, dtype=bool)
@@ -295,19 +291,20 @@ def build_inertial(spec: ChannelSpec) -> DensityMatrix:
     """
     family = spec.family
     if family.is_quantum:
-        amps = np.zeros(4, dtype=complex)
+        amps = np.zeros(4)
         amps[0b00] = math.cos(spec.alpha)
         amps[0b11] = math.sin(spec.alpha)
         return outer_product(StateVector(INERTIAL_LAYOUT, amps))
     if family.is_classical:
-        entries = np.zeros((4, 4), dtype=complex)
+        entries = np.zeros((4, 4))
         entries[0b00, 0b00] = math.cos(spec.alpha) ** 2
         entries[0b11, 0b11] = math.sin(spec.alpha) ** 2
         return DensityMatrix(INERTIAL_LAYOUT, entries)
     # Werner: fidelity-weighted mixture of the Bell projector and white noise
-    bell = _bell_pair()
+    bell = np.zeros(4)
+    bell[0b00] = bell[0b11] = math.sqrt(0.5)
     f = spec.fidelity_f
-    entries = f * np.outer(bell.amplitudes, bell.amplitudes.conj())
+    entries = f * np.outer(bell, bell)
     entries += (1.0 - f) / 4.0 * np.eye(4)
     return DensityMatrix(INERTIAL_LAYOUT, entries)
 
@@ -355,8 +352,8 @@ def trace_lifted(
     (:func:`_call_plan`) are computed.  Each reduced entry takes its terms
     from the plan ``trace_out`` uses, and adds them with the same in-order
     sum, one value of the traced factors after another in lexicographic
-    order, skipping only terms that are zero.  The lift must be real and the
-    inputs zero outside the plans' pattern, as :func:`bob_isometries` and
+    order, skipping only terms that are zero.  The inputs must be zero
+    outside the plans' pattern, as :func:`bob_isometries` and
     :func:`build_inertial` make them; the reduced stacks are not checked.
     """
     n = len(isometries)
@@ -367,12 +364,12 @@ def trace_lifted(
     prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
     # the joint entries the reductions read (R, N), then a row of zeros for
     # the plans to pad with; the sums start from +0, so adding it changes no bit
-    entries = np.zeros((len(first) + 1, n), dtype=np.result_type(values, prepared))
+    entries = np.zeros((len(first) + 1, n))
     np.multiply(values[first], prepared[middle], out=entries[:-1])
     entries[:-1] *= values[last]
     reductions = []
     for positions, terms, kept_layout in plans:
-        reduced = np.zeros((n, kept_layout.dim**2), dtype=entries.dtype)
+        reduced = np.zeros((n, kept_layout.dim**2))
         reduced[:, positions] = _add_in_order(entries, terms).T
         reductions.append((reduced.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout))
     return reductions

@@ -278,7 +278,7 @@ def _prepared_states(
     for gamma, q_r, f in points:
         if f not in states:
             spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
-            states[f] = build_inertial(spec).entries.real
+            states[f] = build_inertial(spec).entries
     return np.array([states[f] for _, _, f in points])
 
 

@@ -27,24 +27,24 @@ THREE_QUBITS = SubsystemLayout(
 
 
 def random_state(rng, layout) -> StateVector:
-    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps = rng.normal(size=layout.dim)
     return StateVector(layout, amps / np.linalg.norm(amps))
 
 
 def random_density(rng, layout, rank=None) -> DensityMatrix:
     rank = rank or layout.dim
-    x = rng.normal(size=(layout.dim, rank)) + 1j * rng.normal(size=(layout.dim, rank))
-    m = x @ x.conj().T
-    return DensityMatrix(layout, m / np.trace(m).real)
+    x = rng.normal(size=(layout.dim, rank))
+    m = x @ x.T
+    return DensityMatrix(layout, m / np.trace(m))
 
 
 def random_hermitian(rng, n) -> np.ndarray:
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (x + x.conj().T) / 2
+    x = rng.normal(size=(n, n))
+    return (x + x.T) / 2
 
 
 def random_block_stack(rng) -> np.ndarray:
-    """A Hermitian stack (N, n, n), n in 2..12, whose zero pattern splits into blocks of 1-4.
+    """A real symmetric stack (N, n, n), n in 2..12, whose zero pattern splits into blocks of 1-4.
 
     The blocks sit under a random permutation, and some matrices get extra
     exact zeros inside a block, so a matrix's own pattern can be finer
@@ -56,7 +56,7 @@ def random_block_stack(rng) -> np.ndarray:
         sizes.append(int(rng.integers(1, min(4, n - sum(sizes)) + 1)))
     order = rng.permutation(n)
     count = int(rng.integers(1, 6))
-    stack = np.zeros((count, n, n), dtype=complex)
+    stack = np.zeros((count, n, n))
     start = 0
     for size in sizes:
         members = order[start : start + size]
@@ -70,7 +70,7 @@ def random_block_stack(rng) -> np.ndarray:
 
 
 def bell_state(layout=TWO_QUBITS) -> StateVector:
-    amps = np.zeros(4, dtype=complex)
+    amps = np.zeros(4)
     amps[0] = amps[3] = np.sqrt(0.5)
     return StateVector(layout, amps)
 
@@ -195,19 +195,14 @@ def dispatch_level() -> str:
 
 
 def check_solvers_on_block_stacks(seed, count) -> None:
-    """Both solvers against dense_jacobi_eigvals, bit for bit, on seeded block stacks.
-
-    Each complex stack is checked, then its real part, which the scalar
-    solver rotates in Python floats rather than in numpy.
-    """
+    """Both solvers against dense_jacobi_eigvals, bit for bit, on seeded block stacks."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        complex_stack = random_block_stack(rng)
-        for stack in (complex_stack, complex_stack.real.copy()):
-            want = np.array([dense_jacobi_eigvals(matrix) for matrix in stack])
-            for matrix, row in zip(stack, want):
-                assert_same_bits(fock.eigvals_hermitian(matrix), row)
-            assert_same_bits(fock.eigvals_hermitian_batch(stack), want)
+        stack = random_block_stack(rng)
+        want = np.array([dense_jacobi_eigvals(matrix) for matrix in stack])
+        for matrix, row in zip(stack, want):
+            assert_same_bits(fock.eigvals_hermitian(matrix), row)
+        assert_same_bits(fock.eigvals_hermitian_batch(stack), want)
 
 
 def count_calls(monkeypatch, *targets) -> dict:

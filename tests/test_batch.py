@@ -24,12 +24,15 @@ from unruh_lab import (
     ChannelFamily,
     ChannelSpec,
     ConvergenceError,
+    DensityMatrix,
+    DomainError,
     Encoding,
     FigurePreset,
     Measure,
     NormalizationError,
     ShapeError,
     SpectrumError,
+    StateVector,
     Subsystem,
     SweepPointError,
     SweepSpec,
@@ -42,6 +45,7 @@ from unruh_lab import (
     figure_preset,
     partial_trace,
     run_sweep,
+    von_neumann_entropy,
 )
 from unruh_lab import crosscheck, fock, measures, states, sweep, verify
 from unruh_lab.fock import SubsystemLayout, eigvals_hermitian_batch, trace_out
@@ -64,7 +68,9 @@ from helpers import (
     dense_jacobi_eigvals,
     double_wedge_at,
     random_block_stack,
+    random_density,
     random_hermitian,
+    random_state,
 )
 
 PI4 = math.pi / 4
@@ -146,8 +152,11 @@ def brute_traces(joints, discard):
     trace_lifted.
     """
     keep = [i for i, factor in enumerate(JOINT_FACTORS) if factor not in discard]
-    stack = [crosscheck.brute_partial_trace(joint, len(JOINT_FACTORS), keep) for joint in joints]
-    return np.array(stack), SubsystemLayout(tuple(JOINT_FACTORS[i] for i in keep))
+    stack = np.array(
+        [crosscheck.brute_partial_trace(joint, len(JOINT_FACTORS), keep) for joint in joints]
+    )
+    assert not stack.imag.any()  # the oracle sums in complex; its real parts are the sums
+    return stack.real, SubsystemLayout(tuple(JOINT_FACTORS[i] for i in keep))
 
 
 def reduction_plan(encoding, discard):
@@ -157,10 +166,10 @@ def reduction_plan(encoding, discard):
 
 def dense_lift_reductions(inertial, isometries, discards):
     """The joints through the dense lift kron(I2, V) and two matrix products, then traced."""
-    lift = np.zeros((len(isometries), JOINT_LAYOUT.dim, 4), dtype=complex)
+    lift = np.zeros((len(isometries), JOINT_LAYOUT.dim, 4))
     lift[:, :16, :2] = isometries
     lift[:, 16:, 2:] = isometries
-    joints = (lift @ inertial) @ np.conj(lift).swapaxes(1, 2)
+    joints = (lift @ inertial) @ lift.swapaxes(1, 2)
     return [brute_traces(joints, discard)[0] for discard in discards]
 
 
@@ -219,25 +228,24 @@ class TestBatchedJacobi:
 
     def test_unrotated_blocks_keep_their_bits(self):
         # a compact (3, 3, 3) stack, the block index last: block 0 has a zero
-        # pivot, block 1 one below skip_below, and block 2 rotates; complex,
-        # then its real part, whose blocks the rows kernel rotates too
+        # pivot, block 1 one below skip_below, and block 2 rotates; the rows
+        # kernel rotates its blocks too
         rng = np.random.default_rng(89)
-        complex_blocks = np.array([random_hermitian(rng, 3) for _ in range(3)])
+        blocks = np.array([random_hermitian(rng, 3) for _ in range(3)])
         skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * 3)
-        complex_blocks[0, 0, 1] = complex_blocks[0, 1, 0] = 0.0
-        complex_blocks[1, 0, 1] = complex_blocks[1, 1, 0] = skip_below / 4
-        for blocks in (complex_blocks, complex_blocks.real.copy()):
-            stack = blocks.transpose(1, 2, 0).copy()
-            fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
-            got = stack.transpose(2, 0, 1)
-            for block in (0, 1):
-                want = blocks[block].copy()
-                want[0, 1] = want[1, 0] = 0.0
-                assert_same_bits(got[block], want)
-            # the rotated block has the bits it has alone, whatever its neighbours
-            alone = blocks[2][:, :, np.newaxis].copy()
-            fock._jacobi_rotate_batch(alone, 0, 1, skip_below)
-            assert_same_bits(got[2], alone[:, :, 0])
+        blocks[0, 0, 1] = blocks[0, 1, 0] = 0.0
+        blocks[1, 0, 1] = blocks[1, 1, 0] = skip_below / 4
+        stack = blocks.transpose(1, 2, 0).copy()
+        fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
+        got = stack.transpose(2, 0, 1)
+        for block in (0, 1):
+            want = blocks[block].copy()
+            want[0, 1] = want[1, 0] = 0.0
+            assert_same_bits(got[block], want)
+        # the rotated block has the bits it has alone, whatever its neighbours
+        alone = blocks[2][:, :, np.newaxis].copy()
+        fock._jacobi_rotate_batch(alone, 0, 1, skip_below)
+        assert_same_bits(got[2], alone[:, :, 0])
         pivot = blocks[2, 0, 1]
         want = np.array(float_rotation(blocks[2].tolist(), pivot * (1.0 / abs(pivot))))
         assert_same_bits(got[2], want)
@@ -260,10 +268,9 @@ class TestBatchedJacobi:
         rows = [list(row) for row in block]
         fock._jacobi_rotate_rows(rows, 0, 1, (2,), skip_below)
         assert_same_bits(np.array(rows), want)
-        for dtype in (complex, float):
-            stack = np.array(block, dtype=dtype)[:, :, np.newaxis].copy()
-            fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
-            assert_same_bits(stack[:, :, 0], want.astype(dtype))
+        stack = np.array(block)[:, :, np.newaxis].copy()
+        fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
+        assert_same_bits(stack[:, :, 0], want)
 
     def test_nan_matrix_fails_the_hermiticity_check(self):
         # both solvers run check_hermitian, where NaN fails as in every check
@@ -275,28 +282,14 @@ class TestBatchedJacobi:
 
     def test_diagonal_negative_zero_is_a_positive_zero_eigenvalue(self):
         # both symmetrisations add +0 before halving, so a -0 on the diagonal
-        # outside every block is a +0 eigenvalue in both solvers and dtypes
+        # outside every block is a +0 eigenvalue in both solvers
         matrix = np.diag([0.5, -0.0, 0.5])
         matrix[0, 2] = matrix[2, 0] = 0.1
-        for stack in (matrix[np.newaxis], matrix.astype(complex)[np.newaxis]):
-            got = eigvals_hermitian(stack[0])
-            assert_same_bits(got[2:], np.zeros(1))
-            assert_same_bits(got, eigvals_hermitian_batch(stack)[0])
+        got = eigvals_hermitian(matrix)
+        assert_same_bits(got[2:], np.zeros(1))
+        assert_same_bits(got, eigvals_hermitian_batch(matrix[np.newaxis])[0])
 
-    def test_complex_matrix_is_solved_as_a_stack_of_one(self, monkeypatch):
-        # the scalar solver rotates only real matrices; a complex one goes to
-        # the batched solver, after the scalar solver's own shape check
-        rng = np.random.default_rng(97)
-        matrices = [random_hermitian(rng, n) for n in (1, 2, 3, 5, 8)]
-        matrices += list(random_block_stack(rng))
-        want = [eigvals_hermitian_batch(m[np.newaxis])[0] for m in matrices]
-        calls = count_calls(monkeypatch, (fock, "eigvals_hermitian_batch"))
-        for matrix, row in zip(matrices, want):
-            assert_same_bits(eigvals_hermitian(matrix), row)
-        assert calls["eigvals_hermitian_batch"] == len(matrices)
-        for matrix in matrices:
-            eigvals_hermitian(matrix.real)
-        assert calls["eigvals_hermitian_batch"] == len(matrices)
+    def test_shape_is_checked_after_the_imaginary_part(self):
         for shape in ((0, 0), (2, 3), (2, 2, 2)):
             message = f"expected a nonempty square matrix, got shape {shape}"
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
@@ -308,8 +301,7 @@ def float_rotation(block, phase):
 
     The formulas of ``fock._jacobi_rotate_rows`` with the given phase of
     the pivot, but the columns, then the rows, rotated in full, as a dense
-    rotation does; on real entries every complex product of the batched
-    kernel has a zero imaginary part and equals the float product here.
+    rotation does.
     """
     a = [list(row) for row in block]
     beta = abs(a[0][1])
@@ -343,7 +335,7 @@ def assert_solvers_match_dense(stack):
 
 @st.composite
 def block_structured_stacks(draw):
-    """Hermitian stacks (N, n, n) whose zero pattern splits into blocks of 1-4.
+    """Real symmetric stacks (N, n, n) whose zero pattern splits into blocks of 1-4.
 
     The blocks sit under a random permutation, and some matrices get extra
     exact zeros inside a block, so a matrix's own pattern can be finer
@@ -356,7 +348,7 @@ def block_structured_stacks(draw):
     order = draw(st.permutations(range(n)))
     count = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stack = np.zeros((count, n, n), dtype=complex)
+    stack = np.zeros((count, n, n))
     start = 0
     for size in sizes:
         members = np.array(order[start : start + size])
@@ -390,9 +382,7 @@ class TestBlockJacobi:
     @settings(deadline=None, database=None, max_examples=60)
     @given(stack=block_structured_stacks())
     def test_block_structured_stacks_match_dense_reference(self, stack):
-        # the real part too, which the scalar solver rotates in Python floats
         assert_solvers_match_dense(stack)
-        assert_solvers_match_dense(stack.real.copy())
 
     def test_dense_matrices_match_dense_reference(self):
         rng = np.random.default_rng(67)
@@ -444,7 +434,7 @@ class TestBlockJacobi:
 
     def test_convergence_message_matches_dense_reference(self, monkeypatch):
         rng = np.random.default_rng(71)
-        matrix = np.zeros((6, 6), dtype=complex)
+        matrix = np.zeros((6, 6))
         for members in ([0, 2, 5], [1, 4]):
             matrix[np.ix_(members, members)] = random_hermitian(rng, len(members))
         monkeypatch.setattr(fock, "JACOBI_MAX_SWEEPS", 1)
@@ -464,7 +454,7 @@ class TestBlockJacobi:
         # blocks rotate, where a test of each block alone would stop.  The
         # 3x3 block makes the solvers run the test: all-2x2 blocks take
         # their one sweep without it
-        matrix = np.diag([0.2, 0.2, 0.1, 0.2, 0.2, 0.1]).astype(complex)
+        matrix = np.diag([0.2, 0.2, 0.1, 0.2, 0.2, 0.1])
         pivot = math.sqrt(0.2e-24)
         matrix[0, 1] = matrix[1, 0] = matrix[1, 2] = matrix[2, 1] = pivot
         matrix[3, 4] = matrix[4, 3] = math.sqrt(2.0) * pivot
@@ -481,12 +471,11 @@ class TestBlockJacobi:
         # (1e-12, 0), so only the sweep gives the oracle's eigenvalues
         matrix = crosscheck.brute_region_matrix(
             ChannelFamily.QUANTUM_DUAL_RAIL, BobRegion.I, 0.0, 1e-6, 0.75
-        )
+        ).real
         want = crosscheck.eigvals_charpoly(matrix)
         assert fock._off_diagonal_norm_sq(matrix) <= fock.JACOBI_OFF_NORM_TOL**2
-        for stack in (matrix[np.newaxis], matrix.real[np.newaxis]):
-            assert np.abs(eigvals_hermitian(stack[0]) - want).max() <= 1e-20
-            assert np.abs(eigvals_hermitian_batch(stack)[0] - want).max() <= 1e-20
+        assert np.abs(eigvals_hermitian(matrix) - want).max() <= 1e-20
+        assert np.abs(eigvals_hermitian_batch(matrix[np.newaxis])[0] - want).max() <= 1e-20
 
     def test_own_two_by_two_blocks_sweep_in_a_stack_of_larger_blocks(self):
         # the single rail's wedge-I state has one 2x2 block at gamma = 0 and
@@ -508,7 +497,7 @@ class TestBlockJacobi:
     def test_mixed_blocks_converging_at_different_sweeps(self, monkeypatch):
         rng = np.random.default_rng(79)
         three, two = [0, 2, 4], [1, 3]
-        stack = np.zeros((6, 5, 5), dtype=complex)
+        stack = np.zeros((6, 5, 5))
         stack[:, range(5), range(5)] = rng.uniform(0.0, 1.0, size=(6, 5))
         stack[1][np.ix_(two, two)] += random_hermitian(rng, 2)
         for matrix in stack[2:]:
@@ -532,9 +521,8 @@ class TestBlockJacobi:
 
     @pytest.mark.parametrize("level", DISPATCH_LEVELS + ("baseline",))
     def test_solvers_match_dense_reference_at_each_dispatch_level(self, level):
-        # complex products round differently at each level, and the compact
-        # stacks may reach numpy's loops by other strides than the reference;
-        # the stacks' real parts pin the scalar solver's Python floats too
+        # the compact stacks may reach numpy's loops by other strides than
+        # the reference, and the scalar solver rotates in Python floats
         features = cpu_features()
         if level != "baseline" and not features.get(level):
             pytest.skip(f"numpy does not dispatch to {level} on this CPU")
@@ -616,7 +604,7 @@ class TestBatchedStates:
                 stack, layout = reduced[region]
                 assert layout.factors == tuple(JOINT_LAYOUT.factors[k] for k in keep[region])
                 assert_same_bits(
-                    stack[i], crosscheck.brute_partial_trace(joints[i], 5, keep[region])
+                    stack[i], crosscheck.brute_partial_trace(joints[i], 5, keep[region]).real
                 )
                 want = crosscheck.brute_partial_trace(want, 5, keep[region])
                 assert np.abs(stack[i] - want).max() < 1e-12
@@ -659,7 +647,7 @@ class TestBatchedStates:
 
     @pytest.mark.parametrize("source", ["sample", "seeded"])
     def test_traced_lift_has_the_bits_of_the_dense_lift(self, sample, source):
-        # each joint entry is one product, (V[r] * rho) * conj(V[r']), as
+        # each joint entry is one product, (V[r] * rho) * V[r'], as
         # the dense products multiply it; unlike ==, the bits also pin the
         # sign of every zero
         points = sample if source == "sample" else seeded_points(59, 150)
@@ -1027,32 +1015,45 @@ class TestRealArithmetic:
         assert all(seen.values()), seen
         assert {dtype for dtypes in seen.values() for dtype in dtypes} == {np.dtype(float)}
 
-    def test_real_lift_has_the_bits_of_the_complex_lift(self, sample):
-        for family in ChannelFamily:
-            inertial, isometries = lift_inputs(family, [p for p in sample if p[0] is family])
-            assert not inertial.imag.any()
-            real = trace_lifted(family.encoding, inertial.real, isometries, SWEEP_DISCARDS)
-            mixed = trace_lifted(family.encoding, inertial, isometries, SWEEP_DISCARDS)
-            for (got, _), (want, _) in zip(real, mixed):
-                assert got.dtype == float and not want.imag.any()
-                assert_same_bits(got, want.real)
+    def test_entropy_of_a_density_matrix_rotates_in_python_floats(self, monkeypatch):
+        rng = np.random.default_rng(103)
+        rhos = [random_density(rng, SubsystemLayout(tuple(Subsystem)[:n])) for n in (1, 2, 3)]
+        calls = count_calls(
+            monkeypatch, (fock, "eigvals_hermitian_batch"), (measures, "eigvals_hermitian_batch")
+        )
+        for rho in rhos:
+            von_neumann_entropy(rho)
+        assert calls == {"eigvals_hermitian_batch": 0}
 
-    def test_preset_matrices_give_the_same_bits_real_and_complex(self, matrices):
-        for stack in matrices.values():
-            assert stack.dtype == complex and not stack.imag.any()
-            assert_solvers_agree_real_and_complex(stack.real.copy())
+    @pytest.mark.parametrize("param", ["amplitudes", "entries", "matrix", "matrices"])
+    def test_entry_points_take_only_a_zero_imaginary_part(self, param, matrices):
+        # a zero imaginary part, of either sign, gives the bits of the real
+        # part; any other raises, naming the argument
+        call, inputs = real_inputs(param, matrices)
+        for x in inputs:
+            want = call(x)
+            assert want.dtype == float
+            for zero in (0.0, -0.0):
+                z = x.astype(complex)
+                z.imag = zero
+                assert_same_bits(call(z), want)
+            z.flat[-1] += 1e-300j
+            with pytest.raises(DomainError) as error:
+                call(z)
+            assert error.value.param == param
 
-    def test_seeded_real_block_stacks_give_the_same_bits_real_and_complex(self):
-        rng = np.random.default_rng(101)
-        for _ in range(60):
-            assert_solvers_agree_real_and_complex(random_block_stack(rng).real.copy())
 
-
-def assert_solvers_agree_real_and_complex(stack):
-    """Both solvers give a real stack's rows the bits they give its complex copy."""
-    copy = stack.astype(complex)
-    batched = eigvals_hermitian_batch(stack)
-    assert batched.dtype == float
-    assert_same_bits(batched, eigvals_hermitian_batch(copy))
-    for matrix, complex_matrix in zip(stack, copy):
-        assert_same_bits(eigvals_hermitian(matrix), eigvals_hermitian(complex_matrix))
+def real_inputs(param, matrices):
+    """One entry point that reads its input by fock._as_real, and real inputs for it."""
+    rng = np.random.default_rng(101)
+    stacks = list(matrices.values()) + [random_block_stack(rng) for _ in range(60)]
+    layouts = {2**n: SubsystemLayout(tuple(Subsystem)[:n]) for n in (1, 2, 3)}
+    if param == "amplitudes":
+        vectors = [random_state(rng, layout).amplitudes for layout in layouts.values()]
+        return (lambda v: StateVector(layouts[len(v)], v).amplitudes), vectors
+    if param == "entries":
+        densities = [m for stack in matrices.values() for m in stack]
+        return (lambda m: DensityMatrix(layouts[len(m)], m).entries), densities
+    if param == "matrix":
+        return eigvals_hermitian, [m for stack in stacks for m in stack]
+    return eigvals_hermitian_batch, stacks

@@ -127,7 +127,7 @@ class TestStackChecksRejectNaN:
         nan_off_diagonal = np.array([[0.5, math.nan], [math.nan, 0.5]])
         with pytest.raises(SymmetryError, match="defect nan"):
             check_hermitian(np.array([np.eye(2) / 2, nan_off_diagonal]))
-        with pytest.raises(NormalizationError, match=r"trace is \(nan"):
+        with pytest.raises(NormalizationError, match=r"trace is nan, expected 1$"):
             check_traces(np.array([np.eye(2) / 2, np.diag([math.nan, 0.5])]))
 
     def test_density_stack(self):

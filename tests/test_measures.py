@@ -99,23 +99,18 @@ class TestVonNeumannEntropy:
 
 
 def stacks_failing_at(first, later):
-    """``first`` alone, and as item 2 of a stack of 3 after a valid matrix; complex, then float64.
+    """``first`` alone, and as item 2 of a stack of 3 after a valid matrix.
 
     The third item, ``later``, fails too, with a larger defect, so a
     message naming the first failing item tells the two apart.  The stack
     of one goes to the scalar solver, the stack of 3 to the batched one.
-    The scalar solver hands a complex matrix to the batched one as a stack
-    of one, and rotates a float64 matrix itself, in Python floats.
     """
-    stacks = []
-    for dtype in (complex, float):
-        one, other = np.array(first, dtype=dtype), np.array(later, dtype=dtype)
-        valid = np.eye(len(one)) / len(one)
-        stacks += [one[np.newaxis], np.array([valid, one, other])]
-    return stacks
+    one, other = np.array(first, dtype=float), np.array(later, dtype=float)
+    valid = np.eye(len(one)) / len(one)
+    return [one[np.newaxis], np.array([valid, one, other])]
 
 
-ROUTES = ["scalar", "batched", "scalar-float64", "batched-float64"]
+ROUTES = ["scalar", "batched"]
 
 
 class TestVonNeumannEntropiesChecks:
@@ -125,7 +120,7 @@ class TestVonNeumannEntropiesChecks:
         "stack", stacks_failing_at(2 * np.eye(2) / 2, 3 * np.eye(2) / 2), ids=ROUTES
     )
     def test_trace_off_one_raises(self, stack):
-        with pytest.raises(NormalizationError, match=r"trace is \(2\+0j\)"):
+        with pytest.raises(NormalizationError, match=r"trace is 2\.0, expected 1$"):
             von_neumann_entropies(stack)
 
     @pytest.mark.parametrize(
@@ -148,10 +143,9 @@ class TestVonNeumannEntropiesChecks:
             von_neumann_entropies(stack)
 
     def test_trace_is_checked_before_hermiticity(self):
-        for dtype in (complex, float):
-            both = np.array([[[1.0, 0.1], [0.0, 1.0]]], dtype=dtype)
-            with pytest.raises(NormalizationError, match=r"trace is \(2\+0j\)"):
-                von_neumann_entropies(both)
+        both = np.array([[[1.0, 0.1], [0.0, 1.0]]])
+        with pytest.raises(NormalizationError, match=r"trace is 2\.0, expected 1$"):
+            von_neumann_entropies(both)
 
 
 class TestMutualInformation:
@@ -225,18 +219,18 @@ def werner_swapped_variant(gamma, q_r, f):
 class TestStrongAdditivity:
     def test_pure_product_is_zero(self):
         rng = np.random.default_rng(11)
-        amps = np.ones(1, dtype=complex)
+        amps = np.ones(1)
         state = None
         for label in GHZ_LAYOUT.factors:
             factor = random_state(rng, SubsystemLayout((label,)))
             amps = np.kron(amps, factor.amplitudes)
-        rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps.conj()))
+        rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps))
         assert abs(ghz_layout_strong_additivity(rho)) < 1e-9
 
     def test_ghz_is_zero(self):
-        amps = np.zeros(8, dtype=complex)
+        amps = np.zeros(8)
         amps[0] = amps[7] = math.sqrt(0.5)
-        rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps.conj()))
+        rho = DensityMatrix(GHZ_LAYOUT, np.outer(amps, amps))
         ssa = ghz_layout_strong_additivity(rho)
         assert abs(ssa) < 1e-12
         s_a = von_neumann_entropy(partial_trace(rho, {BOB, CHARLIE}))

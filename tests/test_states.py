@@ -189,7 +189,7 @@ class TestBuildInertial:
     # isolated alpha values, which is why build_inertial squares them.
     @staticmethod
     def raw_weights(alpha):
-        return np.diag([math.cos(alpha), 0.0, 0.0, math.sin(alpha)]).astype(complex)
+        return np.diag([math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 
     def test_classical_raw_weights_fail_trace(self):
         with pytest.raises(NormalizationError):
