@@ -1042,6 +1042,29 @@ class TestRealArithmetic:
                 call(z)
             assert error.value.param == param
 
+    @pytest.mark.parametrize("param", ["amplitudes", "entries", "matrix", "matrices"])
+    def test_entry_points_read_integer_input_as_float64(self, param, matrices):
+        # real input of any dtype, in an array or a nested list, gives the
+        # bits of the same values given as float64
+        call = real_inputs(param, matrices)[0]
+        for x in integer_inputs(param):
+            want = call(x.astype(float))
+            assert want.dtype == float
+            for y in (x, x.tolist()):
+                assert_same_bits(call(y), want)
+
+
+def integer_inputs(param):
+    """Integer inputs for the entry point of ``real_inputs(param, ...)``: basis
+    states and their projectors, or symmetric matrices of each size up to 8."""
+    rng = np.random.default_rng(107)
+    if param in ("amplitudes", "entries"):
+        basis = [row for n in (1, 2, 3) for row in np.eye(2**n, dtype=int)]
+        return basis if param == "amplitudes" else [np.diag(v) for v in basis]
+    shape = (5,) if param == "matrices" else ()
+    stacks = [rng.integers(-3, 4, size=shape + (n, n)) for n in range(1, 9)]
+    return [m + m.swapaxes(-1, -2) for m in stacks]
+
 
 def real_inputs(param, matrices):
     """One entry point that reads its input by fock._as_real, and real inputs for it."""
