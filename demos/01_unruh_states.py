@@ -45,7 +45,7 @@ labels = [f.name for f in RINDLER_LAYOUT.factors]
 print("  basis order:", " * ".join(labels))
 for ket, name in ((unruh_particle(accel), "particle"),
                   (unruh_antiparticle(accel), "antiparticle")):
-    support = {f"|{i:04b}>": round(float(a.real), 4)
+    support = {f"|{i:04b}>": round(float(a), 4)
                for i, a in enumerate(ket.amplitudes) if abs(a) > 1e-12}
     print(f"  {name:>12}: {support}")
 

@@ -8,10 +8,12 @@ characteristic polynomials instead of Jacobi rotations.  A matrix is first
 split into the connected components of its exact nonzero pattern (wedge
 states into blocks of at most 3, joints of at most 8), which permutes
 entries without arithmetic.  Every float is a dyadic rational, so a
-larger-than-1x1 block scaled by a power of two is a matrix of Gaussian
-integers: a division-free Faddeev-LeVerrier recursion in Python integers
-gives its exact characteristic polynomial, and the companion-matrix roots
-are Newton-refined against that polynomial with exact integer residuals.
+larger-than-1x1 block scaled by a power of two is a matrix of integers: a
+division-free Faddeev-LeVerrier recursion in Python integers gives its
+exact characteristic polynomial, and the companion-matrix roots are
+Newton-refined against that polynomial with exact integer residuals.  Like
+every amplitude of the model, everything here is real; a complex matrix
+raises ``ValueError`` rather than lose its imaginary part.
 
 The code is intentionally plain; it optimizes for being obviously correct,
 not for speed.
@@ -39,45 +41,30 @@ def _exact_charpoly(matrix: np.ndarray) -> list[int]:
     """Exact monic characteristic polynomial via division-free Faddeev-LeVerrier.
 
     Float entries are dyadic rationals, so with ``shift`` the largest
-    denominator exponent of the real and imaginary parts, G = 2**shift * A is
-    a matrix of Gaussian integers.  The recursion N_1 = G,
-    N_{k+1} = G (k N_k - Re tr(N_k) I) gives c_k = -Re tr(N_k) / (k! 2**(shift k)),
-    the coefficients of the stored matrix without any rounding.  They come
-    back as integers [a_0, ..., a_n] in descending powers over the common
-    denominator Q = a_0 = n! 2**(shift n), so c_k = a_k / Q.
+    denominator exponent, G = 2**shift * A is a matrix of integers.  The
+    recursion N_1 = G, N_{k+1} = G (k N_k - tr(N_k) I) gives
+    c_k = -tr(N_k) / (k! 2**(shift k)), the coefficients of the stored
+    matrix without any rounding.  They come back as integers
+    [a_0, ..., a_n] in descending powers over the common denominator
+    Q = a_0 = n! 2**(shift n), so c_k = a_k / Q.
     """
     n = matrix.shape[0]
-    rows = matrix.real.tolist() + matrix.imag.tolist()
-    parts = [[_dyadic(x) for x in row] for row in rows]
+    parts = [[_dyadic(x) for x in row] for row in matrix.tolist()]
     shift = max(e for row in parts for _, e in row)
-    scaled = [[num << (shift - e) for num, e in row] for row in parts]
-    g_re, g_im = scaled[:n], scaled[n:]
-    n_re, n_im = g_re, g_im
+    g = [[num << (shift - e) for num, e in row] for row in parts]
+    n_k = g
     denominator = math.factorial(n) << (shift * n)
     coeffs = [denominator]
     for k in range(1, n + 1):
-        trace = sum(n_re[i][i] for i in range(n))
+        trace = sum(n_k[i][i] for i in range(n))
         coeffs.append(-trace * (denominator // (math.factorial(k) << (shift * k))))
         if k == n:
             break
-        m_re = [[k * x for x in row] for row in n_re]
-        m_im = [[k * x for x in row] for row in n_im]
+        m = [[k * x for x in row] for row in n_k]
         for i in range(n):
-            m_re[i][i] -= trace
-        new_re = [[0] * n for _ in range(n)]
-        new_im = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for p in range(n):
-                ar, ai = g_re[i][p], g_im[i][p]
-                if ar == 0 and ai == 0:
-                    continue
-                row_re, row_im = m_re[p], m_im[p]
-                out_re, out_im = new_re[i], new_im[i]
-                for j in range(n):
-                    br, bi = row_re[j], row_im[j]
-                    out_re[j] += ar * br - ai * bi
-                    out_im[j] += ar * bi + ai * br
-        n_re, n_im = new_re, new_im
+            m[i][i] -= trace
+        columns = list(zip(*m))
+        n_k = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in g]
     return coeffs
 
 
@@ -148,7 +135,7 @@ def _block_eigvals(block: np.ndarray) -> list[float]:
     """
     n = block.shape[0]
     if n == 1:
-        return [float(block[0, 0].real)]
+        return [float(block[0, 0])]
     coeffs = _exact_charpoly(block)
     zeros = 0
     while zeros < n and coeffs[n - zeros] == 0:
@@ -159,20 +146,24 @@ def _block_eigvals(block: np.ndarray) -> list[float]:
 
 
 def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, block by block, in descending order.
+    """Eigenvalues of a real symmetric matrix, block by block, in descending order.
 
     The matrix is split into the connected components of its exact nonzero
     pattern; the spectrum is the union of the blocks' spectra.  A 1x1 block
     is its diagonal entry, and a larger one is solved through its exact
     characteristic polynomial (see ``_block_eigvals``).  The eigenvalue sum
-    must reproduce the trace of the whole matrix.  A NaN or infinite entry
-    raises ``ValueError`` before the split, whatever block it would fall in.
+    must reproduce the trace of the whole matrix.  A complex matrix, or a
+    NaN or infinite entry, raises ``ValueError`` before the split, whatever
+    block the entry would fall in.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix)
+    if a.dtype.kind == "c":
+        raise ValueError("matrix is complex; the oracle is real")
+    a = a.astype(float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     eigs = np.sort([lam for b in _blocks(a) for lam in _block_eigvals(a[np.ix_(b, b)])])[::-1]
-    trace = float(np.trace(a).real)
+    trace = float(np.trace(a))
     if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):
         raise ValueError(
             f"root refinement lost mass: eigenvalue sum {eigs.sum()!r} vs trace {trace!r}"
@@ -230,7 +221,7 @@ def brute_partial_trace(matrix: np.ndarray, n_factors: int, keep: list[int]) -> 
     entry sums its terms in ascending order of the discarded bits.
     """
     rows, cols = _trace_indices(n_factors, tuple(sorted(keep)))
-    out = np.zeros(rows.shape[1:], dtype=complex)
+    out = np.zeros(rows.shape[1:])
     for row, col in zip(rows, cols):
         out += matrix[row, col]
     return out
@@ -239,11 +230,11 @@ def brute_partial_trace(matrix: np.ndarray, n_factors: int, keep: list[int]) -> 
 def _unruh_vectors(gamma: float, q_r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c, s = math.cos(gamma), math.sin(gamma)
     q_l = math.sqrt(max(0.0, 1.0 - q_r * q_r))
-    vac = np.zeros(16, dtype=complex)
+    vac = np.zeros(16)
     vac[0b0000], vac[0b0011], vac[0b1100], vac[0b1111] = c * c, -s * c, s * c, -s * s
-    one = np.zeros(16, dtype=complex)
+    one = np.zeros(16)
     one[0b1000], one[0b1011], one[0b1101], one[0b0001] = q_r * c, -q_r * s, q_l * s, q_l * c
-    anti = np.zeros(16, dtype=complex)
+    anti = np.zeros(16)
     anti[0b0100], anti[0b0111], anti[0b1110], anti[0b0010] = q_l * c, -q_l * s, q_r * s, q_r * c
     return vac, one, anti
 
@@ -263,27 +254,27 @@ def brute_joint_matrix(
         bob0, bob1 = one, anti
 
     def lifted(alice_bit: int, bob_vector: np.ndarray) -> np.ndarray:
-        psi = np.zeros(32, dtype=complex)
+        psi = np.zeros(32)
         psi[alice_bit * 16 : alice_bit * 16 + 16] = bob_vector
         return psi
 
     if family.is_quantum:
         psi = math.cos(alpha) * lifted(0, bob0) + math.sin(alpha) * lifted(1, bob1)
-        return np.outer(psi, psi.conj())
+        return np.outer(psi, psi)
     if family.is_classical:
         branch0 = lifted(0, bob0)
         branch1 = lifted(1, bob1)
-        return math.cos(alpha) ** 2 * np.outer(branch0, branch0.conj()) + math.sin(
+        return math.cos(alpha) ** 2 * np.outer(branch0, branch0) + math.sin(
             alpha
-        ) ** 2 * np.outer(branch1, branch1.conj())
+        ) ** 2 * np.outer(branch1, branch1)
     # Werner: Bell projector plus the lifted white-noise term, which is the
     # uniform mixture of the four lifted inertial basis states
     bell = (lifted(0, bob0) + lifted(1, bob1)) / math.sqrt(2.0)
-    out = fidelity_f * np.outer(bell, bell.conj())
+    out = fidelity_f * np.outer(bell, bell)
     for alice_bit in (0, 1):
         for bob_vector in (bob0, bob1):
             branch = lifted(alice_bit, bob_vector)
-            out += (1.0 - fidelity_f) / 4.0 * np.outer(branch, branch.conj())
+            out += (1.0 - fidelity_f) / 4.0 * np.outer(branch, branch)
     return out
 
 

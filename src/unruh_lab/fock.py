@@ -308,7 +308,7 @@ def _add_in_order(values: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _off_diagonal_norm_sq(a: np.ndarray) -> float:
-    mags = np.abs(a) ** 2
+    mags = a * a
     np.fill_diagonal(mags, 0.0)
     return float(mags.sum())
 
@@ -430,9 +430,10 @@ def _jacobi_rotate_rows(
     In place, on a list of rows of Python floats.  Only the entries (k, k),
     (k, l), (l, k) and (l, l) and those of rows and columns k and l in
     ``others`` are written, which is exact where rows and columns k and l
-    are zero elsewhere, as outside a block.  The rotation keeps the matrix
-    exactly symmetric, so each entry off the pivot is computed once, from
-    the column, and written to its mirror too.
+    are zero elsewhere, as outside a block.  The pivot's phase is its
+    sign, exactly +-1.  The rotation keeps the matrix exactly symmetric, so
+    each entry off the pivot is computed once, from the column, and written
+    to its mirror too.
     """
     row_k, row_l = rows[k], rows[l]
     pivot = row_k[l]
@@ -443,10 +444,7 @@ def _jacobi_rotate_rows(
         return
     akk = row_k[k]
     all_ = row_l[l]
-    # the pivot times the reciprocal, not the quotient: for about 15% of
-    # pivots the phase is 0.9999999999999999, not +-1, and the record bits
-    # depend on that
-    phase = pivot * (1.0 / beta)
+    sign = math.copysign(1.0, pivot)
     tau = (all_ - akk) / (2.0 * beta)
     t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
@@ -454,7 +452,7 @@ def _jacobi_rotate_rows(
     new_kk = akk * c * c + 2.0 * beta * c * s + all_ * s * s
     new_ll = akk * s * s - 2.0 * beta * c * s + all_ * c * c
 
-    s_phase = s * phase
+    s_phase = s * sign
     for m in others:
         row_m = rows[m]
         col_k, col_l = row_m[k], row_m[l]
@@ -487,7 +485,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     keep every bit of that function's result:
 
     - the convergence test sums each whole matrix in numpy's order: the
-      blocks' squared magnitudes go into zeros (N, n * n), the diagonal
+      blocks' squared entries go into zeros (N, n * n), the diagonal
       is cleared and each row summed, as :func:`_off_diagonal_norm_sq`
       sums one matrix;
     - ``skip_below`` uses the full size n;
@@ -560,7 +558,7 @@ def _off_diagonal_norms_sq(
     diagonal = positions[0]
     mags = np.zeros((count, len(diagonal) ** 2))
     for stack, p in zip(stacks, positions[1:]):
-        mags[:, p] = (np.abs(stack) ** 2).reshape(*p.shape[1:], count, -1).transpose(2, 3, 0, 1)
+        mags[:, p] = (stack * stack).reshape(*p.shape[1:], count, -1).transpose(2, 3, 0, 1)
     mags[:, diagonal.ravel()] = 0.0
     return mags.sum(axis=1)
 
@@ -570,16 +568,17 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
 
     Every value comes from the same operations in the same order as
     there, and ``hypot(tau, 1)`` is ``math.hypot`` for each block, since
-    ``np.hypot`` can differ from it in the last bit.  The rotation keeps
-    each block exactly symmetric, so, as there, each entry off the pivot
-    is computed once, from the columns, and written to its mirror too.  A
-    block whose pivot is zero or below ``skip_below`` gets the identity
-    rotation: modulus 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each
-    entry written is the old one times 1 plus a zero, with its old bits,
-    but for a -0 that may turn +0.  Only entries off the diagonal hold a
-    -0 (the symmetrisation adds +0, which turns a diagonal -0 into +0),
-    and the eigenvalues read only the diagonal.  Then its pivot is set to
-    zero, as there.
+    ``np.hypot`` can differ from it in the last bit.  The sign of each
+    pivot, from ``np.copysign``, is exactly +-1, as there.  The rotation
+    keeps each block exactly symmetric, so, as there, each entry off the
+    pivot is computed once, from the columns, and written to its mirror
+    too.  A block whose pivot is zero or below ``skip_below`` gets the
+    identity rotation: ``beta`` 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0
+    and each entry written is the old one times 1 plus a zero, with its
+    old bits, but for a -0 that may turn +0.  Only entries off the
+    diagonal hold a -0 (the symmetrisation adds +0, which turns a diagonal
+    -0 into +0), and the eigenvalues read only the diagonal.  Then its
+    pivot is set to zero, as there.
     """
     pivot = a[k, l]
     beta = np.abs(pivot)
@@ -587,7 +586,7 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     beta = np.where(rotate, beta, 1.0)
     akk = a[k, k]
     all_ = a[l, l]
-    phase = pivot * (1.0 / beta)  # not the quotient; see _jacobi_rotate_rows
+    sign = np.copysign(1.0, pivot)
     tau = (all_ - akk) / (2.0 * beta)
     hypot = np.fromiter(map(math.hypot, tau.tolist(), itertools.repeat(1.0)), float, len(tau))
     t = np.where(rotate, np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + hypot), 0.0)
@@ -603,7 +602,7 @@ def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> No
     if others:
         if len(others) == 1:
             others = others[0]  # views, not copies: both are read before either is written
-        s_phase = s * phase
+        s_phase = s * sign
         col_k, col_l = a[others, k], a[others, l]
         new_k = c * col_k + s_phase * col_l
         new_l = -s_phase * col_k + c * col_l

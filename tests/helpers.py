@@ -1,24 +1,36 @@
 """Shared builders for the test suite."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from unruh_lab import (
     BobRegion,
     ConvergenceError,
     DensityMatrix,
+    FigurePreset,
+    OutputFormat,
     StateVector,
     Subsystem,
     SubsystemLayout,
+    figure_preset,
     partial_trace,
+    run_sweep,
     von_neumann_entropy,
+    write_figure_files,
 )
 from unruh_lab import crosscheck, fock, sweep
 from unruh_lab.states import REGION_II_FACTORS
 
 # numpy's x86 dispatch levels above its baseline, highest first
 DISPATCH_LEVELS = ("X86_V4", "X86_V3")
+ROOT = Path(__file__).resolve().parents[1]
 
 TWO_QUBITS = SubsystemLayout((Subsystem.ALICE, Subsystem.BOB))
 THREE_QUBITS = SubsystemLayout(
@@ -100,13 +112,10 @@ def dense_jacobi_eigvals(matrix) -> np.ndarray:
     is at least ``skip_below``.  They take their one sweep there, and this
     reference stops before it.
     """
-    a = np.array(matrix, dtype=complex)
+    a = np.array(matrix, dtype=float)
     fock.check_hermitian(a[np.newaxis])
-    a = (a + a.conj().T) / 2.0
+    a = (a + a.T) / 2.0
     n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-
     skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * n)
     for _ in range(fock.JACOBI_MAX_SWEEPS):
         if _dense_off_diagonal_norm_sq(a) <= fock.JACOBI_OFF_NORM_TOL**2:
@@ -119,18 +128,18 @@ def dense_jacobi_eigvals(matrix) -> np.ndarray:
             f"off-diagonal norm still {math.sqrt(_dense_off_diagonal_norm_sq(a)):.3e} "
             f"after {fock.JACOBI_MAX_SWEEPS} sweeps"
         )
-    eigs = np.sort(np.diag(a).real)
+    eigs = np.sort(np.diag(a))
     return eigs[::-1]
 
 
 def _dense_off_diagonal_norm_sq(a: np.ndarray) -> float:
-    mags = np.abs(a) ** 2
+    mags = a * a
     np.fill_diagonal(mags, 0.0)
     return float(mags.sum())
 
 
 def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
-    """Annihilate a[k, l] (and a[l, k]) by a unitary plane rotation, in place."""
+    """Annihilate a[k, l] (and a[l, k]) by an orthogonal plane rotation, in place."""
     pivot = a[k, l]
     beta = abs(pivot)
     if not beta > 0.0:  # zero, or NaN: nothing to rotate
@@ -140,9 +149,9 @@ def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> No
         a[k, l] = 0.0
         a[l, k] = 0.0
         return
-    akk = a[k, k].real
-    all_ = a[l, l].real
-    phase = pivot / beta
+    akk = a[k, k]
+    all_ = a[l, l]
+    sign = math.copysign(1.0, pivot)
     tau = (all_ - akk) / (2.0 * beta)
     t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.hypot(tau, 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
@@ -152,12 +161,12 @@ def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> No
 
     col_k = a[:, k].copy()
     col_l = a[:, l].copy()
-    a[:, k] = c * col_k + (s * np.conj(phase)) * col_l
-    a[:, l] = (-s * phase) * col_k + c * col_l
+    a[:, k] = c * col_k + (s * sign) * col_l
+    a[:, l] = (-s * sign) * col_k + c * col_l
     row_k = a[k, :].copy()
     row_l = a[l, :].copy()
-    a[k, :] = c * row_k + (s * phase) * row_l
-    a[l, :] = (-s * np.conj(phase)) * row_k + c * row_l
+    a[k, :] = c * row_k + (s * sign) * row_l
+    a[l, :] = (-s * sign) * row_k + c * row_l
 
     a[k, k] = new_kk
     a[l, l] = new_ll
@@ -167,7 +176,7 @@ def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> No
 
 def charpoly_coefficients(matrix) -> np.ndarray:
     """The oracle's characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] as floats."""
-    coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=complex))
+    coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=float))
     return np.array([a / coeffs[0] for a in coeffs])
 
 
@@ -192,6 +201,45 @@ def dispatch_level() -> str:
     """The highest of ``DISPATCH_LEVELS`` numpy dispatches to here, else "baseline"."""
     features = cpu_features()
     return next((level for level in DISPATCH_LEVELS if features.get(level)), "baseline")
+
+
+def run_at_dispatch_level(level, code) -> str:
+    """Run ``code`` in a Python subprocess that numpy dispatches at ``level``; its stdout.
+
+    ``level`` is one of ``DISPATCH_LEVELS`` or "baseline"; the calling test
+    skips if numpy does not dispatch to it on this CPU.  The subprocess
+    imports ``src`` and ``tests``, and the test fails unless it exits 0
+    at that level.
+    """
+    features = cpu_features()
+    if level != "baseline" and not features.get(level):
+        pytest.skip(f"numpy does not dispatch to {level} on this CPU")
+    # the levels above this one: all of them above the baseline
+    above = DISPATCH_LEVELS[: (DISPATCH_LEVELS + (level,)).index(level)]
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=" ".join(f for f in above if features.get(f)),
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+    )
+    script = f"import helpers\nprint(helpers.dispatch_level())\n{code}\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    first, _, rest = done.stdout.partition("\n")
+    assert first == level
+    return rest
+
+
+def preset_hashes(out_dir) -> dict:
+    """The sha256 of each file the four presets write to ``out_dir`` as CSV at 12 digits."""
+    for preset in FigurePreset:
+        spec = figure_preset(preset)
+        write_figure_files(preset, run_sweep(spec), spec, Path(out_dir), OutputFormat("csv", 12))
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in Path(out_dir).iterdir()
+    }
 
 
 def check_solvers_on_block_stacks(seed, count) -> None:

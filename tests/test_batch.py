@@ -7,11 +7,7 @@ pin the scalar path's rounding.
 
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,13 +60,13 @@ from helpers import (
     DISPATCH_LEVELS,
     assert_same_bits,
     count_calls,
-    cpu_features,
     dense_jacobi_eigvals,
     double_wedge_at,
     random_block_stack,
     random_density,
     random_hermitian,
     random_state,
+    run_at_dispatch_level,
 )
 
 PI4 = math.pi / 4
@@ -155,8 +151,7 @@ def brute_traces(joints, discard):
     stack = np.array(
         [crosscheck.brute_partial_trace(joint, len(JOINT_FACTORS), keep) for joint in joints]
     )
-    assert not stack.imag.any()  # the oracle sums in complex; its real parts are the sums
-    return stack.real, SubsystemLayout(tuple(JOINT_FACTORS[i] for i in keep))
+    return stack, SubsystemLayout(tuple(JOINT_FACTORS[i] for i in keep))
 
 
 def reduction_plan(encoding, discard):
@@ -247,30 +242,32 @@ class TestBatchedJacobi:
         fock._jacobi_rotate_batch(alone, 0, 1, skip_below)
         assert_same_bits(got[2], alone[:, :, 0])
         pivot = blocks[2, 0, 1]
-        want = np.array(float_rotation(blocks[2].tolist(), pivot * (1.0 / abs(pivot))))
+        want = np.array(float_rotation(blocks[2].tolist(), math.copysign(1.0, pivot)))
         assert_same_bits(got[2], want)
         for block, rotated in zip(blocks, got):
             rows = block.tolist()
             fock._jacobi_rotate_rows(rows, 0, 1, (2,), skip_below)
             assert_same_bits(np.array(rows), rotated)
 
-    def test_real_pivot_phase_is_numpys_reciprocal_product(self):
-        # the pivot 0.41 has 0.41 * (1 / 0.41) == 0.9999999999999999, so the
-        # phase is not 1, and with a phase of exactly 1 the rotated lines
-        # differ in the last bit; both kernels must give the reference bits
-        pivot = 0.41
-        block = [[0.5, pivot, 0.3], [pivot, 0.25, 0.4], [0.3, 0.4, 0.25]]
-        phase = pivot * (1.0 / abs(pivot))
-        assert phase != 1.0
-        want = np.array(float_rotation(block, phase))
-        assert float_rotation(block, 1.0) != float_rotation(block, phase)
+    def test_pivot_phase_is_its_sign(self):
+        # the phase of a real pivot is exactly +-1, not the 0.9999999999999999
+        # of 0.41 * (1 / 0.41), which moves the rotated lines by a last bit;
+        # both kernels must give the reference bits for either sign, and the
+        # batched one for both signs in one stack
         skip_below = fock.JACOBI_OFF_NORM_TOL / (100.0 * 3)
-        rows = [list(row) for row in block]
-        fock._jacobi_rotate_rows(rows, 0, 1, (2,), skip_below)
-        assert_same_bits(np.array(rows), want)
-        stack = np.array(block)[:, :, np.newaxis].copy()
+        wants = []
+        for sign in (1.0, -1.0):
+            pivot = sign * 0.41
+            block = [[0.5, pivot, 0.3], [pivot, 0.25, 0.4], [0.3, 0.4, 0.25]]
+            want = float_rotation(block, sign)
+            assert want != float_rotation(block, pivot * (1.0 / abs(pivot)))
+            rows = [list(row) for row in block]
+            fock._jacobi_rotate_rows(rows, 0, 1, (2,), skip_below)
+            assert_same_bits(np.array(rows), np.array(want))
+            wants.append((block, want))
+        stack = np.array([block for block, _ in wants]).transpose(1, 2, 0).copy()
         fock._jacobi_rotate_batch(stack, 0, 1, skip_below)
-        assert_same_bits(stack[:, :, 0], want)
+        assert_same_bits(stack.transpose(2, 0, 1), np.array([want for _, want in wants]))
 
     def test_nan_matrix_fails_the_hermiticity_check(self):
         # both solvers run check_hermitian, where NaN fails as in every check
@@ -471,7 +468,7 @@ class TestBlockJacobi:
         # (1e-12, 0), so only the sweep gives the oracle's eigenvalues
         matrix = crosscheck.brute_region_matrix(
             ChannelFamily.QUANTUM_DUAL_RAIL, BobRegion.I, 0.0, 1e-6, 0.75
-        ).real
+        )
         want = crosscheck.eigvals_charpoly(matrix)
         assert fock._off_diagonal_norm_sq(matrix) <= fock.JACOBI_OFF_NORM_TOL**2
         assert np.abs(eigvals_hermitian(matrix) - want).max() <= 1e-20
@@ -484,7 +481,7 @@ class TestBlockJacobi:
         first, second = (
             crosscheck.brute_region_matrix(
                 ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I, gamma, 1e-6, 1e-7
-            ).real
+            )
             for gamma in (0.0, 0.3)
         )
         assert [m.shape for m in fock._blocks((first != 0).tobytes(), 8)] == [(1, 2)]
@@ -523,27 +520,8 @@ class TestBlockJacobi:
     def test_solvers_match_dense_reference_at_each_dispatch_level(self, level):
         # the compact stacks may reach numpy's loops by other strides than
         # the reference, and the scalar solver rotates in Python floats
-        features = cpu_features()
-        if level != "baseline" and not features.get(level):
-            pytest.skip(f"numpy does not dispatch to {level} on this CPU")
-        # the levels above this one: all of them above the baseline
-        above = DISPATCH_LEVELS[: (DISPATCH_LEVELS + (level,)).index(level)]
-        root = Path(__file__).resolve().parents[1]
-        env = dict(
-            os.environ,
-            NPY_DISABLE_CPU_FEATURES=" ".join(f for f in above if features.get(f)),
-            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
-        )
-        script = (
-            "import helpers\n"
-            "print(helpers.dispatch_level())\n"
-            "helpers.check_solvers_on_block_stacks(seed=83, count=40)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == f"{level}\n"
+        code = "helpers.check_solvers_on_block_stacks(seed=83, count=40)"
+        assert run_at_dispatch_level(level, code) == ""
 
 
 class TestEmptyInputs:
@@ -603,9 +581,8 @@ class TestBatchedStates:
                 assert np.abs(joints[i] - want).max() < 1e-12
                 stack, layout = reduced[region]
                 assert layout.factors == tuple(JOINT_LAYOUT.factors[k] for k in keep[region])
-                assert_same_bits(
-                    stack[i], crosscheck.brute_partial_trace(joints[i], 5, keep[region]).real
-                )
+                sums = crosscheck.brute_partial_trace(joints[i], 5, keep[region])
+                assert_same_bits(stack[i], sums)
                 want = crosscheck.brute_partial_trace(want, 5, keep[region])
                 assert np.abs(stack[i] - want).max() < 1e-12
 
