@@ -16,9 +16,9 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import DomainError, UnruhLabError
+from .errors import UnruhLabError
 from .output import CSV_COLUMNS, OutputFormat, record_fields, write_figure_files
-from .states import BobRegion, ChannelFamily, gamma_from_acceleration
+from .states import BobRegion, ChannelFamily, gamma_from_acceleration, read_real
 from .sweep import FigurePreset, evaluate_point, figure_preset, run_sweep
 from .verify import run_checks
 
@@ -97,15 +97,10 @@ def _cmd_point(args: argparse.Namespace) -> int:
     fmt = OutputFormat("csv", args.precision)  # fail before the evaluation
     gamma = args.gamma
     if args.gamma_degrees is not None:
-        # checked in degrees, so the message names the value the user gave
-        if not (0.0 <= args.gamma_degrees <= 45.0):
-            raise DomainError(
-                "gamma-degrees", f"must be within [0, 45], got {args.gamma_degrees}"
-            )
-        gamma = math.radians(args.gamma_degrees)
+        # read in degrees, so the message names the value the user gave
+        gamma = math.radians(read_real("gamma-degrees", args.gamma_degrees, 0.0, 45.0))
     if args.acceleration is not None:
-        omega, acceleration, light_speed = args.acceleration
-        gamma = gamma_from_acceleration(omega, acceleration, light_speed)
+        gamma = gamma_from_acceleration(*args.acceleration)
     record = evaluate_point(
         ChannelFamily(args.family),
         BobRegion(args.region),

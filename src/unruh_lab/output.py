@@ -42,12 +42,9 @@ class OutputFormat:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError("format", f"must be one of {_KINDS}, got {self.kind!r}")
-        try:
-            precision = operator.index(self.precision)
-        except TypeError:
-            raise DomainError(
-                "precision", f"must be an integer, got {self.precision!r}"
-            ) from None
+        if isinstance(self.precision, bool) or not hasattr(self.precision, "__index__"):
+            raise DomainError("precision", f"must be an integer, got {self.precision!r}")
+        precision = operator.index(self.precision)
         if not (6 <= precision <= 17):
             raise DomainError("precision", f"must be within [6, 17], got {precision}")
         object.__setattr__(self, "precision", precision)

@@ -90,10 +90,9 @@ class AccelerationParams:
     q_r: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= GAMMA_MAX):
-            raise DomainError("gamma", f"must be within [0, pi/4], got {self.gamma}")
-        if not (0.0 <= self.q_r <= 1.0):
-            raise DomainError("q_r", f"must be within [0, 1], got {self.q_r}")
+        gamma = read_real("gamma", self.gamma, 0.0, GAMMA_MAX, "[0, pi/4]")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "q_r", read_real("q_r", self.q_r, 0.0, 1.0))
 
     @property
     def q_l(self) -> float:
@@ -110,13 +109,12 @@ def gamma_from_acceleration(omega: float, acceleration: float, light_speed: floa
     cos(gamma) = (exp(-2 pi omega c / a) + 1)^(-1/2); the result grows from 0
     (inertial) towards pi/4 (infinite acceleration).
     """
-    for name, value in (
-        ("omega", omega),
-        ("acceleration", acceleration),
-        ("light_speed", light_speed),
-    ):
-        if not (0.0 < value < math.inf):
-            raise DomainError(name, f"must be positive and finite, got {value}")
+    positive = (math.ulp(0.0), math.nextafter(math.inf, 0.0))  # the positive finite floats
+    names = ("omega", "acceleration", "light_speed")
+    omega, acceleration, light_speed = (
+        read_real(name, value, *positive, "(0, inf)")
+        for name, value in zip(names, (omega, acceleration, light_speed))
+    )
     exponent = -2.0 * math.pi * omega * light_speed / acceleration
     return math.acos((math.exp(exponent) + 1.0) ** -0.5)
 
@@ -256,22 +254,33 @@ class ChannelSpec:
         if not isinstance(self.family, ChannelFamily):
             raise DomainError("family", f"must be a ChannelFamily, got {self.family!r}")
         werner = self.family is ChannelFamily.WERNER
-        check_alpha(self.alpha, werner)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha, werner))
         if werner:
             if self.fidelity_f is None:
                 raise DomainError("f", "required for the werner family")
-            if not (0.0 <= self.fidelity_f <= 1.0):
-                raise DomainError("f", f"must be within [0, 1], got {self.fidelity_f}")
+            object.__setattr__(self, "fidelity_f", read_real("f", self.fidelity_f, 0.0, 1.0))
         elif self.fidelity_f is not None:
             raise DomainError("f", "only meaningful for the werner family")
 
 
-def check_alpha(alpha: float, werner: bool) -> None:
-    """Raise :class:`DomainError` unless ``alpha`` is within [0, pi], and pi/4 for Werner."""
-    if not (0.0 <= alpha <= math.pi):
-        raise DomainError("alpha", f"must be within [0, pi], got {alpha}")
+def read_real(name: str, value, low: float, high: float, span: str = "") -> float:
+    """``value`` as a float if it is an int, float or numpy real scalar, not a bool, within
+    the finite range [low, high]; else :class:`DomainError` naming ``name`` and ``span``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(name, f"must be a real number, got {value!r}")
+    number = value if isinstance(value, int) else float(value)  # float() overflows on a huge int
+    if not low <= number <= high:  # NaN fails it too
+        span = span or f"[{low:g}, {high:g}]"
+        raise DomainError(name, f"must be within {span}, got {value}")
+    return float(number)
+
+
+def check_alpha(alpha: float, werner: bool) -> float:
+    """``alpha`` read by :func:`read_real` within [0, pi], and pi/4 for Werner."""
+    alpha = read_real("alpha", alpha, 0.0, math.pi, "[0, pi]")
     if werner and abs(alpha - BELL_ALPHA) > 1e-9:
         raise DomainError("alpha", "fixed at pi/4 for the werner family")
+    return alpha
 
 
 # Every family's prepared state is zero outside the {|00>, |11>} block and

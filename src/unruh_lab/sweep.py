@@ -16,10 +16,11 @@ would merge into coarser blocks.  The states are real: all of it is float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .states import (
     bob_isometries,
     build_inertial,
     check_alpha,
+    read_real,
     trace_lifted,
 )
 
@@ -53,19 +55,26 @@ class Measure(Enum):
     STRONG_ADDITIVITY = "ssa_value"
 
 
-def _check_grid(name: str, grid: tuple[float, ...], low: float, high: float) -> None:
+def _sequence(name: str, values) -> tuple:
+    """``values`` as a tuple, if it is a 1-d array or a sequence other than a string."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence) and np.ndim(values) != 1:
+        raise DomainError(name, f"must be a sequence, got {values!r}")
+    return tuple(values)
+
+
+def _check_grid(name: str, grid, low: float, high: float, span: str = "") -> tuple[float, ...]:
+    grid = tuple(read_real(name, value, low, high, span) for value in _sequence(name, grid))
     if not grid:
         raise DomainError(name, "must not be empty")
-    for value in grid:
-        if not (low <= value <= high):
-            raise DomainError(name, f"value {value} outside [{low}, {high}]")
     ascending = all(a < b for a, b in zip(grid, grid[1:]))
     descending = all(a > b for a, b in zip(grid, grid[1:]))
     if len(grid) > 1 and not (ascending or descending):
         raise DomainError(name, "must be strictly monotone")
+    return grid
 
 
-def _check_members(name: str, values: tuple, kind: type[Enum]) -> None:
+def _check_members(name: str, values, kind: type[Enum]) -> tuple:
+    values = _sequence(name, values)
     if not values:
         raise DomainError(name, "must not be empty")
     for i, value in enumerate(values):
@@ -73,6 +82,7 @@ def _check_members(name: str, values: tuple, kind: type[Enum]) -> None:
             raise DomainError(name, f"must hold {kind.__name__} members, got {value!r}")
         if value in values[:i]:
             raise DomainError(name, f"repeats {value.value!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -93,20 +103,17 @@ class SweepSpec:
     measure: Measure = Measure.CONDITIONAL_ENTROPY
 
     def __post_init__(self):
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
-        object.__setattr__(self, "q_r_grid", tuple(float(q) for q in self.q_r_grid))
-        object.__setattr__(self, "f_grid", tuple(float(f) for f in self.f_grid))
-        object.__setattr__(self, "regions", tuple(self.regions))
-        _check_members("families", self.families, ChannelFamily)
-        _check_members("regions", self.regions, BobRegion)
+        store = functools.partial(object.__setattr__, self)
+        store("families", _check_members("families", self.families, ChannelFamily))
+        store("regions", _check_members("regions", self.regions, BobRegion))
         if not isinstance(self.measure, Measure):
             raise DomainError("measure", f"must be a Measure, got {self.measure!r}")
-        check_alpha(self.alpha, ChannelFamily.WERNER in self.families)
-        _check_grid("gamma_grid", self.gamma_grid, 0.0, GAMMA_MAX)
-        _check_grid("q_r_grid", self.q_r_grid, 0.0, 1.0)
+        store("alpha", check_alpha(self.alpha, ChannelFamily.WERNER in self.families))
+        store("gamma_grid", _check_grid("gamma_grid", self.gamma_grid, 0.0, GAMMA_MAX, "[0, pi/4]"))
+        store("q_r_grid", _check_grid("q_r_grid", self.q_r_grid, 0.0, 1.0))
+        store("f_grid", _sequence("f_grid", self.f_grid))
         if ChannelFamily.WERNER in self.families:
-            _check_grid("f_grid", self.f_grid, 0.0, 1.0)
+            store("f_grid", _check_grid("f_grid", self.f_grid, 0.0, 1.0))
         elif self.f_grid:
             raise DomainError("f_grid", "only meaningful when the werner family is swept")
 
@@ -144,7 +151,9 @@ def evaluate_point(
     """Build the channel at one grid point and compute its measures."""
     if not isinstance(region, BobRegion):
         raise DomainError("region", f"must be a BobRegion, got {region!r}")
-    return _evaluate_batch(family, (region,), [(gamma, q_r, f)], alpha, with_ssa)[0][0]
+    spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
+    point = (spec.accel.gamma, spec.accel.q_r, spec.fidelity_f)
+    return _evaluate_batch(family, (region,), [point], spec.alpha, with_ssa)[0][0]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:

@@ -128,6 +128,36 @@ class TestPoint:
         assert code == 3
         assert f"error: {name}:" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "out of range"])
+    @pytest.mark.parametrize("param, option, out_of_range", [
+        ("gamma", "--gamma", "1"),
+        ("gamma-degrees", "--gamma-degrees", "46"),
+        ("q_r", "--qr", "1.5"),
+        ("alpha", "--alpha", "4"),
+        ("f", "--f", "1.5"),
+        ("omega", 0, "0"),  # a position in the --acceleration triple
+        ("acceleration", 1, "0"),
+        ("light_speed", 2, "0"),
+    ])
+    def test_bad_numbers_name_their_parameter(self, capsys, bad, param, option, out_of_range):
+        value = out_of_range if bad == "out of range" else bad
+        options = {"--gamma": ["0.3"], "--qr": ["0.8"], "--f": ["0.5"]}
+        if isinstance(option, int):
+            del options["--gamma"]
+            options["--acceleration"] = ["1", "2", "1"]
+            options["--acceleration"][option] = value
+        else:
+            if option.startswith("--gamma"):
+                del options["--gamma"]
+            options[option] = [value]
+        argv = [word for name, values in options.items() for word in (name, *values)]
+        code, out, err = run_cli(
+            capsys, "point", "--family", "werner", "--region", "bob-i", *argv
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {param}:")
+
     def test_out_of_range_gamma_names_parameter(self, capsys):
         code, _, err = run_cli(
             capsys,

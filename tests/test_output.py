@@ -108,7 +108,7 @@ class TestFormatting:
         with pytest.raises(DomainError, match="precision"):
             OutputFormat("csv", 18)
 
-    @pytest.mark.parametrize("precision", [6.5, 7.0, "7", None])
+    @pytest.mark.parametrize("precision", [6.5, 7.0, "7", None, True])
     def test_precision_must_be_an_integer(self, precision):
         with pytest.raises(DomainError, match="precision: must be an integer"):
             OutputFormat("csv", precision)

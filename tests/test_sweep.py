@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unruh_lab
@@ -239,6 +240,13 @@ class TestSweepSpecValidation:
             ("regions", ("bob-i",), "must hold BobRegion members, got 'bob-i'"),
             ("families", (ChannelFamily.QUANTUM_SINGLE_RAIL,) * 2, "repeats 'quantum-single'"),
             ("regions", (BobRegion.I, BobRegion.II, BobRegion.I), "repeats 'bob-i'"),
+            # a bare member is not a sequence of members
+            (
+                "families",
+                ChannelFamily.WERNER,
+                "must be a sequence, got <ChannelFamily.WERNER: 'werner'>",
+            ),
+            ("regions", BobRegion.I, "must be a sequence, got <BobRegion.I: 'bob-i'>"),
         ],
     )
     def test_families_and_regions_hold_distinct_members(self, field, values, message):
@@ -247,6 +255,29 @@ class TestSweepSpecValidation:
         with pytest.raises(DomainError, match=f"^{field}: {message}$") as excinfo:
             SweepSpec(gamma_grid=(0.0,), q_r_grid=(1.0,), **fields)
         assert excinfo.value.param == field
+
+    @pytest.mark.parametrize(
+        "grid", [1.0, "1", b"\x00", np.array(1.0), {1.0}, None], ids=repr
+    )
+    def test_grid_must_be_a_sequence(self, grid):
+        with pytest.raises(DomainError, match="^q_r_grid: must be a sequence, got ") as excinfo:
+            SweepSpec(
+                families=(ChannelFamily.QUANTUM_SINGLE_RAIL,),
+                gamma_grid=(0.0,),
+                q_r_grid=grid,
+            )
+        assert excinfo.value.param == "q_r_grid"
+
+    def test_numpy_grids_are_read_as_tuples_of_floats(self):
+        spec = SweepSpec(
+            families=(ChannelFamily.WERNER,),
+            gamma_grid=np.linspace(0.0, 0.5, 3),
+            q_r_grid=np.array([1, 0]),
+            f_grid=np.array([0.5], dtype=np.float32),
+        )
+        assert (spec.gamma_grid, spec.q_r_grid, spec.f_grid) == ((0.0, 0.25, 0.5), (1.0, 0.0), (0.5,))
+        for grid in (spec.gamma_grid, spec.q_r_grid, spec.f_grid):
+            assert type(grid) is tuple and {type(value) for value in grid} == {float}
 
     def test_f_grid_requires_werner(self):
         with pytest.raises(DomainError, match="f_grid"):
@@ -289,6 +320,22 @@ class TestEvaluatePointValidation:
     def test_region_must_be_a_member(self):
         with pytest.raises(DomainError, match="^region: must be a BobRegion, got 'bob-i'$"):
             evaluate_point(ChannelFamily.WERNER, "bob-i", 0.1, 0.5, f=0.5)
+
+    @pytest.mark.parametrize("kind", [np.float32, np.int64, int])
+    def test_record_holds_python_floats(self, kind):
+        # the values are exact in every kind, so the records equal those of float input
+        gamma, q_r, alpha, f = (0.5, 0.75, 1.25, 0.5) if kind is np.float32 else (0, 1, 2, 1)
+        points = [
+            (ChannelFamily.QUANTUM_DUAL_RAIL, kind(gamma), kind(q_r), kind(alpha), None),
+            (ChannelFamily.WERNER, kind(gamma), kind(q_r), PI4, kind(f)),
+        ]
+        for family, *values in points:
+            record = evaluate_point(family, BobRegion.I, *values, with_ssa=True)
+            fields = (record.gamma, record.q_r, record.alpha, record.f)
+            assert {type(value) for value in fields if value is not None} == {float}
+            assert (record.f is None) == (values[-1] is None)
+            floats = [None if value is None else float(value) for value in values]
+            assert repr(record) == repr(evaluate_point(family, BobRegion.I, *floats, with_ssa=True))
 
 
 class TestFigurePresets:
