@@ -9,12 +9,11 @@ Inapplicable fields stay empty.  Numbers are rendered in fixed-point with a
 configurable number of digits, always with a ``.`` decimal point, so output
 bytes do not depend on locale or platform.
 
-The three formats share one row writer, which formats each distinct number
-once per call and takes the family and region text once per run of
-records that share them.  :func:`write_figure_files` passes it every
-series of a figure with one table of formatted numbers, so a value that
-recurs across series and columns (grid values, and Alice's entropy, which
-the acceleration does not change) is formatted once per figure.
+The three formats share one row writer.  It renders each run of records
+that share their labels and their empty fields through one ``%`` template,
+with the labels as literal text, and applies it once per row; the one
+sign fix of :func:`format_number`, a negative zero, is then made on the
+finished text.
 """
 
 from __future__ import annotations
@@ -67,45 +66,48 @@ def record_fields(record: SweepRecord, precision: int = 12) -> list[str]:
 
 
 def render_csv(records: list[SweepRecord], precision: int = 12) -> str:
-    return _render("csv", records, _Numbers(precision))
+    return _render("csv", records, precision)
 
 
-class _Numbers(dict):
-    """:func:`format_number` of each number looked up (``None`` included), formatted once."""
-
-    def __init__(self, precision: int):
-        super().__init__({None: ""})
-        self.precision = precision
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = format_number(value, self.precision)
-        return text
-
-
-_SERIES_LABEL = operator.attrgetter("family", "region")
+def _run_key(record: SweepRecord) -> tuple:
+    return record.family, record.region, record.f is None, record.ssa_value is None
 
 
 def _render(
-    kind: str, records: list[SweepRecord], numbers: _Numbers, measure: Measure | None = None
+    kind: str, records: list[SweepRecord], precision: int, measure: Measure | None = None
 ) -> str:
-    """The text of ``records`` in format ``kind``, its numbers looked up in ``numbers``.
+    """The text of ``records`` in format ``kind``, each number at ``precision`` decimals.
 
-    ``0.0`` and ``-0.0`` share a key, which is safe because
-    :func:`format_number` renders both as zero.
+    A run's template holds ``%.{precision}f`` for each number and an empty
+    field (``null`` in JSON) for each ``None``, so a row fills it with the
+    numbers it holds.  Every number then has exactly ``precision`` decimals
+    and a ``-`` only as its sign, so replacing the negative zero's text
+    gives the fields of :func:`format_number`.
     """
-    text = numbers.__getitem__
+    number = f"%.{precision}f"
+    values = operator.itemgetter(slice(2, None))  # the number columns
     if kind == "plot":
-        columns = operator.attrgetter("gamma", measure.value)
-        return "\n".join(" ".join(map(text, columns(record))) for record in records) + "\n"
+        values = operator.attrgetter("gamma", measure.value)
     rows = []
-    for (family, region), run in itertools.groupby(records, _SERIES_LABEL):
-        label = (family.value, region.value)
-        rows += ([*label, *map(text, record[2:])] for record in run)
+    for (family, region, *_), run in itertools.groupby(records, _run_key):
+        run = list(run)
+        present = [value is not None for value in values(run[0])]
+        slots = [number if kept else None for kept in present]
+        if kind == "plot":
+            template = " ".join(slot or "" for slot in slots)
+        elif kind == "csv":
+            template = ",".join([family.value, region.value, *(slot or "" for slot in slots)])
+        else:  # the row as json.dumps writes it inside the list; an empty field is null
+            fields = dict(zip(CSV_COLUMNS, [family.value, region.value, *slots]))
+            template = json.dumps([fields], indent=2)[2:-2]
+        rows += (template % tuple(itertools.compress(values(r), present)) for r in run)
     if kind == "csv":
-        return "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n"
-    # an empty field is null in JSON
-    rows = [dict(zip(CSV_COLUMNS, [field or None for field in row])) for row in rows]
-    return json.dumps(rows, indent=2) + "\n"
+        rows.insert(0, ",".join(CSV_COLUMNS))
+    text = (",\n" if kind == "json" else "\n").join(rows)
+    if kind == "json":
+        text = f"[\n{text}\n]" if rows else "[]"
+    zero = "0." + "0" * precision
+    return text.replace("-" + zero, zero) + "\n"
 
 
 def _series_token(value: float) -> str:
@@ -155,9 +157,8 @@ def write_figure_files(
             raise _name_clash(files[path][0], series[0])
         files[path] = series
     out_dir.mkdir(parents=True, exist_ok=True)
-    numbers = _Numbers(fmt.precision)
     for path, series in files.items():
-        text = _render(fmt.kind, series, numbers, spec.measure)
+        text = _render(fmt.kind, series, fmt.precision, spec.measure)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return list(files)

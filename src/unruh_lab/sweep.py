@@ -20,6 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -153,7 +154,8 @@ def evaluate_point(
         raise DomainError("region", f"must be a BobRegion, got {region!r}")
     spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
     point = (spec.accel.gamma, spec.accel.q_r, spec.fidelity_f)
-    return _evaluate_batch(family, (region,), [point], spec.alpha, with_ssa)[0][0]
+    inertial = build_inertial(spec).entries[np.newaxis]
+    return _evaluate_batch(family, (region,), [point], spec.alpha, with_ssa, inertial)[0][0]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -221,6 +223,7 @@ def _evaluate_batch(
     points: list[tuple],
     alpha: float,
     with_ssa: bool,
+    inertial: np.ndarray | None = None,
 ) -> list[list[SweepRecord]]:
     """Records for (gamma, q_r, f) points of one family, a list per region, in order.
 
@@ -232,11 +235,12 @@ def _evaluate_batch(
     then their mode marginals, each as its own stack.  So a wedge's defects
     are reported before those of its partial traces, one region takes
     exactly the stacks a single point needs, and a stack of one point
-    reaches the scalar eigensolver.
+    reaches the scalar eigensolver.  ``inertial``, the points' prepared
+    states if the caller has built them, saves building them again.
     """
-    gammas = [gamma for gamma, _, _ in points]
-    q_rs = [q_r for _, q_r, _ in points]
-    inertial = _prepared_states(family, points, alpha)
+    gammas, q_rs, fs = zip(*points)
+    if inertial is None:
+        inertial = _prepared_states(family, points, alpha)
     isometries = bob_isometries(family.encoding, gammas, q_rs)
 
     # A wedge keeps Alice and two modes (8x8).  The strong-additivity value
@@ -260,15 +264,14 @@ def _evaluate_batch(
     ssa = [None] * len(points)
     if with_ssa:
         ssa = (cond_entropy[0] + cond_entropy[1]).tolist()
+    # tuple.__new__ fills a record from its fields without a Python call per record
+    record = functools.partial(tuple.__new__, SweepRecord)
     records = []
     for i, region in enumerate(regions):
         measures = (s_a[i], s_b[i], s_ab[i], s_a[i] + s_b[i] - s_ab[i], cond_entropy[i])
-        records.append([
-            SweepRecord(family, region, gamma, q_r, alpha, f, *values)
-            for (gamma, q_r, f), *values in zip(
-                points, *(values.tolist() for values in measures), ssa
-            )
-        ])
+        inputs = (repeat(family), repeat(region), gammas, q_rs, repeat(alpha), fs)
+        columns = (values.tolist() for values in measures)
+        records.append(list(map(record, zip(*inputs, *columns, ssa))))
     return records
 
 
@@ -280,8 +283,8 @@ def _prepared_states(
     The state depends only on ``f`` within a block, so it is built, and its
     :class:`ChannelSpec` checked, at the first point of each ``f``.  The
     other points of a sweep are on grids that :class:`SweepSpec` checked
-    against the same bounds; a single point, and each point that
-    :func:`_evaluate_family` re-runs after a failed batch, is a first point.
+    against the same bounds; each point that :func:`_evaluate_family`
+    re-runs after a failed batch is a first point.
     """
     states: dict[float | None, np.ndarray] = {}
     for gamma, q_r, f in points:

@@ -231,11 +231,13 @@ def run_at_dispatch_level(level, code) -> str:
     return rest
 
 
-def preset_hashes(out_dir) -> dict:
-    """The sha256 of each file the four presets write to ``out_dir`` as CSV at 12 digits."""
-    for preset in FigurePreset:
+def preset_hashes(out_dir, presets=tuple(FigurePreset), kinds=("csv",)) -> dict:
+    """The sha256 of each file ``presets`` write to ``out_dir``, in ``kinds``, at 12 digits."""
+    for preset in presets:
         spec = figure_preset(preset)
-        write_figure_files(preset, run_sweep(spec), spec, Path(out_dir), OutputFormat("csv", 12))
+        records = run_sweep(spec)
+        for kind in kinds:
+            write_figure_files(preset, records, spec, Path(out_dir), OutputFormat(kind, 12))
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in Path(out_dir).iterdir()

@@ -833,6 +833,12 @@ class TestSweepTraffic:
         evaluate_point(ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.II, 0.3, 0.8, with_ssa=True)
         assert calls == {"eigvals_hermitian": 5, "eigvals_hermitian_batch": 0}
 
+    def test_one_point_builds_its_channel_once(self, monkeypatch):
+        # the spec evaluate_point reads its numbers through also prepares the state
+        calls = count_calls(monkeypatch, (sweep, "ChannelSpec"), (sweep, "build_inertial"))
+        evaluate_point(ChannelFamily.WERNER, BobRegion.I, 0.3, 0.8, f=0.7, with_ssa=True)
+        assert calls == {"ChannelSpec": 1, "build_inertial": 1}
+
 
 def two_wedge_spec(regions):
     return SweepSpec(

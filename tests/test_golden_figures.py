@@ -5,19 +5,24 @@ presets write at the default precision of 12 digits.  The files pin the
 exact rounding of the whole evaluation path, so any change to it that moves
 a twelfth digit fails here.  The path must not depend on the CPU features
 numpy dispatches to, so the presets are written under each level too.
+``golden_fig4_json_plot.json``, beside this file, pins fig4's JSON and
+plot files the same way, so each of the three writers is pinned.
 """
 
 import json
 
 import pytest
 
+from unruh_lab import FigurePreset
+
 from helpers import DISPATCH_LEVELS, ROOT, preset_hashes, run_at_dispatch_level
 
 GOLDEN = ROOT / "benchmarks" / "golden_figures.json"
+FIG4_JSON_PLOT_GOLDEN = ROOT / "tests" / "golden_fig4_json_plot.json"
 
 
-def assert_golden(found) -> None:
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+def assert_golden(found, golden_path=GOLDEN) -> None:
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))
     assert sorted(found) == sorted(golden)
     mismatched = sorted(name for name, digest in golden.items() if found[name] != digest)
     assert mismatched == []
@@ -25,6 +30,11 @@ def assert_golden(found) -> None:
 
 def test_presets_match_golden_hashes(tmp_path):
     assert_golden(preset_hashes(tmp_path))
+
+
+def test_fig4_json_and_plot_match_golden_hashes(tmp_path):
+    found = preset_hashes(tmp_path, [FigurePreset.FIG4], ("json", "plot"))
+    assert_golden(found, FIG4_JSON_PLOT_GOLDEN)
 
 
 @pytest.mark.parametrize("level", DISPATCH_LEVELS + ("baseline",))

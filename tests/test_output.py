@@ -46,28 +46,34 @@ def make_record(**overrides):
     return SweepRecord(**base)
 
 
-def write_texts(tmp_path, records, kind, measure=Measure.MUTUAL_INFORMATION) -> list[str]:
+def write_texts(
+    tmp_path, records, kind, measure=Measure.MUTUAL_INFORMATION, precision=12
+) -> list[str]:
     """The text of each file ``write_figure_files`` writes for ``records``."""
     spec = SweepSpec(
         families=(ChannelFamily.WERNER,), gamma_grid=(0.0, 0.5), q_r_grid=(0.5,),
         f_grid=(0.5,), measure=measure,
     )
-    paths = write_figure_files("fig4", records, spec, tmp_path, OutputFormat(kind, 12))
+    paths = write_figure_files("fig4", records, spec, tmp_path, OutputFormat(kind, precision))
     return [path.read_bytes().decode("utf-8") for path in paths]
 
 
-def expected_text(records, kind, measure) -> str:
+def expected_text(records, kind, measure, precision=12) -> str:
     """The bytes a file of ``records`` should hold, formatted field by field."""
     if kind == "csv":
-        lines = [",".join(CSV_COLUMNS)] + [",".join(record_fields(r)) for r in records]
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(record_fields(r, precision)) for r in records]
         return "\n".join(lines) + "\n"
     if kind == "json":
         # an empty field is null in JSON
-        rows = [dict(zip(CSV_COLUMNS, [x or None for x in record_fields(r)])) for r in records]
+        rows = [
+            dict(zip(CSV_COLUMNS, [x or None for x in record_fields(r, precision)]))
+            for r in records
+        ]
         return json.dumps(rows, indent=2) + "\n"
     columns = ("gamma", measure.value)
     return "".join(
-        " ".join(format_number(getattr(r, column)) for column in columns) + "\n"
+        " ".join(format_number(getattr(r, column), precision) for column in columns) + "\n"
         for r in records
     )
 
@@ -180,38 +186,54 @@ class TestSeries:
 
 
 class TestWriteFigureFiles:
+    @pytest.mark.parametrize("precision", [6, 12, 17])
     @pytest.mark.parametrize("kind", ["csv", "json", "plot"])
-    def test_files_hold_the_bytes_of_the_renderers(self, tmp_path, kind):
-        # one table of formatted numbers serves every file of a figure, so a
-        # value shared by series and columns must read the same everywhere,
-        # and values that round to zero from below must lose their sign
+    def test_files_hold_the_bytes_of_the_renderers(self, tmp_path, kind, precision):
+        # rows are written through one template per run of records that share
+        # their labels and empty fields, so a value shared by series and
+        # columns must read the same everywhere, an empty field may come and
+        # go within a file, and of the values either side of rounding to -0
+        # only the one that rounds to zero loses its sign
         shared = 0.1 + 0.2
+        to_zero, away = -0.4 * 10.0**-precision, -0.6 * 10.0**-precision
+        werner = dict(family=ChannelFamily.WERNER, region=BobRegion.II, q_r=shared, f=0.5)
         records = [
-            make_record(gamma=0.0, s_a=-1e-15, s_b=-6e-13, s_ab=math.nan, mutual_info=shared),
-            make_record(gamma=shared, s_a=-0.0, s_b=0.0, cond_entropy=shared),
+            make_record(gamma=0.0, s_a=to_zero, s_b=away, s_ab=math.nan, mutual_info=shared),
             make_record(
-                family=ChannelFamily.WERNER, region=BobRegion.II, gamma=0.0, q_r=shared,
-                f=0.5, s_a=shared, s_b=-1e-15, mutual_info=-6e-13, ssa_value=shared,
+                gamma=shared, s_a=-0.0, s_b=0.0, cond_entropy=shared, ssa_value=math.inf
+            ),
+            make_record(gamma=1.0, s_ab=-math.inf),
+            make_record(
+                **werner, gamma=0.0, s_a=shared, s_b=to_zero, mutual_info=away,
+                ssa_value=to_zero,
             ),
             make_record(
-                family=ChannelFamily.WERNER, region=BobRegion.II, gamma=shared, q_r=shared,
-                f=0.5, s_ab=shared, cond_entropy=math.nan, ssa_value=-1e-15,
+                **werner, gamma=shared, s_ab=shared, cond_entropy=math.nan, ssa_value=away
             ),
+            make_record(**werner, gamma=1.0, s_a=math.inf, ssa_value=-math.inf),
         ]
         measure = Measure.STRONG_ADDITIVITY
         series = list(split_series(records).values())
-        texts = write_texts(tmp_path, records, kind, measure)
+        texts = write_texts(tmp_path, records, kind, measure, precision)
         assert len(texts) == len(series) == 2
-        assert texts == [expected_text(group, kind, measure) for group in series]
+        assert texts == [expected_text(group, kind, measure, precision) for group in series]
         if kind == "csv":
-            assert texts == [render_csv(group, 12) for group in series]
+            assert texts == [render_csv(group, precision) for group in series]
+            # labels and empty fields switching back and forth within one text
+            switching = [records[i] for i in (0, 3, 2, 1, 4, 0)]
+            assert render_csv(switching, precision) == expected_text(
+                switching, kind, measure, precision
+            )
         text = "".join(texts)
         if kind == "json":
             assert '"f": null' in text and '"ssa_value": null' in text
         if kind != "plot":
-            assert "-0.000000000001" in text and "nan" in text
-        assert "-0.000000000000" not in text
-        assert text.count(format_number(shared)) == (9 if kind != "plot" else 3)
+            assert "nan" in text
+        zero = "0." + "0" * precision
+        assert "-0." + "0" * (precision - 1) + "1" in text and zero in text
+        assert "-" + zero not in text
+        assert "inf" in text.replace("-inf", "") and "-inf" in text
+        assert text.count(format_number(shared, precision)) == (9 if kind != "plot" else 2)
 
     def test_unknown_preset_is_a_domain_error(self, tmp_path):
         with pytest.raises(DomainError, match="'fig5' is not one of") as caught:
