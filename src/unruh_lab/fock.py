@@ -40,7 +40,8 @@ tolerance, so NaN fails every check.  Both eigensolvers make the test of
 :func:`check_hermitian` on their input (the batched one on the diagonal
 and the blocks, which hold every nonzero entry), so NaN fails there too,
 with no exception, and a stack on the entropy path is tested for
-Hermiticity once.
+Hermiticity once.  The checks' all-true test is ``np.logical_and.reduce``,
+which gives ``.all()``'s value without that method's Python call.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def _as_real(values, param: str) -> np.ndarray:
 
 
 def check_norms(vectors: np.ndarray) -> None:
-    """Raise for the first vector of a stack (N, d) off unit norm by more than ``NORM_TOL``."""
-    norms = np.linalg.norm(vectors, axis=-1)
+    """Raise for the first vector of a stack (N, d) off unit norm by more than ``NORM_TOL``;
+    a norm is sqrt(sum(v * v)), which np.linalg.norm(v, axis=-1) computes for a real v."""
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
     within = np.abs(norms - 1.0) <= NORM_TOL
-    if not within.all():
+    if not np.logical_and.reduce(within):
         raise NormalizationError(f"state norm is {float(norms[~within][0])!r}, expected 1")
 
 
@@ -99,7 +101,7 @@ def check_hermitian(matrices: np.ndarray) -> None:
 def _check_hermitian_defects(defects: np.ndarray) -> None:
     """Raise for the first of the matrices' largest defects (N,) beyond ``HERMITIAN_TOL``."""
     within = defects <= HERMITIAN_TOL
-    if not within.all():
+    if not np.logical_and.reduce(within):
         raise SymmetryError(
             f"Hermiticity defect {float(defects[~within][0]):.3e} exceeds {HERMITIAN_TOL}"
         )
@@ -109,7 +111,7 @@ def check_traces(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off unit trace by more than ``TRACE_TOL``."""
     traces = matrices.trace(axis1=1, axis2=2)
     within = np.abs(traces - 1.0) <= TRACE_TOL
-    if not within.all():
+    if not np.logical_and.reduce(within):
         raise NormalizationError(f"trace is {float(traces[~within][0])!r}, expected 1")
 
 
@@ -118,7 +120,7 @@ def check_isometries(matrices: np.ndarray) -> None:
     gram = matrices.swapaxes(1, 2) @ matrices
     defects = np.abs(gram - np.eye(matrices.shape[2])).max(axis=(1, 2))
     within = defects <= ISOMETRY_TOL
-    if not within.all():
+    if not np.logical_and.reduce(within):
         raise NormalizationError(
             f"columns are not orthonormal (defect {float(defects[~within][0]):.3e})"
         )
@@ -127,7 +129,7 @@ def check_isometries(matrices: np.ndarray) -> None:
 def _check_finite(entries: np.ndarray) -> None:
     # NaN would fail the tolerance tests too; this check runs first so the
     # error names the non-finite entry, not a defect it causes
-    if not np.isfinite(entries).all():
+    if not np.logical_and.reduce(np.isfinite(entries), axis=None):
         raise NormalizationError("state has a non-finite entry")
 
 
@@ -169,7 +171,7 @@ class SubsystemLayout:
         if len(set(factors)) != len(factors):
             raise LayoutError(f"duplicate subsystem labels in {factors}")
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return 2 ** len(self.factors)
 
@@ -238,7 +240,7 @@ class DensityMatrix:
 
 def outer_product(v: StateVector) -> DensityMatrix:
     """Rank-1 projector |v><v| as a density matrix."""
-    return DensityMatrix(v.layout, np.outer(v.amplitudes, v.amplitudes))
+    return DensityMatrix(v.layout, v.amplitudes[:, np.newaxis] * v.amplitudes)
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[Subsystem]) -> DensityMatrix:

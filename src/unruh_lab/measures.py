@@ -3,7 +3,7 @@
 All entropies are in bits (base-2 logarithms), so a Bell pair's halves
 each carry one bit.  The matrices are real: the eigensolvers reject a
 nonzero imaginary part.  Eigenvalues in [-PSD_TOL, 0) are treated as
-numerical noise and clamped to zero; anything below that raises,
+numerical noise and dropped, as zeros are; anything below that raises,
 signalling an invalid construction rather than being silently absorbed.
 The channel measures built from these entropies are computed by
 :mod:`unruh_lab.sweep`.
@@ -33,17 +33,14 @@ from .fock import (
 def entropy_from_eigenvalues(eigenvalues: Iterable[float]) -> float:
     """Shannon entropy in bits of an eigenvalue distribution.
 
-    Applies the clamping policy: values in [-PSD_TOL, 0) become 0 (with
-    0 log 0 = 0), values below -PSD_TOL or not finite raise :class:`SpectrumError`.
+    Only the positive values are summed: values in [-PSD_TOL, 0] are dropped
+    (0 log 0 = 0), values below -PSD_TOL or not finite raise :class:`SpectrumError`.
     """
     lam = np.asarray(list(eigenvalues) if not isinstance(eigenvalues, np.ndarray) else eigenvalues, dtype=float)
-    if lam.size and not lam.min() >= -PSD_TOL:
+    if lam.size and not np.minimum.reduce(lam, axis=None) >= -PSD_TOL:
         raise _spectrum_error(float(lam.min()))
-    lam = np.clip(lam, 0.0, None)
-    positive = lam[lam > 0.0]
-    if positive.size == 0:
-        return 0.0
-    entropy = float(-(positive * np.log2(positive)).sum())
+    positive = lam[lam > 0.0]  # if none, the sum is -0.0, and the + 0.0 below makes it +0.0
+    entropy = float(-np.add.reduce(positive * np.log2(positive)))
     if not math.isfinite(entropy):
         raise _spectrum_error(math.inf)
     return entropy + 0.0
@@ -59,9 +56,10 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     """:func:`entropy_from_eigenvalues` of each row of a stack (N, n).
 
     Rows must be in descending order, as :func:`eigvals_hermitian_batch`
-    returns them, so the positive values of a row are a prefix of it.  Rows
-    with the same number of positive values are summed together, in the
-    order a single row is, so each result equals the scalar one bit for bit.
+    returns them, so the positive values, the only ones summed, are a prefix
+    of a row.  Rows with the same number of positive values are summed
+    together, in the order a single row is, so each result equals the
+    scalar one bit for bit.
     Raises :class:`SpectrumError` for the first row below ``-PSD_TOL`` or
     holding NaN, and for any row holding an infinity.
     """
@@ -70,7 +68,6 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     low = ~(lowest >= -PSD_TOL)
     if low.any():
         raise _spectrum_error(float(lowest[np.argmax(low)]))
-    lam = np.clip(lam, 0.0, None)
     positives = (lam > 0.0).sum(axis=1)
     entropies = np.zeros(len(lam))
     # the distinct counts, ascending; np.unique would import numpy.ma (about 1 MB)

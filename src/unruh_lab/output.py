@@ -18,6 +18,7 @@ finished text.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import operator
@@ -128,11 +129,15 @@ def series_filename(
 
 
 def split_series(records: list[SweepRecord]) -> dict[tuple, list[SweepRecord]]:
-    """Group records into series keyed (family, region, q_r, f), preserving order."""
+    """Group records into series keyed (family, region, q_r, f), preserving order; a run of
+    one (family, region) is split by (q_r, f), so an enum member is hashed once per series."""
     series: dict[tuple, list[SweepRecord]] = {}
-    for record in records:
-        key = (record.family, record.region, record.q_r, record.f)
-        series.setdefault(key, []).append(record)
+    for (family, region), run in itertools.groupby(records, operator.itemgetter(0, 1)):
+        points = collections.defaultdict(list)
+        for record in run:
+            points[record.q_r, record.f].append(record)
+        for (q_r, f), members in points.items():
+            series.setdefault((family, region, q_r, f), []).extend(members)
     return series
 
 

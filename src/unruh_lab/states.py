@@ -69,12 +69,8 @@ INERTIAL_LAYOUT = SubsystemLayout((Subsystem.ALICE, Subsystem.BOB))
 JOINT_FACTORS = (Subsystem.ALICE,) + RINDLER_FACTORS
 JOINT_LAYOUT = SubsystemLayout(JOINT_FACTORS)
 
-REGION_I_FACTORS = frozenset(
-    {Subsystem.REGION_I_PARTICLE, Subsystem.REGION_I_ANTIPARTICLE}
-)
-REGION_II_FACTORS = frozenset(
-    {Subsystem.REGION_II_ANTIPARTICLE, Subsystem.REGION_II_PARTICLE}
-)
+REGION_I_FACTORS = frozenset({Subsystem.REGION_I_PARTICLE, Subsystem.REGION_I_ANTIPARTICLE})
+REGION_II_FACTORS = frozenset({Subsystem.REGION_II_ANTIPARTICLE, Subsystem.REGION_II_PARTICLE})
 
 
 @dataclass(frozen=True)
@@ -187,16 +183,15 @@ def bob_isometries(
 
     Matrix i is the embedding at ``(gammas[i], q_rs[i])``, in float64: its
     column j is the image of Bob's basis state j over ``RINDLER_LAYOUT``.
-    Each column must have unit norm, as :class:`StateVector` checks it, and
-    the columns must be orthonormal.  The parameters are not checked here.
+    Its columns must be orthonormal, and each of unit norm as :class:`StateVector` checks
+    it, every column 0 before any column 1.  The parameters are not checked here.
     """
     if not isinstance(encoding, Encoding):
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
     amplitudes = _rindler_amplitudes(gammas, q_rs)
-    columns = [amplitudes[i] for i in _ENCODING_STATES[encoding]]
-    matrices = np.stack(columns, axis=2)
-    check_norms(columns[0])
-    check_norms(columns[1])
+    columns = np.concatenate([amplitudes[i] for i in _ENCODING_STATES[encoding]])
+    check_norms(columns)
+    matrices = columns.reshape(2, -1, 16).transpose(1, 2, 0).copy()
     check_isometries(matrices)
     return matrices
 

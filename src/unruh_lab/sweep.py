@@ -48,6 +48,7 @@ from .states import (
 # [404, 538] gives the same batches.  The benchmark's figures workload
 # then peaks at about 42.1 MB resident, 0.5 MB more than at 400.
 BATCH_POINTS = 512
+_ALICE = frozenset({Subsystem.ALICE})  # traced out of a wedge for its modes' marginal
 
 
 class Measure(Enum):
@@ -258,7 +259,7 @@ def _evaluate_batch(
         s_ab.append(von_neumann_entropies(wedge))
         if region in regions:
             s_a.append(von_neumann_entropies(trace_out(wedge, layout, region.kept_factors)[0]))
-        s_b.append(von_neumann_entropies(trace_out(wedge, layout, {Subsystem.ALICE})[0]))
+        s_b.append(von_neumann_entropies(trace_out(wedge, layout, _ALICE)[0]))
     cond_entropy = [ab - b for ab, b in zip(s_ab, s_b)]
     # both wedges' states are present with SSA, so the sum is the same for both
     ssa = [None] * len(points)

@@ -550,6 +550,28 @@ class TestBatchedEntropy:
             want = np.array([entropy_from_eigenvalues(row) for row in eigs])
             assert (entropies_from_eigenvalues(eigs) == want).all()
 
+    def test_noise_and_signed_zeros_are_dropped_as_if_clamped(self):
+        # values in [-PSD_TOL, 0] are left out of both sums; clamping them to
+        # zero first, then keeping the positive values, gives the same bits
+        noise = -fock.PSD_TOL / 2
+        eigs = np.array([
+            [0.5, 0.5, 0.0, noise],
+            [0.6, 0.4, -0.0, noise],
+            [1.0, 0.0, -0.0, noise],
+            [0.7, 0.2, 0.1, -0.0],
+            [0.0, -0.0, noise, noise],
+            [-0.0, -0.0, -0.0, -0.0],
+        ])
+
+        def clamped(row):
+            lam = np.clip(row, 0.0, None)
+            positive = lam[lam > 0.0]
+            return float(-(positive * np.log2(positive)).sum()) + 0.0
+
+        want = np.array([clamped(row) for row in eigs])
+        assert_same_bits([entropy_from_eigenvalues(row) for row in eigs], want)
+        assert_same_bits(entropies_from_eigenvalues(eigs), want)
+
     def test_row_below_psd_tolerance_rejected(self):
         eigs = np.array([[1.0, 0.0], [1.0, -1e-9], [1.1, -0.1], [1.2, -0.2]])
         with pytest.raises(SpectrumError, match="eigenvalue -1.000e-01"):
@@ -902,6 +924,22 @@ class TestSweepFailures:
             bob_isometries(Encoding.DUAL_RAIL, [0.0, 0.1], [0.9, 0.9])
         with pytest.raises(SweepPointError, match=r"gamma=0\.1 .*state norm is nan"):
             run_sweep(four_point_spec())
+
+    def test_bad_column_0_is_named_before_an_earlier_points_column_1(self, monkeypatch):
+        # both columns' norms are checked in one call, every column 0 first
+        real = states._rindler_amplitudes
+
+        def corrupted(gammas, q_rs):
+            vacuum, particle, antiparticle = real(gammas, q_rs)
+            vacuum[1] *= 2.0  # point 1, column 0 of a single-rail isometry
+            particle[0] *= 3.0  # point 0, column 1
+            return vacuum, particle, antiparticle
+
+        monkeypatch.setattr(states, "_rindler_amplitudes", corrupted)
+        norm = np.linalg.norm(2.0 * real([0.3], [0.9])[0][0])
+        with pytest.raises(NormalizationError) as info:
+            bob_isometries(Encoding.SINGLE_RAIL, [0.1, 0.3], [0.8, 0.9])
+        assert str(info.value) == f"state norm is {float(norm)!r}, expected 1"
 
     def test_out_of_domain_point_in_a_batch(self):
         spec = four_point_spec()

@@ -1,8 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unruh_lab import (
     DensityMatrix,
@@ -18,8 +21,10 @@ from unruh_lab import (
     outer_product,
     partial_trace,
 )
+from unruh_lab import fock
 from unruh_lab.crosscheck import brute_partial_trace, eigvals_charpoly
 from unruh_lab.fock import (
+    NORM_TOL,
     check_density_stack,
     check_hermitian,
     check_isometries,
@@ -109,6 +114,44 @@ class TestDensityMatrix:
         # a NaN trace is not off unit trace by more than the tolerance
         with pytest.raises(NormalizationError, match="non-finite"):
             DensityMatrix(single(ALICE), np.diag([math.nan, 1.0]))
+
+
+# finite floats (subnormals included), entries of one scale, whose sum
+# rounds by its order, huge entries, signed zeros and the smallest
+# subnormal; a stack of up to five vectors of one length, up to an isometry
+# column's 16
+ENTRIES = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.floats(0.1, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e150, -1e150, 1.0]),
+)
+VECTOR_STACKS = st.integers(1, 16).flatmap(
+    lambda d: st.lists(st.lists(ENTRIES, min_size=d, max_size=d), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VECTOR_STACKS)
+@example([[0.0, 0.0], [5e-324, -5e-324], [1e150, 1e150], [0.6, 0.8]])
+@example([[1e150, -1e150, 1e-160, 0.0]])
+@example([[0.673, 0.343, 0.137], [0.5, 0.5, 0.5]])  # a sum whose bits depend on its order
+def test_norms_have_the_bits_of_linalg_norm(rows):
+    vectors = np.array(rows)
+    norms = np.linalg.norm(vectors, axis=-1)
+    # below zero the tolerance fails every vector, so the message shows each norm
+    with mock.patch.object(fock, "NORM_TOL", -1.0):
+        for vector, norm in zip(vectors, norms):
+            with pytest.raises(NormalizationError) as info:
+                check_norms(vector[np.newaxis])
+            assert str(info.value) == f"state norm is {float(norm)!r}, expected 1"
+    # at the real tolerance, the first vector off unit norm is named, as before
+    within = np.abs(norms - 1.0) <= NORM_TOL
+    if within.all():
+        check_norms(vectors)
+    else:
+        with pytest.raises(NormalizationError) as info:
+            check_norms(vectors)
+        assert str(info.value) == f"state norm is {float(norms[~within][0])!r}, expected 1"
 
 
 class TestStackChecksRejectNaN:

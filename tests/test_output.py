@@ -171,18 +171,37 @@ class TestSeries:
             == "fig4_werner_bob-i_qr0.75_f0.7.dat"
         )
 
-    def test_split_series_groups_by_parameters(self):
+    @pytest.mark.parametrize("recurs", [False, True], ids=["contiguous", "a-b-a"])
+    def test_split_series_groups_by_parameters(self, recurs):
         records = [
             make_record(gamma=0.0, q_r=1.0),
             make_record(gamma=0.0, q_r=0.9),
             make_record(gamma=0.1, q_r=1.0),
             make_record(gamma=0.1, q_r=0.9),
         ]
-        series = split_series(records)
         family, region = ChannelFamily.QUANTUM_SINGLE_RAIL, BobRegion.I
-        assert list(series) == [(family, region, 1.0, None), (family, region, 0.9, None)]
-        assert all(len(group) == 2 for group in series.values())
-        assert [r.gamma for r in series[family, region, 1.0, None]] == [0.0, 0.1]
+        expected = [(family, region, 1.0, None), (family, region, 0.9, None)]
+        if recurs:
+            # the (family, region) run A comes back after a run B: its records
+            # join A's series, and its new series come after B's
+            werner = dict(family=ChannelFamily.WERNER, region=BobRegion.II, f=0.5)
+            records += [
+                make_record(**werner, gamma=0.0, q_r=1.0),
+                make_record(**werner, gamma=0.1, q_r=1.0),
+                make_record(gamma=0.2, q_r=0.8),
+                make_record(gamma=0.2, q_r=1.0),
+            ]
+            expected += [(ChannelFamily.WERNER, BobRegion.II, 1.0, 0.5), (family, region, 0.8, None)]
+        series = split_series(records)
+        assert list(series) == expected
+        assert [r.gamma for r in series[family, region, 1.0, None]] == [0.0, 0.1, 0.2][: 2 + recurs]
+        # every record once, in the order it came, in the series of its key
+        reference = {}
+        for record in records:
+            key = (record.family, record.region, record.q_r, record.f)
+            reference.setdefault(key, []).append(record)
+        assert list(series.items()) == list(reference.items())
+        assert all(a is b for key in series for a, b in zip(series[key], reference[key]))
 
 
 class TestWriteFigureFiles:
