@@ -6,16 +6,15 @@ ready for any plotting tool.  Rerunning produces byte-identical files.
 
 from pathlib import Path
 
-from unruh_lab import FigurePreset, OutputFormat, figure_preset, run_sweep, write_figure_files
+from unruh_lab import FigurePreset, figure_preset, write_figure_set
 
 OUT_DIR = Path("figure_data")
 
+written = write_figure_set(FigurePreset, OUT_DIR)
 for figure in FigurePreset:
-    spec = figure_preset(figure)
-    records = run_sweep(spec)
-    written = write_figure_files(figure, records, spec, OUT_DIR, OutputFormat("csv"))
-    families = ", ".join(f.value for f in spec.families)
-    print(f"{figure.value}: {len(written)} series files ({families})")
+    count = sum(path.name.startswith(f"{figure.value}_") for path in written)
+    families = ", ".join(f.value for f in figure_preset(figure).families)
+    print(f"{figure.value}: {count} series files ({families})")
 
 print(f"\nall files in {OUT_DIR.resolve()}")
 print("columns: family,region,gamma,q_r,alpha,f,s_a,s_b,s_ab,mutual_info,cond_entropy,ssa_value")

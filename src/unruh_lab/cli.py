@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from .errors import UnruhLabError
-from .output import CSV_COLUMNS, OutputFormat, record_fields, write_figure_files
+from .output import CSV_COLUMNS, OutputFormat, record_fields, write_figure_set
 from .states import BobRegion, ChannelFamily, gamma_from_acceleration, read_real
-from .sweep import FigurePreset, evaluate_point, figure_preset, run_sweep
+from .sweep import FigurePreset, evaluate_point
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -117,11 +116,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     fmt = OutputFormat(args.format, args.precision)
-    figure = FigurePreset(args.which)
-    spec = figure_preset(figure)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # fail before the sweep
-    records = run_sweep(spec)
-    written = write_figure_files(figure, records, spec, args.out_dir, fmt)
+    written = write_figure_set([args.which], args.out_dir, fmt)
     for path in written:
         print(path)
     print(f"wrote {len(written)} files to {args.out_dir}")

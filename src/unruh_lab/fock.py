@@ -16,21 +16,22 @@ stacks, and :func:`unruh_lab.states.trace_lifted` uses both on the lifted
 states' few nonzero entries, so the two reductions agree bit for bit.
 
 The eigensolvers are block-native: they rotate only inside the blocks
-(connected components) of a matrix's exact zero pattern, or of the union
-of the patterns of a stack.  The entries between blocks are zero and stay
+(connected components) of a matrix's exact zero pattern, or of the union of
+the patterns of a stack.  The entries between blocks are zero and stay
 zero, because a rotation writes ``c * 0 + s * 0`` there; so the pairs a
 full sweep would visit between blocks rotate nothing, and skipping them
-keeps every bit of the sweep over all pairs.  The channel states are
-sparse this way: a wedge state (8x8) has three blocks of 2 (dual rail) or
-two of 3 (single rail), the wedge-mode marginal (4x4) one block of 2, and
-Alice's marginal is diagonal.  A diagonal matrix needs no sweep, and one
-whose blocks are all 2x2 takes one, with no norm test, after which every
+keeps every bit of the sweep over all pairs.  The channel states are sparse
+this way: a wedge state (8x8) has three blocks of 2 (dual rail) or two of 3
+(single rail), the wedge-mode marginal (4x4) one block of 2, and Alice's
+marginal is diagonal.  A diagonal matrix needs no sweep, and one whose
+blocks are all 2x2 takes one, with no norm test (a block of entries near
+5e-13 passes it, yet its eigenvalues are 1e-12 and 0), after which every
 off-diagonal entry is an exact zero.  The batched solver gathers the blocks
 of each size into one compact stack, once, and rotates that stack across
-all sweeps, a block whose pivot is zero or negligible by the identity;
-the rules of :func:`eigvals_hermitian_batch` keep every bit.  The
-single-matrix solver rotates a matrix as a list of rows of Python floats,
-which round as numpy's float64 does, without numpy's cost per scalar.
+all sweeps, a block whose pivot is zero or negligible by the identity; the
+rules of :func:`eigvals_hermitian_batch` keep every bit.  The single-matrix
+solver rotates a matrix as a list of rows of Python floats, which round as
+numpy's float64 does, without numpy's cost per scalar.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for

@@ -1,19 +1,16 @@
-"""Record rendering: fixed CSV schema, JSON, and two-column plot data.
+"""Record rendering: fixed CSV schema, JSON, and two-column plot data; the figure-set writer.
 
 The CSV schema is the fields of :class:`~unruh_lab.sweep.SweepRecord`, in
 their order, and is stable for golden-file comparison:
 
     family,region,gamma,q_r,alpha,f,s_a,s_b,s_ab,mutual_info,cond_entropy,ssa_value
 
-Inapplicable fields stay empty.  Numbers are rendered in fixed-point with a
-configurable number of digits, always with a ``.`` decimal point, so output
-bytes do not depend on locale or platform.
-
-The three formats share one row writer.  It renders each run of records
-that share their labels and their empty fields through one ``%`` template,
-with the labels as literal text, and applies it once per row; the one
-sign fix of :func:`format_number`, a negative zero, is then made on the
-finished text.
+Inapplicable fields stay empty.  JSON rows carry the same fields; plot data
+is two columns, gamma and the preset's :attr:`SweepSpec.measure`.  Numbers
+are fixed-point with a configurable number of digits and a ``.`` decimal
+point, so output bytes do not depend on locale or platform.  The three
+formats share one row writer, :func:`_render`, which fills one ``%``
+template per run of records with the labels as literal text.
 """
 
 from __future__ import annotations
@@ -24,9 +21,10 @@ import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DomainError
-from .sweep import FigurePreset, Measure, SweepRecord, SweepSpec
+from .sweep import FigurePreset, Measure, SweepRecord, SweepSpec, figure_preset, run_sweep
 
 CSV_COLUMNS = SweepRecord._fields
 
@@ -167,6 +165,26 @@ def write_figure_files(
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return list(files)
+
+
+def write_figure_set(
+    presets: Iterable[FigurePreset | str],
+    out_dir: str | Path,
+    fmt: OutputFormat = OutputFormat(),
+) -> list[Path]:
+    """Each preset's sweep written by :func:`write_figure_files`; all paths, in preset order.
+
+    The one route from preset names to files.  It reads every name, then
+    creates ``out_dir``, before the first sweep, so a bad name or directory
+    raises :class:`DomainError` or ``OSError`` before any work.
+    """
+    figures = [FigurePreset(preset) for preset in presets]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    written = []
+    for figure in figures:
+        spec = figure_preset(figure)
+        written += write_figure_files(figure, run_sweep(spec), spec, out_dir, fmt)
+    return written
 
 
 def _name_clash(first: SweepRecord, second: SweepRecord) -> DomainError:

@@ -14,8 +14,8 @@ Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
 factor is lifted through an encoding isometry into the 16-dimensional
 Rindler space, and either wedge is obtained by tracing out the other.
 :func:`bob_isometries` and :func:`trace_lifted` do this for a whole stack
-of grid points at once.  :func:`build_joints` and :func:`build_joint` are
-:func:`trace_lifted` with nothing traced out, for a stack and for one point.
+of grid points at once.  :func:`build_joints` is :func:`trace_lifted` with
+nothing traced out, and :func:`build_joint` is it for one point.
 
 The reductions use the structure of the lift, not a dense product.  Each
 Unruh state has amplitudes on four fixed Rindler basis states
@@ -28,7 +28,9 @@ computed once from those constants for each encoding and discard set,
 gather just these products.  They are taken from the term plan of
 :func:`~unruh_lab.fock.trace_out` and added by its in-order sum, so both
 reductions add each reduced entry's terms in one order, lexicographic in
-the traced factors, and the reduced states keep every bit.
+the traced factors, and the reduced states keep every bit, zero signs
+included: 20 (single rail) or 14 (dual rail) of a wedge state's 64 entries
+can be nonzero, and the others are exactly +0.
 """
 
 from __future__ import annotations
@@ -319,8 +321,7 @@ def build_joint(spec: ChannelSpec) -> DensityMatrix:
     accel = spec.accel
     encoding = spec.family.encoding
     isometries = bob_isometries(encoding, [accel.gamma], [accel.q_r])
-    joint, _ = trace_lifted(encoding, inertial, isometries, [()])[0]
-    return DensityMatrix(JOINT_LAYOUT, joint[0])
+    return DensityMatrix(JOINT_LAYOUT, build_joints(encoding, inertial, isometries)[0])
 
 
 def build_joints(
@@ -404,7 +405,7 @@ def _call_plan(
     end with index R; and the kept layout.  Which joint entries can be
     nonzero (96) follows from the mode constants and the prepared-state
     pattern alone, never from the values at a sample point.  A wedge reads
-    28 of them.
+    28 of them, both wedges 40.
     """
     # joint row 16a + m (Alice reads a, the Rindler modes read m) has its
     # lift entry at isometry entry (m, j), where column j is nonzero on m,

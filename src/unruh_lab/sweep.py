@@ -11,7 +11,10 @@ every wedge it needs in one call, so it holds up to two wedges' states.
 It then solves wedge by wedge: the wedge's states, Alice's marginal (for a
 requested wedge) and the modes' marginal, each as its own stack.  The two
 wedges' states are not joined into one stack, since their zero patterns
-would merge into coarser blocks.  The states are real: all of it is float64.
+would merge into coarser blocks: in single rail and Werner, wedge I's
+{0,3,6}, {1,4,7} and wedge II's {0,3,5}, {2,4,7} into blocks of 4.  The
+strong-additivity value adds the two wedges' conditional entropies.  The
+states are real: all of it is float64.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import crosscheck
 from .fock import eigvals_hermitian_batch
-from .output import OutputFormat, split_series, write_figure_files
+from .output import split_series, write_figure_set
 from .states import BobRegion, ChannelFamily, bob_isometries, build_joints
 from .sweep import (
     CLASSICAL_PAIR,
@@ -195,8 +195,6 @@ def _oracle_samples() -> dict[ChannelFamily, list[tuple]]:
 
 
 def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
-    # each family's channels go through the sweep's path for both wedges at
-    # once, which names a failing channel; the oracle takes one at a time
     regions = tuple(BobRegion)
     worst = 0.0
     for family, points in _oracle_samples().items():
@@ -248,20 +246,11 @@ def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
     )
 
 
-def _emit_all_figures(out_dir: Path) -> list[Path]:
-    written = []
-    for figure in FigurePreset:
-        spec = figure_preset(figure)
-        written += write_figure_files(figure, run_sweep(spec), spec, out_dir, OutputFormat())
-    return written
-
-
 def _check_determinism(tables: _SeriesTables) -> tuple[bool, str]:
     with tempfile.TemporaryDirectory(prefix="unruh-verify-") as tmp:
-        tmp_path = Path(tmp)
-        first = _emit_all_figures(tmp_path / "first")
+        first = write_figure_set(FigurePreset, Path(tmp, "first"))
         start = time.monotonic()
-        second = _emit_all_figures(tmp_path / "second")
+        second = write_figure_set(FigurePreset, Path(tmp, "second"))
         elapsed = time.monotonic() - start
         if len(first) != len(second):
             return False, f"file counts differ: {len(first)} vs {len(second)}"

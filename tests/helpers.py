@@ -12,6 +12,7 @@ import pytest
 
 from unruh_lab import (
     BobRegion,
+    ChannelFamily,
     ConvergenceError,
     DensityMatrix,
     FigurePreset,
@@ -24,8 +25,10 @@ from unruh_lab import (
     run_sweep,
     von_neumann_entropy,
     write_figure_files,
+    write_figure_set,
 )
 from unruh_lab import crosscheck, fock, sweep
+from unruh_lab.crosscheck import brute_entropy, brute_joint_matrix, brute_partial_trace
 from unruh_lab.states import REGION_II_FACTORS
 
 # numpy's x86 dispatch levels above its baseline, highest first
@@ -188,6 +191,24 @@ def brute_mutual_information(family, region, gamma, q_r, alpha=math.pi / 4, fide
     return s_a + s_b - s_ab
 
 
+def brute_tripartite_entropies(
+    family: ChannelFamily,
+    gamma: float,
+    q_r: float,
+    alpha: float = math.pi / 4,
+    fidelity_f: float | None = None,
+) -> dict[str, float]:
+    """All marginal entropies of the A = Alice, B = region I, C = region II split."""
+    joint = brute_joint_matrix(family, gamma, q_r, alpha, fidelity_f)
+    return {
+        "s_ab": brute_entropy(brute_partial_trace(joint, 5, [0, 1, 3])),
+        "s_ac": brute_entropy(brute_partial_trace(joint, 5, [0, 2, 4])),
+        "s_a": brute_entropy(brute_partial_trace(joint, 5, [0])),
+        "s_b": brute_entropy(brute_partial_trace(joint, 5, [1, 3])),
+        "s_c": brute_entropy(brute_partial_trace(joint, 5, [2, 4])),
+    }
+
+
 def cpu_features() -> dict:
     """numpy's map of CPU features to whether it dispatches to them in this process."""
     try:
@@ -231,13 +252,23 @@ def run_at_dispatch_level(level, code) -> str:
     return rest
 
 
-def preset_hashes(out_dir, presets=tuple(FigurePreset), kinds=("csv",)) -> dict:
-    """The sha256 of each file ``presets`` write to ``out_dir``, in ``kinds``, at 12 digits."""
+def write_each_preset(presets, out_dir, fmt=OutputFormat()) -> list[Path]:
+    """The per-preset pairing ``write_figure_set`` stands for: each preset's
+    ``run_sweep`` written by ``write_figure_files``; all paths, in preset order."""
+    written = []
     for preset in presets:
         spec = figure_preset(preset)
-        records = run_sweep(spec)
-        for kind in kinds:
-            write_figure_files(preset, records, spec, Path(out_dir), OutputFormat(kind, 12))
+        written += write_figure_files(preset, run_sweep(spec), spec, out_dir, fmt)
+    return written
+
+
+def preset_hashes(
+    out_dir, presets=tuple(FigurePreset), kinds=("csv",), writer=write_figure_set
+) -> dict:
+    """The sha256 of each file ``writer`` writes for ``presets`` to ``out_dir``, in
+    ``kinds``, at 12 digits; ``writer`` takes (presets, out_dir, fmt)."""
+    for kind in kinds:
+        writer(presets, out_dir, OutputFormat(kind, 12))
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in Path(out_dir).iterdir()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import unruh_lab
-from unruh_lab import cli
+from unruh_lab import cli, output
 from unruh_lab.verify import CheckResult
 
 
@@ -208,7 +208,7 @@ class TestFigure:
         def no_sweep(spec):
             raise AssertionError("run_sweep called")
 
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(output, "run_sweep", no_sweep)
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         code, _, err = run_cli(capsys, "figure", "fig4", "--out-dir", str(blocker))

@@ -19,7 +19,12 @@ from unruh_lab import (
 )
 from unruh_lab import crosscheck
 
-from helpers import brute_mutual_information, charpoly_coefficients, random_hermitian
+from helpers import (
+    brute_mutual_information,
+    brute_tripartite_entropies,
+    charpoly_coefficients,
+    random_hermitian,
+)
 
 PI4 = math.pi / 4
 
@@ -206,15 +211,15 @@ class TestExactCoefficients:
             crosscheck.brute_entropy(np.diag([0.25, 0.75])),
             *crosscheck.brute_subsystem_entropies(*region_args),
             brute_mutual_information(*region_args),
-            *crosscheck.brute_tripartite_entropies(*args).values(),
+            *brute_tripartite_entropies(*args).values(),
             crosscheck.brute_strong_additivity(*args),
         ]
         assert [type(v) for v in values] == [float] * 11
 
 
 def oracle_matrices(seed, count):
-    """Seeded wedge states and the five reductions of the joint that
-    ``brute_tripartite_entropies`` diagonalises, for every family."""
+    """Seeded wedge states and five reductions of the joint, for every
+    family: Alice with either wedge, Alice alone, and either wedge alone."""
     rng = np.random.default_rng(seed)
     families = list(ChannelFamily)
     for k in range(count):
@@ -228,6 +233,28 @@ def oracle_matrices(seed, count):
         joint = crosscheck.brute_joint_matrix(family, gamma, q_r, alpha, f)
         for keep in ([0, 1, 3], [0, 2, 4], [0], [1, 3], [2, 4]):
             yield crosscheck.brute_partial_trace(joint, 5, keep)
+
+
+class TestStrongAdditivityRoute:
+    def test_wedge_route_equals_the_five_reduction_split(self):
+        # the wedge entropies check 7 reads, against five reductions of the joint
+        rng = np.random.default_rng(2929)
+        for family in ChannelFamily:
+            werner = family is ChannelFamily.WERNER
+            points = [
+                (gamma, q_r, PI4, f)
+                for gamma in (0.0, PI4)
+                for q_r in (0.0, 1.0)
+                for f in ((0.0, 1.0) if werner else (None,))
+            ]
+            for _ in range(8):
+                alpha = PI4 if werner else float(rng.uniform(0.0, math.pi))
+                f = float(rng.uniform()) if werner else None
+                points.append((float(rng.uniform(0.0, PI4)), float(rng.uniform()), alpha, f))
+            for point in points:
+                parts = brute_tripartite_entropies(family, *point)
+                split = parts["s_ab"] - parts["s_b"] + parts["s_ac"] - parts["s_c"]
+                assert abs(crosscheck.brute_strong_additivity(family, *point) - split) < 1e-12
 
 
 class TestBlockSplit:

@@ -24,7 +24,6 @@ from unruh_lab import (
     partial_trace,
     von_neumann_entropy,
 )
-from unruh_lab import crosscheck
 from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 from unruh_lab.states import bob_isometries
 
@@ -33,6 +32,7 @@ from helpers import (
     assert_same_bits,
     bell_state,
     brute_mutual_information,
+    brute_tripartite_entropies,
     entropy_without,
     random_density,
     random_state,
@@ -243,7 +243,7 @@ class TestStrongAdditivity:
         assert abs(swapped - WERNER_SSA_SWAPPED_F95) < 1e-9
 
     def test_frozen_values_match_oracle(self):
-        parts = crosscheck.brute_tripartite_entropies(
+        parts = brute_tripartite_entropies(
             ChannelFamily.WERNER, math.pi / 8, 1.0, fidelity_f=0.95
         )
         oracle = parts["s_ab"] - parts["s_b"] + parts["s_ac"] - parts["s_c"]

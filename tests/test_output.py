@@ -14,8 +14,9 @@ from unruh_lab import (
     figure_preset,
     run_sweep,
     write_figure_files,
+    write_figure_set,
 )
-from unruh_lab import cli
+from unruh_lab import cli, output
 from unruh_lab.output import (
     CSV_COLUMNS,
     format_number,
@@ -25,6 +26,8 @@ from unruh_lab.output import (
     split_series,
 )
 from unruh_lab.sweep import Measure, SweepRecord
+
+from helpers import write_each_preset
 
 
 def make_record(**overrides):
@@ -255,10 +258,16 @@ class TestWriteFigureFiles:
         assert text.count(format_number(shared, precision)) == (9 if kind != "plot" else 2)
 
     def test_unknown_preset_is_a_domain_error(self, tmp_path):
-        with pytest.raises(DomainError, match="'fig5' is not one of") as caught:
-            write_figure_files("fig5", [], figure_preset("fig1"), tmp_path / "out")
-        assert caught.value.param == "figure"
-        assert not (tmp_path / "out").exists()
+        writes = [
+            lambda out_dir: write_figure_files("fig5", [], figure_preset("fig1"), out_dir),
+            # every name is read before the first sweep
+            lambda out_dir: write_figure_set([FigurePreset.FIG1, "fig5"], out_dir),
+        ]
+        for write in writes:
+            with pytest.raises(DomainError, match="'fig5' is not one of") as caught:
+                write(tmp_path / "out")
+            assert caught.value.param == "figure"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "grids, name, values",
@@ -281,3 +290,23 @@ class TestWriteFigureFiles:
             write_figure_files("fig1", records, spec, out_dir)
         assert all(value in str(caught.value) for value in values)
         assert not out_dir.exists()
+
+
+class TestWriteFigureSet:
+    def test_paths_follow_the_presets_as_the_pairing_writes_them(self, tmp_path):
+        # names and members alike, in the order given
+        presets = ["fig4", FigurePreset.FIG2]
+        written = write_figure_set(presets, tmp_path / "set")
+        paired = write_each_preset(presets, tmp_path / "pairs")
+        assert written == [tmp_path / "set" / path.name for path in paired]
+        assert written[0].name.startswith("fig4_") and written[-1].name.startswith("fig2_")
+
+    def test_unusable_out_dir_fails_before_any_sweep(self, tmp_path, monkeypatch):
+        def no_sweep(spec):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(output, "run_sweep", no_sweep)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        with pytest.raises(OSError):
+            write_figure_set(FigurePreset, blocker)

@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from unruh_lab import BobRegion, ChannelFamily, crosscheck, evaluate_point, measures, sweep, verify
+from unruh_lab import (
+    BobRegion,
+    ChannelFamily,
+    crosscheck,
+    evaluate_point,
+    measures,
+    output,
+    sweep,
+    verify,
+)
 from unruh_lab.verify import run_checks
 
 from helpers import count_calls, double_wedge_at
@@ -47,7 +56,9 @@ def test_crashed_oracle_fails_under_its_own_name(monkeypatch, quick_results):
 
 
 def test_crashed_sweep_fails_every_row_that_reads_it(monkeypatch):
+    # check 9 sweeps through the figure-set writer, the other rows in verify
     monkeypatch.setattr(verify, "run_sweep", broken)
+    monkeypatch.setattr(output, "run_sweep", broken)
     results = run_checks(include_determinism=True)
     assert [r.name for r in results] == QUICK_NAMES[:8] + [
         "9-figure-determinism",
