@@ -27,7 +27,7 @@ from .fock import (
     partial_trace,
 )
 from .measures import entropy_from_eigenvalues, von_neumann_entropy
-from .output import CSV_COLUMNS, OutputFormat, render_csv, write_figure_files, write_figure_set
+from .output import CSV_COLUMNS, OutputFormat, render_csv, write_figure_set
 from .states import (
     BELL_ALPHA,
     GAMMA_MAX,
@@ -105,6 +105,5 @@ __all__ = [
     "unruh_particle",
     "unruh_vacuum",
     "von_neumann_entropy",
-    "write_figure_files",
     "write_figure_set",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-    point    evaluate one channel at one parameter point
-    figure   write the data files behind one of the bundled figure presets
+    point    evaluate one channel at one parameter point; prints the record
+             through the CSV renderer, as one name=value line per column
+    figure   write the data files behind one or more bundled figure presets
     verify   run the acceptance/verification suite
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
@@ -16,7 +17,7 @@ import math
 import sys
 
 from .errors import UnruhLabError
-from .output import CSV_COLUMNS, OutputFormat, record_fields, write_figure_set
+from .output import _KINDS, OutputFormat, render_csv, write_figure_set
 from .states import BobRegion, ChannelFamily, gamma_from_acceleration, read_real
 from .sweep import FigurePreset, evaluate_point
 from .verify import run_checks
@@ -73,12 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision", type=int, default=12, help="digits after the decimal point, 6..17"
     )
 
-    figure = sub.add_parser("figure", help="write one figure preset's data files")
-    figure.add_argument("which", choices=[f.value for f in FigurePreset])
-    figure.add_argument("--out-dir", default="figure_data", help="output directory")
+    figure = sub.add_parser("figure", help="write the data files of one or more figure presets")
     figure.add_argument(
-        "--format", default="csv", choices=("csv", "json", "plot"), help="file format"
+        "which", nargs="+", choices=[f.value for f in FigurePreset], help="presets, in order"
     )
+    figure.add_argument("--out-dir", default="figure_data", help="output directory")
+    figure.add_argument("--format", default="csv", choices=_KINDS, help="file format")
     figure.add_argument(
         "--precision", type=int, default=12, help="digits after the decimal point, 6..17"
     )
@@ -109,14 +110,15 @@ def _cmd_point(args: argparse.Namespace) -> int:
         args.f,
         with_ssa=True,
     )
-    for column, value in zip(CSV_COLUMNS, record_fields(record, fmt.precision)):
+    header, row = render_csv([record], fmt.precision).splitlines()
+    for column, value in zip(header.split(","), row.split(",")):
         print(f"{column}={value}")
     return EXIT_OK
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     fmt = OutputFormat(args.format, args.precision)
-    written = write_figure_set([args.which], args.out_dir, fmt)
+    written = write_figure_set(args.which, args.out_dir, fmt)
     for path in written:
         print(path)
     print(f"wrote {len(written)} files to {args.out_dir}")

@@ -27,9 +27,8 @@ import math
 
 import numpy as np
 
+from .fock import PSD_TOL
 from .states import BobRegion, ChannelFamily, Encoding
-
-_CLAMP = 1e-8  # same eigenvalue clamping policy as the production path
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -176,7 +175,7 @@ def brute_entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy in bits via the characteristic-polynomial route."""
     total = 0.0
     for lam in eigvals_charpoly(matrix).tolist():
-        if lam < -_CLAMP:
+        if lam < -PSD_TOL:
             raise ValueError(f"eigenvalue {lam:.3e} below the PSD tolerance")
         if lam > 0.0:
             total -= lam * math.log2(lam)

@@ -25,6 +25,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .sweep import FigurePreset, Measure, SweepRecord, SweepSpec, figure_preset, run_sweep
+from .sweep import _check_members
 
 CSV_COLUMNS = SweepRecord._fields
 
@@ -48,22 +49,6 @@ class OutputFormat:
         object.__setattr__(self, "precision", precision)
 
 
-def format_number(value: float | None, precision: int = 12) -> str:
-    if value is None:
-        return ""
-    rendered = f"{value + 0.0:.{precision}f}"
-    if rendered.startswith("-") and float(rendered) == 0.0:
-        rendered = rendered[1:]
-    return rendered
-
-
-def record_fields(record: SweepRecord, precision: int = 12) -> list[str]:
-    """The record as CSV-schema strings, empty where not applicable."""
-    return [record.family.value, record.region.value] + [
-        format_number(x, precision) for x in record[2:]
-    ]
-
-
 def render_csv(records: list[SweepRecord], precision: int = 12) -> str:
     return _render("csv", records, precision)
 
@@ -81,7 +66,7 @@ def _render(
     field (``null`` in JSON) for each ``None``, so a row fills it with the
     numbers it holds.  Every number then has exactly ``precision`` decimals
     and a ``-`` only as its sign, so replacing the negative zero's text
-    gives the fields of :func:`format_number`.
+    prints every value that rounds to zero as an unsigned zero.
     """
     number = f"%.{precision}f"
     values = operator.itemgetter(slice(2, None))  # the number columns
@@ -176,9 +161,12 @@ def write_figure_set(
 
     The one route from preset names to files.  It reads every name, then
     creates ``out_dir``, before the first sweep, so a bad name or directory
-    raises :class:`DomainError` or ``OSError`` before any work.
+    raises :class:`DomainError` or ``OSError`` before any work.  ``presets``
+    is a non-empty collection of distinct presets; a bare string is not one.
     """
-    figures = [FigurePreset(preset) for preset in presets]
+    if isinstance(presets, (str, bytes)):
+        raise DomainError("figure", f"must be a collection of presets, got {presets!r}")
+    figures = _check_members("figure", [FigurePreset(p) for p in presets], FigurePreset)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     written = []
     for figure in figures:

@@ -322,11 +322,26 @@ F_GRID_WERNER = (0.95, 0.70, 0.50, 0.33)
 QUANTUM_PAIR = (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL)
 CLASSICAL_PAIR = (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL)
 
-# fig1-fig3: their families and measure, over the gamma grid and QR_GRID_MIXING
-_MIXING_PRESETS = {
-    FigurePreset.FIG1: (QUANTUM_PAIR, Measure.MUTUAL_INFORMATION),
-    FigurePreset.FIG2: (CLASSICAL_PAIR, Measure.MUTUAL_INFORMATION),
-    FigurePreset.FIG3: (CLASSICAL_PAIR + QUANTUM_PAIR, Measure.CONDITIONAL_ENTROPY),
+# each preset's sweep, apart from its gamma grid
+_PRESETS = {
+    FigurePreset.FIG1: dict(
+        families=QUANTUM_PAIR, q_r_grid=QR_GRID_MIXING, measure=Measure.MUTUAL_INFORMATION
+    ),
+    FigurePreset.FIG2: dict(
+        families=CLASSICAL_PAIR, q_r_grid=QR_GRID_MIXING, measure=Measure.MUTUAL_INFORMATION
+    ),
+    FigurePreset.FIG3: dict(
+        families=CLASSICAL_PAIR + QUANTUM_PAIR,
+        q_r_grid=QR_GRID_MIXING,
+        measure=Measure.CONDITIONAL_ENTROPY,
+    ),
+    FigurePreset.FIG4: dict(
+        families=(ChannelFamily.WERNER,),
+        q_r_grid=QR_GRID_WERNER,
+        f_grid=F_GRID_WERNER,
+        regions=(BobRegion.I,),
+        measure=Measure.STRONG_ADDITIVITY,
+    ),
 }
 
 
@@ -339,15 +354,4 @@ def figure_preset(which: FigurePreset | str) -> SweepSpec:
     fig4: the strong-additivity combination for the Werner family, wedge I.
     All use alpha = pi/4 and a 101-point gamma grid.
     """
-    which = FigurePreset(which)
-    if which in _MIXING_PRESETS:
-        families, measure = _MIXING_PRESETS[which]
-        return SweepSpec(families, default_gamma_grid(), QR_GRID_MIXING, measure=measure)
-    return SweepSpec(
-        families=(ChannelFamily.WERNER,),
-        gamma_grid=default_gamma_grid(),
-        q_r_grid=QR_GRID_WERNER,
-        f_grid=F_GRID_WERNER,
-        regions=(BobRegion.I,),
-        measure=Measure.STRONG_ADDITIVITY,
-    )
+    return SweepSpec(gamma_grid=default_gamma_grid(), **_PRESETS[FigurePreset(which)])

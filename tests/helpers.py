@@ -20,15 +20,16 @@ from unruh_lab import (
     StateVector,
     Subsystem,
     SubsystemLayout,
+    SweepRecord,
     figure_preset,
     partial_trace,
     run_sweep,
     von_neumann_entropy,
-    write_figure_files,
     write_figure_set,
 )
 from unruh_lab import crosscheck, fock, sweep
 from unruh_lab.crosscheck import brute_entropy, brute_joint_matrix, brute_partial_trace
+from unruh_lab.output import write_figure_files
 from unruh_lab.states import REGION_II_FACTORS
 
 # numpy's x86 dispatch levels above its baseline, highest first
@@ -250,6 +251,24 @@ def run_at_dispatch_level(level, code) -> str:
     first, _, rest = done.stdout.partition("\n")
     assert first == level
     return rest
+
+
+def format_number(value: float | None, precision: int = 12) -> str:
+    """One field as the renderer should print it: fixed point, empty for ``None``,
+    and unsigned when it rounds to zero."""
+    if value is None:
+        return ""
+    rendered = f"{value + 0.0:.{precision}f}"
+    if rendered.startswith("-") and float(rendered) == 0.0:
+        rendered = rendered[1:]
+    return rendered
+
+
+def record_fields(record: SweepRecord, precision: int = 12) -> list[str]:
+    """The record as CSV-schema strings, empty where not applicable."""
+    return [record.family.value, record.region.value] + [
+        format_number(x, precision) for x in record[2:]
+    ]
 
 
 def write_each_preset(presets, out_dir, fmt=OutputFormat()) -> list[Path]:

@@ -195,6 +195,24 @@ class TestFigure:
         gamma, value = first_line.split(" ")
         assert len(gamma.split(".")[1]) == 8
 
+    def test_several_presets_print_every_path_then_one_total(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        singles = []
+        for preset in ("fig4", "fig2"):
+            code, out, _ = run_cli(capsys, "figure", preset, "--out-dir", str(out_dir))
+            *paths, total = out.splitlines()
+            assert code == 0 and total == f"wrote {len(paths)} files to {out_dir}"
+            singles += paths
+        code, out, _ = run_cli(capsys, "figure", "fig4", "fig2", "--out-dir", str(out_dir))
+        assert code == 0
+        assert out.splitlines() == singles + [f"wrote 32 files to {out_dir}"]
+
+    def test_repeated_preset_is_a_domain_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "figure", "fig1", "fig1", "--out-dir", str(out_dir))
+        assert (code, out, err) == (3, "", "error: figure: repeats 'fig1'\n")
+        assert not out_dir.exists()
+
     def test_unwritable_out_dir_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

@@ -18,6 +18,7 @@ from unruh_lab import (
     partial_trace,
 )
 from unruh_lab import crosscheck
+from unruh_lab.fock import PSD_TOL
 
 from helpers import (
     brute_mutual_information,
@@ -130,6 +131,14 @@ class TestCharpolyEigensolver:
     def test_psd_violation_rejected(self):
         with pytest.raises(ValueError):
             crosscheck.brute_entropy(np.diag([1.5, -0.5]))
+
+    def test_psd_tolerance_is_the_production_one(self):
+        # an eigenvalue within -PSD_TOL is dropped as 0 log 0, one below raises
+        low = -PSD_TOL / 2
+        got = crosscheck.brute_entropy(np.diag([1.0 - low, low]))
+        assert got == -(1.0 - low) * math.log2(1.0 - low)
+        with pytest.raises(ValueError, match="below the PSD tolerance"):
+            crosscheck.brute_entropy(np.diag([1.0 + 2 * PSD_TOL, -2 * PSD_TOL]))
 
     def test_three_by_three_blocks_match_lapack(self):
         # the 3x3 blocks of quantum-single wedge states, each passed whole: a
@@ -291,7 +300,8 @@ class TestBlockSplit:
 class TestOracleIndependence:
     def test_imports_only_state_labels_from_the_package(self):
         # an oracle that borrowed the production machinery (fock, measures,
-        # sweep, output) would turn check 7 into a self-comparison
+        # sweep, output) would turn check 7 into a self-comparison; it shares
+        # only the eigenvalue tolerance, a constant
         tree = ast.parse(Path(crosscheck.__file__).read_text())
         package_imports = []
         for node in ast.walk(tree):
@@ -302,7 +312,10 @@ class TestOracleIndependence:
                 if node.level > 0 or module.split(".")[0] == "unruh_lab":
                     module = module.removeprefix("unruh_lab").lstrip(".")
                     package_imports.append((module, sorted(a.name for a in node.names)))
-        assert package_imports == [("states", ["BobRegion", "ChannelFamily", "Encoding"])]
+        assert package_imports == [
+            ("fock", ["PSD_TOL"]),
+            ("states", ["BobRegion", "ChannelFamily", "Encoding"]),
+        ]
 
 
 class TestBrutePartialTrace:

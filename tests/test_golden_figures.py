@@ -6,16 +6,17 @@ exact rounding of the whole evaluation path, so any change to it that moves
 a twelfth digit fails here.  The path must not depend on the CPU features
 numpy dispatches to, so the presets are written under each level too.
 ``golden_fig4_json_plot.json``, beside this file, pins fig4's JSON and
-plot files the same way, so each of the three writers is pinned.  Both
-are written through ``write_figure_set`` and through the per-preset
-pairing of ``run_sweep`` and ``write_figure_files`` it stands for.
+plot files the same way, so each of the three writers is pinned.  Each
+set is written through ``write_figure_set``, through the per-preset
+pairing of ``run_sweep`` and ``write_figure_files`` it stands for, and
+through ``unruh-lab figure`` with every preset in one call.
 """
 
 import json
 
 import pytest
 
-from unruh_lab import FigurePreset, write_figure_set
+from unruh_lab import FigurePreset, cli, write_figure_set
 
 from helpers import (
     DISPATCH_LEVELS,
@@ -36,8 +37,15 @@ def assert_golden(found, golden_path=GOLDEN) -> None:
     assert mismatched == []
 
 
-# the package's one route, and the per-preset pairing it stands for
-WRITERS = (write_figure_set, write_each_preset)
+def write_through_cli(presets, out_dir, fmt) -> None:
+    """``unruh-lab figure`` with all of ``presets`` in one call."""
+    names = [FigurePreset(preset).value for preset in presets]
+    argv = ["figure", *names, "--out-dir", str(out_dir), "--format", fmt.kind]
+    assert cli.main(argv + ["--precision", str(fmt.precision)]) == 0
+
+
+# the package's one route, the per-preset pairing it stands for, and the CLI
+WRITERS = (write_figure_set, write_each_preset, write_through_cli)
 
 
 def test_presets_match_golden_hashes(tmp_path):

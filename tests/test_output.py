@@ -13,21 +13,19 @@ from unruh_lab import (
     SweepSpec,
     figure_preset,
     run_sweep,
-    write_figure_files,
     write_figure_set,
 )
 from unruh_lab import cli, output
 from unruh_lab.output import (
     CSV_COLUMNS,
-    format_number,
-    record_fields,
     render_csv,
     series_filename,
     split_series,
+    write_figure_files,
 )
 from unruh_lab.sweep import Measure, SweepRecord
 
-from helpers import write_each_preset
+from helpers import format_number, record_fields, write_each_preset
 
 
 def make_record(**overrides):
@@ -47,6 +45,12 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return SweepRecord(**base)
+
+
+def csv_fields(precision=12, **overrides) -> dict:
+    """The fields of the row ``render_csv`` writes for ``make_record(**overrides)``."""
+    header, row = render_csv([make_record(**overrides)], precision).splitlines()
+    return dict(zip(header.split(","), row.split(",")))
 
 
 def write_texts(
@@ -98,18 +102,35 @@ class TestSchema:
 
 class TestFormatting:
     def test_fixed_point(self):
-        assert format_number(2.0) == "2.000000000000"
-        assert format_number(2.0, 6) == "2.000000"
+        assert csv_fields(s_a=2.0)["s_a"] == "2.000000000000"
+        assert csv_fields(6, s_a=2.0)["s_a"] == "2.000000"
 
     def test_none_is_empty(self):
-        assert format_number(None) == ""
+        fields = csv_fields(f=None, ssa_value=None)
+        assert fields["f"] == fields["ssa_value"] == ""
 
     def test_negative_zero_normalized(self):
-        assert format_number(-0.0) == "0.000000000000"
-        assert format_number(-1e-15) == "0.000000000000"
+        fields = csv_fields(s_a=-0.0, s_b=-1e-15)
+        assert fields["s_a"] == fields["s_b"] == "0.000000000000"
 
     def test_negative_value_that_rounds_away_from_zero_keeps_its_sign(self):
-        assert format_number(-6e-13) == "-0.000000000001"
+        assert csv_fields(s_a=-6e-13)["s_a"] == "-0.000000000001"
+
+    @pytest.mark.parametrize("precision", [6, 12, 17])
+    def test_point_prints_the_reference_fields(self, capsys, monkeypatch, precision):
+        # point prints through render_csv, so it shows the digits of the files
+        record = make_record(s_a=-0.0, s_b=-1e-15, s_ab=-6e-13, f=None)
+        monkeypatch.setattr(cli, "evaluate_point", lambda *args, **kwargs: record)
+        code = cli.main([
+            "point", "--family", "quantum-single", "--region", "bob-i",
+            "--gamma", "0.5", "--qr", "0.9", "--precision", str(precision),
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines == [
+            f"{column}={value}"
+            for column, value in zip(CSV_COLUMNS, record_fields(record, precision))
+        ]
 
     def test_precision_bounds(self):
         with pytest.raises(DomainError, match="precision"):
@@ -138,13 +159,11 @@ class TestRenderers:
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         fields = lines[1].split(",")
+        assert len(fields) == len(CSV_COLUMNS)
         assert fields[0] == "quantum-single"
         assert fields[1] == "bob-i"
         assert fields[5] == ""  # no Werner fidelity
         assert fields[9] == "1.250000000000"
-
-    def test_record_fields_align_with_columns(self):
-        assert len(record_fields(make_record())) == len(CSV_COLUMNS)
 
     def test_json_round_trip(self, tmp_path):
         (text,) = write_texts(tmp_path, [make_record(f=0.95, ssa_value=0.25)], "json")
@@ -268,6 +287,22 @@ class TestWriteFigureFiles:
                 write(tmp_path / "out")
             assert caught.value.param == "figure"
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "presets, message",
+        [
+            ("fig4", "must be a collection of presets, got 'fig4'"),
+            (b"fig4", "must be a collection of presets, got b'fig4'"),
+            ([], "must not be empty"),
+            (["fig1", FigurePreset.FIG2, FigurePreset.FIG1], "repeats 'fig1'"),
+        ],
+        ids=["str", "bytes", "empty", "repeat"],
+    )
+    def test_presets_are_a_collection_of_distinct_members(self, tmp_path, presets, message):
+        with pytest.raises(DomainError, match=message) as caught:
+            write_figure_set(presets, tmp_path / "out")
+        assert caught.value.param == "figure"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "grids, name, values",

@@ -21,10 +21,9 @@ from unruh_lab import (
     evaluate_point,
     figure_preset,
     run_sweep,
-    write_figure_files,
 )
 from unruh_lab.errors import SweepPointError
-from unruh_lab.output import split_series
+from unruh_lab.output import split_series, write_figure_files
 from unruh_lab.verify import _SeriesTables
 
 PI4 = math.pi / 4
