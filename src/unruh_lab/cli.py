@@ -18,7 +18,7 @@ import sys
 
 from .errors import UnruhLabError
 from .output import _KINDS, OutputFormat, render_csv, write_figure_set
-from .states import BobRegion, ChannelFamily, gamma_from_acceleration, read_real
+from .states import BELL_ALPHA, BobRegion, ChannelFamily, gamma_from_acceleration, read_real
 from .sweep import FigurePreset, evaluate_point
 from .verify import run_checks
 
@@ -66,9 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mode frequency, proper acceleration, and light speed",
     )
     point.add_argument("--qr", type=float, required=True, help="right-wedge weight in [0, 1]")
-    point.add_argument(
-        "--alpha", type=float, default=math.pi / 4, help="state angle in radians"
-    )
+    point.add_argument("--alpha", type=float, default=BELL_ALPHA, help="state angle in radians")
     point.add_argument("--f", type=float, default=None, help="Werner fidelity in [0, 1]")
     point.add_argument(
         "--precision", type=int, default=12, help="digits after the decimal point, 6..17"

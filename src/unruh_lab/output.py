@@ -159,14 +159,18 @@ def write_figure_set(
 ) -> list[Path]:
     """Each preset's sweep written by :func:`write_figure_files`; all paths, in preset order.
 
-    The one route from preset names to files.  It reads every name, then
-    creates ``out_dir``, before the first sweep, so a bad name or directory
-    raises :class:`DomainError` or ``OSError`` before any work.  ``presets``
-    is a non-empty collection of distinct presets; a bare string is not one.
+    The one route from preset names to files.  It reads every name and
+    ``out_dir``, then creates ``out_dir``, before the first sweep, so a bad
+    name or directory raises :class:`DomainError` or ``OSError`` before any
+    work.  ``presets`` is a non-empty collection of distinct presets; a bare
+    string is not one.  An empty ``out_dir`` string is rejected, not read as
+    the current directory.
     """
     if isinstance(presets, (str, bytes)):
         raise DomainError("figure", f"must be a collection of presets, got {presets!r}")
     figures = _check_members("figure", [FigurePreset(p) for p in presets], FigurePreset)
+    if out_dir == "":
+        raise DomainError("out-dir", "must not be empty")
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     written = []
     for figure in figures:

@@ -218,17 +218,16 @@ class ChannelFamily(Enum):
 
     @property
     def is_classical(self) -> bool:
-        return self in (
-            ChannelFamily.CLASSICAL_SINGLE_RAIL,
-            ChannelFamily.CLASSICAL_DUAL_RAIL,
-        )
+        return self in CLASSICAL_PAIR
 
     @property
     def is_quantum(self) -> bool:
-        return self in (
-            ChannelFamily.QUANTUM_SINGLE_RAIL,
-            ChannelFamily.QUANTUM_DUAL_RAIL,
-        )
+        return self in QUANTUM_PAIR
+
+
+# each kind of channel as its (single rail, dual rail) pair
+QUANTUM_PAIR = (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL)
+CLASSICAL_PAIR = (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ from .errors import DomainError, SweepPointError, UnruhLabError
 from .fock import Subsystem, trace_out
 from .measures import von_neumann_entropies
 from .states import (
+    BELL_ALPHA,
+    CLASSICAL_PAIR,
     GAMMA_MAX,
+    QUANTUM_PAIR,
     AccelerationParams,
     BobRegion,
     ChannelFamily,
@@ -102,7 +105,7 @@ class SweepSpec:
     families: tuple[ChannelFamily, ...]
     gamma_grid: tuple[float, ...]
     q_r_grid: tuple[float, ...]
-    alpha: float = math.pi / 4
+    alpha: float = BELL_ALPHA
     f_grid: tuple[float, ...] = ()
     regions: tuple[BobRegion, ...] = (BobRegion.I, BobRegion.II)
     measure: Measure = Measure.CONDITIONAL_ENTROPY
@@ -148,7 +151,7 @@ def evaluate_point(
     region: BobRegion,
     gamma: float,
     q_r: float,
-    alpha: float = math.pi / 4,
+    alpha: float = BELL_ALPHA,
     f: float | None = None,
     *,
     with_ssa: bool = False,
@@ -318,9 +321,6 @@ def default_gamma_grid() -> tuple[float, ...]:
 QR_GRID_MIXING = (1.0, 0.9, 0.8, 1.0 / math.sqrt(2.0))
 QR_GRID_WERNER = (1.0, 0.75, 0.5, 0.25)
 F_GRID_WERNER = (0.95, 0.70, 0.50, 0.33)
-
-QUANTUM_PAIR = (ChannelFamily.QUANTUM_SINGLE_RAIL, ChannelFamily.QUANTUM_DUAL_RAIL)
-CLASSICAL_PAIR = (ChannelFamily.CLASSICAL_SINGLE_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL)
 
 # each preset's sweep, apart from its gamma grid
 _PRESETS = {

@@ -1,15 +1,18 @@
 """The acceptance/verification suite behind ``unruh-lab verify``.
 
-:data:`CHECKS` is one table of ``(name, check)`` rows.  Each check takes the
-shared sweep tables and returns ``(passed, detail)``: a verdict and a
-one-line detail string.  :func:`run_checks` walks the table in order and
-builds every :class:`CheckResult`; a check that raises is reported as FAIL
-under its row's name, with the exception as its detail.  The checks pin the
-headline claims of the model: inertial limits, the infinite-acceleration
-coincidences, conditional-entropy signs, curve shapes, Werner strong
-additivity, agreement with the brute-force cross-check, state invariants,
-and byte-level determinism of the figure datasets.  The last row is an
-informational note comparing two forms of the strong-additivity sum.
+:data:`CHECKS` holds checks 1-9 and :data:`NOTES` the informational rows, as
+``(name, row)`` pairs.  Each row takes the shared sweep tables and returns
+``(passed, detail)``: a verdict and a one-line detail string.
+:func:`run_checks` walks the checks, then the notes, and builds every
+:class:`CheckResult`; a row that raises is reported as FAIL under its name,
+with the exception as its detail.  The checks pin the headline claims of the
+model: inertial limits, the infinite-acceleration coincidences,
+conditional-entropy signs, curve shapes, Werner strong additivity, agreement
+with the brute-force cross-check, state invariants, and byte-level
+determinism of the figure datasets.  The note compares two forms of the
+strong-additivity sum.  The tables are the sweeps of ``fig3`` and ``fig4``:
+checks 1, 2, 4 and 5, whose claims are about the quantum or the classical
+family pair, read that pair's series from ``fig3``.
 
 Check 7 evaluates its seeded random channels as a sweep evaluates a
 family, both wedges at once, so a failing channel is named as a sweep
@@ -37,10 +40,17 @@ import numpy as np
 from . import crosscheck
 from .fock import eigvals_hermitian_batch
 from .output import split_series, write_figure_set
-from .states import BobRegion, ChannelFamily, bob_isometries, build_joints
-from .sweep import (
+from .states import (
+    BELL_ALPHA,
     CLASSICAL_PAIR,
+    GAMMA_MAX,
     QUANTUM_PAIR,
+    BobRegion,
+    ChannelFamily,
+    bob_isometries,
+    build_joints,
+)
+from .sweep import (
     FigurePreset,
     SweepRecord,
     SweepSpec,
@@ -69,28 +79,21 @@ class _SeriesTables(dict):
     """Each preset's sweep, run on first use, as series keyed (family, region, q_r, f).
 
     A series follows the ascending gamma grid, so ``series[-1]`` is the
-    point at gamma = pi/4.  ``fig1`` and ``fig2`` sweep a subset of
-    ``fig3``'s families over its grids, so their series are read from the
-    ``fig3`` sweep.
+    point at gamma = pi/4.
     """
 
     def __missing__(self, figure: FigurePreset) -> dict[tuple, list[SweepRecord]]:
-        spec = figure_preset(figure)
-        if figure in (FigurePreset.FIG1, FigurePreset.FIG2):
-            table = self[FigurePreset.FIG3]
-            self[figure] = {key: s for key, s in table.items() if key[0] in spec.families}
-        else:
-            self[figure] = split_series(run_sweep(spec))
-        return self[figure]
+        self[figure] = table = split_series(run_sweep(figure_preset(figure)))
+        return table
 
 
 def _check_inertial_limit(tables: _SeriesTables) -> tuple[bool, str]:
-    fig1 = tables[FigurePreset.FIG1]
+    fig3 = tables[FigurePreset.FIG3]
     worst = 0.0
     for family in QUANTUM_PAIR:
         # each series starts at gamma = 0
-        near = fig1[family, BobRegion.I, 1.0, None][0]
-        far = fig1[family, BobRegion.II, 1.0, None][0]
+        near = fig3[family, BobRegion.I, 1.0, None][0]
+        far = fig3[family, BobRegion.II, 1.0, None][0]
         worst = max(
             worst,
             abs(near.mutual_info - 2.0),
@@ -101,14 +104,14 @@ def _check_inertial_limit(tables: _SeriesTables) -> tuple[bool, str]:
 
 
 def _check_infinite_acceleration(tables: _SeriesTables) -> tuple[bool, str]:
-    end = {key: s[-1].mutual_info for key, s in tables[FigurePreset.FIG1].items()}
-    spec = figure_preset(FigurePreset.FIG1)
+    end = {key: s[-1].mutual_info for key, s in tables[FigurePreset.FIG3].items()}
+    spec = figure_preset(FigurePreset.FIG3)
     worst_pair = worst_spread = 0.0
     for region in spec.regions:
         for q_r in spec.q_r_grid:
             single, dual = (end[family, region, q_r, None] for family in QUANTUM_PAIR)
             worst_pair = max(worst_pair, abs(single - dual))
-        for family in spec.families:
+        for family in QUANTUM_PAIR:
             values = [end[family, region, q_r, None] for q_r in spec.q_r_grid]
             worst_spread = max(worst_spread, max(values) - min(values))
     return worst_pair <= TOL and worst_spread <= TOL, (
@@ -129,17 +132,13 @@ def _check_quantum_conditional_entropy(tables: _SeriesTables) -> tuple[bool, str
 
 
 def _check_classical_contrast(tables: _SeriesTables) -> tuple[bool, str]:
-    ce_min = min(
-        r.cond_entropy
-        for (family, *_), s in tables[FigurePreset.FIG3].items()
-        if family.is_classical
-        for r in s
-    )
-    end = {key: s[-1].mutual_info for key, s in tables[FigurePreset.FIG2].items()}
+    fig3 = tables[FigurePreset.FIG3]
+    ce_min = min(r.cond_entropy for key, s in fig3.items() if key[0] in CLASSICAL_PAIR for r in s)
+    end = {key: s[-1].mutual_info for key, s in fig3.items()}
     single, dual = CLASSICAL_PAIR
     min_gap = min(
         abs(end[single, BobRegion.I, q_r, None] - end[dual, BobRegion.I, q_r, None])
-        for q_r in figure_preset(FigurePreset.FIG2).q_r_grid
+        for q_r in figure_preset(FigurePreset.FIG3).q_r_grid
     )
     return ce_min >= -TOL and min_gap > 1e-6, (
         f"min classical conditional entropy = {ce_min:.3e} (needs >= -1e-9); "
@@ -148,18 +147,15 @@ def _check_classical_contrast(tables: _SeriesTables) -> tuple[bool, str]:
 
 
 def _check_monotonicity(tables: _SeriesTables) -> tuple[bool, str]:
+    fig3 = tables[FigurePreset.FIG3]
     violations = []
-    for figure in (FigurePreset.FIG1, FigurePreset.FIG2):
-        table = tables[figure]
-        for family in figure_preset(figure).families:
-            for q_r in (1.0, 0.9, 0.8):
-                for region, sense in ((BobRegion.I, -1.0), (BobRegion.II, 1.0)):
-                    values = [r.mutual_info for r in table[family, region, q_r, None]]
-                    worst_step = min(sense * (b - a) for a, b in zip(values, values[1:]))
-                    if worst_step < -MONOTONE_SLACK:
-                        violations.append(
-                            f"{family.value}/{region.value}/q_r={q_r}: {worst_step:.1e}"
-                        )
+    for family in QUANTUM_PAIR + CLASSICAL_PAIR:
+        for q_r in (1.0, 0.9, 0.8):
+            for region, sense in ((BobRegion.I, -1.0), (BobRegion.II, 1.0)):
+                values = [r.mutual_info for r in fig3[family, region, q_r, None]]
+                worst_step = min(sense * (b - a) for a, b in zip(values, values[1:]))
+                if worst_step < -MONOTONE_SLACK:
+                    violations.append(f"{family.value}/{region.value}/q_r={q_r}: {worst_step:.1e}")
     if violations:
         return False, (
             f"holds at q_r=1 but fails at q_r in (0.9, 0.8) with worst steps "
@@ -187,7 +183,7 @@ def _oracle_samples() -> dict[ChannelFamily, list[tuple]]:
     samples: dict[ChannelFamily, list[tuple]] = {}
     for _ in range(ORACLE_SAMPLES):
         family = families[int(rng.integers(len(families)))]
-        gamma = float(rng.uniform(0.0, math.pi / 4))
+        gamma = float(rng.uniform(0.0, GAMMA_MAX))
         q_r = float(rng.uniform(0.0, 1.0))
         f = float(rng.uniform(0.0, 1.0)) if family is ChannelFamily.WERNER else None
         samples.setdefault(family, []).append((gamma, q_r, f))
@@ -198,7 +194,7 @@ def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
     regions = tuple(BobRegion)
     worst = 0.0
     for family, points in _oracle_samples().items():
-        evaluated = _evaluate_family(family, regions, points, math.pi / 4, False)
+        evaluated = _evaluate_family(family, regions, points, BELL_ALPHA, False)
         for record in itertools.chain.from_iterable(evaluated):
             reference = crosscheck.brute_subsystem_entropies(
                 family, record.region, record.gamma, record.q_r, fidelity_f=record.f
@@ -278,7 +274,7 @@ def _report_eq13_variants(tables: _SeriesTables) -> tuple[bool, str]:
     )
 
 
-# every row of `verify`, in report order; the last row is informational
+# the checks of `verify`, in report order; `--quick` drops the last, check 9
 CHECKS = (
     ("1-inertial-limit", _check_inertial_limit),
     ("2-infinite-acceleration-coincidence", _check_infinite_acceleration),
@@ -289,26 +285,27 @@ CHECKS = (
     ("7-oracle-equivalence", _check_oracle_equivalence),
     ("8-purity-and-invariants", _check_state_invariants),
     ("9-figure-determinism", _check_determinism),
-    ("strong-additivity-variant-comparison", _report_eq13_variants),
 )
+# the informational rows, reported after the checks; their verdicts fail nothing
+NOTES = (("strong-additivity-variant-comparison", _report_eq13_variants),)
 
 
 def run_checks(include_determinism: bool = True) -> list[CheckResult]:
-    """Run the rows of :data:`CHECKS` in order and return one result per row.
+    """Run the rows of :data:`CHECKS`, then of :data:`NOTES`; one result per row, in order.
 
-    Check 9 is skipped unless ``include_determinism``.  A row that raises
-    is reported as a failed, non-informational result under its own name.
+    Check 9 is skipped unless ``include_determinism``.  A note's result is
+    informational.  A row that raises is reported as a failed,
+    non-informational result under its own name.
     """
     tables = _SeriesTables()
+    checks = CHECKS if include_determinism else CHECKS[:-1]
     results = []
-    for name, check in CHECKS:
-        if check is _check_determinism and not include_determinism:
-            continue
-        try:
-            passed, detail = check(tables)
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name, False, f"raised {exc!r}"))
-        else:
-            note = check is _report_eq13_variants
-            results.append(CheckResult(name, bool(passed), detail, informational=note))
+    for rows, informational in ((checks, False), (NOTES, True)):
+        for name, row in rows:
+            try:
+                passed, detail = row(tables)
+            except Exception as exc:  # a crashed row is a failed check
+                results.append(CheckResult(name, False, f"raised {exc!r}"))
+            else:
+                results.append(CheckResult(name, bool(passed), detail, informational))
     return results

@@ -213,6 +213,12 @@ class TestFigure:
         assert (code, out, err) == (3, "", "error: figure: repeats 'fig1'\n")
         assert not out_dir.exists()
 
+    def test_empty_out_dir_is_a_domain_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "figure", "fig1", "--out-dir", "")
+        assert (code, out, err) == (3, "", "error: out-dir: must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_out_dir_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

@@ -336,6 +336,18 @@ class TestWriteFigureSet:
         assert written == [tmp_path / "set" / path.name for path in paired]
         assert written[0].name.startswith("fig4_") and written[-1].name.startswith("fig2_")
 
+    def test_empty_out_dir_is_a_domain_error_before_any_sweep(self, tmp_path, monkeypatch):
+        # "" would otherwise be read as the current directory
+        def no_sweep(spec):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(output, "run_sweep", no_sweep)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DomainError, match="must not be empty") as caught:
+            write_figure_set([FigurePreset.FIG4], "")
+        assert caught.value.param == "out-dir"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unusable_out_dir_fails_before_any_sweep(self, tmp_path, monkeypatch):
         def no_sweep(spec):
             raise AssertionError("run_sweep called")

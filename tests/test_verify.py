@@ -1,14 +1,18 @@
 """The check table behind ``unruh-lab verify``: order, names and crashes."""
 
 import math
+import re
 
 import pytest
 
 from unruh_lab import (
     BobRegion,
     ChannelFamily,
+    FigurePreset,
+    SweepSpec,
     crosscheck,
     evaluate_point,
+    figure_preset,
     measures,
     output,
     sweep,
@@ -43,6 +47,50 @@ def quick_results():
 def test_quick_run_is_checks_one_to_eight_then_the_note(quick_results):
     assert [r.name for r in quick_results] == QUICK_NAMES
     assert [r.informational for r in quick_results] == [False] * 8 + [True]
+
+
+def test_checks_and_notes_are_two_tables():
+    # `--quick` drops the last check; every note is informational
+    assert [name for name, _ in verify.CHECKS] == QUICK_NAMES[:8] + ["9-figure-determinism"]
+    assert [name for name, _ in verify.NOTES] == QUICK_NAMES[8:]
+
+
+def test_quick_run_sweeps_fig3_fig4_then_check_8s_grid(monkeypatch):
+    # fig1 and fig2 are read from fig3's sweep, so each preset is swept once
+    specs = []
+    real = verify.run_sweep
+    monkeypatch.setattr(verify, "run_sweep", lambda spec: specs.append(spec) or real(spec))
+    run_checks(include_determinism=False)
+    check_8_grid = SweepSpec(
+        tuple(ChannelFamily),
+        tuple(i * math.pi / 16 for i in range(5)),
+        (1.0, 0.8, 0.5, 0.2),
+        f_grid=(1.0,),
+    )
+    assert specs == [
+        figure_preset(FigurePreset.FIG3),
+        figure_preset(FigurePreset.FIG4),
+        check_8_grid,
+    ]
+
+
+def test_monotonicity_violations_list_the_quantum_pair_then_the_classical_pair(quick_results):
+    # the labels only: the step sizes depend on the CPU's rounding
+    (result,) = [r for r in quick_results if r.name == "5-mutual-information-monotonicity"]
+    assert re.findall(r"([\w-]+/bob-i+/q_r=[\d.]+): ", result.detail) == [
+        "quantum-single/bob-i/q_r=0.9",
+        "quantum-single/bob-ii/q_r=0.9",
+        "quantum-single/bob-i/q_r=0.8",
+        "quantum-single/bob-ii/q_r=0.8",
+        "quantum-dual/bob-i/q_r=0.9",
+        "quantum-dual/bob-ii/q_r=0.9",
+        "quantum-dual/bob-i/q_r=0.8",
+        "quantum-dual/bob-ii/q_r=0.8",
+        "classical-single/bob-ii/q_r=0.9",
+        "classical-single/bob-ii/q_r=0.8",
+        "classical-dual/bob-i/q_r=0.9",
+        "classical-dual/bob-i/q_r=0.8",
+    ]
 
 
 def test_crashed_oracle_fails_under_its_own_name(monkeypatch, quick_results):
