@@ -1,0 +1,273 @@
+#!/usr/bin/env python3
+"""Run the committed mutation catalogue: each mutant must fail the tests named for it.
+
+Usage: python ci/mutants.py
+
+Each entry of :data:`MUTANTS` is a name, a file of this checkout, an exact
+source snippet, the snippet's replacement and the test ids that must kill
+the mutant.  The checkout's ``src/``, ``tests/`` and ``ci/`` and its
+``pyproject.toml`` are copied into a temporary directory, which is removed
+on every exit path.  Entry by entry, the replacement is written into the
+copy, the entry's tests run there with pytest in a fresh interpreter under
+a timeout, and the file is restored.  No bytecode is written, so a restored
+file is never shadowed by a cached mutant.
+
+Every named test first runs once on the unmutated copy and must pass.  A
+mutant is killed when pytest then reports a failed test (exit 1); a test id
+that names no test makes pytest exit 4, in the unmutated run or at its
+entry, and so fails the run.  One line is printed per entry.  Exits 1 when
+an entry's file is missing or its snippet does not occur exactly once
+(nothing runs then), when the unmutated copy fails, or when an entry
+survives, times out or ends pytest any other way.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "ci", "pyproject.toml")
+TIMEOUT_SECONDS = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "oracle-psd-tolerance-1e-9",
+        "src/unruh_lab/crosscheck.py",
+        "        if lam < -PSD_TOL:",
+        "        if lam < -1e-9:",
+        ("tests/test_crosscheck.py::TestCharpolyEigensolver::test_psd_tolerance_is_the_production_one",),
+    ),
+    Mutant(
+        "oracle-psd-tolerance-1e-7",
+        "src/unruh_lab/crosscheck.py",
+        "        if lam < -PSD_TOL:",
+        "        if lam < -1e-7:",
+        ("tests/test_crosscheck.py::TestCharpolyEigensolver::test_psd_tolerance_is_the_production_one",),
+    ),
+    Mutant(
+        "figure-set-reads-a-bare-string",
+        "src/unruh_lab/output.py",
+        "    if isinstance(presets, (str, bytes)):",
+        "    if False:",
+        ("tests/test_output.py::TestWriteFigureFiles::test_presets_are_a_collection_of_distinct_members",),
+    ),
+    Mutant(
+        "figure-set-without-member-check",
+        "src/unruh_lab/output.py",
+        '    figures = _check_members("figure", [FigurePreset(p) for p in presets], FigurePreset)',
+        "    figures = [FigurePreset(p) for p in presets]",
+        ("tests/test_output.py::TestWriteFigureFiles::test_presets_are_a_collection_of_distinct_members",),
+    ),
+    Mutant(
+        "figure-set-accepts-an-empty-out-dir",
+        "src/unruh_lab/output.py",
+        '    if out_dir == "":',
+        "    if False:",
+        (
+            "tests/test_output.py::TestWriteFigureSet::test_empty_out_dir_is_a_domain_error_before_any_sweep",
+            "tests/test_cli.py::TestFigure::test_empty_out_dir_is_a_domain_error",
+        ),
+    ),
+    Mutant(
+        "render-keeps-the-negative-zero",
+        "src/unruh_lab/output.py",
+        '    return text.replace("-" + zero, zero) + "\\n"',
+        '    return text + "\\n"',
+        (
+            "tests/test_output.py::TestFormatting::test_negative_zero_normalized",
+            "tests/test_output.py::TestFormatting::test_point_prints_the_reference_fields",
+        ),
+    ),
+    Mutant(
+        "cli-figure-writes-its-first-preset-only",
+        "src/unruh_lab/cli.py",
+        "    written = write_figure_set(args.which, args.out_dir, fmt)",
+        "    written = write_figure_set(args.which[:1], args.out_dir, fmt)",
+        ("tests/test_cli.py::TestFigure::test_several_presets_print_every_path_then_one_total",),
+    ),
+    Mutant(
+        "cli-point-drops-signs",
+        "src/unruh_lab/cli.py",
+        '        print(f"{column}={value}")',
+        "        print(f\"{column}={value.lstrip('-')}\")",
+        ("tests/test_output.py::TestFormatting::test_point_prints_the_reference_fields",),
+    ),
+    Mutant(
+        "check-1-reads-fig1",
+        "src/unruh_lab/verify.py",
+        "def _check_inertial_limit(tables: _SeriesTables) -> tuple[bool, str]:\n"
+        "    fig3 = tables[FigurePreset.FIG3]",
+        "def _check_inertial_limit(tables: _SeriesTables) -> tuple[bool, str]:\n"
+        "    fig3 = tables[FigurePreset.FIG1]",
+        ("tests/test_verify.py::test_quick_run_sweeps_fig3_fig4_then_check_8s_grid",),
+    ),
+    Mutant(
+        "check-5-lists-the-classical-pair-first",
+        "src/unruh_lab/verify.py",
+        "    for family in QUANTUM_PAIR + CLASSICAL_PAIR:",
+        "    for family in CLASSICAL_PAIR + QUANTUM_PAIR:",
+        ("tests/test_verify.py::test_monotonicity_violations_list_the_quantum_pair_then_the_classical_pair",),
+    ),
+    Mutant(
+        "notes-are-not-informational",
+        "src/unruh_lab/verify.py",
+        "    for rows, informational in ((checks, False), (NOTES, True)):",
+        "    for rows, informational in ((checks, False), (NOTES, False)):",
+        ("tests/test_verify.py::test_quick_run_is_checks_one_to_eight_then_the_note",),
+    ),
+    Mutant(
+        "quick-keeps-check-9",
+        "src/unruh_lab/verify.py",
+        "    checks = CHECKS if include_determinism else CHECKS[:-1]",
+        "    checks = CHECKS",
+        ("tests/test_verify.py::test_quick_run_is_checks_one_to_eight_then_the_note",),
+    ),
+    Mutant(
+        "value-diff-compares-floats-by-value",
+        "ci/value_diff.py",
+        "x is not None and x.hex() != y.hex():",
+        "x is not None and x != y:",
+        ("tests/test_value_diff.py::test_a_sign_of_zero_moves_bits_but_no_text",),
+    ),
+    Mutant(
+        "value-diff-ignores-unmatched-keys",
+        "ci/value_diff.py",
+        "    return bool(unmatched) or any(",
+        "    return any(",
+        ("tests/test_value_diff.py::test_a_key_on_one_side_only_is_a_change",),
+    ),
+    Mutant(
+        "value-diff-gates-at-precision-17",
+        "ci/value_diff.py",
+        "GOLDEN_PRECISION = 12",
+        "GOLDEN_PRECISION = 17",
+        ("tests/test_value_diff.py::test_one_ulp_and_one_twelve_decimal_change",),
+    ),
+    Mutant(
+        "particle-amplitude-sign-flipped",
+        "src/unruh_lab/states.py",
+        "lambda c, s, q_r, q_l: (q_r * c, -q_r * s, q_l * s, q_l * c),",
+        "lambda c, s, q_r, q_l: (q_r * c, q_r * s, q_l * s, q_l * c),",
+        ("tests/test_states.py::TestStateTable::test_states_and_isometry_columns_equal_the_oracle_bit_for_bit",),
+    ),
+    Mutant(
+        "single-rail-pair-swapped",
+        "src/unruh_lab/states.py",
+        '    Encoding.SINGLE_RAIL: ("vacuum", "particle"),',
+        '    Encoding.SINGLE_RAIL: ("particle", "vacuum"),',
+        (
+            "tests/test_states.py::TestStateTable::test_states_and_isometry_columns_equal_the_oracle_bit_for_bit",
+            "tests/test_states.py::TestStateTable::test_each_call_builds_only_the_states_it_reads",
+        ),
+    ),
+    Mutant(
+        "dual-rail-family-read-as-single-rail",
+        "src/unruh_lab/states.py",
+        "        dual = self in (QUANTUM_PAIR[1], CLASSICAL_PAIR[1])",
+        "        dual = self in (QUANTUM_PAIR[1],)",
+        ("tests/test_states.py::TestStateTable::test_dual_rail_is_the_second_member_of_each_pair",),
+    ),
+    Mutant(
+        "isometry-norms-checked-point-by-point",
+        "src/unruh_lab/states.py",
+        "    check_norms(columns.reshape(-1, 16))",
+        "    check_norms(columns.transpose(1, 0, 2).reshape(-1, 16))",
+        ("tests/test_batch.py::TestSweepFailures::test_bad_column_0_is_named_before_an_earlier_points_column_1",),
+    ),
+)
+
+
+def catalogue_problems(mutants=MUTANTS, root: Path = ROOT) -> list[str]:
+    """Entries whose file is missing or whose snippet does not occur exactly once."""
+    problems = []
+    for mutant in mutants:
+        path = root / mutant.path
+        if not path.is_file():
+            problems.append(f"{mutant.name}: {mutant.path} is not a file")
+            continue
+        count = path.read_text(encoding="utf-8").count(mutant.snippet)
+        if count != 1:
+            problems.append(f"{mutant.name}: the snippet occurs {count} times in {mutant.path}")
+    return problems
+
+
+def pytest(tests: tuple[str, ...], tree: Path) -> str:
+    """``passed``, ``failed``, ``timed out`` or pytest's other exit status, for ``tests``
+    run in ``tree`` against its ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(
+            command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_SECONDS
+        )
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return {0: "passed", 1: "failed"}.get(done.returncode, f"pytest exit {done.returncode}")
+
+
+def run(mutant: Mutant, tree: Path) -> str:
+    """``killed``, ``survived``, or how else the tests ended, for ``mutant`` applied in ``tree``."""
+    path = tree / mutant.path
+    source = path.read_bytes()
+    path.write_bytes(source.replace(mutant.snippet.encode(), mutant.replacement.encode()))
+    try:
+        outcome = pytest(mutant.tests, tree)
+    finally:
+        path.write_bytes(source)
+    return {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
+
+
+def copy_checkout(tree: Path) -> None:
+    """The parts of this checkout that the tests read, copied into ``tree``."""
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(ROOT / name, tree / name)
+
+
+def main() -> int:
+    problems = catalogue_problems()
+    for problem in problems:
+        print(f"catalogue: {problem}")
+    if problems:
+        return 1
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # still removes the copy
+    survivors = 0
+    with tempfile.TemporaryDirectory(prefix="unruh-mutants-") as tmp:
+        tree = Path(tmp)
+        copy_checkout(tree)
+        # a test that fails unmutated would count every mutant as killed
+        tests = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        outcome = pytest(tests, tree)
+        if outcome != "passed":
+            print(f"the unmutated copy's tests: {outcome}")
+            return 1
+        for mutant in MUTANTS:
+            start = time.monotonic()
+            verdict = run(mutant, tree)
+            print(f"{verdict:<9} {mutant.name} ({time.monotonic() - start:.1f} s)", flush=True)
+            survivors += verdict != "killed"
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

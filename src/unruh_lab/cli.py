@@ -17,7 +17,7 @@ import math
 import sys
 
 from .errors import UnruhLabError
-from .output import _KINDS, OutputFormat, render_csv, write_figure_set
+from .output import _KINDS, _PRECISION_RANGE, OutputFormat, render_csv, write_figure_set
 from .states import BELL_ALPHA, BobRegion, ChannelFamily, gamma_from_acceleration, read_real
 from .sweep import FigurePreset, evaluate_point
 from .verify import run_checks
@@ -68,19 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--qr", type=float, required=True, help="right-wedge weight in [0, 1]")
     point.add_argument("--alpha", type=float, default=BELL_ALPHA, help="state angle in radians")
     point.add_argument("--f", type=float, default=None, help="Werner fidelity in [0, 1]")
-    point.add_argument(
-        "--precision", type=int, default=12, help="digits after the decimal point, 6..17"
-    )
 
     figure = sub.add_parser("figure", help="write the data files of one or more figure presets")
     figure.add_argument(
         "which", nargs="+", choices=[f.value for f in FigurePreset], help="presets, in order"
     )
     figure.add_argument("--out-dir", default="figure_data", help="output directory")
-    figure.add_argument("--format", default="csv", choices=_KINDS, help="file format")
-    figure.add_argument(
-        "--precision", type=int, default=12, help="digits after the decimal point, 6..17"
-    )
+    figure.add_argument("--format", default=OutputFormat.kind, choices=_KINDS, help="file format")
+    digits = "digits after the decimal point, %d..%d" % _PRECISION_RANGE
+    for command in (point, figure):
+        command.add_argument("--precision", type=int, default=OutputFormat.precision, help=digits)
 
     verify = sub.add_parser("verify", help="run the acceptance/verification suite")
     verify.add_argument(

@@ -24,13 +24,15 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DomainError
+from .states import read_real
 from .sweep import FigurePreset, Measure, SweepRecord, SweepSpec, figure_preset, run_sweep
 from .sweep import _check_members
 
 CSV_COLUMNS = SweepRecord._fields
 
-_KINDS = ("csv", "json", "plot")
 _EXTENSIONS = {"csv": "csv", "json": "json", "plot": "dat"}
+_KINDS = tuple(_EXTENSIONS)
+_PRECISION_RANGE = (6, 17)  # the fewest and the most digits after the decimal point
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,11 @@ class OutputFormat:
         if isinstance(self.precision, bool) or not hasattr(self.precision, "__index__"):
             raise DomainError("precision", f"must be an integer, got {self.precision!r}")
         precision = operator.index(self.precision)
-        if not (6 <= precision <= 17):
-            raise DomainError("precision", f"must be within [6, 17], got {precision}")
+        read_real("precision", precision, *_PRECISION_RANGE)
         object.__setattr__(self, "precision", precision)
 
 
-def render_csv(records: list[SweepRecord], precision: int = 12) -> str:
+def render_csv(records: list[SweepRecord], precision: int = OutputFormat.precision) -> str:
     return _render("csv", records, precision)
 
 

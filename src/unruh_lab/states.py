@@ -18,19 +18,19 @@ of grid points at once.  :func:`build_joints` is :func:`trace_lifted` with
 nothing traced out, and :func:`build_joint` is it for one point.
 
 The reductions use the structure of the lift, not a dense product.  Each
-Unruh state has amplitudes on four fixed Rindler basis states
-(``VACUUM_MODES``, ``PARTICLE_MODES``, ``ANTIPARTICLE_MODES``), and every
-prepared state is zero outside its {|00>, |11>} block and diagonal.  So
-each entry of a joint state is one product of an isometry entry, a
-prepared-state entry and another isometry entry, and which entries can
-be nonzero (96 of 1024) is known before any arithmetic.  Index plans,
-computed once from those constants for each encoding and discard set,
+Unruh state has amplitudes on four fixed Rindler basis states (the state
+table ``_UNRUH_STATES``; the encoding table ``_ENCODING_BASIS`` names each
+encoding's two), and every prepared state is zero outside its {|00>, |11>}
+block and diagonal.  So each entry of a joint state is one product of an
+isometry entry, a prepared-state entry and another isometry entry, and which
+entries can be nonzero (96 of 1024) is known before any arithmetic.  Index
+plans, computed once from those constants for each encoding and discard set,
 gather just these products.  They are taken from the term plan of
 :func:`~unruh_lab.fock.trace_out` and added by its in-order sum, so both
-reductions add each reduced entry's terms in one order, lexicographic in
-the traced factors, and the reduced states keep every bit, zero signs
-included: 20 (single rail) or 14 (dual rail) of a wedge state's 64 entries
-can be nonzero, and the others are exactly +0.
+reductions add each reduced entry's terms in one order, lexicographic in the
+traced factors, and the reduced states keep every bit, zero signs included:
+20 (single rail) or 14 (dual rail) of a wedge state's 64 entries can be
+nonzero, and the others are exactly +0.
 """
 
 from __future__ import annotations
@@ -117,65 +117,68 @@ def gamma_from_acceleration(omega: float, acceleration: float, light_speed: floa
     return math.acos((math.exp(exponent) + 1.0) ** -0.5)
 
 
-# The basis states over RINDLER_LAYOUT on which each Unruh state has its
-# amplitudes, in the order _rindler_amplitudes writes them.  Every other
-# amplitude is zero, which fixes where the lifted states can be nonzero.
-VACUUM_MODES = (0b0000, 0b0011, 0b1100, 0b1111)
-PARTICLE_MODES = (0b1000, 0b1011, 0b1101, 0b0001)
-ANTIPARTICLE_MODES = (0b0100, 0b0111, 0b1110, 0b0010)
+class Encoding(Enum):
+    """How Bob's logical qubit is carried by the field modes."""
+
+    SINGLE_RAIL = "single-rail"
+    DUAL_RAIL = "dual-rail"
+
+
+# each Unruh state's basis states over RINDLER_LAYOUT and its amplitudes on them
+_UNRUH_STATES = {
+    "vacuum": (
+        (0b0000, 0b0011, 0b1100, 0b1111),
+        lambda c, s, q_r, q_l: (c * c, -s * c, s * c, -s * s),
+    ),
+    "particle": (
+        (0b1000, 0b1011, 0b1101, 0b0001),
+        lambda c, s, q_r, q_l: (q_r * c, -q_r * s, q_l * s, q_l * c),
+    ),
+    "antiparticle": (
+        (0b0100, 0b0111, 0b1110, 0b0010),
+        lambda c, s, q_r, q_l: (q_l * c, -q_l * s, q_r * s, q_r * c),
+    ),
+}
+# the Unruh states that carry Bob's basis states 0 and 1 in each encoding
+_ENCODING_BASIS = {
+    Encoding.SINGLE_RAIL: ("vacuum", "particle"),
+    Encoding.DUAL_RAIL: ("particle", "antiparticle"),
+}
 
 
 def _rindler_amplitudes(
-    gammas: Sequence[float], q_rs: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vacuum, particle and antiparticle amplitudes, each (N, 16), per (gamma, q_r)."""
+    states: Sequence[str], gammas: Sequence[float], q_rs: Sequence[float]
+) -> np.ndarray:
+    """The Unruh ``states`` (keys of ``_UNRUH_STATES``) per (gamma, q_r), (len(states), N, 16)."""
     c = np.array([math.cos(gamma) for gamma in gammas])
     s = np.array([math.sin(gamma) for gamma in gammas])
     q_r = np.array(q_rs, dtype=float)
     q_l = np.array([_left_weight(q) for q in q_rs])
-    vacuum = _on_modes(VACUUM_MODES, c * c, -s * c, s * c, -s * s)
-    particle = _on_modes(PARTICLE_MODES, q_r * c, -q_r * s, q_l * s, q_l * c)
-    antiparticle = _on_modes(ANTIPARTICLE_MODES, q_l * c, -q_l * s, q_r * s, q_r * c)
-    return vacuum, particle, antiparticle
+    vectors = np.zeros((len(states), len(c), 16))
+    for vector, state in zip(vectors, states):
+        modes, amplitudes = _UNRUH_STATES[state]
+        for mode, amplitude in zip(modes, amplitudes(c, s, q_r, q_l)):
+            vector[:, mode] = amplitude
+    return vectors
 
 
-def _on_modes(modes: tuple[int, ...], *amplitudes: np.ndarray) -> np.ndarray:
-    """States (N, 16) with the given amplitudes on ``modes`` and zeros elsewhere."""
-    states = np.zeros((len(amplitudes[0]), 16))
-    for mode, amplitude in zip(modes, amplitudes):
-        states[:, mode] = amplitude
-    return states
+def _unruh_state(state: str, accel: AccelerationParams) -> StateVector:
+    return StateVector(RINDLER_LAYOUT, _rindler_amplitudes([state], [accel.gamma], [accel.q_r]))
 
 
 def unruh_vacuum(accel: AccelerationParams) -> StateVector:
     """Vacuum as seen in the four Rindler modes; independent of ``q_r``."""
-    vacuum, _, _ = _rindler_amplitudes([accel.gamma], [accel.q_r])
-    return StateVector(RINDLER_LAYOUT, vacuum[0])
+    return _unruh_state("vacuum", accel)
 
 
 def unruh_particle(accel: AccelerationParams) -> StateVector:
     """One-particle excitation over the Rindler modes."""
-    _, particle, _ = _rindler_amplitudes([accel.gamma], [accel.q_r])
-    return StateVector(RINDLER_LAYOUT, particle[0])
+    return _unruh_state("particle", accel)
 
 
 def unruh_antiparticle(accel: AccelerationParams) -> StateVector:
     """One-antiparticle excitation over the Rindler modes."""
-    _, _, antiparticle = _rindler_amplitudes([accel.gamma], [accel.q_r])
-    return StateVector(RINDLER_LAYOUT, antiparticle[0])
-
-
-class Encoding(Enum):
-    """How Bob's logical qubit is carried by the field modes."""
-
-    SINGLE_RAIL = "single-rail"  # vacuum vs one particle
-    DUAL_RAIL = "dual-rail"  # particle vs antiparticle
-
-
-# Which of (vacuum, particle, antiparticle) carry Bob's basis states 0 and 1,
-# and the modes each of those two isometry columns can be nonzero on.
-_ENCODING_STATES = {Encoding.SINGLE_RAIL: (0, 1), Encoding.DUAL_RAIL: (1, 2)}
-_STATE_MODES = (VACUUM_MODES, PARTICLE_MODES, ANTIPARTICLE_MODES)
+    return _unruh_state("antiparticle", accel)
 
 
 def bob_isometries(
@@ -190,10 +193,9 @@ def bob_isometries(
     """
     if not isinstance(encoding, Encoding):
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
-    amplitudes = _rindler_amplitudes(gammas, q_rs)
-    columns = np.concatenate([amplitudes[i] for i in _ENCODING_STATES[encoding]])
-    check_norms(columns)
-    matrices = columns.reshape(2, -1, 16).transpose(1, 2, 0).copy()
+    columns = _rindler_amplitudes(_ENCODING_BASIS[encoding], gammas, q_rs)
+    check_norms(columns.reshape(-1, 16))
+    matrices = columns.transpose(1, 2, 0).copy()
     check_isometries(matrices)
     return matrices
 
@@ -212,9 +214,8 @@ class ChannelFamily(Enum):
 
     @property
     def encoding(self) -> Encoding:
-        if self in (ChannelFamily.QUANTUM_DUAL_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL):
-            return Encoding.DUAL_RAIL
-        return Encoding.SINGLE_RAIL
+        dual = self in (QUANTUM_PAIR[1], CLASSICAL_PAIR[1])
+        return Encoding.DUAL_RAIL if dual else Encoding.SINGLE_RAIL
 
     @property
     def is_classical(self) -> bool:
@@ -382,8 +383,8 @@ def trace_lifted(
 def _isometry_support(encoding: Encoding) -> np.ndarray:
     """Where the isometries (16, 2) of ``encoding`` can be nonzero."""
     support = np.zeros((16, 2), dtype=bool)
-    for j, state in enumerate(_ENCODING_STATES[encoding]):
-        support[_STATE_MODES[state], j] = True
+    for j, state in enumerate(_ENCODING_BASIS[encoding]):
+        support[_UNRUH_STATES[state][0], j] = True
     return support
 
 

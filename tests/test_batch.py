@@ -884,12 +884,10 @@ def corrupt_amplitudes_at(monkeypatch, bad_gamma, factor=2.0):
     """Scale the Unruh-state amplitudes at one gamma; doubled, its isometry check fails."""
     real = states._rindler_amplitudes
 
-    def corrupted(gammas, q_rs):
-        rows = np.array(gammas) == bad_gamma
-        columns = real(gammas, q_rs)
-        for column in columns:
-            column[rows] *= factor
-        return columns
+    def corrupted(names, gammas, q_rs):
+        vectors = real(names, gammas, q_rs)
+        vectors[:, np.array(gammas) == bad_gamma] *= factor
+        return vectors
 
     monkeypatch.setattr(states, "_rindler_amplitudes", corrupted)
 
@@ -929,14 +927,15 @@ class TestSweepFailures:
         # both columns' norms are checked in one call, every column 0 first
         real = states._rindler_amplitudes
 
-        def corrupted(gammas, q_rs):
-            vacuum, particle, antiparticle = real(gammas, q_rs)
-            vacuum[1] *= 2.0  # point 1, column 0 of a single-rail isometry
-            particle[0] *= 3.0  # point 0, column 1
-            return vacuum, particle, antiparticle
+        def corrupted(names, gammas, q_rs):
+            assert list(names) == ["vacuum", "particle"]
+            vectors = real(names, gammas, q_rs)
+            vectors[0, 1] *= 2.0  # point 1, column 0 of a single-rail isometry
+            vectors[1, 0] *= 3.0  # point 0, column 1
+            return vectors
 
         monkeypatch.setattr(states, "_rindler_amplitudes", corrupted)
-        norm = np.linalg.norm(2.0 * real([0.3], [0.9])[0][0])
+        norm = np.linalg.norm(2.0 * real(["vacuum"], [0.3], [0.9])[0, 0])
         with pytest.raises(NormalizationError) as info:
             bob_isometries(Encoding.SINGLE_RAIL, [0.1, 0.3], [0.8, 0.9])
         assert str(info.value) == f"state norm is {float(norm)!r}, expected 1"

@@ -2,10 +2,12 @@
 
 The workflow is read as text (no YAML parser is a dependency).  The cheap
 scripts run against this checkout through a PATH shim for the console
-script; ``ci/figure_goldens.sh`` and ``ci/bench_smoke.sh`` are left to
-``ci/run_local.sh``, the latter taking about 30 s.
+script; ``ci/figure_goldens.sh``, ``ci/bench_smoke.sh`` and
+``ci/mutants.sh`` are left to ``ci/run_local.sh``, the last two taking
+about 30 s and 25 s.  The mutation catalogue's entries are only read here.
 """
 
+import importlib.util
 import os
 import re
 import shutil
@@ -39,6 +41,14 @@ def test_workflow_calls_every_ci_script_in_the_order_run_local_runs_them():
     # each check is a script: no step runs a block of its own
     assert "run: |" not in WORKFLOW
     assert WORKFLOW.count("ci/") == len(scripts)
+
+
+def test_every_catalogued_mutant_matches_the_source_once():
+    spec = importlib.util.spec_from_file_location("mutants", CI / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.catalogue_problems() == []
 
 
 def test_every_ci_script_stops_at_its_first_failure():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unruh_lab import (
     BELL_ALPHA,
@@ -27,9 +29,10 @@ from unruh_lab import (
     unruh_particle,
     unruh_vacuum,
 )
-from unruh_lab.states import bob_isometries
+from unruh_lab import crosscheck, states
+from unruh_lab.states import CLASSICAL_PAIR, QUANTUM_PAIR, bob_isometries
 
-from helpers import bell_state
+from helpers import assert_same_bits, bell_state
 
 PI4 = math.pi / 4
 
@@ -146,6 +149,64 @@ class TestBobIsometry:
                 iso = bob_isometries(Encoding.SINGLE_RAIL, [float(gamma)], [float(q_r)])[0]
                 gram = iso.T @ iso
                 assert np.abs(gram - np.eye(2)).max() < 1e-12
+
+
+class TestStateTable:
+    """The state and encoding tables in ``states``, against the oracle's own amplitudes."""
+
+    BUILDERS = {
+        "vacuum": unruh_vacuum,
+        "particle": unruh_particle,
+        "antiparticle": unruh_antiparticle,
+    }
+    BASIS = {Encoding.SINGLE_RAIL: (0, 1), Encoding.DUAL_RAIL: (1, 2)}  # of the oracle's triple
+
+    @settings(deadline=None, database=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, PI4]) | st.floats(0.0, PI4),
+                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example(points=[(0.0, 0.0), (0.0, 1.0), (PI4, 0.0), (PI4, 1.0)])
+    def test_states_and_isometry_columns_equal_the_oracle_bit_for_bit(self, points):
+        oracle = [crosscheck._unruh_vectors(gamma, q_r) for gamma, q_r in points]
+        for (gamma, q_r), vectors in zip(points, oracle):
+            accel = AccelerationParams(gamma, q_r)
+            for build, want in zip(self.BUILDERS.values(), vectors):
+                assert_same_bits(build(accel).amplitudes, want)
+        gammas, q_rs = zip(*points)
+        for encoding, basis in self.BASIS.items():
+            isometries = bob_isometries(encoding, gammas, q_rs)
+            for isometry, vectors in zip(isometries, oracle):
+                for j, state in enumerate(basis):
+                    assert_same_bits(isometry[:, j], vectors[state])
+
+    def test_each_call_builds_only_the_states_it_reads(self, monkeypatch):
+        asked = []
+        real = states._rindler_amplitudes
+
+        def recorded(names, gammas, q_rs):
+            asked.append(tuple(names))
+            return real(names, gammas, q_rs)
+
+        monkeypatch.setattr(states, "_rindler_amplitudes", recorded)
+        bob_isometries(Encoding.SINGLE_RAIL, [0.1, 0.2], [0.9, 0.8])
+        bob_isometries(Encoding.DUAL_RAIL, [0.3], [0.7])
+        assert asked == [("vacuum", "particle"), ("particle", "antiparticle")]
+        asked.clear()
+        for build in self.BUILDERS.values():
+            build(AccelerationParams(0.4, 0.6))
+        assert asked == [("vacuum",), ("particle",), ("antiparticle",)]
+
+    def test_dual_rail_is_the_second_member_of_each_pair(self):
+        dual = {f for f in ChannelFamily if f.encoding is Encoding.DUAL_RAIL}
+        assert dual == {QUANTUM_PAIR[1], CLASSICAL_PAIR[1]}
+        assert dual == {ChannelFamily.QUANTUM_DUAL_RAIL, ChannelFamily.CLASSICAL_DUAL_RAIL}
 
 
 class TestChannelSpec:
