@@ -62,6 +62,42 @@ MUTANTS = (
         ("tests/test_crosscheck.py::TestCharpolyEigensolver::test_psd_tolerance_is_the_production_one",),
     ),
     Mutant(
+        "oracle-batch-newton-roots-to-the-next-block",
+        "src/unruh_lab/crosscheck.py",
+        "    for (reduced, zeros, eigs), starts in zip(polynomials, estimates):",
+        "    targets = [eigs for _, _, eigs in polynomials]\n"
+        "    for (reduced, zeros, _), starts, eigs in zip(polynomials, estimates, targets[1:] + targets[:1]):",
+        (
+            "tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",
+            "tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",
+        ),
+    ),
+    Mutant(
+        "oracle-batch-stack-roots-to-the-next-matrix",
+        "src/unruh_lab/crosscheck.py",
+        "        for (_, roots), values in zip(group, solved.real.tolist()):",
+        "        values = solved.real.tolist()\n"
+        "        for (_, roots), values in zip(group, values[1:] + values[:1]):",
+        ("tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",),
+    ),
+    Mutant(
+        "oracle-companion-super-diagonal",
+        "src/unruh_lab/crosscheck.py",
+        "            companion = np.diag(np.ones(len(p) - 2), -1)",
+        "            companion = np.diag(np.ones(len(p) - 2), 1)",
+        (
+            "tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",
+            "tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",
+        ),
+    ),
+    Mutant(
+        "oracle-companion-drops-the-stripped-roots-at-0",
+        "src/unruh_lab/crosscheck.py",
+        "        roots = [0.0] * (len(p) - int(non_zero[-1]) - 1)",
+        "        roots = []",
+        ("tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",),
+    ),
+    Mutant(
         "figure-set-reads-a-bare-string",
         "src/unruh_lab/output.py",
         "    if isinstance(presets, (str, bytes)):",

@@ -6,8 +6,9 @@ Subcommands:
     figure   write the data files behind one or more bundled figure presets
     verify   run the acceptance/verification suite
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (the message names the offending parameter), 4 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (argparse's
+own exit), 3 domain error (the message names the offending parameter), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 

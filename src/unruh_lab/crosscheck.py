@@ -15,8 +15,14 @@ Newton-refined against that polynomial with exact integer residuals.  Like
 every amplitude of the model, everything here is real; a complex matrix
 raises ``ValueError`` rather than lose its imaginary part.
 
-The strong-additivity sum adds each wedge's S(AB) - S(B) from the wedge
-entropies that check 7 compares.  The code is intentionally plain; it
+The solver takes a list of matrices.  It groups the polynomials of all
+their blocks by degree and finds each group's root estimates with one
+eigenvalue call on the stack of the companion matrices ``np.roots`` would
+build, so every matrix gets the same bits as it would alone.  The wedge
+entropies come from one such call for a list of channels, with each
+channel's joint built once for both wedges.  The strong-additivity sum
+adds each wedge's S(AB) - S(B) from the wedge entropies that check 7
+compares.  Apart from that batching, the code is intentionally plain; it
 optimizes for being obviously correct, not for speed.
 """
 
@@ -37,7 +43,7 @@ def _dyadic(x: float) -> tuple[int, int]:
     return num, den.bit_length() - 1
 
 
-def _exact_charpoly(matrix: np.ndarray) -> list[int]:
+def _exact_charpoly(rows: list[list[float]]) -> list[int]:
     """Exact monic characteristic polynomial via division-free Faddeev-LeVerrier.
 
     Float entries are dyadic rationals, so with ``shift`` the largest
@@ -46,10 +52,11 @@ def _exact_charpoly(matrix: np.ndarray) -> list[int]:
     c_k = -tr(N_k) / (k! 2**(shift k)), the coefficients of the stored
     matrix without any rounding.  They come back as integers
     [a_0, ..., a_n] in descending powers over the common denominator
-    Q = a_0 = n! 2**(shift n), so c_k = a_k / Q.
+    Q = a_0 = n! 2**(shift n), so c_k = a_k / Q.  ``rows`` is the matrix as
+    a list of rows of floats.
     """
-    n = matrix.shape[0]
-    parts = [[_dyadic(x) for x in row] for row in matrix.tolist()]
+    n = len(rows)
+    parts = [[_dyadic(x) for x in row] for row in rows]
     shift = max(e for row in parts for _, e in row)
     g = [[num << (shift - e) for num, e in row] for row in parts]
     n_k = g
@@ -104,14 +111,13 @@ def _exact_newton(coeffs: list[int], start: float, steps: int = 60) -> float:
     return x
 
 
-def _blocks(a: np.ndarray) -> list[list[int]]:
+def _blocks(rows: list[list[float]]) -> list[list[int]]:
     """Index sets of the connected components of the exact nonzero pattern.
 
     Entries are compared with exact zero, so the matrix restricted to these
     blocks is a permutation of the original with nothing rounded or dropped.
     """
-    linked = (a != 0) | (a != 0).T
-    unseen = set(range(a.shape[0]))
+    unseen = set(range(len(rows)))
     blocks = []
     while unseen:
         frontier = [unseen.pop()]
@@ -119,67 +125,120 @@ def _blocks(a: np.ndarray) -> list[list[int]]:
         while frontier:
             i = frontier.pop()
             block.append(i)
-            for j in [j for j in unseen if linked[i, j]]:
+            for j in [j for j in unseen if rows[i][j] != 0 or rows[j][i] != 0]:
                 unseen.discard(j)
                 frontier.append(j)
         blocks.append(sorted(block))
     return blocks
 
 
-def _block_eigvals(block: np.ndarray) -> list[float]:
-    """Eigenvalues of one block from its exact characteristic polynomial.
+def _root_estimates(polynomials: list[list[int]]) -> list[list[float]]:
+    """``np.roots(...).real`` of each monic float polynomial, one eigensolve per degree.
 
-    Exactly-zero trailing coefficients are deflated as zero eigenvalues, and
-    each companion-matrix estimate of the remaining roots is Newton-refined
-    against the exact deflated polynomial.
+    Each polynomial's companion matrix is built exactly as ``np.roots``
+    builds it: float coefficients that underflow to zero at the tail are
+    stripped and come back as roots at 0.  The companions of one size are
+    solved as a single stack, and LAPACK solves each matrix of a stack as it
+    would solve it alone.
     """
-    n = block.shape[0]
-    if n == 1:
-        return [float(block[0, 0])]
-    coeffs = _exact_charpoly(block)
-    zeros = 0
-    while zeros < n and coeffs[n - zeros] == 0:
-        zeros += 1
-    reduced = coeffs[: n + 1 - zeros]
-    estimates = np.roots([a / reduced[0] for a in reduced]).real
-    return [_exact_newton(reduced, float(x)) for x in estimates] + [0.0] * zeros
+    estimates = []
+    companions: dict[int, list] = {}
+    for reduced in polynomials:
+        p = np.array([a / reduced[0] for a in reduced])
+        non_zero = np.nonzero(p)[0]
+        roots = [0.0] * (len(p) - int(non_zero[-1]) - 1)
+        estimates.append(roots)
+        p = p[int(non_zero[0]) : int(non_zero[-1]) + 1]
+        if len(p) > 1:
+            companion = np.diag(np.ones(len(p) - 2), -1)
+            companion[0, :] = -p[1:] / p[0]
+            companions.setdefault(len(p) - 1, []).append((companion, roots))
+    for group in companions.values():
+        solved = np.linalg.eigvals(np.stack([companion for companion, _ in group]))
+        for (_, roots), values in zip(group, solved.real.tolist()):
+            roots[:0] = values
+    return estimates
+
+
+def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
+    """Eigenvalues of each real symmetric matrix of a list, in descending order.
+
+    Each matrix is split into the connected components of its exact nonzero
+    pattern; its spectrum is the union of the blocks' spectra.  A 1x1 block
+    is its diagonal entry.  A larger block's exact characteristic
+    polynomial loses its exactly-zero trailing coefficients as zero
+    eigenvalues; the rest are the roots of the deflated polynomial, whose
+    companion-matrix estimates (see ``_root_estimates``, one eigensolve per
+    degree for the whole list) are Newton-refined against it.  A matrix's
+    eigenvalues are the same bits whatever else is in the list.  Each
+    eigenvalue sum must reproduce its matrix's trace.  A complex matrix, or
+    a NaN or infinite entry, raises ``ValueError`` before the matrix is
+    split, whatever block the entry would fall in.
+    """
+    spectra = []  # per matrix, its trace and its blocks' eigenvalues in block order
+    polynomials = []  # (deflated polynomial, its zero eigenvalues, its block's eigenvalues)
+    for matrix in matrices:
+        a = np.asarray(matrix)
+        if a.dtype.kind == "c":
+            raise ValueError("matrix is complex; the oracle is real")
+        a = a.astype(float)
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
+        rows = a.tolist()
+        blocks = []
+        for block in _blocks(rows):
+            if len(block) == 1:
+                blocks.append([rows[block[0]][block[0]]])
+                continue
+            n = len(block)
+            coeffs = _exact_charpoly([[rows[i][j] for j in block] for i in block])
+            zeros = 0
+            while zeros < n and coeffs[n - zeros] == 0:
+                zeros += 1
+            blocks.append([])  # filled once the whole list has its root estimates
+            polynomials.append((coeffs[: n + 1 - zeros], zeros, blocks[-1]))
+        spectra.append((float(np.trace(a)), blocks))
+    estimates = _root_estimates([reduced for reduced, _, _ in polynomials])
+    for (reduced, zeros, eigs), starts in zip(polynomials, estimates):
+        eigs.extend(_exact_newton(reduced, x) for x in starts)
+        eigs.extend([0.0] * zeros)
+    results = []
+    for trace, blocks in spectra:
+        eigs = np.sort([lam for block in blocks for lam in block])[::-1]
+        if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):
+            raise ValueError(
+                f"root refinement lost mass: eigenvalue sum {eigs.sum()!r} vs trace {trace!r}"
+            )
+        results.append(eigs)
+    return results
 
 
 def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, block by block, in descending order.
+    """Eigenvalues of one real symmetric matrix in descending order: a batch of one.
 
-    The matrix is split into the connected components of its exact nonzero
-    pattern; the spectrum is the union of the blocks' spectra.  A 1x1 block
-    is its diagonal entry, and a larger one is solved through its exact
-    characteristic polynomial (see ``_block_eigvals``).  The eigenvalue sum
-    must reproduce the trace of the whole matrix.  A complex matrix, or a
-    NaN or infinite entry, raises ``ValueError`` before the split, whatever
-    block the entry would fall in.
+    See ``eigvals_charpoly_batch``: the blocks' polynomials are grouped by
+    degree, and the bits are those the matrix gets in any batch.
     """
-    a = np.asarray(matrix)
-    if a.dtype.kind == "c":
-        raise ValueError("matrix is complex; the oracle is real")
-    a = a.astype(float)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    eigs = np.sort([lam for b in _blocks(a) for lam in _block_eigvals(a[np.ix_(b, b)])])[::-1]
-    trace = float(np.trace(a))
-    if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):
-        raise ValueError(
-            f"root refinement lost mass: eigenvalue sum {eigs.sum()!r} vs trace {trace!r}"
-        )
-    return eigs
+    return eigvals_charpoly_batch([matrix])[0]
+
+
+def brute_entropy_batch(matrices) -> list[float]:
+    """Von Neumann entropy in bits of each matrix, from one ``eigvals_charpoly_batch`` call."""
+    entropies = []
+    for eigs in eigvals_charpoly_batch(matrices):
+        total = 0.0
+        for lam in eigs.tolist():
+            if lam < -PSD_TOL:
+                raise ValueError(f"eigenvalue {lam:.3e} below the PSD tolerance")
+            if lam > 0.0:
+                total -= lam * math.log2(lam)
+        entropies.append(total)
+    return entropies
 
 
 def brute_entropy(matrix: np.ndarray) -> float:
-    """Von Neumann entropy in bits via the characteristic-polynomial route."""
-    total = 0.0
-    for lam in eigvals_charpoly(matrix).tolist():
-        if lam < -PSD_TOL:
-            raise ValueError(f"eigenvalue {lam:.3e} below the PSD tolerance")
-        if lam > 0.0:
-            total -= lam * math.log2(lam)
-    return total
+    """Von Neumann entropy in bits via the characteristic-polynomial route: a batch of one."""
+    return brute_entropy_batch([matrix])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,6 +354,30 @@ def brute_region_matrix(
     return brute_partial_trace(joint, 5, _REGION_KEEP[region])
 
 
+def brute_subsystem_entropies_batch(channels, regions) -> list[list[tuple[float, float, float]]]:
+    """Each wedge's (S(Alice), S(wedge modes), S(joint reduction)), channel by channel.
+
+    ``channels`` lists ``(family, gamma, q_r, alpha, fidelity_f)`` tuples.
+    Each channel's joint is built once for all ``regions``, and every
+    entropy comes from one ``brute_entropy_batch`` call.  The result holds
+    one list per channel, with one triple per region in ``regions`` order.
+    """
+    matrices = []
+    for family, gamma, q_r, alpha, fidelity_f in channels:
+        joint = brute_joint_matrix(family, gamma, q_r, alpha, fidelity_f)
+        for region in regions:
+            reduced = brute_partial_trace(joint, 5, _REGION_KEEP[region])
+            matrices += [
+                brute_partial_trace(reduced, 3, [0]),
+                brute_partial_trace(reduced, 3, [1, 2]),
+                reduced,
+            ]
+    entropies = brute_entropy_batch(matrices)
+    triples = [tuple(entropies[k : k + 3]) for k in range(0, len(entropies), 3)]
+    width = len(regions)
+    return [triples[k : k + width] for k in range(0, len(triples), width)]
+
+
 def brute_subsystem_entropies(
     family: ChannelFamily,
     region: BobRegion,
@@ -303,11 +386,9 @@ def brute_subsystem_entropies(
     alpha: float = math.pi / 4,
     fidelity_f: float | None = None,
 ) -> tuple[float, float, float]:
-    """(S(Alice), S(wedge modes), S(joint reduction)) for one wedge."""
-    reduced = brute_region_matrix(family, region, gamma, q_r, alpha, fidelity_f)
-    rho_a = brute_partial_trace(reduced, 3, [0])
-    rho_b = brute_partial_trace(reduced, 3, [1, 2])
-    return brute_entropy(rho_a), brute_entropy(rho_b), brute_entropy(reduced)
+    """(S(Alice), S(wedge modes), S(joint reduction)) for one wedge: a batch of one."""
+    channel = (family, gamma, q_r, alpha, fidelity_f)
+    return brute_subsystem_entropies_batch([channel], (region,))[0][0]
 
 
 def brute_strong_additivity(
@@ -317,6 +398,15 @@ def brute_strong_additivity(
     alpha: float = math.pi / 4,
     fidelity_f: float | None = None,
 ) -> float:
-    """S(AB) - S(B) + S(AC) - S(C) with A = Alice, B = region I, C = region II."""
-    parts = [brute_subsystem_entropies(family, r, gamma, q_r, alpha, fidelity_f) for r in BobRegion]
-    return sum(s_ab - s_b for _, s_b, s_ab in parts)
+    """S(AB) - S(B) + S(AC) - S(C) with A = Alice, B = region I, C = region II.
+
+    The joint is built once, and the four entropies of the sum are solved
+    as one batch.
+    """
+    joint = brute_joint_matrix(family, gamma, q_r, alpha, fidelity_f)
+    matrices = []
+    for region in BobRegion:
+        reduced = brute_partial_trace(joint, 5, _REGION_KEEP[region])
+        matrices += [brute_partial_trace(reduced, 3, [1, 2]), reduced]
+    entropies = brute_entropy_batch(matrices)
+    return sum(s_ab - s_b for s_b, s_ab in zip(entropies[::2], entropies[1::2]))

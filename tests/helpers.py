@@ -27,7 +27,7 @@ from unruh_lab import (
     von_neumann_entropy,
     write_figure_set,
 )
-from unruh_lab import crosscheck, fock, sweep
+from unruh_lab import crosscheck, fock, sweep, verify
 from unruh_lab.crosscheck import brute_entropy, brute_joint_matrix, brute_partial_trace
 from unruh_lab.output import write_figure_files
 from unruh_lab.states import REGION_II_FACTORS
@@ -180,8 +180,51 @@ def _dense_jacobi_rotate(a: np.ndarray, k: int, l: int, skip_below: float) -> No
 
 def charpoly_coefficients(matrix) -> np.ndarray:
     """The oracle's characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] as floats."""
-    coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=float))
+    coeffs = crosscheck._exact_charpoly(np.asarray(matrix, dtype=float).tolist())
     return np.array([a / coeffs[0] for a in coeffs])
+
+
+def per_block_eigvals_charpoly(matrix) -> np.ndarray:
+    """The oracle's spectrum solved one block at a time, each with its own ``np.roots``.
+
+    The reference for the batched solve: each block is an ``np.ix_`` copy,
+    its deflated exact polynomial gets ``np.roots`` estimates, and each
+    estimate is Newton-refined alone.  Blocks come in the oracle's order, so
+    the descending result has the same bits, zero signs included.
+    """
+    a = np.asarray(matrix, dtype=float)
+    eigs = []
+    for block in crosscheck._blocks(a.tolist()):
+        sub = a[np.ix_(block, block)]
+        n = len(block)
+        if n == 1:
+            eigs.append(float(sub[0, 0]))
+            continue
+        coeffs = crosscheck._exact_charpoly(sub.tolist())
+        zeros = 0
+        while zeros < n and coeffs[n - zeros] == 0:
+            zeros += 1
+        reduced = coeffs[: n + 1 - zeros]
+        estimates = np.roots([c / reduced[0] for c in reduced]).real
+        eigs += [crosscheck._exact_newton(reduced, float(x)) for x in estimates]
+        eigs += [0.0] * zeros
+    return np.sort(eigs)[::-1]
+
+
+def check7_matrices() -> list[np.ndarray]:
+    """Check 7's 300 oracle matrices: per channel and wedge, Alice's, the modes' and their state."""
+    matrices = []
+    for family, points in verify._oracle_samples().items():
+        for gamma, q_r, f in points:
+            joint = brute_joint_matrix(family, gamma, q_r, math.pi / 4, f)
+            for keep in ([0, 1, 3], [0, 2, 4]):
+                reduced = brute_partial_trace(joint, 5, keep)
+                matrices += [
+                    brute_partial_trace(reduced, 3, [0]),
+                    brute_partial_trace(reduced, 3, [1, 2]),
+                    reduced,
+                ]
+    return matrices
 
 
 def brute_mutual_information(family, region, gamma, q_r, alpha=math.pi / 4, fidelity_f=None):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unruh_lab import (
     AccelerationParams,
@@ -17,13 +19,17 @@ from unruh_lab import (
     build_joint,
     partial_trace,
 )
-from unruh_lab import crosscheck
+from unruh_lab import crosscheck, verify
 from unruh_lab.fock import PSD_TOL
 
 from helpers import (
+    assert_same_bits,
     brute_mutual_information,
     brute_tripartite_entropies,
     charpoly_coefficients,
+    check7_matrices,
+    count_calls,
+    per_block_eigvals_charpoly,
     random_hermitian,
 )
 
@@ -128,6 +134,14 @@ class TestCharpolyEigensolver:
         assert np.abs(got - want).max() < 1e-12
         assert abs(crosscheck.brute_entropy(reduced) - lapack_entropy(reduced)) < 1e-10
 
+    def test_lost_mass_rejected(self, monkeypatch):
+        # a refinement that drops every root leaves the trace unmatched
+        monkeypatch.setattr(crosscheck, "_exact_newton", lambda coeffs, start: 0.0)
+        message = f"root refinement lost mass: eigenvalue sum {np.float64(0.0)!r} vs trace 1.0"
+        with pytest.raises(ValueError) as raised:
+            crosscheck.eigvals_charpoly(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        assert str(raised.value) == message
+
     def test_psd_violation_rejected(self):
         with pytest.raises(ValueError):
             crosscheck.brute_entropy(np.diag([1.5, -0.5]))
@@ -194,7 +208,7 @@ def exact_coefficient_inputs():
 class TestExactCoefficients:
     @pytest.mark.parametrize("matrix", list(exact_coefficient_inputs()))
     def test_integer_coefficients_equal_rational_reference(self, matrix):
-        coeffs = crosscheck._exact_charpoly(matrix)
+        coeffs = crosscheck._exact_charpoly(matrix.tolist())
         want = fraction_charpoly(matrix)
         assert [Fraction(a, coeffs[0]) for a in coeffs] == want
         assert charpoly_coefficients(matrix).tolist() == [float(c) for c in want]
@@ -244,6 +258,93 @@ def oracle_matrices(seed, count):
             yield crosscheck.brute_partial_trace(joint, 5, keep)
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Real symmetric dyadic matrices of size 1-8 with random exact zeros.
+
+    Some repeat their first row and column, so a block's determinant is an
+    exact zero and is deflated.  Some are scaled by 2**-500 (about 3e-151):
+    their float coefficients underflow to zero at the tail, which
+    ``np.roots`` strips and returns as roots at 0.
+    """
+    n = draw(st.integers(1, 8))
+    entries = draw(st.lists(st.integers(-(2**20), 2**20), min_size=n * n, max_size=n * n))
+    zeros = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    a = np.array(entries, dtype=float).reshape(n, n) * 2.0**-20
+    a[np.array(zeros).reshape(n, n)] = 0.0
+    a = np.triu(a) + np.triu(a, 1).T
+    if n > 1 and draw(st.booleans()):
+        a[-1, :] = a[0, :]
+        a[:, -1] = a[:, 0]
+    return a * draw(st.sampled_from([1.0, 2.0**-500]))
+
+
+def assert_batch_matches_reference(matrices, order):
+    """Alone, in ``matrices``' batch and in the ``order`` batch, each matrix
+    gets the bits of the per-block reference."""
+    want = [per_block_eigvals_charpoly(matrix) for matrix in matrices]
+    for got, expected in zip(crosscheck.eigvals_charpoly_batch(matrices), want, strict=True):
+        assert_same_bits(got, expected)
+    shuffled = crosscheck.eigvals_charpoly_batch([matrices[i] for i in order])
+    for got, i in zip(shuffled, order, strict=True):
+        assert_same_bits(got, want[i])
+    for matrix, expected in zip(matrices, want):
+        assert_same_bits(crosscheck.eigvals_charpoly(matrix), expected)
+
+
+class TestBatchedSolve:
+    """One companion eigensolve per degree gives each matrix its one-at-a-time bits."""
+
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(matrices=st.lists(symmetric_matrices(), min_size=1, max_size=6), data=st.data())
+    def test_random_batches_equal_the_per_block_reference(self, matrices, data):
+        order = data.draw(st.permutations(range(len(matrices))))
+        assert_batch_matches_reference(matrices, order)
+
+    def test_check_7_matrices_equal_the_per_block_reference(self):
+        matrices = check7_matrices()
+        assert len(matrices) == 300
+        assert_batch_matches_reference(matrices, list(reversed(range(300))))
+
+    def test_tail_underflow_is_stripped_as_np_roots_does(self):
+        # a 3x3 block at 2**-500: c_3 = det underflows as a float, not as an integer
+        matrix = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]) * 2.0**-500
+        coeffs = crosscheck._exact_charpoly(matrix.tolist())
+        assert coeffs[-1] != 0 and coeffs[-1] / coeffs[0] == 0.0
+        assert_batch_matches_reference([matrix, matrix / 2**-500], [1, 0])
+
+    def test_check_7_solves_its_oracle_once(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch,
+            (crosscheck, "eigvals_charpoly_batch"),
+            (crosscheck, "brute_joint_matrix"),
+            (np.linalg, "eigvals"),
+        )
+        passed, detail = verify._check_oracle_equivalence(verify._SeriesTables())
+        assert passed and detail.endswith(" is 1.332e-15")
+        # one joint per channel, and one stack per degree: the blocks of
+        # these 300 matrices have at most 3 rows, and none deflates below 2
+        assert calls == {"eigvals_charpoly_batch": 1, "brute_joint_matrix": 50, "eigvals": 2}
+
+    def test_list_form_equals_the_batches_of_one(self):
+        rng = np.random.default_rng(97)
+        channels = []
+        for family in ChannelFamily:
+            werner = family is ChannelFamily.WERNER
+            alpha = PI4 if werner else float(rng.uniform(0.0, math.pi))
+            f = float(rng.uniform()) if werner else None
+            channels.append((family, float(rng.uniform(0.0, PI4)), float(rng.uniform()), alpha, f))
+        got = crosscheck.brute_subsystem_entropies_batch(channels, tuple(BobRegion))
+        assert got == [
+            [crosscheck.brute_subsystem_entropies(family, region, *point) for region in BobRegion]
+            for family, *point in channels
+        ]
+        regions = (BobRegion.II,)
+        assert crosscheck.brute_subsystem_entropies_batch(channels, regions) == [
+            [entropies[1]] for entropies in got
+        ]
+
+
 class TestStrongAdditivityRoute:
     def test_wedge_route_equals_the_five_reduction_split(self):
         # the wedge entropies check 7 reads, against five reductions of the joint
@@ -265,12 +366,25 @@ class TestStrongAdditivityRoute:
                 split = parts["s_ab"] - parts["s_b"] + parts["s_ac"] - parts["s_c"]
                 assert abs(crosscheck.brute_strong_additivity(family, *point) - split) < 1e-12
 
+    def test_one_joint_and_one_batch_of_the_four_summed_entropies(self, monkeypatch):
+        calls = count_calls(monkeypatch, (crosscheck, "brute_joint_matrix"))
+        sizes = []
+        real = crosscheck.eigvals_charpoly_batch
+        monkeypatch.setattr(
+            crosscheck,
+            "eigvals_charpoly_batch",
+            lambda matrices: sizes.append([m.shape[0] for m in matrices]) or real(matrices),
+        )
+        crosscheck.brute_strong_additivity(ChannelFamily.WERNER, 0.3, 0.6, PI4, 0.4)
+        assert calls["brute_joint_matrix"] == 1
+        assert sizes == [[4, 8, 4, 8]]
+
 
 class TestBlockSplit:
     def test_blocks_are_an_exact_permutation(self):
         for matrix in oracle_matrices(71, 30):
             n = matrix.shape[0]
-            blocks = crosscheck._blocks(matrix)
+            blocks = crosscheck._blocks(matrix.tolist())
             assert sorted(i for block in blocks for i in block) == list(range(n))
             inside = np.zeros((n, n), dtype=bool)
             for block in blocks:
@@ -291,7 +405,7 @@ class TestBlockSplit:
                 start += size
             order = rng.permutation(n)
             shuffled = matrix[np.ix_(order, order)]
-            assert sorted(map(len, crosscheck._blocks(shuffled))) == sorted(sizes)
+            assert sorted(map(len, crosscheck._blocks(shuffled.tolist()))) == sorted(sizes)
             got = crosscheck.eigvals_charpoly(shuffled)
             want = np.sort(np.linalg.eigvalsh(shuffled))[::-1]
             assert np.abs(got - want).max() < 1e-12

@@ -95,7 +95,7 @@ def test_monotonicity_violations_list_the_quantum_pair_then_the_classical_pair(q
 
 def test_crashed_oracle_fails_under_its_own_name(monkeypatch, quick_results):
     # the table holds the check functions, so patch what check 7 calls
-    monkeypatch.setattr(crosscheck, "brute_subsystem_entropies", broken)
+    monkeypatch.setattr(crosscheck, "brute_subsystem_entropies_batch", broken)
     results = run_checks(include_determinism=False)
     crashed = verify.CheckResult("7-oracle-equivalence", False, "raised ValueError('broke')")
     expected = [crashed if r.name == crashed.name else r for r in quick_results]
