@@ -227,6 +227,60 @@ MUTANTS = (
         "    check_norms(columns.transpose(1, 0, 2).reshape(-1, 16))",
         ("tests/test_batch.py::TestSweepFailures::test_bad_column_0_is_named_before_an_earlier_points_column_1",),
     ),
+    Mutant(
+        "solver-hermiticity-test-skipped",
+        "src/unruh_lab/fock.py",
+        "    if not defect <= HERMITIAN_TOL:",
+        "    if False:",
+        (
+            "tests/test_fock.py::TestEigvalsHermitian::test_hermiticity_message_is_check_hermitians",
+            "tests/test_batch.py::TestBatchedJacobi::test_nan_matrix_fails_the_hermiticity_check",
+        ),
+    ),
+    Mutant(
+        "solver-rotates-the-unsymmetrised-rows",
+        "src/unruh_lab/fock.py",
+        "    rows = symmetric.tolist()",
+        "    rows = a.tolist()",
+        (
+            "tests/test_fock.py::TestEigvalsHermitian::test_rotates_the_symmetrised_matrix",
+            "tests/test_batch.py::TestBatchedJacobi::test_diagonal_negative_zero_is_a_positive_zero_eigenvalue",
+        ),
+    ),
+    Mutant(
+        "plan-takes-the-dense-patterns-sweeps",
+        "src/unruh_lab/fock.py",
+        "    return _sweeps_to_diagonal(blocks), pairs",
+        '    return _sweeps_to_diagonal(_blocks(b"\\x01" * (n * n), n)), pairs',
+        (
+            "tests/test_fock.py::TestEigvalsHermitian::test_each_pattern_has_its_own_plan",
+            "tests/test_batch.py::TestBlockJacobi::test_tiny_two_by_two_blocks_take_their_sweep",
+        ),
+    ),
+    Mutant(
+        "norm-test-keeps-the-diagonal",
+        "src/unruh_lab/fock.py",
+        "    mags[:: n + 1] = 0.0",
+        "    mags[:: n] = 0.0",
+        ("tests/test_batch.py::TestBlockJacobi::test_convergence_reads_the_whole_matrix",),
+    ),
+    Mutant(
+        "stack-checks-pass-nan",
+        "src/unruh_lab/fock.py",
+        "    return np.maximum.reduce(defects, axis=None, initial=0.0) <= tol",
+        "    return np.fmax.reduce(defects, axis=None, initial=0.0) <= tol",
+        (
+            "tests/test_fock.py::TestStackChecksRejectNaN::test_norms",
+            "tests/test_fock.py::TestStackChecksRejectNaN::test_hermitian_and_traces",
+        ),
+    ),
+    Mutant(
+        "wedge-traces-its-own-factors",
+        "src/unruh_lab/states.py",
+        "        other = BobRegion.II if self is BobRegion.I else BobRegion.I",
+        "        other = self",
+        ("tests/test_states.py::TestBobRegion::test_wedges_split_the_rindler_factors",),
+    ),
 )
 
 

@@ -6,14 +6,18 @@ written mode order.  On top of the layouts sit unit state vectors, density
 matrices, the partial trace, and a cyclic Jacobi eigensolver for symmetric
 matrices.  Everything is small (at most 32x32), immutable and real, as
 every amplitude of the model is: the classes and both solvers read their
-input by :func:`_as_real`, so a nonzero imaginary part raises.
+input by :func:`_as_real`, so a nonzero imaginary part raises (the
+single-matrix solver reads a float64 input as it is, since it only reads
+it).
 
 A partial trace is one term plan and one sum.  The plan (``_trace_terms``)
 lists, for each value of the traced factors in lexicographic order, the
 entry each reduced entry reads; the sum (``_add_in_order``) adds those
 terms one after another, from +0.  :func:`trace_out` uses both on dense
 stacks, and :func:`unruh_lab.states.trace_lifted` uses both on the lifted
-states' few nonzero entries, so the two reductions agree bit for bit.
+states' few nonzero entries, so the two reductions agree bit for bit.  The
+plan's cache is keyed on a layout's factors and a discard set, which hash
+in C: the :class:`Subsystem` members hash by identity.
 
 The eigensolvers are block-native: they rotate only inside the blocks
 (connected components) of a matrix's exact zero pattern, or of the union of
@@ -31,7 +35,8 @@ of each size into one compact stack, once, and rotates that stack across
 all sweeps, a block whose pivot is zero or negligible by the identity; the
 rules of :func:`eigvals_hermitian_batch` keep every bit.  The single-matrix
 solver rotates a matrix as a list of rows of Python floats, which round as
-numpy's float64 does, without numpy's cost per scalar.
+numpy's float64 does, without numpy's cost per scalar; one cached plan per
+zero pattern (``_plan``) gives it both its sweeps to diagonal and its pairs.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
@@ -39,10 +44,13 @@ the first item that fails it, so on a stack of one it raises what the
 single item's check raises.  A value fails a check unless it is within the
 tolerance, so NaN fails every check.  Both eigensolvers make the test of
 :func:`check_hermitian` on their input (the batched one on the diagonal
-and the blocks, which hold every nonzero entry), so NaN fails there too,
-with no exception, and a stack on the entropy path is tested for
-Hermiticity once.  The checks' all-true test is ``np.logical_and.reduce``,
-which gives ``.all()``'s value without that method's Python call.
+and the blocks, which hold every nonzero entry, the single-matrix one on
+one difference ``a - a.T``), so NaN fails there too, with no exception,
+and a stack on the entropy path is tested for Hermiticity once.  A check
+tests its whole stack with one reduction, to the largest defect, which is
+NaN if any defect is (:func:`_within`); only a failing stack is searched
+for its first failing item.  The reductions are ufunc methods, not the
+array methods ``.max()`` and ``.all()``, which run a Python frame each.
 """
 
 from __future__ import annotations
@@ -85,46 +93,56 @@ def _as_real(values, param: str) -> np.ndarray:
     return np.array(a, dtype=float)
 
 
+def _within(defects: np.ndarray, tol: float) -> bool:
+    """Whether every entry of ``defects`` is within ``tol`` (NaN is not), by one
+    reduction to the largest entry, which is NaN if any entry is: one ufunc call
+    where ``np.logical_and.reduce(defects <= tol)`` takes two."""
+    return np.maximum.reduce(defects, axis=None, initial=0.0) <= tol
+
+
 def check_norms(vectors: np.ndarray) -> None:
     """Raise for the first vector of a stack (N, d) off unit norm by more than ``NORM_TOL``;
     a norm is sqrt(sum(v * v)), which np.linalg.norm(v, axis=-1) computes for a real v."""
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
-    within = np.abs(norms - 1.0) <= NORM_TOL
-    if not np.logical_and.reduce(within):
-        raise NormalizationError(f"state norm is {float(norms[~within][0])!r}, expected 1")
+    defects = np.abs(norms - 1.0)
+    if not _within(defects, NORM_TOL):
+        first = norms[~(defects <= NORM_TOL)][0]
+        raise NormalizationError(f"state norm is {float(first)!r}, expected 1")
 
 
 def check_hermitian(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off symmetric by more than ``HERMITIAN_TOL``."""
-    _check_hermitian_defects(np.abs(matrices - matrices.swapaxes(1, 2)).max(axis=(1, 2)))
+    defects = np.abs(matrices - matrices.swapaxes(1, 2))
+    if not _within(defects, HERMITIAN_TOL):
+        _check_hermitian_defects(np.maximum.reduce(defects, axis=(1, 2)))
 
 
 def _check_hermitian_defects(defects: np.ndarray) -> None:
     """Raise for the first of the matrices' largest defects (N,) beyond ``HERMITIAN_TOL``."""
-    within = defects <= HERMITIAN_TOL
-    if not np.logical_and.reduce(within):
-        raise SymmetryError(
-            f"Hermiticity defect {float(defects[~within][0]):.3e} exceeds {HERMITIAN_TOL}"
-        )
+    if not _within(defects, HERMITIAN_TOL):
+        first = defects[~(defects <= HERMITIAN_TOL)][0]
+        raise SymmetryError(f"Hermiticity defect {float(first):.3e} exceeds {HERMITIAN_TOL}")
 
 
 def check_traces(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, n, n) off unit trace by more than ``TRACE_TOL``."""
     traces = matrices.trace(axis1=1, axis2=2)
-    within = np.abs(traces - 1.0) <= TRACE_TOL
-    if not np.logical_and.reduce(within):
-        raise NormalizationError(f"trace is {float(traces[~within][0])!r}, expected 1")
+    defects = np.abs(traces - 1.0)
+    if not _within(defects, TRACE_TOL):
+        first = traces[~(defects <= TRACE_TOL)][0]
+        raise NormalizationError(f"trace is {float(first)!r}, expected 1")
 
 
 def check_isometries(matrices: np.ndarray) -> None:
     """Raise for the first matrix (N, d, k) with columns off orthonormal by > ``ISOMETRY_TOL``."""
-    gram = matrices.swapaxes(1, 2) @ matrices
-    defects = np.abs(gram - np.eye(matrices.shape[2])).max(axis=(1, 2))
-    within = defects <= ISOMETRY_TOL
-    if not np.logical_and.reduce(within):
-        raise NormalizationError(
-            f"columns are not orthonormal (defect {float(defects[~within][0]):.3e})"
-        )
+    k = matrices.shape[2]
+    gram = (matrices.swapaxes(1, 2) @ matrices).reshape(len(matrices), k * k)
+    gram[:, :: k + 1] -= 1.0  # gram - I, without building I
+    defects = np.abs(gram)
+    if not _within(defects, ISOMETRY_TOL):
+        worst = np.maximum.reduce(defects, axis=1)
+        first = worst[~(worst <= ISOMETRY_TOL)][0]
+        raise NormalizationError(f"columns are not orthonormal (defect {float(first):.3e})")
 
 
 def _check_finite(entries: np.ndarray) -> None:
@@ -153,6 +171,10 @@ class Subsystem(Enum):
     REGION_II_ANTIPARTICLE = "region_ii_antiparticle"
     REGION_I_ANTIPARTICLE = "region_i_antiparticle"
     REGION_II_PARTICLE = "region_ii_particle"
+
+    # the members are singletons, so identity is equality: hashing by
+    # identity hashes the plan caches' keys in C, where Enum's hash runs Python
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # keep error messages short
         return self.name
@@ -262,7 +284,7 @@ def trace_out(
     checked; :func:`check_density_stack` checks them as
     :func:`partial_trace` does.
     """
-    terms, kept_layout = _trace_terms(layout, frozenset(discard))
+    terms, kept_layout = _trace_terms(layout.factors, frozenset(discard))
     n = len(entries)
     sums = _add_in_order(entries.reshape(n, -1).T, terms)
     return sums.T.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout
@@ -270,9 +292,9 @@ def trace_out(
 
 @functools.lru_cache(maxsize=64)
 def _trace_terms(
-    layout: SubsystemLayout, discard: frozenset[Subsystem]
+    factors: tuple[Subsystem, ...], discard: frozenset[Subsystem]
 ) -> tuple[np.ndarray, SubsystemLayout]:
-    """The terms of a partial trace over ``layout``, and the kept layout.
+    """The terms of a partial trace over a layout's ``factors``, and the kept layout.
 
     Returns flat positions (T, K * K) into a (d, d) matrix: row t lists, for
     each reduced entry in row-major order, the entry whose traced factors
@@ -280,18 +302,19 @@ def _trace_terms(
     factors, the first traced factor most significant.  Nothing traced out
     gives one row, the identity.
     """
-    labels = set(layout.factors)
+    labels = set(factors)
     unknown = discard - labels
     if unknown:
         raise LayoutError(f"unknown labels {sorted(s.name for s in unknown)}")
     if discard == labels:
         raise DomainError("discard", "cannot trace out every factor")
-    traced = [i for i, f in enumerate(layout.factors) if f in discard]
-    kept = [i for i, f in enumerate(layout.factors) if f not in discard]
-    kept_layout = SubsystemLayout(tuple(layout.factors[i] for i in kept))
-    indices = np.arange(layout.dim).reshape((2,) * len(layout))
+    traced = [i for i, f in enumerate(factors) if f in discard]
+    kept = [i for i, f in enumerate(factors) if f not in discard]
+    kept_layout = SubsystemLayout(tuple(factors[i] for i in kept))
+    dim = 2 ** len(factors)
+    indices = np.arange(dim).reshape((2,) * len(factors))
     rows = indices.transpose(traced + kept).reshape(2 ** len(traced), kept_layout.dim)
-    terms = (layout.dim * rows[:, :, np.newaxis] + rows[:, np.newaxis, :]).reshape(len(rows), -1)
+    terms = (dim * rows[:, :, np.newaxis] + rows[:, np.newaxis, :]).reshape(len(rows), -1)
     terms.flags.writeable = False
     return terms, kept_layout
 
@@ -310,10 +333,14 @@ def _add_in_order(values: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _off_diagonal_norm_sq(a: np.ndarray) -> float:
-    mags = a * a
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.sum())
+def _off_diagonal_norm_sq(rows) -> float:
+    """The sum of the squared off-diagonal entries of a square matrix, given by its
+    rows, in the order numpy sums the whole (n, n) array with its diagonal cleared."""
+    n = len(rows)
+    mags = np.fromiter(itertools.chain.from_iterable(rows), float, n * n)
+    mags *= mags
+    mags[:: n + 1] = 0.0
+    return float(np.add.reduce(mags))
 
 
 def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
@@ -329,42 +356,53 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     after ``JACOBI_MAX_SWEEPS`` sweeps.
 
     A sweep visits only the pairs inside the blocks of the matrix's zero
-    pattern (:func:`_pairs`), each block's in row order.  A diagonal
-    matrix is not swept, and a matrix whose blocks are all 2x2 is swept
-    once (:func:`_sweeps_to_diagonal`), even if its norm passes the test.
+    pattern, each block's in row order.  A diagonal matrix is not swept,
+    and a matrix whose blocks are all 2x2 is swept once, even if its norm
+    passes the test.  Both come from one cached plan (:func:`_plan`).
 
-    The matrix is checked and symmetrised in numpy, then rotated as
+    The input is read once: a float64 array as it is, since nothing writes
+    to it, anything else by :func:`_as_real`.  Its Hermiticity defect comes
+    from one difference ``a - a.T`` and is tested as :func:`check_hermitian`
+    tests it, with the same message.  The symmetrised matrix is rotated as
     Python floats (:func:`_jacobi_rotate_rows`), whose arithmetic gives
     numpy's float64 results bit for bit without numpy's cost per scalar;
-    the convergence test stays in numpy, to sum in numpy's order.
+    the convergence test stays in numpy, to sum in numpy's order.  The
+    diagonal is sorted in place, as ``np.sort`` sorts its copy.
     """
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
-    a = _as_real(matrix, "matrix")
+    a = np.asarray(matrix)
+    if a.dtype != float:
+        a = _as_real(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ShapeError(f"expected a nonempty square matrix, got shape {a.shape}")
-    check_hermitian(a[np.newaxis])
-    a = (a + a.T + 0.0) / 2.0
-    n = a.shape[0]
+    # a - a.T is antisymmetric, so its largest entry is its largest magnitude
+    # (or NaN, which fails the test): the defect check_hermitian computes
+    defect = np.maximum.reduce(a - a.T, axis=None)
+    if not defect <= HERMITIAN_TOL:
+        raise SymmetryError(f"Hermiticity defect {float(defect):.3e} exceeds {HERMITIAN_TOL}")
+    symmetric = a + a.T
+    symmetric += 0.0  # a -0 turns +0
+    symmetric /= 2.0
+    n = len(symmetric)
 
-    pattern = (a != 0).tobytes()
-    exact_after = _sweeps_to_diagonal(_blocks(pattern, n))
-    pairs = _pairs(pattern, n)
+    exact_after, pairs = _plan((symmetric != 0).tobytes(), n)
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
-    rows = a.tolist()
+    rows = symmetric.tolist()
     for sweep in range(JACOBI_MAX_SWEEPS):
         if sweep == exact_after:
             break
-        if exact_after is None and _off_diagonal_norm_sq(np.array(rows)) <= JACOBI_OFF_NORM_TOL**2:
+        if exact_after is None and _off_diagonal_norm_sq(rows) <= JACOBI_OFF_NORM_TOL**2:
             break
         for k, l, others in pairs:
             _jacobi_rotate_rows(rows, k, l, others, skip_below)
     else:
         raise ConvergenceError(
-            f"off-diagonal norm still {math.sqrt(_off_diagonal_norm_sq(np.array(rows))):.3e} "
+            f"off-diagonal norm still {math.sqrt(_off_diagonal_norm_sq(rows)):.3e} "
             f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
-    eigs = np.sort([rows[k][k] for k in range(n)])
+    eigs = np.fromiter(map(list.__getitem__, rows, range(n)), float, n)  # the diagonal
+    eigs.sort()
     return eigs[::-1]
 
 
@@ -408,21 +446,27 @@ def _sweeps_to_diagonal(blocks: tuple[np.ndarray, ...]) -> Union[int, None]:
 
 
 @functools.lru_cache(maxsize=256)
-def _pairs(pattern: bytes, n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The pairs (k, l, others) a sweep of :func:`eigvals_hermitian` rotates, in order.
+def _plan(
+    pattern: bytes, n: int
+) -> tuple[Union[int, None], tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """How :func:`eigvals_hermitian` solves a matrix of zero pattern ``pattern``, as
+    :func:`_blocks` reads it: its sweeps to diagonal (:func:`_sweeps_to_diagonal`),
+    and the pairs (k, l, others) a sweep rotates, in order.
 
     For each block of :func:`_blocks`, in its order, the pairs k < l of the
     block in row order, each with the block's other members, ascending:
     the only rows and columns besides k and l where the rotation can
     write a nonzero.
     """
-    return tuple(
+    blocks = _blocks(pattern, n)
+    pairs = tuple(
         (k, l, tuple(m for m in block if m not in (k, l)))
-        for members in _blocks(pattern, n)
+        for members in blocks
         for block in members.tolist()
         for i, k in enumerate(block)
         for l in block[i + 1 :]
     )
+    return _sweeps_to_diagonal(blocks), pairs
 
 
 def _jacobi_rotate_rows(
@@ -530,7 +574,7 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
             if sweep == 0:  # every matrix is active: i indexes the input
                 for i in np.flatnonzero(converged & (norms > 0.0)):
                     own = (a[i] + a[i].T + 0.0) / 2.0  # as eigvals_hermitian reads it
-                    converged[i] = _sweeps_to_diagonal(_blocks((own != 0).tobytes(), n)) != 1
+                    converged[i] = _plan((own != 0).tobytes(), n)[0] != 1
         if converged.any():
             for i, (members, stack) in enumerate(zip(blocks, stacks)):
                 done = np.repeat(converged, len(members))

@@ -40,7 +40,7 @@ def entropy_from_eigenvalues(eigenvalues: Iterable[float]) -> float:
     if lam.size and not np.minimum.reduce(lam, axis=None) >= -PSD_TOL:
         raise _spectrum_error(float(lam.min()))
     positive = lam[lam > 0.0]  # if none, the sum is -0.0, and the + 0.0 below makes it +0.0
-    entropy = float(-np.add.reduce(positive * np.log2(positive)))
+    entropy = -float(np.add.reduce(positive * np.log2(positive)))
     if not math.isfinite(entropy):
         raise _spectrum_error(math.inf)
     return entropy + 0.0

@@ -123,6 +123,8 @@ class Encoding(Enum):
     SINGLE_RAIL = "single-rail"
     DUAL_RAIL = "dual-rail"
 
+    __hash__ = object.__hash__  # in C, as fock.Subsystem's: it keys _call_plan
+
 
 # each Unruh state's basis states over RINDLER_LAYOUT and its amplitudes on them
 _UNRUH_STATES = {
@@ -362,9 +364,7 @@ def trace_lifted(
     :func:`build_inertial` make them; the reduced stacks are not checked.
     """
     n = len(isometries)
-    first, middle, last, plans = _call_plan(
-        encoding, tuple(frozenset(discard) for discard in discards)
-    )
+    first, middle, last, plans = _call_plan(encoding, tuple(map(frozenset, discards)))
     values = np.ascontiguousarray(isometries.reshape(n, -1).T)
     prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
     # the joint entries the reductions read (R, N), then a row of zeros for
@@ -423,7 +423,7 @@ def _call_plan(
     read = np.zeros(padding + 1, dtype=bool)
     gathers = []
     for discard in discards:
-        plan_terms, kept_layout = _trace_terms(JOINT_LAYOUT, discard)
+        plan_terms, kept_layout = _trace_terms(JOINT_FACTORS, discard)
         present = nonzero[plan_terms]  # (T, K * K)
         positions = np.flatnonzero(present.any(axis=0))
         # each entry's present terms first, in their order, then the padding
@@ -467,4 +467,6 @@ class BobRegion(Enum):
 
     @property
     def traced_factors(self) -> frozenset[Subsystem]:
-        return REGION_II_FACTORS if self is BobRegion.I else REGION_I_FACTORS
+        """The other wedge's :attr:`kept_factors`."""
+        other = BobRegion.II if self is BobRegion.I else BobRegion.I
+        return other.kept_factors

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -262,22 +263,25 @@ def _evaluate_batch(
     )
     s_a, s_b, s_ab = [], [], []
     for (wedge, layout), region in zip(wedges, wedge_regions):
-        s_ab.append(von_neumann_entropies(wedge))
+        s_ab.append(von_neumann_entropies(wedge).tolist())
         if region in regions:
-            s_a.append(von_neumann_entropies(trace_out(wedge, layout, region.kept_factors)[0]))
-        s_b.append(von_neumann_entropies(trace_out(wedge, layout, _ALICE)[0]))
-    cond_entropy = [ab - b for ab, b in zip(s_ab, s_b)]
+            alice = trace_out(wedge, layout, region.kept_factors)[0]
+            s_a.append(von_neumann_entropies(alice).tolist())
+        s_b.append(von_neumann_entropies(trace_out(wedge, layout, _ALICE)[0]).tolist())
+    # the measures in Python floats, whose arithmetic is float64's, so that a
+    # point does no numpy call on arrays of one
+    cond_entropy = [list(map(sub, ab, b)) for ab, b in zip(s_ab, s_b)]
     # both wedges' states are present with SSA, so the sum is the same for both
     ssa = [None] * len(points)
     if with_ssa:
-        ssa = (cond_entropy[0] + cond_entropy[1]).tolist()
+        ssa = list(map(add, cond_entropy[0], cond_entropy[1]))
     # tuple.__new__ fills a record from its fields without a Python call per record
     record = functools.partial(tuple.__new__, SweepRecord)
     records = []
     for i, region in enumerate(regions):
-        measures = (s_a[i], s_b[i], s_ab[i], s_a[i] + s_b[i] - s_ab[i], cond_entropy[i])
+        mutual_info = map(sub, map(add, s_a[i], s_b[i]), s_ab[i])
         inputs = (repeat(family), repeat(region), gammas, q_rs, repeat(alpha), fs)
-        columns = (values.tolist() for values in measures)
+        columns = (s_a[i], s_b[i], s_ab[i], mutual_info, cond_entropy[i])
         records.append(list(map(record, zip(*inputs, *columns, ssa))))
     return records
 

@@ -774,6 +774,35 @@ class TestSweepBatches:
             )
             assert point == record
 
+    def test_point_route_has_the_bits_of_the_batch_route_on_the_point_queries_mix(self):
+        # the mix of the point-queries benchmark: every family and wedge, alpha
+        # off pi/4 (one per family, as a batch takes one), a drawn F for
+        # Werner, and about 5% boundary values of gamma and q_r; float.hex
+        # tells a -0 from a +0 where == does not
+        rng = np.random.default_rng(103)
+
+        def pick(low, high):
+            if rng.uniform() < 0.05:
+                return float(rng.choice((low, high)))
+            return float(rng.uniform(low, high))
+
+        def bits(record):
+            return [value.hex() if isinstance(value, float) else value for value in record]
+
+        regions = tuple(BobRegion)
+        for family in ChannelFamily:
+            werner = family is ChannelFamily.WERNER
+            alpha = PI4 if werner else float(rng.uniform(0.0, math.pi / 2))
+            points = [
+                (pick(0.0, PI4), pick(0.0, 1.0), float(rng.uniform()) if werner else None)
+                for _ in range(60)
+            ]
+            batch = sweep._evaluate_family(family, regions, points, alpha, True)
+            for region, region_records in zip(regions, batch):
+                for (gamma, q_r, f), record in zip(points, region_records):
+                    point = evaluate_point(family, region, gamma, q_r, alpha, f, with_ssa=True)
+                    assert bits(point) == bits(record)
+
     def test_records_follow_the_spec_region_order(self, monkeypatch):
         # one batch serves both wedges; its records still come wedge by wedge
         monkeypatch.setattr(sweep, "BATCH_POINTS", 2)

@@ -303,3 +303,51 @@ class TestEigvalsHermitian:
         with pytest.raises(ShapeError):
             eigvals_hermitian(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("entry", [1.0, 2e-12, -3e-12, math.nan, math.inf, -math.inf])
+    def test_hermiticity_message_is_check_hermitians(self, entry):
+        # the solver tests its one matrix without check_hermitian's stack
+        # arithmetic, and must raise what it raises, NaN and infinities included
+        matrix = np.diag([0.5, 0.25, 0.25])
+        matrix[0, 2] = entry
+        with pytest.raises(SymmetryError) as want:
+            check_hermitian(matrix[np.newaxis])
+        with pytest.raises(SymmetryError) as got:
+            eigvals_hermitian(matrix)
+        assert str(got.value) == str(want.value)
+
+    def test_rotates_the_symmetrised_matrix(self):
+        # an asymmetry within the tolerance, in a 3x3 block: the rotations
+        # read the symmetrised matrix, and the input is only read
+        rng = np.random.default_rng(97)
+        matrix = random_hermitian(rng, 3)
+        matrix[0, 1] += 4e-13
+        matrix[2, 1] -= 3e-13
+        matrix.flags.writeable = False
+        before = matrix.copy()
+        got = eigvals_hermitian(matrix)
+        assert_same_bits(matrix, before)
+        assert_same_bits(got, eigvals_hermitian((matrix + matrix.T + 0.0) / 2.0))
+        assert not np.array_equal(got, eigvals_hermitian(np.triu(matrix) + np.triu(matrix, 1).T))
+
+    def test_each_pattern_has_its_own_plan(self):
+        # one cached lookup gives a pattern's sweeps to diagonal and its pairs
+        patterns = {
+            "diagonal": (np.eye(4), 0, ()),
+            "2x2 blocks": (np.eye(4) + np.eye(4)[[1, 0, 3, 2]], 1, ((0, 1, ()), (2, 3, ()))),
+            "3x3 block": (
+                np.eye(4) + np.eye(4)[[1, 0, 1, 3]] + np.eye(4)[[2, 2, 0, 3]],
+                None,
+                ((0, 1, (2,)), (0, 2, (1,)), (1, 2, (0,))),
+            ),
+        }
+        for name, (matrix, exact_after, pairs) in patterns.items():
+            assert fock._plan((matrix != 0).tobytes(), 4) == (exact_after, pairs), name
+
+    def test_other_dtypes_are_read_as_float64(self):
+        matrix = np.array([[2, 1], [1, 2]])
+        want = eigvals_hermitian(matrix.astype(float))
+        for values in (matrix, matrix.astype(np.float32), matrix.astype(complex), matrix.tolist()):
+            assert_same_bits(eigvals_hermitian(values), want)
+        with pytest.raises(DomainError, match="nonzero imaginary part"):
+            eigvals_hermitian(matrix + 1j * np.eye(2))
+

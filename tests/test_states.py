@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +33,15 @@ from unruh_lab import (
     unruh_vacuum,
 )
 from unruh_lab import crosscheck, states
-from unruh_lab.states import CLASSICAL_PAIR, QUANTUM_PAIR, bob_isometries
+from unruh_lab.states import (
+    CLASSICAL_PAIR,
+    JOINT_FACTORS,
+    QUANTUM_PAIR,
+    REGION_I_FACTORS,
+    REGION_II_FACTORS,
+    RINDLER_FACTORS,
+    bob_isometries,
+)
 
 from helpers import assert_same_bits, bell_state
 
@@ -373,3 +384,47 @@ class TestReduceToRegion:
             assert abs(wedge.entries[0, 0] - 1.0) < 1e-12
             record = evaluate_point(family, BobRegion.II, 0.0, 1.0, f=f)
             assert abs(record.mutual_info) < 1e-9
+
+
+class TestBobRegion:
+    def test_wedges_split_the_rindler_factors(self):
+        for region in BobRegion:
+            kept, traced = region.kept_factors, region.traced_factors
+            assert not kept & traced
+            assert kept | traced == frozenset(RINDLER_FACTORS)
+
+    def test_traced_factors_are_the_other_wedges_kept_factors(self):
+        # the module's own frozensets, whose cached hashes key the plan caches
+        assert BobRegion.I.kept_factors is REGION_I_FACTORS
+        assert BobRegion.II.kept_factors is REGION_II_FACTORS
+        assert BobRegion.I.traced_factors is BobRegion.II.kept_factors
+        assert BobRegion.II.traced_factors is BobRegion.I.kept_factors
+
+
+class TestPlanKeys:
+    """The plan caches' keys are hashed in C, and identity hashing stays sound."""
+
+    MEMBERS = list(Subsystem) + list(Encoding)
+
+    def test_keys_hash_without_a_python_call(self):
+        keys = [
+            (JOINT_FACTORS, frozenset({Subsystem.ALICE})),
+            (RINDLER_FACTORS, frozenset(REGION_I_FACTORS)),
+            (Encoding.SINGLE_RAIL, (frozenset(REGION_II_FACTORS), frozenset(JOINT_FACTORS[:2]))),
+        ]
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+        try:
+            for key in keys:
+                hash(key)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+
+    def test_members_survive_copies_as_themselves(self):
+        # identity is equality only while every copy is the member itself
+        for member in self.MEMBERS:
+            assert copy.copy(member) is member
+            assert copy.deepcopy(member) is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert type(member)(member.value) is member
