@@ -199,8 +199,8 @@ MUTANTS = (
     Mutant(
         "particle-amplitude-sign-flipped",
         "src/unruh_lab/states.py",
-        "lambda c, s, q_r, q_l: (q_r * c, -q_r * s, q_l * s, q_l * c),",
-        "lambda c, s, q_r, q_l: (q_r * c, q_r * s, q_l * s, q_l * c),",
+        '("q_r c", "-q_r s", "q_l s", "q_l c")),',
+        '("q_r c", "q_r s", "q_l s", "q_l c")),',
         ("tests/test_states.py::TestStateTable::test_states_and_isometry_columns_equal_the_oracle_bit_for_bit",),
     ),
     Mutant(
@@ -250,8 +250,10 @@ MUTANTS = (
     Mutant(
         "plan-takes-the-dense-patterns-sweeps",
         "src/unruh_lab/fock.py",
-        "    return _sweeps_to_diagonal(blocks), pairs",
-        '    return _sweeps_to_diagonal(_blocks(b"\\x01" * (n * n), n)), pairs',
+        "    return _Plan(_sweeps_to_diagonal(blocks), pairs, blocks, positions, direct, mirror)",
+        "    return _Plan(\n"
+        '        _sweeps_to_diagonal(_blocks(b"\\x01" * (n * n), n)), pairs, blocks, positions, direct, mirror\n'
+        "    )",
         (
             "tests/test_fock.py::TestEigvalsHermitian::test_each_pattern_has_its_own_plan",
             "tests/test_batch.py::TestBlockJacobi::test_tiny_two_by_two_blocks_take_their_sweep",
@@ -273,6 +275,65 @@ MUTANTS = (
             "tests/test_fock.py::TestStackChecksRejectNaN::test_norms",
             "tests/test_fock.py::TestStackChecksRejectNaN::test_hermitian_and_traces",
         ),
+    ),
+    Mutant(
+        "stack-symmetrisation-written-into-the-input",
+        "src/unruh_lab/fock.py",
+        "    eigs = x[:, :n].copy()\n",
+        "    flat[:, plan.direct] = x\n    eigs = x[:, :n].copy()\n",
+        ("tests/test_batch.py::TestStackSolverInput::test_float64_stack_is_read_in_place",),
+    ),
+    Mutant(
+        "stack-mirror-gather-is-the-direct-one",
+        "src/unruh_lab/fock.py",
+        "    mirror = flat[:, plan.mirror]",
+        "    mirror = flat[:, plan.direct]",
+        (
+            "tests/test_batch.py::TestBatchedJacobi::test_non_hermitian_matrix_rejected",
+            "tests/test_batch.py::TestStackSolverInput::test_float64_stack_is_read_in_place",
+        ),
+    ),
+    Mutant(
+        "exact-one-stack-skips-its-sweep",
+        "src/unruh_lab/fock.py",
+        "        for _ in range(plan.exact_after):",
+        "        for _ in range(0):",
+        ("tests/test_batch.py::TestStackSolverInput::test_exact_stacks_equal_the_single_matrix_solver",),
+    ),
+    Mutant(
+        "stack-norm-test-keeps-the-diagonal",
+        "src/unruh_lab/fock.py",
+        "    squares[:, :: math.isqrt(size) + 1] = 0.0",
+        "    squares[:, :: math.isqrt(size)] = 0.0",
+        ("tests/test_batch.py::TestBatchedJacobi::test_bit_equal_on_random_hermitian",),
+    ),
+    Mutant(
+        "prepared-states-spread-the-first-state",
+        "src/unruh_lab/sweep.py",
+        "    return np.array(states)[[rows[f] for _, _, f in points]]",
+        "    return np.array(states)[[0 for _ in points]]",
+        ("tests/test_batch.py::TestSweepBatches::test_prepared_states_are_each_points_state",),
+    ),
+    Mutant(
+        "isometry-factors-lose-their-negatives",
+        "src/unruh_lab/states.py",
+        "    factors = np.concatenate((factors, -factors))",
+        "    factors = np.concatenate((factors, factors))",
+        ("tests/test_states.py::TestStateTable::test_isometries_of_repeated_unsorted_points_equal_the_oracle",),
+    ),
+    Mutant(
+        "left-weight-of-the-first-q_r-for-every-point",
+        "src/unruh_lab/states.py",
+        "map(weights.__getitem__, q_r))",
+        "map(weights.__getitem__, q_r[:1] * count))",
+        ("tests/test_states.py::TestStateTable::test_isometries_of_repeated_unsorted_points_equal_the_oracle",),
+    ),
+    Mutant(
+        "werner-off-diagonal-keeps-a-negative-zero",
+        "src/unruh_lab/states.py",
+        "entries[0b11, 0b00] = bell + 0.0",
+        "entries[0b11, 0b00] = bell",
+        ("tests/test_states.py::TestBuildInertial::test_werner_has_the_bits_of_the_outer_product_construction",),
     ),
     Mutant(
         "wedge-traces-its-own-factors",

@@ -6,8 +6,8 @@ written mode order.  On top of the layouts sit unit state vectors, density
 matrices, the partial trace, and a cyclic Jacobi eigensolver for symmetric
 matrices.  Everything is small (at most 32x32), immutable and real, as
 every amplitude of the model is: the classes and both solvers read their
-input by :func:`_as_real`, so a nonzero imaginary part raises (the
-single-matrix solver reads a float64 input as it is, since it only reads
+input by :func:`_as_real`, so a nonzero imaginary part raises (both
+solvers read a float64 input in place, with no copy, since they only read
 it).
 
 A partial trace is one term plan and one sum.  The plan (``_trace_terms``)
@@ -30,13 +30,20 @@ this way: a wedge state (8x8) has three blocks of 2 (dual rail) or two of 3
 marginal is diagonal.  A diagonal matrix needs no sweep, and one whose
 blocks are all 2x2 takes one, with no norm test (a block of entries near
 5e-13 passes it, yet its eigenvalues are 1e-12 and 0), after which every
-off-diagonal entry is an exact zero.  The batched solver gathers the blocks
-of each size into one compact stack, once, and rotates that stack across
-all sweeps, a block whose pivot is zero or negligible by the identity; the
-rules of :func:`eigvals_hermitian_batch` keep every bit.  The single-matrix
-solver rotates a matrix as a list of rows of Python floats, which round as
-numpy's float64 does, without numpy's cost per scalar; one cached plan per
-zero pattern (``_plan``) gives it both its sweeps to diagonal and its pairs.
+off-diagonal entry is an exact zero.  One cached plan per zero pattern
+(``_plan``) serves both solvers: the sweeps to diagonal, the pairs the
+single-matrix solver rotates, and the blocks and the flat positions (each
+entry's and its mirror's) the batched solver gathers, so a stack and a
+matrix of one pattern read one plan object.  The single-matrix solver
+rotates a matrix as a list of rows of Python floats, which round as
+numpy's float64 does, without numpy's cost per scalar.  The batched solver
+gathers the blocks of each size into one compact stack, once, and rotates
+that stack, a block whose pivot is zero or negligible by the identity.  A
+stack the plan makes diagonal after 0 or 1 sweeps takes that sweep and has
+its diagonals read once; only the other stacks run the per-sweep
+convergence test and retire their converged matrices.  The rules of
+:func:`eigvals_hermitian_batch` keep every bit, and its docstring says
+where each lives.
 
 The checks the classes make on construction take stacks of arrays, so
 batched code makes the same checks on many items at once.  Each raises for
@@ -60,7 +67,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -386,7 +393,8 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     symmetric /= 2.0
     n = len(symmetric)
 
-    exact_after, pairs = _plan((symmetric != 0).tobytes(), n)
+    plan = _plan((symmetric != 0).tobytes(), n)
+    exact_after, pairs = plan.exact_after, plan.pairs
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
     rows = symmetric.tolist()
     for sweep in range(JACOBI_MAX_SWEEPS):
@@ -445,18 +453,32 @@ def _sweeps_to_diagonal(blocks: tuple[np.ndarray, ...]) -> Union[int, None]:
     return 0 if not sizes else 1 if sizes == {2} else None
 
 
+class _Plan(NamedTuple):
+    """How both eigensolvers solve a matrix, or a stack, of one zero pattern (:func:`_plan`)."""
+
+    exact_after: Union[int, None]  # the sweeps to diagonal, :func:`_sweeps_to_diagonal`
+    pairs: tuple[tuple[int, int, tuple[int, ...]], ...]  # (k, l, others) in sweep order
+    blocks: tuple[np.ndarray, ...]  # :func:`_blocks`
+    positions: tuple[np.ndarray, ...]  # each size's blocks as flat positions (C, b, b)
+    direct: np.ndarray  # the diagonal's flat positions, then each of ``positions`` raveled
+    mirror: np.ndarray  # the flat position of the transpose of each entry of ``direct``
+
+
 @functools.lru_cache(maxsize=256)
-def _plan(
-    pattern: bytes, n: int
-) -> tuple[Union[int, None], tuple[tuple[int, int, tuple[int, ...]], ...]]:
+def _plan(pattern: bytes, n: int) -> _Plan:
     """How :func:`eigvals_hermitian` solves a matrix of zero pattern ``pattern``, as
-    :func:`_blocks` reads it: its sweeps to diagonal (:func:`_sweeps_to_diagonal`),
-    and the pairs (k, l, others) a sweep rotates, in order.
+    :func:`_blocks` reads it, and :func:`eigvals_hermitian_batch` a stack of that
+    union pattern: its sweeps to diagonal (:func:`_sweeps_to_diagonal`), the
+    pairs (k, l, others) a sweep of the single-matrix solver rotates, in order,
+    and the flat positions the batched solver gathers.
 
     For each block of :func:`_blocks`, in its order, the pairs k < l of the
     block in row order, each with the block's other members, ascending:
     the only rows and columns besides k and l where the rotation can
-    write a nonzero.
+    write a nonzero.  The positions of the blocks of each size are (C, b, b)
+    arrays, entry (c, i, j) the flat position in an (n, n) matrix of entry
+    (i, j) of block c; ``direct`` leads them with the diagonal, as n blocks
+    of one, and ``mirror`` lists the entries' transposes in the same order.
     """
     blocks = _blocks(pattern, n)
     pairs = tuple(
@@ -466,7 +488,15 @@ def _plan(
         for i, k in enumerate(block)
         for l in block[i + 1 :]
     )
-    return _sweeps_to_diagonal(blocks), pairs
+    positions = tuple(
+        n * members[:, :, np.newaxis] + members[:, np.newaxis, :] for members in blocks
+    )
+    diagonal = np.arange(0, n * n, n + 1)
+    direct = np.concatenate([diagonal, *(p.ravel() for p in positions)])
+    mirror = np.concatenate([diagonal, *(p.swapaxes(1, 2).ravel() for p in positions)])
+    for array in (*positions, direct, mirror):
+        array.flags.writeable = False
+    return _Plan(_sweeps_to_diagonal(blocks), pairs, blocks, positions, direct, mirror)
 
 
 def _jacobi_rotate_rows(
@@ -523,91 +553,130 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
     :func:`check_hermitian` (NaN included), and for the first that does
     not converge within ``JACOBI_MAX_SWEEPS`` sweeps.
 
-    The blocks are those of the union of the stack's zero patterns
-    (:func:`_blocks`); every entry outside them and the diagonal is zero
-    in every matrix, so its Hermiticity defect is zero too, and the test
-    and the symmetrisation read only the diagonal and the blocks.  The
-    blocks of each size are gathered once into a compact stack (b, b, M),
-    the block index last, which every sweep rotates in place.  Four rules
-    keep every bit of that function's result:
+    The input is read in place: a float64 stack as it is, with no copy
+    and no write to it, anything else by :func:`_as_real`.  The blocks are
+    those of the union of the stack's zero patterns, and they come, with
+    the flat positions of the entries they hold and of their mirrors, from
+    the cached plan (:func:`_plan`) that the single-matrix solver reads for
+    a matrix of that pattern.  Every entry outside the blocks and the
+    diagonal is zero in every matrix, so its Hermiticity defect is zero
+    too, and the test and the symmetrisation read only the two gathers of
+    those positions.  The blocks of each size go into a compact stack
+    (b, b, M), the block index last, which every sweep rotates in place.
+
+    A stack that the plan makes diagonal after 0 or 1 sweeps (no blocks, or
+    only 2x2 ones) takes that sweep, or none, and has its diagonals read
+    once, with no convergence test: each of its matrices is diagonal then,
+    and the sweep is the one that function gives it, as the last rule
+    below says.  Any other stack sweeps until each matrix converges
+    (:func:`_sweep_to_convergence`).  Four rules keep every bit of that
+    function's result:
 
     - the convergence test sums each whole matrix in numpy's order: the
-      blocks' squared entries go into zeros (N, n * n), the diagonal
-      is cleared and each row summed, as :func:`_off_diagonal_norm_sq`
-      sums one matrix;
-    - ``skip_below`` uses the full size n;
+      blocks' squared entries go into a buffer (N, n * n), zero elsewhere,
+      the diagonal is cleared and each row summed, as
+      :func:`_off_diagonal_norm_sq` sums one matrix; this is
+      :func:`_off_diagonal_norms_sq`, on one buffer per call;
+    - ``skip_below`` uses the full size n, here, for every stack;
     - a matrix that converges stops rotating all its blocks: its
-      diagonal is written out and its blocks leave the stacks;
+      diagonal is written out and its blocks leave the stacks, in
+      :func:`_sweep_to_convergence` (an exact stack's matrices all
+      finish together);
     - a matrix whose own blocks are all 2x2 takes one sweep, as there,
-      even where the stack's blocks are larger.
+      even where the stack's blocks are larger: in a stack of larger
+      blocks the plan of its own pattern keeps it for that sweep, in
+      :func:`_sweep_to_convergence`, and a stack of 2x2 blocks takes the
+      exact path's one sweep.
     """
-    a = _as_real(matrices, "matrices")  # only read
+    a = np.asarray(matrices)
+    if a.dtype != float:
+        a = _as_real(a, "matrices")
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
         raise ShapeError(f"expected a stack of nonempty square matrices, got shape {a.shape}")
     count, n = a.shape[:2]
-    blocks = _blocks((a != 0).any(axis=0).tobytes(), n)
-    # the flat positions (C, b, b) of the blocks of each size in a matrix,
-    # led by the diagonal as n blocks of one
-    positions = [(n + 1) * np.arange(n).reshape(n, 1, 1)] + [
-        n * members[:, :, np.newaxis] + members[:, np.newaxis, :] for members in blocks
-    ]
-    flat = a.reshape(count, n * n)
-    parts = [(flat[:, p.ravel()], flat[:, p.swapaxes(1, 2).ravel()]) for p in positions]
-    _check_hermitian_defects(
-        functools.reduce(np.maximum, [np.abs(x - mirror).max(axis=1) for x, mirror in parts])
-    )
-    eigs, *symmetric = [(x + mirror + 0.0) / 2.0 for x, mirror in parts]
-    stacks = [
-        part.reshape(count, *p.shape).transpose(2, 3, 0, 1).reshape(*p.shape[1:], -1)
-        for p, part in zip(positions[1:], symmetric)
-    ]
+    plan = _plan(np.logical_or.reduce(a != 0, axis=0).tobytes(), n)
+    flat = a.reshape(count, n * n)  # only read
+    x = flat[:, plan.direct]
+    mirror = flat[:, plan.mirror]
+    defects = x - mirror
+    _check_hermitian_defects(np.maximum.reduce(np.abs(defects, out=defects), axis=1))
+    x += mirror
+    x += 0.0  # a -0 turns +0
+    x /= 2.0
+    eigs = x[:, :n].copy()
+    stacks = []
+    start = n
+    for p in plan.positions:
+        part = x[:, start : start + p.size].reshape(count, *p.shape)
+        stacks.append(part.transpose(2, 3, 0, 1).reshape(*p.shape[1:], -1))
+        start += p.size
 
-    exact_after = _sweeps_to_diagonal(blocks)
     skip_below = JACOBI_OFF_NORM_TOL / (100.0 * n)
+    if plan.exact_after is not None:
+        for _ in range(plan.exact_after):
+            _sweep_stacks(stacks, skip_below)
+        for members, stack in zip(plan.blocks, stacks):
+            eigs[:, members] = stack.diagonal().reshape(count, *members.shape)
+    else:
+        _sweep_to_convergence(a, eigs, plan, stacks, skip_below)
+    eigs.sort(axis=1)
+    return eigs[:, ::-1]
+
+
+def _sweep_stacks(stacks: list[np.ndarray], skip_below: float) -> None:
+    """One sweep of every compact stack (b, b, M): each pair k < l in row order."""
+    for stack in stacks:
+        for k in range(len(stack) - 1):
+            for l in range(k + 1, len(stack)):
+                _jacobi_rotate_batch(stack, k, l, skip_below)
+
+
+def _sweep_to_convergence(
+    a: np.ndarray, eigs: np.ndarray, plan: _Plan, stacks: list[np.ndarray], skip_below: float
+) -> None:
+    """Sweep the compact ``stacks`` of the matrices ``a`` (N, n, n) until each converges.
+
+    Each matrix's diagonal is written into its row of ``eigs`` (N, n) when
+    it converges, and its blocks leave the stacks then.  Raises
+    :class:`ConvergenceError` if some matrix has not converged after
+    ``JACOBI_MAX_SWEEPS`` sweeps.
+    """
+    count, n = eigs.shape
     active = np.arange(count)
+    squares = np.zeros((count, n * n))  # the convergence test's buffer
     for sweep in range(JACOBI_MAX_SWEEPS):
-        if exact_after is not None:
-            converged = np.full(len(active), sweep == exact_after)
-        else:
-            norms = _off_diagonal_norms_sq(stacks, positions, len(active))
-            converged = norms <= JACOBI_OFF_NORM_TOL**2
-            if sweep == 0:  # every matrix is active: i indexes the input
-                for i in np.flatnonzero(converged & (norms > 0.0)):
-                    own = (a[i] + a[i].T + 0.0) / 2.0  # as eigvals_hermitian reads it
-                    converged[i] = _plan((own != 0).tobytes(), n)[0] != 1
-        if converged.any():
-            for i, (members, stack) in enumerate(zip(blocks, stacks)):
+        norms = _off_diagonal_norms_sq(squares[: len(active)], stacks, plan.positions)
+        converged = norms <= JACOBI_OFF_NORM_TOL**2
+        if sweep == 0:  # every matrix is active: i indexes the input
+            for i in np.flatnonzero(converged & (norms > 0.0)):
+                own = (a[i] + a[i].T + 0.0) / 2.0  # as eigvals_hermitian reads it
+                converged[i] = _plan((own != 0).tobytes(), n).exact_after != 1
+        if np.logical_or.reduce(converged):
+            for i, (members, stack) in enumerate(zip(plan.blocks, stacks)):
                 done = np.repeat(converged, len(members))
-                diagonals = np.diagonal(stack)[done].reshape(-1, *members.shape)
+                diagonals = stack.diagonal()[done].reshape(-1, *members.shape)
                 eigs[active[converged, np.newaxis, np.newaxis], members] = diagonals
                 stacks[i] = stack[:, :, ~done]
             active = active[~converged]
         if not active.size:
-            break
-        for stack in stacks:
-            for k in range(len(stack) - 1):
-                for l in range(k + 1, len(stack)):
-                    _jacobi_rotate_batch(stack, k, l, skip_below)
-    else:
-        norms = _off_diagonal_norms_sq(stacks, positions, len(active))
-        raise ConvergenceError(
-            f"off-diagonal norm still {math.sqrt(norms[0]):.3e} "
-            f"after {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    eigs = np.sort(eigs, axis=1)
-    return eigs[:, ::-1]
+            return
+        _sweep_stacks(stacks, skip_below)
+    norms = _off_diagonal_norms_sq(squares[: len(active)], stacks, plan.positions)
+    raise ConvergenceError(
+        f"off-diagonal norm still {math.sqrt(norms[0]):.3e} after {JACOBI_MAX_SWEEPS} sweeps"
+    )
 
 
 def _off_diagonal_norms_sq(
-    stacks: list[np.ndarray], positions: list[np.ndarray], count: int
+    squares: np.ndarray, stacks: list[np.ndarray], positions: tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """_off_diagonal_norm_sq of each of ``count`` matrices, from their compact stacks."""
-    diagonal = positions[0]
-    mags = np.zeros((count, len(diagonal) ** 2))
-    for stack, p in zip(stacks, positions[1:]):
-        mags[:, p] = (stack * stack).reshape(*p.shape[1:], count, -1).transpose(2, 3, 0, 1)
-    mags[:, diagonal.ravel()] = 0.0
-    return mags.sum(axis=1)
+    """_off_diagonal_norm_sq of each of the M matrices whose blocks the compact ``stacks``
+    hold, summed in ``squares`` (M, n * n), which is zero outside the blocks' ``positions``."""
+    count, size = squares.shape
+    for stack, p in zip(stacks, positions):
+        squares[:, p] = (stack * stack).reshape(*p.shape[1:], count, -1).transpose(2, 3, 0, 1)
+    squares[:, :: math.isqrt(size) + 1] = 0.0  # the diagonal
+    return np.add.reduce(squares, axis=1)
 
 
 def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:

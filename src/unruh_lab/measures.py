@@ -64,18 +64,18 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     holding NaN, and for any row holding an infinity.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    lowest = lam.min(axis=1, initial=0.0)
+    lowest = np.minimum.reduce(lam, axis=1, initial=0.0)
     low = ~(lowest >= -PSD_TOL)
-    if low.any():
+    if np.logical_or.reduce(low):
         raise _spectrum_error(float(lowest[np.argmax(low)]))
-    positives = (lam > 0.0).sum(axis=1)
+    positives = np.add.reduce(lam > 0.0, axis=1)
     entropies = np.zeros(len(lam))
     # the distinct counts, ascending; np.unique would import numpy.ma (about 1 MB)
     for count in np.flatnonzero(np.bincount(positives)[1:]) + 1:
         rows = positives == count
         p = lam[rows, :count]
-        entropies[rows] = -(p * np.log2(p)).sum(axis=1)
-    if not np.isfinite(entropies).all():
+        entropies[rows] = -np.add.reduce(p * np.log2(p), axis=1)
+    if not np.logical_and.reduce(np.isfinite(entropies)):
         raise _spectrum_error(math.inf)
     return entropies + 0.0
 

@@ -36,6 +36,7 @@ nonzero, and the others are exactly +0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .fock import (
     DensityMatrix,
     StateVector,
@@ -126,21 +127,16 @@ class Encoding(Enum):
     __hash__ = object.__hash__  # in C, as fock.Subsystem's: it keys _call_plan
 
 
-# each Unruh state's basis states over RINDLER_LAYOUT and its amplitudes on them
+# each Unruh state's basis states over RINDLER_LAYOUT and its amplitude on each,
+# the product of two factors of _FACTORS: "-s c" is (-sin(gamma)) * cos(gamma)
 _UNRUH_STATES = {
-    "vacuum": (
-        (0b0000, 0b0011, 0b1100, 0b1111),
-        lambda c, s, q_r, q_l: (c * c, -s * c, s * c, -s * s),
-    ),
-    "particle": (
-        (0b1000, 0b1011, 0b1101, 0b0001),
-        lambda c, s, q_r, q_l: (q_r * c, -q_r * s, q_l * s, q_l * c),
-    ),
-    "antiparticle": (
-        (0b0100, 0b0111, 0b1110, 0b0010),
-        lambda c, s, q_r, q_l: (q_l * c, -q_l * s, q_r * s, q_r * c),
-    ),
+    "vacuum": ((0b0000, 0b0011, 0b1100, 0b1111), ("c c", "-s c", "s c", "-s s")),
+    "particle": ((0b1000, 0b1011, 0b1101, 0b0001), ("q_r c", "-q_r s", "q_l s", "q_l c")),
+    "antiparticle": ((0b0100, 0b0111, 0b1110, 0b0010), ("q_l c", "-q_l s", "q_r s", "q_r c")),
 }
+# the rows of _rindler_amplitudes' factor table: cos(gamma), sin(gamma), q_r and q_l,
+# then their negatives, so that a negated product is the product of a negated factor
+_FACTORS = ("c", "s", "q_r", "q_l", "-c", "-s", "-q_r", "-q_l")
 # the Unruh states that carry Bob's basis states 0 and 1 in each encoding
 _ENCODING_BASIS = {
     Encoding.SINGLE_RAIL: ("vacuum", "particle"),
@@ -151,17 +147,47 @@ _ENCODING_BASIS = {
 def _rindler_amplitudes(
     states: Sequence[str], gammas: Sequence[float], q_rs: Sequence[float]
 ) -> np.ndarray:
-    """The Unruh ``states`` (keys of ``_UNRUH_STATES``) per (gamma, q_r), (len(states), N, 16)."""
-    c = np.array([math.cos(gamma) for gamma in gammas])
-    s = np.array([math.sin(gamma) for gamma in gammas])
-    q_r = np.array(q_rs, dtype=float)
-    q_l = np.array([_left_weight(q) for q in q_rs])
-    vectors = np.zeros((len(states), len(c), 16))
-    for vector, state in zip(vectors, states):
+    """The Unruh ``states`` (keys of ``_UNRUH_STATES``) per (gamma, q_r), (len(states), N, 16).
+
+    The result is a view of one stack (N, 16, len(states)), state k in
+    column k, as :func:`bob_isometries` stacks its isometries.  Each
+    amplitude is the product of two rows of the factor table (8, N),
+    gathered by the index arrays of :func:`_amplitude_plan`.  cos and sin
+    run per point, in one C loop with the other rows; ``_left_weight``,
+    a Python function, runs once per distinct q_r, whose value is all it
+    reads (a -0.0 and a 0.0 give the same weight).
+    """
+    slots, left, right = _amplitude_plan(tuple(states))
+    q_r = np.array(q_rs, dtype=float).tolist()
+    weights = {q: _left_weight(q) for q in set(q_r)}
+    count = len(q_r)
+    if len(gammas) != count:
+        raise ShapeError(f"{len(gammas)} gamma values for {count} q_r values")
+    rows = (map(math.cos, gammas), map(math.sin, gammas), q_r, map(weights.__getitem__, q_r))
+    factors = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * count).reshape(4, count)
+    factors = np.concatenate((factors, -factors))
+    stack = np.zeros((count, 16 * len(states)))
+    stack[:, slots] = (factors[left] * factors[right]).T
+    return stack.reshape(count, 16, len(states)).transpose(2, 0, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _amplitude_plan(states: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the Unruh ``states`` are nonzero in a flat (16 * len(states)) row of
+    :func:`_rindler_amplitudes`' stack, and the rows of ``_FACTORS`` whose product
+    each amplitude is: three index arrays (4 * len(states),)."""
+    slots, left, right = [], [], []
+    for k, state in enumerate(states):
         modes, amplitudes = _UNRUH_STATES[state]
-        for mode, amplitude in zip(modes, amplitudes(c, s, q_r, q_l)):
-            vector[:, mode] = amplitude
-    return vectors
+        for mode, amplitude in zip(modes, amplitudes):
+            x, y = amplitude.split()
+            slots.append(len(states) * mode + k)
+            left.append(_FACTORS.index(x))
+            right.append(_FACTORS.index(y))
+    plan = (np.array(slots), np.array(left), np.array(right))
+    for indices in plan:
+        indices.flags.writeable = False
+    return plan
 
 
 def _unruh_state(state: str, accel: AccelerationParams) -> StateVector:
@@ -197,7 +223,7 @@ def bob_isometries(
         raise DomainError("encoding", f"unknown encoding {encoding!r}")
     columns = _rindler_amplitudes(_ENCODING_BASIS[encoding], gammas, q_rs)
     check_norms(columns.reshape(-1, 16))
-    matrices = columns.transpose(1, 2, 0).copy()
+    matrices = columns.transpose(1, 2, 0)  # the stack the columns view
     check_isometries(matrices)
     return matrices
 
@@ -308,12 +334,16 @@ def build_inertial(spec: ChannelSpec) -> DensityMatrix:
         entries[0b00, 0b00] = math.cos(spec.alpha) ** 2
         entries[0b11, 0b11] = math.sin(spec.alpha) ** 2
         return DensityMatrix(INERTIAL_LAYOUT, entries)
-    # Werner: fidelity-weighted mixture of the Bell projector and white noise
-    bell = np.zeros(4)
-    bell[0b00] = bell[0b11] = math.sqrt(0.5)
+    # Werner: fidelity-weighted mixture of the Bell projector, whose four
+    # nonzero entries are sqrt(1/2) ** 2, and white noise
     f = spec.fidelity_f
-    entries = f * np.outer(bell, bell)
-    entries += (1.0 - f) / 4.0 * np.eye(4)
+    bell = f * (math.sqrt(0.5) * math.sqrt(0.5))
+    noise = (1.0 - f) / 4.0
+    entries = np.zeros((4, 4))
+    entries[0b00, 0b00] = entries[0b11, 0b11] = bell + noise
+    # the noise adds +0 off the diagonal, which turns the -0 of F = -0.0 into +0
+    entries[0b00, 0b11] = entries[0b11, 0b00] = bell + 0.0
+    entries[0b01, 0b01] = entries[0b10, 0b10] = noise
     return DensityMatrix(INERTIAL_LAYOUT, entries)
 
 

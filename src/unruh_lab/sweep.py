@@ -292,17 +292,20 @@ def _prepared_states(
     """The real inertial state (N, 4, 4) of each point, after the checks of ChannelSpec.
 
     The state depends only on ``f`` within a block, so it is built, and its
-    :class:`ChannelSpec` checked, at the first point of each ``f``.  The
+    :class:`ChannelSpec` checked, at the first point of each ``f``, and the
+    distinct states are spread to the points by one index gather.  The
     other points of a sweep are on grids that :class:`SweepSpec` checked
     against the same bounds; each point that :func:`_evaluate_family`
     re-runs after a failed batch is a first point.
     """
-    states: dict[float | None, np.ndarray] = {}
+    rows: dict[float | None, int] = {}
+    states = []
     for gamma, q_r, f in points:
-        if f not in states:
+        if f not in rows:
+            rows[f] = len(states)
             spec = ChannelSpec(family, AccelerationParams(gamma, q_r), alpha, f)
-            states[f] = build_inertial(spec).entries
-    return np.array([states[f] for _, _, f in points])
+            states.append(build_inertial(spec).entries)
+    return np.array(states)[[rows[f] for _, _, f in points]]
 
 
 class FigurePreset(Enum):

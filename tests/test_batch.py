@@ -71,6 +71,7 @@ from helpers import (
 
 PI4 = math.pi / 4
 SAMPLES_PER_PRESET = 40
+QUANTUM_AND_CLASSICAL = [f for f in ChannelFamily if f is not ChannelFamily.WERNER]
 
 
 def preset_sample():
@@ -524,6 +525,101 @@ class TestBlockJacobi:
         assert run_at_dispatch_level(level, code) == ""
 
 
+def hex_rows(rows):
+    return [[float(x).hex() for x in row] for row in np.asarray(rows).tolist()]
+
+
+def wedge_like_stack(rng, count=6):
+    """A stack (count, 8, 8) with the blocks {0,3,6} and {1,4,7} of a single-rail wedge
+    state, an asymmetry within the tolerance, and -0 entries on and off the diagonal."""
+    stack = np.zeros((count, 8, 8))
+    for members in ((0, 3, 6), (1, 4, 7)):
+        ix = np.ix_(members, members)
+        stack[(slice(None),) + ix] = [random_hermitian(rng, 3) for _ in range(count)]
+    stack[:, 2, 2] = -0.0
+    stack[:, 5, 2] = stack[:, 2, 5] = -0.0
+    stack[:, 0, 3] += 4e-13
+    stack[:, 7, 4] -= 3e-13
+    return stack
+
+
+class TestStackSolverInput:
+    """How eigvals_hermitian_batch reads a stack and which plan solves it."""
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_float64_stack_is_read_in_place(self, writeable):
+        stack = wedge_like_stack(np.random.default_rng(131))
+        before = stack.copy()
+        stack.flags.writeable = writeable
+        got = eigvals_hermitian_batch(stack)
+        assert_same_bits(stack, before)
+        # the rotations read the symmetrised stack, as the single-matrix solver does
+        assert hex_rows(got) == hex_rows([eigvals_hermitian(m) for m in before])
+        symmetric = (before + before.swapaxes(1, 2) + 0.0) / 2.0
+        assert hex_rows(got) == hex_rows(eigvals_hermitian_batch(symmetric))
+
+    def test_other_dtypes_give_the_float64_bits(self):
+        rng = np.random.default_rng(137)
+        integers = rng.integers(-3, 4, size=(5, 4, 4))
+        integers = integers + integers.swapaxes(1, 2)
+        want = eigvals_hermitian_batch(integers.astype(float))
+        assert_same_bits(eigvals_hermitian_batch(integers), want)
+        halves = integers / 2.0  # exact in float32 too
+        assert_same_bits(
+            eigvals_hermitian_batch(halves.astype(np.float32)), eigvals_hermitian_batch(halves)
+        )
+        stack = wedge_like_stack(rng)
+        want = eigvals_hermitian_batch(stack)
+        for zero in (0.0, -0.0):
+            z = stack.astype(complex)
+            z.imag = zero
+            assert_same_bits(eigvals_hermitian_batch(z), want)
+        z[3, 0, 3] += 1e-300j
+        with pytest.raises(DomainError) as error:
+            eigvals_hermitian_batch(z)
+        assert error.value.param == "matrices"
+
+    def test_one_union_pattern_has_one_plan(self, monkeypatch):
+        # two stacks of one union pattern, and a single matrix of that pattern,
+        # read one cached plan object
+        rng = np.random.default_rng(139)
+        plans = []
+        real = fock._plan
+
+        def recorded(pattern, n):
+            plans.append(real(pattern, n))
+            return plans[-1]
+
+        monkeypatch.setattr(fock, "_plan", recorded)
+        first, second = wedge_like_stack(rng), wedge_like_stack(rng, count=3)
+        eigvals_hermitian_batch(first)
+        eigvals_hermitian_batch(second)
+        eigvals_hermitian((first[0] + first[0].T) / 2.0)
+        assert len(plans) == 3
+        assert plans[0] is plans[1] is plans[2]
+        assert plans[0].exact_after is None
+        assert [m.tolist() for m in plans[0].blocks] == [[[0, 3, 6], [1, 4, 7]]]
+
+    def test_exact_stacks_equal_the_single_matrix_solver(self):
+        # exact after 0 sweeps: diagonal matrices; after 1: blocks of 2, a
+        # diagonal matrix among them, which the single-matrix solver does not sweep
+        rng = np.random.default_rng(149)
+        diagonal = np.array([np.diag(rng.normal(size=4)) for _ in range(5)])
+        diagonal[2, 1, 1] = -0.0
+        pairs = np.zeros((6, 6, 6))
+        for k, l in ((0, 3), (1, 5), (2, 4)):
+            ix = np.ix_((k, l), (k, l))
+            pairs[(slice(None),) + ix] = [random_hermitian(rng, 2) for _ in range(6)]
+        pairs[4] = np.diag(np.diag(pairs[4]))
+        pairs[1, 0, 3] = pairs[1, 3, 0] = 1e-300  # a pivot below skip_below
+        for stack, exact_after in ((diagonal, 0), (pairs, 1)):
+            n = stack.shape[1]
+            assert fock._plan(np.any(stack != 0, axis=0).tobytes(), n).exact_after == exact_after
+            want = [eigvals_hermitian(matrix) for matrix in stack]
+            assert hex_rows(eigvals_hermitian_batch(stack)) == hex_rows(want)
+        assert fock._plan((pairs[4] != 0).tobytes(), 6).exact_after == 0
+
+
 class TestEmptyInputs:
     def test_empty_stack_has_empty_spectra(self):
         assert eigvals_hermitian_batch(np.zeros((0, 2, 2))).shape == (0, 2)
@@ -737,6 +833,22 @@ class TestGatherPlan:
                 assert len(states._call_plan(encoding, discards)[0]) == count
 
 class TestSweepBatches:
+    def test_prepared_states_are_each_points_state(self):
+        # interleaved F values: each distinct state is built once and spread
+        # to its points, which must get the bits of their own state
+        fs = [0.95, 0.33, 0.95, 0.7, 0.33, 0.0, 0.7, 1.0, 0.95]
+        points = [(0.1 * (i % 3), (0.25, 1.0)[i % 2], f) for i, f in enumerate(fs)]
+        families = [(ChannelFamily.WERNER, PI4)] + [(f, 0.4) for f in QUANTUM_AND_CLASSICAL]
+        for family, alpha in families:
+            if family is not ChannelFamily.WERNER:
+                points = [(gamma, q_r, None) for gamma, q_r, _ in points]
+            got = sweep._prepared_states(family, points, alpha)
+            want = [
+                build_inertial(ChannelSpec(family, AccelerationParams(g, q), alpha, f)).entries
+                for g, q, f in points
+            ]
+            assert_same_bits(got, np.array(want))
+
     def test_sweep_equals_point_by_point(self):
         # a batch of one takes the scalar eigensolver, larger ones the batched
         for family in ChannelFamily:

@@ -330,7 +330,8 @@ class TestEigvalsHermitian:
         assert not np.array_equal(got, eigvals_hermitian(np.triu(matrix) + np.triu(matrix, 1).T))
 
     def test_each_pattern_has_its_own_plan(self):
-        # one cached lookup gives a pattern's sweeps to diagonal and its pairs
+        # one cached lookup gives a pattern's sweeps to diagonal and its pairs,
+        # and the batched solver's gathers
         patterns = {
             "diagonal": (np.eye(4), 0, ()),
             "2x2 blocks": (np.eye(4) + np.eye(4)[[1, 0, 3, 2]], 1, ((0, 1, ()), (2, 3, ()))),
@@ -341,7 +342,11 @@ class TestEigvalsHermitian:
             ),
         }
         for name, (matrix, exact_after, pairs) in patterns.items():
-            assert fock._plan((matrix != 0).tobytes(), 4) == (exact_after, pairs), name
+            plan = fock._plan((matrix != 0).tobytes(), 4)
+            assert (plan.exact_after, plan.pairs) == (exact_after, pairs), name
+        plan = fock._plan((patterns["2x2 blocks"][0] != 0).tobytes(), 4)
+        assert plan.direct.tolist() == [0, 5, 10, 15, 0, 1, 4, 5, 10, 11, 14, 15]
+        assert plan.mirror.tolist() == [0, 5, 10, 15, 0, 4, 1, 5, 10, 14, 11, 15]
 
     def test_other_dtypes_are_read_as_float64(self):
         matrix = np.array([[2, 1], [1, 2]])

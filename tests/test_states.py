@@ -20,6 +20,7 @@ from unruh_lab import (
     INERTIAL_LAYOUT,
     JOINT_LAYOUT,
     NormalizationError,
+    ShapeError,
     Subsystem,
     build_inertial,
     build_joint,
@@ -154,6 +155,12 @@ class TestBobIsometry:
         assert iso[0b1000, 0] == 1.0
         assert iso[0b0010, 1] == 1.0
 
+    def test_gamma_and_q_r_counts_must_agree(self):
+        for gammas, q_rs in (([0.1, 0.2], [0.9, 0.8, 0.7]), ([0.1, 0.2, 0.3], [0.9, 0.8])):
+            message = f"{len(gammas)} gamma values for {len(q_rs)} q_r values"
+            with pytest.raises(ShapeError, match=f"^{message}$"):
+                bob_isometries(Encoding.SINGLE_RAIL, gammas, q_rs)
+
     def test_isometric_on_grid(self):
         for gamma in np.linspace(0.0, PI4, 10):
             for q_r in np.linspace(0.0, 1.0, 10):
@@ -196,6 +203,20 @@ class TestStateTable:
             for isometry, vectors in zip(isometries, oracle):
                 for j, state in enumerate(basis):
                     assert_same_bits(isometry[:, j], vectors[state])
+
+    def test_isometries_of_repeated_unsorted_points_equal_the_oracle(self):
+        # repeated values, either order, signed zeros: each point's columns are
+        # its own, in a stack and alone
+        gammas = [0.3, 0.0, -0.0, PI4, 0.3, 0.1, -0.0, 0.0, 0.3, 0.1]
+        q_rs = [0.8, 1.0, 0.0, -0.0, 0.8, 0.8, 1.0, 0.5, 0.0, -0.0]
+        oracle = [crosscheck._unruh_vectors(gamma, q_r) for gamma, q_r in zip(gammas, q_rs)]
+        for encoding, basis in self.BASIS.items():
+            stacked = bob_isometries(encoding, gammas, q_rs)
+            alone = [bob_isometries(encoding, [g], [q])[0] for g, q in zip(gammas, q_rs)]
+            for isometries in (stacked, alone):
+                for isometry, vectors in zip(isometries, oracle):
+                    for j, state in enumerate(basis):
+                        assert_same_bits(isometry[:, j], vectors[state])
 
     def test_each_call_builds_only_the_states_it_reads(self, monkeypatch):
         asked = []
@@ -282,6 +303,18 @@ class TestBuildInertial:
     def test_werner_zero_fidelity_is_white_noise(self):
         spec = ChannelSpec(ChannelFamily.WERNER, AccelerationParams(0.0), fidelity_f=0.0)
         assert np.allclose(build_inertial(spec).entries, np.eye(4) / 4, atol=1e-12)
+
+    @pytest.mark.parametrize("f", [-0.0, 0.0, 0.33, 1.0])
+    def test_werner_has_the_bits_of_the_outer_product_construction(self, f):
+        # the Bell projector as an outer product plus the noise times the
+        # identity, whose +0 off the diagonal turns the -0 of F = -0.0 into +0
+        bell = np.zeros(4)
+        bell[0b00] = bell[0b11] = math.sqrt(0.5)
+        want = f * np.outer(bell, bell)
+        want += (1.0 - f) / 4.0 * np.eye(4)
+        spec = ChannelSpec(ChannelFamily.WERNER, AccelerationParams(0.2, 0.7), fidelity_f=f)
+        assert_same_bits(build_inertial(spec).entries, want)
+        assert not np.signbit(want).any()
 
     def test_werner_interpolates(self):
         spec = ChannelSpec(ChannelFamily.WERNER, AccelerationParams(0.0), fidelity_f=0.6)
