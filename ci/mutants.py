@@ -250,14 +250,49 @@ MUTANTS = (
     Mutant(
         "plan-takes-the-dense-patterns-sweeps",
         "src/unruh_lab/fock.py",
-        "    return _Plan(_sweeps_to_diagonal(blocks), pairs, blocks, positions, direct, mirror)",
-        "    return _Plan(\n"
-        '        _sweeps_to_diagonal(_blocks(b"\\x01" * (n * n), n)), pairs, blocks, positions, direct, mirror\n'
-        "    )",
+        "    sizes = {members.shape[1] for members in blocks}",
+        '    sizes = {members.shape[1] for members in _blocks(b"\\x01" * (n * n), n)}',
         (
             "tests/test_fock.py::TestEigvalsHermitian::test_each_pattern_has_its_own_plan",
             "tests/test_batch.py::TestBlockJacobi::test_tiny_two_by_two_blocks_take_their_sweep",
         ),
+    ),
+    Mutant(
+        "scalar-pairs-in-column-order",
+        "src/unruh_lab/fock.py",
+        "        for i, k in enumerate(block)\n        for l in block[i + 1 :]\n",
+        "        for i, l in enumerate(block)\n        for k in block[:i]\n",
+        (
+            "tests/test_batch.py::TestBlockJacobi::test_dense_matrices_match_dense_reference",
+            "tests/test_batch.py::TestBlockJacobi::test_joints_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "stack-pattern-read-from-the-first-matrix-only",
+        "src/unruh_lab/fock.py",
+        "    plan = _plan(np.logical_or.reduce(a != 0, axis=0).tobytes(), n)",
+        "    plan = _plan((a[0] != 0).tobytes(), n)",
+        (
+            "tests/test_batch.py::TestBlockJacobi::test_own_two_by_two_blocks_sweep_in_a_stack_of_larger_blocks",
+            "tests/test_batch.py::TestBlockJacobi::test_preset_matrices_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "stack-pairs-in-reverse-row-order",
+        "src/unruh_lab/fock.py",
+        "        for k in range(len(stack) - 1):",
+        "        for k in reversed(range(len(stack) - 1)):",
+        (
+            "tests/test_batch.py::TestBlockJacobi::test_preset_matrices_match_dense_reference",
+            "tests/test_batch.py::TestBlockJacobi::test_dense_matrices_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "blocks-of-an-unsymmetrised-pattern",
+        "src/unruh_lab/fock.py",
+        "    linked = linked | linked.T\n",
+        "",
+        ("tests/test_batch.py::TestBlockJacobi::test_blocks_members_ascending_and_nonfinite_linked",),
     ),
     Mutant(
         "norm-test-keeps-the-diagonal",
@@ -327,6 +362,16 @@ MUTANTS = (
         "map(weights.__getitem__, q_r))",
         "map(weights.__getitem__, q_r[:1] * count))",
         ("tests/test_states.py::TestStateTable::test_isometries_of_repeated_unsorted_points_equal_the_oracle",),
+    ),
+    Mutant(
+        "isometry-support-read-column-major",
+        "src/unruh_lab/states.py",
+        "    return support.reshape(16, 2)",
+        "    return support.reshape(2, 16).T",
+        (
+            "tests/test_batch.py::TestGatherPlan::test_inputs_lie_inside_the_pattern",
+            "tests/test_batch.py::TestBatchedStates::test_traced_lift_has_the_bits_of_the_dense_lift",
+        ),
     ),
     Mutant(
         "werner-off-diagonal-keeps-a-negative-zero",

@@ -1,10 +1,5 @@
-"""Command-line front end.
-
-Subcommands:
-    point    evaluate one channel at one parameter point; prints the record
-             through the CSV renderer, as one name=value line per column
-    figure   write the data files behind one or more bundled figure presets
-    verify   run the acceptance/verification suite
+"""Command-line front end: the ``point``, ``figure`` and ``verify`` subcommands,
+whose ``--help`` says what each does.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse's
 own exit), 3 domain error (the message names the offending parameter), 4 I/O

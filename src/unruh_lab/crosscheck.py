@@ -2,28 +2,13 @@
 
 Everything here recomputes results of the main modules along a deliberately
 different route and shares none of their machinery: joint states are
-assembled as explicit 32-component arrays, reductions sum over index pairs
-built from occupation bit patterns, and eigenvalues come from
-characteristic polynomials instead of Jacobi rotations.  A matrix is first
-split into the connected components of its exact nonzero pattern (wedge
-states into blocks of at most 3, joints of at most 8), which permutes
-entries without arithmetic.  Every float is a dyadic rational, so a
-larger-than-1x1 block scaled by a power of two is a matrix of integers: a
-division-free Faddeev-LeVerrier recursion in Python integers gives its
-exact characteristic polynomial, and the companion-matrix roots are
-Newton-refined against that polynomial with exact integer residuals.  Like
-every amplitude of the model, everything here is real; a complex matrix
-raises ``ValueError`` rather than lose its imaginary part.
-
-The solver takes a list of matrices.  It groups the polynomials of all
-their blocks by degree and finds each group's root estimates with one
-eigenvalue call on the stack of the companion matrices ``np.roots`` would
-build, so every matrix gets the same bits as it would alone.  The wedge
-entropies come from one such call for a list of channels, with each
-channel's joint built once for both wedges.  The strong-additivity sum
-adds each wedge's S(AB) - S(B) from the wedge entropies that check 7
-compares.  Apart from that batching, the code is intentionally plain; it
-optimizes for being obviously correct, not for speed.
+assembled as explicit 32-component arrays (:func:`brute_joint_matrix`),
+reductions sum over index pairs built from occupation bit patterns
+(:func:`brute_partial_trace`), and eigenvalues come from exact
+characteristic polynomials (:func:`eigvals_charpoly_batch`, whose docstring
+holds its rules), not from Jacobi rotations.  Apart from solving a list of
+matrices at once, the code is plain: it optimizes for being obviously
+correct, not for speed.
 """
 
 from __future__ import annotations
@@ -116,6 +101,7 @@ def _blocks(rows: list[list[float]]) -> list[list[int]]:
 
     Entries are compared with exact zero, so the matrix restricted to these
     blocks is a permutation of the original with nothing rounded or dropped.
+    Wedge states split into blocks of at most 3, joints of at most 8.
     """
     unseen = set(range(len(rows)))
     blocks = []
@@ -166,10 +152,11 @@ def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
     Each matrix is split into the connected components of its exact nonzero
     pattern; its spectrum is the union of the blocks' spectra.  A 1x1 block
     is its diagonal entry.  A larger block's exact characteristic
-    polynomial loses its exactly-zero trailing coefficients as zero
-    eigenvalues; the rest are the roots of the deflated polynomial, whose
-    companion-matrix estimates (see ``_root_estimates``, one eigensolve per
-    degree for the whole list) are Newton-refined against it.  A matrix's
+    polynomial (:func:`_exact_charpoly`) loses its exactly-zero trailing
+    coefficients as zero eigenvalues; the rest are the roots of the deflated
+    polynomial, whose companion-matrix estimates (see ``_root_estimates``,
+    one eigensolve per degree for the whole list) are Newton-refined
+    against it with exact residuals (:func:`_exact_newton`).  A matrix's
     eigenvalues are the same bits whatever else is in the list.  Each
     eigenvalue sum must reproduce its matrix's trace.  A complex matrix, or
     a NaN or infinite entry, raises ``ValueError`` before the matrix is
@@ -213,15 +200,6 @@ def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
     return results
 
 
-def eigvals_charpoly(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one real symmetric matrix in descending order: a batch of one.
-
-    See ``eigvals_charpoly_batch``: the blocks' polynomials are grouped by
-    degree, and the bits are those the matrix gets in any batch.
-    """
-    return eigvals_charpoly_batch([matrix])[0]
-
-
 def brute_entropy_batch(matrices) -> list[float]:
     """Von Neumann entropy in bits of each matrix, from one ``eigvals_charpoly_batch`` call."""
     entropies = []
@@ -234,11 +212,6 @@ def brute_entropy_batch(matrices) -> list[float]:
                 total -= lam * math.log2(lam)
         entropies.append(total)
     return entropies
-
-
-def brute_entropy(matrix: np.ndarray) -> float:
-    """Von Neumann entropy in bits via the characteristic-polynomial route: a batch of one."""
-    return brute_entropy_batch([matrix])[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,63 +1,15 @@
 """Dense tensor-product linear algebra over labeled two-level factors.
 
-Layouts name an ordered set of two-level subsystems; factor 0 is the most
-significant bit of a basis index, so a basis ket reads left to right in the
-written mode order.  On top of the layouts sit unit state vectors, density
-matrices, the partial trace, and a cyclic Jacobi eigensolver for symmetric
-matrices.  Everything is small (at most 32x32), immutable and real, as
-every amplitude of the model is: the classes and both solvers read their
-input by :func:`_as_real`, so a nonzero imaginary part raises (both
-solvers read a float64 input in place, with no copy, since they only read
-it).
-
-A partial trace is one term plan and one sum.  The plan (``_trace_terms``)
-lists, for each value of the traced factors in lexicographic order, the
-entry each reduced entry reads; the sum (``_add_in_order``) adds those
-terms one after another, from +0.  :func:`trace_out` uses both on dense
-stacks, and :func:`unruh_lab.states.trace_lifted` uses both on the lifted
-states' few nonzero entries, so the two reductions agree bit for bit.  The
-plan's cache is keyed on a layout's factors and a discard set, which hash
-in C: the :class:`Subsystem` members hash by identity.
-
-The eigensolvers are block-native: they rotate only inside the blocks
-(connected components) of a matrix's exact zero pattern, or of the union of
-the patterns of a stack.  The entries between blocks are zero and stay
-zero, because a rotation writes ``c * 0 + s * 0`` there; so the pairs a
-full sweep would visit between blocks rotate nothing, and skipping them
-keeps every bit of the sweep over all pairs.  The channel states are sparse
-this way: a wedge state (8x8) has three blocks of 2 (dual rail) or two of 3
-(single rail), the wedge-mode marginal (4x4) one block of 2, and Alice's
-marginal is diagonal.  A diagonal matrix needs no sweep, and one whose
-blocks are all 2x2 takes one, with no norm test (a block of entries near
-5e-13 passes it, yet its eigenvalues are 1e-12 and 0), after which every
-off-diagonal entry is an exact zero.  One cached plan per zero pattern
-(``_plan``) serves both solvers: the sweeps to diagonal, the pairs the
-single-matrix solver rotates, and the blocks and the flat positions (each
-entry's and its mirror's) the batched solver gathers, so a stack and a
-matrix of one pattern read one plan object.  The single-matrix solver
-rotates a matrix as a list of rows of Python floats, which round as
-numpy's float64 does, without numpy's cost per scalar.  The batched solver
-gathers the blocks of each size into one compact stack, once, and rotates
-that stack, a block whose pivot is zero or negligible by the identity.  A
-stack the plan makes diagonal after 0 or 1 sweeps takes that sweep and has
-its diagonals read once; only the other stacks run the per-sweep
-convergence test and retire their converged matrices.  The rules of
-:func:`eigvals_hermitian_batch` keep every bit, and its docstring says
-where each lives.
-
-The checks the classes make on construction take stacks of arrays, so
-batched code makes the same checks on many items at once.  Each raises for
-the first item that fails it, so on a stack of one it raises what the
-single item's check raises.  A value fails a check unless it is within the
-tolerance, so NaN fails every check.  Both eigensolvers make the test of
-:func:`check_hermitian` on their input (the batched one on the diagonal
-and the blocks, which hold every nonzero entry, the single-matrix one on
-one difference ``a - a.T``), so NaN fails there too, with no exception,
-and a stack on the entropy path is tested for Hermiticity once.  A check
-tests its whole stack with one reduction, to the largest defect, which is
-NaN if any defect is (:func:`_within`); only a failing stack is searched
-for its first failing item.  The reductions are ufunc methods, not the
-array methods ``.max()`` and ``.all()``, which run a Python frame each.
+Layouts (:class:`SubsystemLayout`) order the factors; on them sit unit
+state vectors, density matrices, the partial trace (:func:`trace_out`) and
+two cyclic Jacobi eigensolvers with the same bits, :func:`eigvals_hermitian`
+for one matrix and :func:`eigvals_hermitian_batch` for a stack.  Everything
+is small (at most 32x32), immutable and real (:func:`_as_real`).  The checks
+(:func:`check_norms`, :func:`check_hermitian`, :func:`check_traces`,
+:func:`check_isometries`) take stacks.  The bit rules live with the code
+that keeps them: :func:`_trace_terms` and :func:`_add_in_order` for the
+partial trace, :func:`_plan` and :func:`eigvals_hermitian_batch` for the
+solvers, :func:`_within` for the checks.
 """
 
 from __future__ import annotations
@@ -91,7 +43,10 @@ PSD_TOL = 1e-8
 
 def _as_real(values, param: str) -> np.ndarray:
     """A float64 copy of ``values``, or of the real part of complex ones whose imaginary
-    part is exactly zero; any other complex input raises DomainError naming ``param``."""
+    part is exactly zero; any other complex input raises DomainError naming ``param``.
+
+    The classes and both solvers read a non-float64 input by this, as every
+    amplitude of the model is real."""
     a = np.asarray(values)
     if a.dtype.kind == "c":
         if a.imag.any():
@@ -103,7 +58,12 @@ def _as_real(values, param: str) -> np.ndarray:
 def _within(defects: np.ndarray, tol: float) -> bool:
     """Whether every entry of ``defects`` is within ``tol`` (NaN is not), by one
     reduction to the largest entry, which is NaN if any entry is: one ufunc call
-    where ``np.logical_and.reduce(defects <= tol)`` takes two."""
+    where ``np.logical_and.reduce(defects <= tol)`` takes two.
+
+    Every check tests its whole stack so; only a failing stack is searched
+    for its first failing item, so a stack of one raises what the single
+    item's check raises, and NaN fails every check.  The reductions are
+    ufunc methods, not ``.max()`` or ``.all()``, which run a Python frame."""
     return np.maximum.reduce(defects, axis=None, initial=0.0) <= tol
 
 
@@ -189,7 +149,11 @@ class Subsystem(Enum):
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered collection of distinct two-level factors."""
+    """Ordered collection of distinct two-level factors.
+
+    Factor 0 is the most significant bit of a basis index, so a basis ket
+    reads left to right in the written order.
+    """
 
     factors: tuple[Subsystem, ...]
 
@@ -307,7 +271,8 @@ def _trace_terms(
     each reduced entry in row-major order, the entry whose traced factors
     both read t.  The rows run in lexicographic order of the traced
     factors, the first traced factor most significant.  Nothing traced out
-    gives one row, the identity.
+    gives one row, the identity.  The cache key hashes in C, as
+    :class:`Subsystem` members hash by identity.
     """
     labels = set(factors)
     unknown = discard - labels
@@ -332,6 +297,8 @@ def _add_in_order(values: np.ndarray, terms: np.ndarray) -> np.ndarray:
     Returns (P, N).  Adding the first row to +0 turns a -0 into +0, as a
     sum started from zero does, so no sum is -0.  One row after another,
     because numpy's own sums may add pairwise, which rounds differently.
+    :func:`trace_out` and :func:`unruh_lab.states.trace_lifted` both add
+    the terms of :func:`_trace_terms` by this, so they agree bit for bit.
     """
     gathered = values[terms]
     sums = gathered[0] + 0.0
@@ -362,10 +329,8 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     beyond ``HERMITIAN_TOL`` or a NaN entry, and :class:`ConvergenceError`
     after ``JACOBI_MAX_SWEEPS`` sweeps.
 
-    A sweep visits only the pairs inside the blocks of the matrix's zero
-    pattern, each block's in row order.  A diagonal matrix is not swept,
-    and a matrix whose blocks are all 2x2 is swept once, even if its norm
-    passes the test.  Both come from one cached plan (:func:`_plan`).
+    A sweep rotates the pairs of the plan of the matrix's zero pattern
+    (:func:`_plan`), which also says after how many sweeps it is diagonal.
 
     The input is read once: a float64 array as it is, since nothing writes
     to it, anything else by :func:`_as_real`.  Its Hermiticity defect comes
@@ -414,7 +379,6 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     return eigs[::-1]
 
 
-@functools.lru_cache(maxsize=256)
 def _blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
     """The connected components of a zero pattern that have two or more members.
 
@@ -423,7 +387,9 @@ def _blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
     entry (k, l) or (l, k) links k and l.  The components come grouped by
     size, in ascending order of size, as index arrays (C, b) whose rows
     list the members of one component in ascending order.  A dense
-    matrix is one component of n.
+    matrix is one component of n.  A wedge state (8x8) has three blocks of
+    2 (dual rail) or two of 3 (single rail), its modes' marginal one block
+    of 2, and Alice's marginal none.
     """
     linked = np.frombuffer(pattern, dtype=bool).reshape(n, n)
     linked = linked | linked.T
@@ -446,20 +412,15 @@ def _blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _sweeps_to_diagonal(blocks: tuple[np.ndarray, ...]) -> Union[int, None]:
-    """The sweeps after which every off-diagonal entry is an exact zero: 0
-    without blocks, 1 if all are 2x2 (a rotation zeroes its pivot), else None."""
-    sizes = {members.shape[1] for members in blocks}
-    return 0 if not sizes else 1 if sizes == {2} else None
-
-
 class _Plan(NamedTuple):
     """How both eigensolvers solve a matrix, or a stack, of one zero pattern (:func:`_plan`)."""
 
-    exact_after: Union[int, None]  # the sweeps to diagonal, :func:`_sweeps_to_diagonal`
+    exact_after: Union[int, None]  # the sweeps to diagonal: 0, 1 or None
     pairs: tuple[tuple[int, int, tuple[int, ...]], ...]  # (k, l, others) in sweep order
     blocks: tuple[np.ndarray, ...]  # :func:`_blocks`
-    positions: tuple[np.ndarray, ...]  # each size's blocks as flat positions (C, b, b)
+    # each size's blocks as flat positions (C, b, b): entry (c, i, j) is that of
+    # entry (i, j) of block c in an (n, n) matrix
+    positions: tuple[np.ndarray, ...]
     direct: np.ndarray  # the diagonal's flat positions, then each of ``positions`` raveled
     mirror: np.ndarray  # the flat position of the transpose of each entry of ``direct``
 
@@ -468,19 +429,28 @@ class _Plan(NamedTuple):
 def _plan(pattern: bytes, n: int) -> _Plan:
     """How :func:`eigvals_hermitian` solves a matrix of zero pattern ``pattern``, as
     :func:`_blocks` reads it, and :func:`eigvals_hermitian_batch` a stack of that
-    union pattern: its sweeps to diagonal (:func:`_sweeps_to_diagonal`), the
-    pairs (k, l, others) a sweep of the single-matrix solver rotates, in order,
-    and the flat positions the batched solver gathers.
+    union pattern: its sweeps to diagonal, the pairs (k, l, others) a sweep of
+    the single-matrix solver rotates, in order, and the flat positions the
+    batched solver gathers.  One cached plan per pattern serves both solvers.
 
-    For each block of :func:`_blocks`, in its order, the pairs k < l of the
-    block in row order, each with the block's other members, ascending:
-    the only rows and columns besides k and l where the rotation can
-    write a nonzero.  The positions of the blocks of each size are (C, b, b)
-    arrays, entry (c, i, j) the flat position in an (n, n) matrix of entry
-    (i, j) of block c; ``direct`` leads them with the diagonal, as n blocks
-    of one, and ``mirror`` lists the entries' transposes in the same order.
+    Both rotate only inside the blocks.  The entries between blocks are zero
+    and stay zero, since a rotation writes ``c * 0 + s * 0`` there, so the
+    pairs a full sweep would visit between blocks rotate nothing, and
+    skipping them keeps every bit of the sweep over all pairs.  The pairs
+    are, for each block of :func:`_blocks`, in its order, the pairs k < l
+    of the block in row order, each with the block's other members,
+    ascending: the only rows and columns besides k and l where the rotation
+    can write a nonzero.
+
+    The sweeps to diagonal, after which every off-diagonal entry is an
+    exact zero, are 0 without blocks, 1 if all blocks are 2x2 (a rotation
+    zeroes its pivot) and None otherwise.  A plan of 0 or 1 is swept that
+    many times with no norm test: a 2x2 block of entries near 5e-13 passes
+    the test, yet its eigenvalues are 1e-12 and 0.
     """
     blocks = _blocks(pattern, n)
+    sizes = {members.shape[1] for members in blocks}
+    exact_after = 0 if not sizes else 1 if sizes == {2} else None
     pairs = tuple(
         (k, l, tuple(m for m in block if m not in (k, l)))
         for members in blocks
@@ -496,7 +466,7 @@ def _plan(pattern: bytes, n: int) -> _Plan:
     mirror = np.concatenate([diagonal, *(p.swapaxes(1, 2).ravel() for p in positions)])
     for array in (*positions, direct, mirror):
         array.flags.writeable = False
-    return _Plan(_sweeps_to_diagonal(blocks), pairs, blocks, positions, direct, mirror)
+    return _Plan(exact_after, pairs, blocks, positions, direct, mirror)
 
 
 def _jacobi_rotate_rows(
@@ -555,38 +525,26 @@ def eigvals_hermitian_batch(matrices: np.ndarray) -> np.ndarray:
 
     The input is read in place: a float64 stack as it is, with no copy
     and no write to it, anything else by :func:`_as_real`.  The blocks are
-    those of the union of the stack's zero patterns, and they come, with
-    the flat positions of the entries they hold and of their mirrors, from
-    the cached plan (:func:`_plan`) that the single-matrix solver reads for
-    a matrix of that pattern.  Every entry outside the blocks and the
-    diagonal is zero in every matrix, so its Hermiticity defect is zero
-    too, and the test and the symmetrisation read only the two gathers of
-    those positions.  The blocks of each size go into a compact stack
-    (b, b, M), the block index last, which every sweep rotates in place.
+    those of the union of the stack's zero patterns, from its plan
+    (:func:`_plan`).  Every entry outside the blocks and the diagonal is
+    zero in every matrix, so its Hermiticity defect is zero too, and the
+    test and the symmetrisation read only the plan's two gathers.  The
+    blocks of each size go into a compact stack (b, b, M), the block index
+    last, which every sweep rotates in place.
 
-    A stack that the plan makes diagonal after 0 or 1 sweeps (no blocks, or
-    only 2x2 ones) takes that sweep, or none, and has its diagonals read
-    once, with no convergence test: each of its matrices is diagonal then,
-    and the sweep is the one that function gives it, as the last rule
-    below says.  Any other stack sweeps until each matrix converges
-    (:func:`_sweep_to_convergence`).  Four rules keep every bit of that
-    function's result:
+    A stack that the plan makes diagonal after 0 or 1 sweeps takes that
+    sweep, or none, and has its diagonals read once, with no convergence
+    test: each of its matrices is diagonal then, and the sweep is the one
+    that function gives it.  Any other stack sweeps until each matrix
+    converges.  Four rules keep every bit of that function's result:
 
-    - the convergence test sums each whole matrix in numpy's order: the
-      blocks' squared entries go into a buffer (N, n * n), zero elsewhere,
-      the diagonal is cleared and each row summed, as
-      :func:`_off_diagonal_norm_sq` sums one matrix; this is
-      :func:`_off_diagonal_norms_sq`, on one buffer per call;
+    - the convergence test sums each whole matrix in numpy's order
+      (:func:`_off_diagonal_norms_sq`);
     - ``skip_below`` uses the full size n, here, for every stack;
-    - a matrix that converges stops rotating all its blocks: its
-      diagonal is written out and its blocks leave the stacks, in
-      :func:`_sweep_to_convergence` (an exact stack's matrices all
-      finish together);
-    - a matrix whose own blocks are all 2x2 takes one sweep, as there,
-      even where the stack's blocks are larger: in a stack of larger
-      blocks the plan of its own pattern keeps it for that sweep, in
-      :func:`_sweep_to_convergence`, and a stack of 2x2 blocks takes the
-      exact path's one sweep.
+    - a matrix that converges stops rotating all its blocks, and a matrix
+      whose own blocks are all 2x2 takes one sweep, as there, even in a
+      stack of larger blocks (:func:`_sweep_to_convergence`; a stack of
+      2x2 blocks takes the exact path's one sweep).
     """
     a = np.asarray(matrices)
     if a.dtype != float:
@@ -637,7 +595,9 @@ def _sweep_to_convergence(
     """Sweep the compact ``stacks`` of the matrices ``a`` (N, n, n) until each converges.
 
     Each matrix's diagonal is written into its row of ``eigs`` (N, n) when
-    it converges, and its blocks leave the stacks then.  Raises
+    it converges, and its blocks leave the stacks then.  A matrix that
+    passes the first test but whose own blocks are all 2x2 is kept for one
+    sweep, as its own plan gives :func:`eigvals_hermitian` one.  Raises
     :class:`ConvergenceError` if some matrix has not converged after
     ``JACOBI_MAX_SWEEPS`` sweeps.
     """
@@ -671,7 +631,8 @@ def _off_diagonal_norms_sq(
     squares: np.ndarray, stacks: list[np.ndarray], positions: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """_off_diagonal_norm_sq of each of the M matrices whose blocks the compact ``stacks``
-    hold, summed in ``squares`` (M, n * n), which is zero outside the blocks' ``positions``."""
+    hold, summed in ``squares`` (M, n * n), which is zero outside the blocks' ``positions``:
+    each row is summed with its diagonal cleared, as numpy sums one whole matrix."""
     count, size = squares.shape
     for stack, p in zip(stacks, positions):
         squares[:, p] = (stack * stack).reshape(*p.shape[1:], count, -1).transpose(2, 3, 0, 1)
@@ -682,19 +643,15 @@ def _off_diagonal_norms_sq(
 def _jacobi_rotate_batch(a: np.ndarray, k: int, l: int, skip_below: float) -> None:
     """_jacobi_rotate_rows on every block of a compact stack (b, b, M), in place.
 
-    Every value comes from the same operations in the same order as
-    there, and ``hypot(tau, 1)`` is ``math.hypot`` for each block, since
-    ``np.hypot`` can differ from it in the last bit.  The sign of each
-    pivot, from ``np.copysign``, is exactly +-1, as there.  The rotation
-    keeps each block exactly symmetric, so, as there, each entry off the
-    pivot is computed once, from the columns, and written to its mirror
-    too.  A block whose pivot is zero or below ``skip_below`` gets the
-    identity rotation: ``beta`` 1 and ``t`` 0, so ``c`` is 1, ``s`` is 0
-    and each entry written is the old one times 1 plus a zero, with its
-    old bits, but for a -0 that may turn +0.  Only entries off the
-    diagonal hold a -0 (the symmetrisation adds +0, which turns a diagonal
-    -0 into +0), and the eigenvalues read only the diagonal.  Then its
-    pivot is set to zero, as there.
+    Every value comes from the same operations in the same order as there,
+    and ``hypot(tau, 1)`` is ``math.hypot`` for each block, since
+    ``np.hypot`` can differ from it in the last bit.  A block whose pivot
+    is zero or below ``skip_below`` gets the identity rotation: ``beta`` 1
+    and ``t`` 0, so ``c`` is 1, ``s`` is 0 and each entry written is the
+    old one times 1 plus a zero, with its old bits, but for a -0 that may
+    turn +0.  Only entries off the diagonal hold a -0 (the symmetrisation
+    adds +0, which turns a diagonal -0 into +0), and the eigenvalues read
+    only the diagonal.  Then its pivot is set to zero, as there.
     """
     pivot = a[k, l]
     beta = np.abs(pivot)

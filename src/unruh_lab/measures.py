@@ -1,16 +1,8 @@
-"""Entropies of density matrices.
+"""Von Neumann entropies of density matrices, in bits (base-2 logarithms).
 
-All entropies are in bits (base-2 logarithms), so a Bell pair's halves
-each carry one bit.  The matrices are real: the eigensolvers reject a
-nonzero imaginary part.  Eigenvalues in [-PSD_TOL, 0) are treated as
-numerical noise and dropped, as zeros are; anything below that raises,
-signalling an invalid construction rather than being silently absorbed.
-The channel measures built from these entropies are computed by
-:mod:`unruh_lab.sweep`.
-
-:func:`von_neumann_entropies` checks each matrix as :class:`DensityMatrix`
-does, each check once: it tests the traces, and the eigensolver tests
-Hermiticity.  So a stack needs no check before it is passed in.
+:func:`entropy_from_eigenvalues` holds the rule for eigenvalues at or below
+zero, :func:`von_neumann_entropies` the checks a stack gets.  The channel
+measures built from these entropies are computed by :mod:`unruh_lab.sweep`.
 """
 
 from __future__ import annotations
@@ -34,7 +26,8 @@ def entropy_from_eigenvalues(eigenvalues: Iterable[float]) -> float:
     """Shannon entropy in bits of an eigenvalue distribution.
 
     Only the positive values are summed: values in [-PSD_TOL, 0] are dropped
-    (0 log 0 = 0), values below -PSD_TOL or not finite raise :class:`SpectrumError`.
+    as numerical noise (0 log 0 = 0), values below -PSD_TOL or not finite
+    raise :class:`SpectrumError`, since they signal an invalid construction.
     """
     lam = np.asarray(list(eigenvalues) if not isinstance(eigenvalues, np.ndarray) else eigenvalues, dtype=float)
     if lam.size and not np.minimum.reduce(lam, axis=None) >= -PSD_TOL:
@@ -90,7 +83,8 @@ def von_neumann_entropies(matrices: np.ndarray) -> np.ndarray:
 
     Raises :class:`NormalizationError` for the first matrix off unit trace,
     then :class:`SymmetryError` (from the eigensolver) for the first one
-    that is not Hermitian, as :class:`DensityMatrix` would.  A stack of one
+    that is not Hermitian, as :class:`DensityMatrix` would.  Each check runs
+    once, so a stack needs no check before it is passed in.  A stack of one
     goes to :func:`eigvals_hermitian`, which rotates it in Python floats,
     faster than the batched solver for a single matrix; the results are
     the same.

@@ -1,16 +1,10 @@
 """Record rendering: fixed CSV schema, JSON, and two-column plot data; the figure-set writer.
 
-The CSV schema is the fields of :class:`~unruh_lab.sweep.SweepRecord`, in
-their order, and is stable for golden-file comparison:
-
-    family,region,gamma,q_r,alpha,f,s_a,s_b,s_ab,mutual_info,cond_entropy,ssa_value
-
-Inapplicable fields stay empty.  JSON rows carry the same fields; plot data
-is two columns, gamma and the preset's :attr:`SweepSpec.measure`.  Numbers
-are fixed-point with a configurable number of digits and a ``.`` decimal
-point, so output bytes do not depend on locale or platform.  The three
-formats share one row writer, :func:`_render`, which fills one ``%``
-template per run of records with the labels as literal text.
+The CSV columns are the fields of :class:`~unruh_lab.sweep.SweepRecord`, in
+their order (``CSV_COLUMNS``), stable for golden-file comparison.  The three
+formats share one row writer, :func:`_render`, whose docstring holds the
+formatting rules; :func:`write_figure_set` is the route from preset names
+to files.
 """
 
 from __future__ import annotations
@@ -63,6 +57,10 @@ def _render(
 ) -> str:
     """The text of ``records`` in format ``kind``, each number at ``precision`` decimals.
 
+    Numbers are fixed-point with a ``.`` decimal point, so the bytes do not
+    depend on locale or platform.  Plot data is two columns, gamma and
+    ``measure``; CSV and JSON rows hold every field.
+
     A run's template holds ``%.{precision}f`` for each number and an empty
     field (``null`` in JSON) for each ``None``, so a row fills it with the
     numbers it holds.  Every number then has exactly ``precision`` decimals
@@ -96,7 +94,8 @@ def _render(
 
 
 def _series_token(value: float) -> str:
-    return f"{value:.10g}"
+    # + 0.0 turns a -0.0 into 0.0, as the file's own text prints it
+    return f"{value + 0.0:.10g}"
 
 
 def series_filename(

@@ -1,36 +1,13 @@
 """Unruh-mode states, Bob's encoding isometries, and channel builders.
 
 A uniformly accelerated observer sees the inertial vacuum and one-particle
-states as entangled states of four Rindler modes (region-I particle,
-region-II antiparticle, region-I antiparticle, region-II particle, in that
-order).  The acceleration enters through a mixing angle ``gamma`` in
-[0, pi/4], with pi/4 the infinite-acceleration limit; ``q_r`` in [0, 1]
-interpolates between right- and left-wedge Unruh operators (``q_r = 1`` is
-the single-mode approximation).  Every amplitude is real, so the states
-are float64, as the :mod:`unruh_lab.fock` classes hold them; those
-classes reject a nonzero imaginary part.
-
-Channels are prepared in the inertial frame on Alice (x) Bob, then Bob's
-factor is lifted through an encoding isometry into the 16-dimensional
-Rindler space, and either wedge is obtained by tracing out the other.
-:func:`bob_isometries` and :func:`trace_lifted` do this for a whole stack
-of grid points at once.  :func:`build_joints` is :func:`trace_lifted` with
-nothing traced out, and :func:`build_joint` is it for one point.
-
-The reductions use the structure of the lift, not a dense product.  Each
-Unruh state has amplitudes on four fixed Rindler basis states (the state
-table ``_UNRUH_STATES``; the encoding table ``_ENCODING_BASIS`` names each
-encoding's two), and every prepared state is zero outside its {|00>, |11>}
-block and diagonal.  So each entry of a joint state is one product of an
-isometry entry, a prepared-state entry and another isometry entry, and which
-entries can be nonzero (96 of 1024) is known before any arithmetic.  Index
-plans, computed once from those constants for each encoding and discard set,
-gather just these products.  They are taken from the term plan of
-:func:`~unruh_lab.fock.trace_out` and added by its in-order sum, so both
-reductions add each reduced entry's terms in one order, lexicographic in the
-traced factors, and the reduced states keep every bit, zero signs included:
-20 (single rail) or 14 (dual rail) of a wedge state's 64 entries can be
-nonzero, and the others are exactly +0.
+states as entangled states of four Rindler modes (``RINDLER_FACTORS``),
+set by :class:`AccelerationParams`.  A channel is prepared on Alice (x) Bob
+(:func:`build_inertial`); Bob's factor is lifted into the Rindler modes by
+an encoding isometry (:func:`bob_isometries`, from the tables
+``_UNRUH_STATES`` and ``_ENCODING_BASIS``), and a wedge is the partial
+trace over the other one (:func:`trace_lifted`, whose docstring holds its
+bit rule; :func:`build_joints` and :func:`build_joint` trace nothing out).
 """
 
 from __future__ import annotations
@@ -61,6 +38,7 @@ from .fock import (
 GAMMA_MAX = math.pi / 4
 BELL_ALPHA = math.pi / 4
 
+# the Rindler modes, in the joint's factor order after Alice
 RINDLER_FACTORS = (
     Subsystem.REGION_I_PARTICLE,
     Subsystem.REGION_II_ANTIPARTICLE,
@@ -81,8 +59,10 @@ class AccelerationParams:
     """Acceleration mixing angle and right-wedge weight.
 
     ``gamma`` is in radians within [0, pi/4]; pi/4 represents infinite
-    acceleration.  ``q_r`` is in [0, 1]; the left weight ``q_l`` is derived
-    as sqrt(1 - q_r**2) so the two always satisfy q_r**2 + q_l**2 = 1.
+    acceleration.  ``q_r`` is in [0, 1] and weighs the right-wedge Unruh
+    operator (1 is the single-mode approximation); the left weight ``q_l``
+    is derived as sqrt(1 - q_r**2) so the two always satisfy
+    q_r**2 + q_l**2 = 1.
     """
 
     gamma: float
@@ -380,18 +360,20 @@ def trace_lifted(
     The prepared states (N, 4, 4) are lifted by Bob's isometries (N, 16, 2)
     of ``encoding`` through ``kron(eye(2), V)`` into ``JOINT_LAYOUT``.  For
     each discard set this returns the reduced stack and its layout, equal
-    bit for bit to :func:`~unruh_lab.fock.trace_out` of the joint states.
+    bit for bit, zero signs included, to :func:`~unruh_lab.fock.trace_out`
+    of the joint states.
 
     Every row r of the lift has at most one nonzero entry, in a column c_r
     fixed by the encoding, so each joint entry is the single product
     ``(lift[r, c_r] * rho[c_r, c_r']) * lift[r', c_r']``.  Only the
     products that can be nonzero and that the discard sets read
-    (:func:`_call_plan`) are computed.  Each reduced entry takes its terms
-    from the plan ``trace_out`` uses, and adds them with the same in-order
-    sum, one value of the traced factors after another in lexicographic
-    order, skipping only terms that are zero.  The inputs must be zero
-    outside the plans' pattern, as :func:`bob_isometries` and
-    :func:`build_inertial` make them; the reduced stacks are not checked.
+    (:func:`_call_plan`) are computed.  Each reduced entry adds its terms as
+    ``trace_out`` does (:func:`~unruh_lab.fock._add_in_order`), skipping
+    only terms that are zero.  The inputs must be zero outside the plans'
+    pattern, as :func:`bob_isometries` and :func:`build_inertial` make
+    them; the reduced stacks are not checked.  20 (single rail) or 14 (dual
+    rail) of a wedge state's 64 entries can be nonzero, and the others are
+    exactly +0.
     """
     n = len(isometries)
     first, middle, last, plans = _call_plan(encoding, tuple(map(frozenset, discards)))
@@ -411,11 +393,11 @@ def trace_lifted(
 
 
 def _isometry_support(encoding: Encoding) -> np.ndarray:
-    """Where the isometries (16, 2) of ``encoding`` can be nonzero."""
-    support = np.zeros((16, 2), dtype=bool)
-    for j, state in enumerate(_ENCODING_BASIS[encoding]):
-        support[_UNRUH_STATES[state][0], j] = True
-    return support
+    """Where the isometries (16, 2) of ``encoding`` can be nonzero: the slots of
+    :func:`_amplitude_plan`."""
+    support = np.zeros(32, dtype=bool)
+    support[_amplitude_plan(_ENCODING_BASIS[encoding])[0]] = True
+    return support.reshape(16, 2)
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,20 +1,9 @@
 """Parameter-sweep engine: evaluate channel families over (gamma, q_r[, F]) grids.
 
-Records come in the canonical order (family, region, gamma index, q_r
-index, f index), so repeated runs are bitwise identical.  The points of one
-family are evaluated together in batches that serve every region at once:
-each stage (state build, partial traces, eigensolves, entropies) runs on a
-stack of points, with the same arithmetic as the single-matrix functions,
-so a batch gives the same bits as evaluating its points one by one.  A
-batch builds the prepared states and isometries once and reduces them to
-every wedge it needs in one call, so it holds up to two wedges' states.
-It then solves wedge by wedge: the wedge's states, Alice's marginal (for a
-requested wedge) and the modes' marginal, each as its own stack.  The two
-wedges' states are not joined into one stack, since their zero patterns
-would merge into coarser blocks: in single rail and Werner, wedge I's
-{0,3,6}, {1,4,7} and wedge II's {0,3,5}, {2,4,7} into blocks of 4.  The
-strong-additivity value adds the two wedges' conditional entropies.  The
-states are real: all of it is float64.
+:class:`SweepSpec` names a sweep and :func:`run_sweep` runs it, a family at
+a time, in batches (:func:`_evaluate_batch`, whose docstring holds the
+batch's bit rules); :func:`evaluate_point` is a batch of one point.  The
+figure presets are the table ``_PRESETS``.
 """
 
 from __future__ import annotations
@@ -169,6 +158,9 @@ def evaluate_point(
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate every grid point; the result order is canonical and deterministic.
 
+    The order is (family, region, gamma index, q_r index, f index), so
+    repeated runs are bitwise identical.
+
     Raises :class:`SweepPointError` naming the first point, in that order,
     whose evaluation fails.
     """
@@ -235,16 +227,23 @@ def _evaluate_batch(
 ) -> list[list[SweepRecord]]:
     """Records for (gamma, q_r, f) points of one family, a list per region, in order.
 
-    Every point gets the checks the single-point functions make; a failure
-    raises the error of the first check that some point fails.  Each
+    Each stage (state build, partial traces, eigensolves, entropies) runs on
+    a stack of points, with the arithmetic of the single-matrix functions,
+    so each record has the bits its point gets alone.  The prepared states
+    and isometries are built once and reduced to every wedge needed in one
+    call.  Every point gets the checks the single-point functions make; a
+    failure raises the error of the first check that some point fails.  Each
     reduced stack is checked once, by :func:`von_neumann_entropies`.  The
     wedges are solved one after another, the requested ones first: a
     wedge's states, then their Alice marginals if the wedge is requested,
     then their mode marginals, each as its own stack.  So a wedge's defects
     are reported before those of its partial traces, one region takes
     exactly the stacks a single point needs, and a stack of one point
-    reaches the scalar eigensolver.  ``inertial``, the points' prepared
-    states if the caller has built them, saves building them again.
+    reaches the scalar eigensolver.  The two wedges' states are not joined
+    into one stack, since their zero patterns would merge into coarser
+    blocks: in single rail and Werner, wedge I's {0,3,6}, {1,4,7} and wedge
+    II's {0,3,5}, {2,4,7} into blocks of 4.  ``inertial``, the points'
+    prepared states if the caller has built them, saves building them again.
     """
     gammas, q_rs, fs = zip(*points)
     if inertial is None:

@@ -1,29 +1,12 @@
 """The acceptance/verification suite behind ``unruh-lab verify``.
 
-:data:`CHECKS` holds checks 1-9 and :data:`NOTES` the informational rows, as
-``(name, row)`` pairs.  Each row takes the shared sweep tables and returns
-``(passed, detail)``: a verdict and a one-line detail string.
-:func:`run_checks` walks the checks, then the notes, and builds every
-:class:`CheckResult`; a row that raises is reported as FAIL under its name,
-with the exception as its detail.  The checks pin the headline claims of the
+:data:`CHECKS` holds checks 1-9 and :data:`NOTES` the informational rows;
+:func:`run_checks` runs them.  The checks pin the headline claims of the
 model: inertial limits, the infinite-acceleration coincidences,
-conditional-entropy signs, curve shapes, Werner strong additivity, agreement
-with the brute-force cross-check, state invariants, and byte-level
-determinism of the figure datasets.  The note compares two forms of the
-strong-additivity sum.  The tables are the sweeps of ``fig3`` and ``fig4``:
-checks 1, 2, 4 and 5, whose claims are about the quantum or the classical
-family pair, read that pair's series from ``fig3``.
-
-Check 7 evaluates its seeded random channels as a sweep evaluates a
-family, both wedges at once, so a failing channel is named as a sweep
-names a point, and compares each record with the characteristic-polynomial
-oracle, which solves every channel and wedge of the check in one batch.
-The tier-1 tests pin that those records equal what the single-point route,
-:func:`evaluate_point`, gives.
-
-Check 5 (monotonicity at q_r = 0.9 and 0.8) is expected to fail: the
-claimed shapes hold only at q_r = 1 for the states as defined.  The detail
-string quantifies the violations; the README discusses the analysis.
+conditional-entropy signs, curve shapes, Werner strong additivity,
+agreement with the brute-force oracle (:mod:`unruh_lab.crosscheck`), state
+invariants and byte-level determinism of the figure datasets.  The note
+compares two forms of the strong-additivity sum.
 """
 
 from __future__ import annotations
@@ -80,7 +63,9 @@ class _SeriesTables(dict):
     """Each preset's sweep, run on first use, as series keyed (family, region, q_r, f).
 
     A series follows the ascending gamma grid, so ``series[-1]`` is the
-    point at gamma = pi/4.
+    point at gamma = pi/4.  The rows read ``fig3`` and ``fig4``: checks 1, 2,
+    4 and 5, whose claims are about the quantum or the classical pair, read
+    that pair's series from ``fig3``.
     """
 
     def __missing__(self, figure: FigurePreset) -> dict[tuple, list[SweepRecord]]:
@@ -148,6 +133,9 @@ def _check_classical_contrast(tables: _SeriesTables) -> tuple[bool, str]:
 
 
 def _check_monotonicity(tables: _SeriesTables) -> tuple[bool, str]:
+    """Check 5, which is expected to fail: the claimed shapes hold only at q_r = 1
+    for the states as defined.  The detail quantifies the violations; the README
+    discusses the analysis."""
     fig3 = tables[FigurePreset.FIG3]
     violations = []
     for family in QUANTUM_PAIR + CLASSICAL_PAIR:
@@ -192,6 +180,10 @@ def _oracle_samples() -> dict[ChannelFamily, list[tuple]]:
 
 
 def _check_oracle_equivalence(tables: _SeriesTables) -> tuple[bool, str]:
+    """Check 7: seeded random channels, evaluated as a sweep evaluates a family, both
+    wedges at once (so a failing channel is named as a sweep names a point), against
+    the oracle, which solves every channel and wedge in one batch.  The tier-1 tests
+    pin that these records equal what :func:`evaluate_point` gives."""
     regions = tuple(BobRegion)
     records = []  # channel by channel, one record per wedge
     channels = []
@@ -277,7 +269,8 @@ def _report_eq13_variants(tables: _SeriesTables) -> tuple[bool, str]:
     )
 
 
-# the checks of `verify`, in report order; `--quick` drops the last, check 9
+# the checks of `verify`, in report order; `--quick` drops the last, check 9.  Each
+# row takes the shared sweep tables and returns ``(passed, detail)``
 CHECKS = (
     ("1-inertial-limit", _check_inertial_limit),
     ("2-infinite-acceleration-coincidence", _check_infinite_acceleration),

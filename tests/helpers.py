@@ -28,7 +28,7 @@ from unruh_lab import (
     write_figure_set,
 )
 from unruh_lab import crosscheck, fock, sweep, verify
-from unruh_lab.crosscheck import brute_entropy, brute_joint_matrix, brute_partial_trace
+from unruh_lab.crosscheck import brute_entropy_batch, brute_joint_matrix, brute_partial_trace
 from unruh_lab.output import write_figure_files
 from unruh_lab.states import REGION_II_FACTORS
 
@@ -245,11 +245,11 @@ def brute_tripartite_entropies(
     """All marginal entropies of the A = Alice, B = region I, C = region II split."""
     joint = brute_joint_matrix(family, gamma, q_r, alpha, fidelity_f)
     return {
-        "s_ab": brute_entropy(brute_partial_trace(joint, 5, [0, 1, 3])),
-        "s_ac": brute_entropy(brute_partial_trace(joint, 5, [0, 2, 4])),
-        "s_a": brute_entropy(brute_partial_trace(joint, 5, [0])),
-        "s_b": brute_entropy(brute_partial_trace(joint, 5, [1, 3])),
-        "s_c": brute_entropy(brute_partial_trace(joint, 5, [2, 4])),
+        "s_ab": brute_entropy_batch([brute_partial_trace(joint, 5, [0, 1, 3])])[0],
+        "s_ac": brute_entropy_batch([brute_partial_trace(joint, 5, [0, 2, 4])])[0],
+        "s_a": brute_entropy_batch([brute_partial_trace(joint, 5, [0])])[0],
+        "s_b": brute_entropy_batch([brute_partial_trace(joint, 5, [1, 3])])[0],
+        "s_c": brute_entropy_batch([brute_partial_trace(joint, 5, [2, 4])])[0],
     }
 
 

@@ -43,6 +43,13 @@ def test_workflow_calls_every_ci_script_in_the_order_run_local_runs_them():
     assert WORKFLOW.count("ci/") == len(scripts)
 
 
+def test_checkout_fetches_the_parent_commit_for_the_value_diff():
+    # in CI the working tree is HEAD, so ci/value_diff.sh compares it with HEAD^
+    (checkout,) = re.findall(r"^ +- uses: actions/checkout@v4\n((?: {8}.*\n)*)", WORKFLOW, re.M)
+    assert re.search(r"^ +with:\n(?: +#.*\n)* +fetch-depth: 2$", checkout, re.M)
+    assert "HEAD^" in (CI / "value_diff.sh").read_text(encoding="utf-8")
+
+
 def test_every_catalogued_mutant_matches_the_source_once():
     spec = importlib.util.spec_from_file_location("mutants", CI / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)

@@ -64,7 +64,7 @@ class TestCharpolyEigensolver:
         for n in (2, 3, 4, 5, 8):
             for _ in range(10):
                 h = random_hermitian(rng, n)
-                got = crosscheck.eigvals_charpoly(h)
+                got = crosscheck.eigvals_charpoly_batch([h])[0]
                 want = np.sort(np.linalg.eigvalsh(h))[::-1]
                 assert np.abs(got - want).max() < 1e-9
 
@@ -73,9 +73,9 @@ class TestCharpolyEigensolver:
         # the entry is a 1x1 block of its own: NaN passed the trace and PSD tests
         matrix = np.diag([0.5, bad, 0.5])
         with pytest.raises(ValueError, match="non-finite entry"):
-            crosscheck.eigvals_charpoly(matrix)
+            crosscheck.eigvals_charpoly_batch([matrix])[0]
         with pytest.raises(ValueError, match="non-finite entry"):
-            crosscheck.brute_entropy(matrix)
+            crosscheck.brute_entropy_batch([matrix])[0]
 
     @pytest.mark.parametrize("imag", [0.0, 1e-300])
     def test_complex_matrix_rejected(self, imag):
@@ -83,26 +83,26 @@ class TestCharpolyEigensolver:
         matrix = np.eye(2) / 2 + 0j
         matrix[0, 1] += imag * 1j
         with pytest.raises(ValueError, match="complex"):
-            crosscheck.eigvals_charpoly(matrix)
+            crosscheck.eigvals_charpoly_batch([matrix])[0]
         with pytest.raises(ValueError, match="complex"):
-            crosscheck.brute_entropy(matrix)
+            crosscheck.brute_entropy_batch([matrix])[0]
 
     def test_non_finite_entry_inside_a_block_rejected(self):
         matrix = random_hermitian(np.random.default_rng(61), 4)
         matrix[1, 2] = matrix[2, 1] = math.nan
         with pytest.raises(ValueError, match="non-finite entry"):
-            crosscheck.eigvals_charpoly(matrix)
+            crosscheck.eigvals_charpoly_batch([matrix])[0]
 
     def test_multiplicity_four_exact(self):
         m = np.diag([0.125, 0.125, 0.125, 0.125, 0.25, 0.25])
-        got = crosscheck.eigvals_charpoly(m)
+        got = crosscheck.eigvals_charpoly_batch([m])[0]
         assert np.abs(got - np.array([0.25, 0.25, 0.125, 0.125, 0.125, 0.125])).max() < 1e-12
 
     def test_rank_deficient_projector(self):
         psi = np.zeros(8)
         psi[0] = psi[7] = math.sqrt(0.5)
         rho = np.outer(psi, psi)
-        got = crosscheck.eigvals_charpoly(rho)
+        got = crosscheck.eigvals_charpoly_batch([rho])[0]
         assert np.allclose(got, [1.0] + [0.0] * 7, atol=1e-12)
 
     def test_entropy_on_random_density_matrices(self):
@@ -113,7 +113,7 @@ class TestCharpolyEigensolver:
                     x = rng.normal(size=(n, rank))
                     m = x @ x.T
                     m /= np.trace(m)
-                    assert abs(crosscheck.brute_entropy(m) - lapack_entropy(m)) < 1e-8
+                    assert abs(crosscheck.brute_entropy_batch([m])[0] - lapack_entropy(m)) < 1e-8
 
     @pytest.mark.parametrize(
         "family, gamma, q_r, f, keep",
@@ -129,30 +129,30 @@ class TestCharpolyEigensolver:
     def test_close_eigenvalues_kept_apart(self, family, gamma, q_r, f, keep):
         joint = crosscheck.brute_joint_matrix(family, gamma, q_r, PI4, f)
         reduced = crosscheck.brute_partial_trace(joint, 5, keep)
-        got = crosscheck.eigvals_charpoly(reduced)
+        got = crosscheck.eigvals_charpoly_batch([reduced])[0]
         want = np.sort(np.linalg.eigvalsh(reduced))[::-1]
         assert np.abs(got - want).max() < 1e-12
-        assert abs(crosscheck.brute_entropy(reduced) - lapack_entropy(reduced)) < 1e-10
+        assert abs(crosscheck.brute_entropy_batch([reduced])[0] - lapack_entropy(reduced)) < 1e-10
 
     def test_lost_mass_rejected(self, monkeypatch):
         # a refinement that drops every root leaves the trace unmatched
         monkeypatch.setattr(crosscheck, "_exact_newton", lambda coeffs, start: 0.0)
         message = f"root refinement lost mass: eigenvalue sum {np.float64(0.0)!r} vs trace 1.0"
         with pytest.raises(ValueError) as raised:
-            crosscheck.eigvals_charpoly(np.array([[0.5, 0.25], [0.25, 0.5]]))
+            crosscheck.eigvals_charpoly_batch([np.array([[0.5, 0.25], [0.25, 0.5]])])[0]
         assert str(raised.value) == message
 
     def test_psd_violation_rejected(self):
         with pytest.raises(ValueError):
-            crosscheck.brute_entropy(np.diag([1.5, -0.5]))
+            crosscheck.brute_entropy_batch([np.diag([1.5, -0.5])])[0]
 
     def test_psd_tolerance_is_the_production_one(self):
         # an eigenvalue within -PSD_TOL is dropped as 0 log 0, one below raises
         low = -PSD_TOL / 2
-        got = crosscheck.brute_entropy(np.diag([1.0 - low, low]))
+        got = crosscheck.brute_entropy_batch([np.diag([1.0 - low, low])])[0]
         assert got == -(1.0 - low) * math.log2(1.0 - low)
         with pytest.raises(ValueError, match="below the PSD tolerance"):
-            crosscheck.brute_entropy(np.diag([1.0 + 2 * PSD_TOL, -2 * PSD_TOL]))
+            crosscheck.brute_entropy_batch([np.diag([1.0 + 2 * PSD_TOL, -2 * PSD_TOL])])[0]
 
     def test_three_by_three_blocks_match_lapack(self):
         # the 3x3 blocks of quantum-single wedge states, each passed whole: a
@@ -167,7 +167,7 @@ class TestCharpolyEigensolver:
                 )
                 for block in (b for b in components(reduced) if len(b) == 3):
                     sub = reduced[np.ix_(block, block)]
-                    got = crosscheck.eigvals_charpoly(sub)
+                    got = crosscheck.eigvals_charpoly_batch([sub])[0]
                     want = np.sort(np.linalg.eigvalsh(sub))[::-1]
                     assert np.abs(got - want).max() < 1e-12
                     blocks += 1
@@ -231,7 +231,7 @@ class TestExactCoefficients:
         args = (ChannelFamily.WERNER, 0.3, 0.8, PI4, 0.6)
         region_args = (ChannelFamily.QUANTUM_DUAL_RAIL, BobRegion.II, 0.3, 0.8)
         values = [
-            crosscheck.brute_entropy(np.diag([0.25, 0.75])),
+            crosscheck.brute_entropy_batch([np.diag([0.25, 0.75])])[0],
             *crosscheck.brute_subsystem_entropies(*region_args),
             brute_mutual_information(*region_args),
             *brute_tripartite_entropies(*args).values(),
@@ -289,7 +289,7 @@ def assert_batch_matches_reference(matrices, order):
     for got, i in zip(shuffled, order, strict=True):
         assert_same_bits(got, want[i])
     for matrix, expected in zip(matrices, want):
-        assert_same_bits(crosscheck.eigvals_charpoly(matrix), expected)
+        assert_same_bits(crosscheck.eigvals_charpoly_batch([matrix])[0], expected)
 
 
 class TestBatchedSolve:
@@ -406,7 +406,7 @@ class TestBlockSplit:
             order = rng.permutation(n)
             shuffled = matrix[np.ix_(order, order)]
             assert sorted(map(len, crosscheck._blocks(shuffled.tolist()))) == sorted(sizes)
-            got = crosscheck.eigvals_charpoly(shuffled)
+            got = crosscheck.eigvals_charpoly_batch([shuffled])[0]
             want = np.sort(np.linalg.eigvalsh(shuffled))[::-1]
             assert np.abs(got - want).max() < 1e-12
 
@@ -483,7 +483,5 @@ class TestBruteStates:
                         reduced = crosscheck.brute_region_matrix(
                             family, region, gamma, q_r, fidelity_f=f
                         )
-                        assert (
-                            abs(crosscheck.brute_entropy(reduced) - lapack_entropy(reduced))
-                            < 1e-10
-                        )
+                        entropy = crosscheck.brute_entropy_batch([reduced])[0]
+                        assert abs(entropy - lapack_entropy(reduced)) < 1e-10

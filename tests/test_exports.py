@@ -1,10 +1,14 @@
-"""The package's layering and export list, read from its source with ``ast``."""
+"""The package's layering and export list, read from its source with ``ast``, and the
+README's list of its modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import unruh_lab
 from unruh_lab import measures
+
+from helpers import ROOT
 
 
 def package_imports(module) -> list[tuple[str, list[str]]]:
@@ -42,3 +46,12 @@ class TestExports:
             if not name.startswith("_")
         }
         assert set(unruh_lab.__all__) == imported
+
+
+def test_readme_package_layout_names_every_module_once():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Package layout\n\n```\n(.*?)^```$", readme, re.M | re.S)
+    listed = re.findall(r"^  (\w+)\.py ", block, re.M)
+    package = Path(unruh_lab.__file__).parent
+    modules = [path.stem for path in package.glob("*.py") if not path.stem.startswith("__")]
+    assert sorted(listed) == sorted(modules)

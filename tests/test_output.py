@@ -193,6 +193,20 @@ class TestSeries:
             == "fig4_werner_bob-i_qr0.75_f0.7.dat"
         )
 
+    def test_negative_zero_grid_values_name_files_as_the_files_print_them(self, tmp_path):
+        names = []
+        for zero in (-0.0, 0.0):
+            spec = SweepSpec(
+                families=(ChannelFamily.WERNER,), gamma_grid=(0.0, 0.5), q_r_grid=(zero,),
+                f_grid=(zero,), regions=(BobRegion.I,),
+            )
+            (path,) = write_figure_files("fig4", run_sweep(spec), spec, tmp_path / str(zero))
+            names.append(path.name)
+            header, *lines = path.read_text().splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+            assert [(row["q_r"], row["f"]) for row in rows] == [("0.000000000000",) * 2] * 2
+        assert names == ["fig4_werner_bob-i_qr0_f0.csv"] * 2
+
     @pytest.mark.parametrize("recurs", [False, True], ids=["contiguous", "a-b-a"])
     def test_split_series_groups_by_parameters(self, recurs):
         records = [
