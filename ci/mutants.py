@@ -98,6 +98,13 @@ MUTANTS = (
         ("tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",),
     ),
     Mutant(
+        "oracle-strong-additivity-sums-s_ab-minus-s_a",
+        "src/unruh_lab/crosscheck.py",
+        "    return sum(s_ab - s_b for _, s_b, s_ab in wedges)",
+        "    return sum(s_ab - s_a for s_a, _, s_ab in wedges)",
+        ("tests/test_crosscheck.py::TestStrongAdditivityRoute::test_wedge_route_equals_the_five_reduction_split",),
+    ),
+    Mutant(
         "figure-set-reads-a-bare-string",
         "src/unruh_lab/output.py",
         "    if isinstance(presets, (str, bytes)):",
@@ -174,6 +181,13 @@ MUTANTS = (
         "    checks = CHECKS if include_determinism else CHECKS[:-1]",
         "    checks = CHECKS",
         ("tests/test_verify.py::test_quick_run_is_checks_one_to_eight_then_the_note",),
+    ),
+    Mutant(
+        "check-8-skips-the-joint-traces",
+        "src/unruh_lab/verify.py",
+        "        check_traces(joints)\n",
+        "",
+        ("tests/test_verify.py::test_check_8_tests_the_trace_of_each_joint",),
     ),
     Mutant(
         "value-diff-compares-floats-by-value",
@@ -379,6 +393,15 @@ MUTANTS = (
         "entries[0b11, 0b00] = bell + 0.0",
         "entries[0b11, 0b00] = bell",
         ("tests/test_states.py::TestBuildInertial::test_werner_has_the_bits_of_the_outer_product_construction",),
+    ),
+    Mutant(
+        "quantum-cross-term-is-c-times-c",
+        "src/unruh_lab/states.py",
+        "        return DensityMatrix(INERTIAL_LAYOUT, amps[:, np.newaxis] * amps)",
+        "        entries = amps[:, np.newaxis] * amps\n"
+        "        entries[0b00, 0b11] = entries[0b11, 0b00] = amps[0b00] * amps[0b00]\n"
+        "        return DensityMatrix(INERTIAL_LAYOUT, entries)",
+        ("tests/test_states.py::TestBuildInertial::test_pure_and_classical_states_keep_their_bits",),
     ),
     Mutant(
         "wedge-traces-its-own-factors",

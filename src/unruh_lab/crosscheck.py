@@ -371,15 +371,8 @@ def brute_strong_additivity(
     alpha: float = math.pi / 4,
     fidelity_f: float | None = None,
 ) -> float:
-    """S(AB) - S(B) + S(AC) - S(C) with A = Alice, B = region I, C = region II.
-
-    The joint is built once, and the four entropies of the sum are solved
-    as one batch.
-    """
-    joint = brute_joint_matrix(family, gamma, q_r, alpha, fidelity_f)
-    matrices = []
-    for region in BobRegion:
-        reduced = brute_partial_trace(joint, 5, _REGION_KEEP[region])
-        matrices += [brute_partial_trace(reduced, 3, [1, 2]), reduced]
-    entropies = brute_entropy_batch(matrices)
-    return sum(s_ab - s_b for s_b, s_ab in zip(entropies[::2], entropies[1::2]))
+    """S(AB) - S(B) + S(AC) - S(C) with A = Alice, B = region I, C = region II:
+    each wedge's entropies from one :func:`brute_subsystem_entropies_batch` call."""
+    channel = (family, gamma, q_r, alpha, fidelity_f)
+    wedges = brute_subsystem_entropies_batch([channel], tuple(BobRegion))[0]
+    return sum(s_ab - s_b for _, s_b, s_ab in wedges)

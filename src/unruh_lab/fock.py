@@ -87,8 +87,11 @@ def check_hermitian(matrices: np.ndarray) -> None:
 def _check_hermitian_defects(defects: np.ndarray) -> None:
     """Raise for the first of the matrices' largest defects (N,) beyond ``HERMITIAN_TOL``."""
     if not _within(defects, HERMITIAN_TOL):
-        first = defects[~(defects <= HERMITIAN_TOL)][0]
-        raise SymmetryError(f"Hermiticity defect {float(first):.3e} exceeds {HERMITIAN_TOL}")
+        raise _symmetry_error(defects[~(defects <= HERMITIAN_TOL)][0])
+
+
+def _symmetry_error(defect: float) -> SymmetryError:
+    return SymmetryError(f"Hermiticity defect {float(defect):.3e} exceeds {HERMITIAN_TOL}")
 
 
 def check_traces(matrices: np.ndarray) -> None:
@@ -168,9 +171,6 @@ class SubsystemLayout:
     @functools.cached_property
     def dim(self) -> int:
         return 2 ** len(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def eigvals_hermitian(matrix: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     # (or NaN, which fails the test): the defect check_hermitian computes
     defect = np.maximum.reduce(a - a.T, axis=None)
     if not defect <= HERMITIAN_TOL:
-        raise SymmetryError(f"Hermiticity defect {float(defect):.3e} exceeds {HERMITIAN_TOL}")
+        raise _symmetry_error(defect)
     symmetric = a + a.T
     symmetric += 0.0  # a -0 turns +0
     symmetric /= 2.0

@@ -7,7 +7,7 @@ set by :class:`AccelerationParams`.  A channel is prepared on Alice (x) Bob
 an encoding isometry (:func:`bob_isometries`, from the tables
 ``_UNRUH_STATES`` and ``_ENCODING_BASIS``), and a wedge is the partial
 trace over the other one (:func:`trace_lifted`, whose docstring holds its
-bit rule; :func:`build_joints` and :func:`build_joint` trace nothing out).
+bit rule; :func:`build_joint` traces nothing out).
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .fock import (
     SubsystemLayout,
     _add_in_order,
     _trace_terms,
-    check_density_stack,
     check_isometries,
     check_norms,
-    outer_product,
 )
 
 GAMMA_MAX = math.pi / 4
@@ -308,7 +306,8 @@ def build_inertial(spec: ChannelSpec) -> DensityMatrix:
         amps = np.zeros(4)
         amps[0b00] = math.cos(spec.alpha)
         amps[0b11] = math.sin(spec.alpha)
-        return outer_product(StateVector(INERTIAL_LAYOUT, amps))
+        # |v><v| as fock.outer_product forms it, with the same signed zeros
+        return DensityMatrix(INERTIAL_LAYOUT, amps[:, np.newaxis] * amps)
     if family.is_classical:
         entries = np.zeros((4, 4))
         entries[0b00, 0b00] = math.cos(spec.alpha) ** 2
@@ -333,20 +332,8 @@ def build_joint(spec: ChannelSpec) -> DensityMatrix:
     accel = spec.accel
     encoding = spec.family.encoding
     isometries = bob_isometries(encoding, [accel.gamma], [accel.q_r])
-    return DensityMatrix(JOINT_LAYOUT, build_joints(encoding, inertial, isometries)[0])
-
-
-def build_joints(
-    encoding: Encoding, inertial: np.ndarray, isometries: np.ndarray
-) -> np.ndarray:
-    """Prepared states (N, 4, 4) lifted by Bob's isometries (N, 16, 2) into ``JOINT_LAYOUT``.
-
-    This is :func:`trace_lifted` with nothing traced out.  Each joint
-    (32, 32) is checked as :class:`DensityMatrix` checks it.
-    """
-    joints, _ = trace_lifted(encoding, inertial, isometries, [()])[0]
-    check_density_stack(joints)
-    return joints
+    joints, layout = trace_lifted(encoding, inertial, isometries, [()])[0]
+    return DensityMatrix(layout, joints[0])
 
 
 def trace_lifted(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck
-from .fock import eigvals_hermitian_batch
+from .fock import check_traces, eigvals_hermitian_batch
 from .output import split_series, write_figure_set
 from .states import (
     BELL_ALPHA,
@@ -32,7 +32,7 @@ from .states import (
     BobRegion,
     ChannelFamily,
     bob_isometries,
-    build_joints,
+    trace_lifted,
 )
 from .sweep import (
     FigurePreset,
@@ -219,7 +219,8 @@ def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
             continue
         for near, far in zip(wedge_i, series[family, BobRegion.II, q_r, f]):
             worst_schmidt = max(worst_schmidt, abs(near.s_ab - far.s_b), abs(far.s_ab - near.s_b))
-    # each family's joints over the same grid, solved as one stack
+    # each family's joints over the same grid, solved as one stack; the solver
+    # tests their Hermiticity, as DensityMatrix would, so only the traces are left
     grid = [(gamma, q_r) for gamma in gammas for q_r in q_rs]
     grid_gammas, grid_q_rs = zip(*grid)
     worst_psd = worst_sum = 0.0
@@ -227,7 +228,9 @@ def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
         f = 1.0 if family is ChannelFamily.WERNER else None
         inertial = _prepared_states(family, [(gamma, q_r, f) for gamma, q_r in grid], spec.alpha)
         isometries = bob_isometries(family.encoding, grid_gammas, grid_q_rs)
-        eigs = eigvals_hermitian_batch(build_joints(family.encoding, inertial, isometries))
+        joints, _ = trace_lifted(family.encoding, inertial, isometries, [()])[0]
+        check_traces(joints)
+        eigs = eigvals_hermitian_batch(joints)
         worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
         worst_sum = max(worst_sum, float(np.abs(eigs.sum(axis=1) - 1.0).max()))
     return worst_schmidt <= TOL and worst_psd <= 1e-8 and worst_sum <= 1e-10, (

@@ -41,10 +41,11 @@ from unruh_lab import (
     figure_preset,
     partial_trace,
     run_sweep,
+    unruh_vacuum,
     von_neumann_entropy,
 )
 from unruh_lab import crosscheck, fock, measures, states, sweep, verify
-from unruh_lab.fock import SubsystemLayout, eigvals_hermitian_batch, trace_out
+from unruh_lab.fock import SubsystemLayout, check_density_stack, eigvals_hermitian_batch, trace_out
 from unruh_lab.measures import entropies_from_eigenvalues, von_neumann_entropies
 from unruh_lab.states import (
     JOINT_FACTORS,
@@ -52,7 +53,6 @@ from unruh_lab.states import (
     REGION_I_FACTORS,
     REGION_II_FACTORS,
     bob_isometries,
-    build_joints,
     trace_lifted,
 )
 
@@ -139,6 +139,14 @@ def lift_inputs(family, points):
         for _, _, g, q, alpha, f in points
     ])
     return inertial, bob_isometries(family.encoding, [p[2] for p in points], [p[3] for p in points])
+
+
+def lifted_joints(encoding, inertial, isometries):
+    """The joints (N, 32, 32) of trace_lifted with nothing traced out, each checked
+    as DensityMatrix checks it."""
+    joints, _ = trace_lifted(encoding, inertial, isometries, [()])[0]
+    check_density_stack(joints)
+    return joints
 
 
 def brute_traces(joints, discard):
@@ -687,7 +695,7 @@ class TestBatchedStates:
             ])
             gammas = [p[2] for p in points]
             q_rs = [p[3] for p in points]
-            joints = build_joints(
+            joints = lifted_joints(
                 family.encoding, inertial, bob_isometries(family.encoding, gammas, q_rs)
             )
             reduced = {
@@ -713,7 +721,7 @@ class TestBatchedStates:
                 build_inertial(ChannelSpec(family, AccelerationParams(0.0), alpha, f)).entries
                 for _, _, _, _, alpha, f in points
             ])
-            joints = build_joints(
+            joints = lifted_joints(
                 family.encoding, inertial, bob_isometries(family.encoding, gammas, q_rs)
             )
             for joint, (_, _, gamma, q_r, alpha, f) in zip(joints, points):
@@ -726,7 +734,7 @@ class TestBatchedStates:
         assert set(SSA_DISCARDS) <= set(SWEEP_DISCARDS)
         for family in ChannelFamily:
             inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
-            joints = build_joints(family.encoding, inertial, isometries)
+            joints = lifted_joints(family.encoding, inertial, isometries)
             got = trace_lifted(family.encoding, inertial, isometries, SWEEP_DISCARDS)
             for discard, (stack, layout) in zip(SWEEP_DISCARDS, got):
                 want, want_layout = brute_traces(joints, discard)
@@ -799,7 +807,7 @@ class TestGatherPlan:
             family_points = [p for p in points if p[0] is family]
             inertial, isometries = lift_inputs(family, family_points)
             joints = {
-                "lifted": build_joints(family.encoding, inertial, isometries),
+                "lifted": lifted_joints(family.encoding, inertial, isometries),
                 "oracle": np.array([
                     crosscheck.brute_joint_matrix(family, g, q, alpha, f)
                     for _, _, g, q, alpha, f in family_points
@@ -1001,6 +1009,18 @@ class TestSweepTraffic:
         calls = count_calls(monkeypatch, (sweep, "ChannelSpec"), (sweep, "build_inertial"))
         evaluate_point(ChannelFamily.WERNER, BobRegion.I, 0.3, 0.8, f=0.7, with_ssa=True)
         assert calls == {"ChannelSpec": 1, "build_inertial": 1}
+
+    def test_evaluation_route_builds_no_state_vector(self, monkeypatch):
+        calls = count_calls(monkeypatch, (StateVector, "__post_init__"))
+        for family in ChannelFamily:
+            werner = family is ChannelFamily.WERNER
+            f, alpha = (0.7, PI4) if werner else (None, 0.4)
+            evaluate_point(family, BobRegion.II, 0.2, 0.6, alpha, f, with_ssa=True)
+        run_sweep(dataclasses.replace(figure_preset("fig4"), gamma_grid=(0.0, 0.3)))
+        run_sweep(dataclasses.replace(figure_preset("fig3"), gamma_grid=(0.0, 0.3)))
+        assert calls == {"__post_init__": 0}
+        unruh_vacuum(AccelerationParams(0.2))  # the counter sees a StateVector
+        assert calls == {"__post_init__": 1}
 
 
 def two_wedge_spec(regions):

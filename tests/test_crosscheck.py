@@ -366,18 +366,20 @@ class TestStrongAdditivityRoute:
                 split = parts["s_ab"] - parts["s_b"] + parts["s_ac"] - parts["s_c"]
                 assert abs(crosscheck.brute_strong_additivity(family, *point) - split) < 1e-12
 
-    def test_one_joint_and_one_batch_of_the_four_summed_entropies(self, monkeypatch):
-        calls = count_calls(monkeypatch, (crosscheck, "brute_joint_matrix"))
-        sizes = []
-        real = crosscheck.eigvals_charpoly_batch
-        monkeypatch.setattr(
-            crosscheck,
-            "eigvals_charpoly_batch",
-            lambda matrices: sizes.append([m.shape[0] for m in matrices]) or real(matrices),
+    def test_one_joint_and_one_subsystem_entropies_batch(self, monkeypatch):
+        # both wedges' triples, as check 7 reads them, from one joint
+        calls = count_calls(
+            monkeypatch,
+            (crosscheck, "brute_joint_matrix"),
+            (crosscheck, "brute_subsystem_entropies_batch"),
+            (crosscheck, "eigvals_charpoly_batch"),
         )
         crosscheck.brute_strong_additivity(ChannelFamily.WERNER, 0.3, 0.6, PI4, 0.4)
-        assert calls["brute_joint_matrix"] == 1
-        assert sizes == [[4, 8, 4, 8]]
+        assert calls == {
+            "brute_joint_matrix": 1,
+            "brute_subsystem_entropies_batch": 1,
+            "eigvals_charpoly_batch": 1,
+        }
 
 
 class TestBlockSplit:

@@ -21,6 +21,7 @@ from unruh_lab import (
     JOINT_LAYOUT,
     NormalizationError,
     ShapeError,
+    StateVector,
     Subsystem,
     build_inertial,
     build_joint,
@@ -33,7 +34,7 @@ from unruh_lab import (
     unruh_particle,
     unruh_vacuum,
 )
-from unruh_lab import crosscheck, states
+from unruh_lab import crosscheck, fock, states
 from unruh_lab.states import (
     CLASSICAL_PAIR,
     JOINT_FACTORS,
@@ -44,7 +45,7 @@ from unruh_lab.states import (
     bob_isometries,
 )
 
-from helpers import assert_same_bits, bell_state
+from helpers import assert_same_bits, bell_state, count_calls
 
 PI4 = math.pi / 4
 
@@ -316,6 +317,21 @@ class TestBuildInertial:
         assert_same_bits(build_inertial(spec).entries, want)
         assert not np.signbit(want).any()
 
+    @pytest.mark.parametrize("alpha", [-0.0, 0.0, PI4, math.pi / 2, 3 * PI4, math.pi])
+    @pytest.mark.parametrize("family", QUANTUM_PAIR + CLASSICAL_PAIR, ids=lambda f: f.value)
+    def test_pure_and_classical_states_keep_their_bits(self, family, alpha):
+        # the quantum state as the outer product of its amplitude vector,
+        # the classical one as the diagonal of its squared weights
+        amps = np.zeros(4)
+        amps[0b00] = math.cos(alpha)
+        amps[0b11] = math.sin(alpha)
+        if family.is_quantum:
+            want = outer_product(StateVector(INERTIAL_LAYOUT, amps)).entries
+        else:
+            want = np.diag(amps * amps)
+        got = build_inertial(ChannelSpec(family, AccelerationParams(0.2, 0.7), alpha)).entries
+        assert_same_bits(got, want)
+
     def test_werner_interpolates(self):
         spec = ChannelSpec(ChannelFamily.WERNER, AccelerationParams(0.0), fidelity_f=0.6)
         bell = outer_product(bell_state(INERTIAL_LAYOUT)).entries
@@ -340,6 +356,13 @@ class TestBuildJoint:
             ChannelFamily.WERNER, AccelerationParams(0.4, 0.6), fidelity_f=1.0
         )
         assert abs(build_joint(spec).purity() - 1.0) < 1e-12
+
+    def test_joint_is_checked_once(self, monkeypatch):
+        # one check for the prepared state, one for the joint
+        calls = count_calls(monkeypatch, (fock, "check_density_stack"), (fock, "check_traces"))
+        spec = ChannelSpec(ChannelFamily.QUANTUM_DUAL_RAIL, AccelerationParams(0.3, 0.8), 0.4)
+        build_joint(spec)
+        assert calls == {"check_density_stack": 2, "check_traces": 2}
 
     def test_spectrum_padded_with_zeros(self):
         rng = np.random.default_rng(17)

@@ -103,6 +103,25 @@ def test_crashed_oracle_fails_under_its_own_name(monkeypatch, quick_results):
     assert sum(not r.passed and not r.informational for r in results) == 2
 
 
+def test_check_8_tests_the_trace_of_each_joint(monkeypatch, quick_results):
+    # the solver tests the joints' Hermiticity, and check 8 their traces
+    real = verify.trace_lifted
+
+    def scaled(encoding, inertial, isometries, discards):
+        reductions = real(encoding, inertial, isometries, discards)
+        reductions[0][0][3] *= 1.5
+        return reductions
+
+    monkeypatch.setattr(verify, "trace_lifted", scaled)
+    results = run_checks(include_determinism=False)
+    for result, expected in zip(results, quick_results, strict=True):
+        if result.name == "8-purity-and-invariants":
+            assert not result.passed
+            assert result.detail.startswith("raised NormalizationError('trace is ")
+        else:
+            assert result == expected
+
+
 def test_crashed_sweep_fails_every_row_that_reads_it(monkeypatch):
     # check 9 sweeps through the figure-set writer, the other rows in verify
     monkeypatch.setattr(verify, "run_sweep", broken)
