@@ -98,6 +98,31 @@ MUTANTS = (
         ("tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",),
     ),
     Mutant(
+        "oracle-companion-keeps-the-underflowed-tail",
+        "src/unruh_lab/crosscheck.py",
+        "        roots = [0.0] * (len(p) - int(non_zero[-1]) - 1)\n"
+        "        estimates.append(roots)\n"
+        "        p = p[int(non_zero[0]) : int(non_zero[-1]) + 1]\n",
+        "        roots = []\n"
+        "        estimates.append(roots)\n"
+        "        p = p[int(non_zero[0]) :]\n",
+        ("tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",),
+    ),
+    Mutant(
+        "oracle-trace-sums-the-discarded-bits-in-descending-order",
+        "src/unruh_lab/crosscheck.py",
+        "    for pattern in itertools.product((0, 1), repeat=len(drop)):",
+        "    for pattern in itertools.product((1, 0), repeat=len(drop)):",
+        ("tests/test_fock.py::TestPartialTrace::test_trace_out_has_the_bits_of_explicit_sums",),
+    ),
+    Mutant(
+        "oracle-trace-column-bit-is-the-row-bits-complement",
+        "src/unruh_lab/crosscheck.py",
+        "            index[i] = index[n_factors + i] = bit",
+        "            index[i], index[n_factors + i] = bit, 1 - bit",
+        ("tests/test_crosscheck.py::TestBrutePartialTrace::test_matches_production_on_random_states",),
+    ),
+    Mutant(
         "oracle-strong-additivity-sums-s_ab-minus-s_a",
         "src/unruh_lab/crosscheck.py",
         "    return sum(s_ab - s_b for _, s_b, s_ab in wedges)",
@@ -380,12 +405,9 @@ MUTANTS = (
     Mutant(
         "isometry-support-read-column-major",
         "src/unruh_lab/states.py",
-        "    return support.reshape(16, 2)",
-        "    return support.reshape(2, 16).T",
-        (
-            "tests/test_batch.py::TestGatherPlan::test_inputs_lie_inside_the_pattern",
-            "tests/test_batch.py::TestBatchedStates::test_traced_lift_has_the_bits_of_the_dense_lift",
-        ),
+        "    modes, js = np.divmod(_amplitude_plan(_ENCODING_BASIS[encoding])[0], 2)",
+        "    js, modes = np.divmod(_amplitude_plan(_ENCODING_BASIS[encoding])[0], 16)",
+        ("tests/test_batch.py::TestBatchedStates::test_traced_lift_has_the_bits_of_the_dense_lift",),
     ),
     Mutant(
         "werner-off-diagonal-keeps-a-negative-zero",

@@ -11,7 +11,7 @@ printf '#!/usr/bin/env bash\nexec python3 -m unruh_lab "$@"\n' > "$shim/unruh-la
 chmod +x "$shim/unruh-lab"
 export PATH="$shim:$PATH"
 export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
-for script in verify_quick point_columns figure_goldens value_diff bench_smoke mutants; do
+for script in unrun verify_quick point_columns figure_goldens value_diff bench_smoke mutants; do
   echo "== ci/$script.sh"
   bash "$root/ci/$script.sh"
 done

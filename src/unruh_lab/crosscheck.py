@@ -3,7 +3,7 @@
 Everything here recomputes results of the main modules along a deliberately
 different route and shares none of their machinery: joint states are
 assembled as explicit 32-component arrays (:func:`brute_joint_matrix`),
-reductions sum over index pairs built from occupation bit patterns
+reductions add the matrix's views at each pattern of the discarded bits
 (:func:`brute_partial_trace`), and eigenvalues come from exact
 characteristic polynomials (:func:`eigvals_charpoly_batch`, whose docstring
 holds its rules), not from Jacobi rotations.  Apart from solving a list of
@@ -13,7 +13,7 @@ correct, not for speed.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 
 import numpy as np
@@ -68,8 +68,8 @@ def _eval_scaled(coeffs: list[int], m: int, s: int) -> int:
     return acc
 
 
-def _exact_newton(coeffs: list[int], start: float, steps: int = 60) -> float:
-    """Newton against the exact polynomial; steps must reduce |p(x)| exactly.
+def _exact_newton(coeffs: list[int], start: float) -> float:
+    """Newton against the exact polynomial, at most 60 steps; each must reduce |p(x)| exactly.
 
     The residual comparison runs in integer arithmetic, so at a multiple
     root (where the derivative vanishes and an unguarded step would divide
@@ -80,7 +80,7 @@ def _exact_newton(coeffs: list[int], start: float, steps: int = 60) -> float:
     x = start
     m, s = _dyadic(x)
     val = _eval_scaled(coeffs, m, s)
-    for _ in range(steps):
+    for _ in range(60):
         if val == 0:
             break
         dval = _eval_scaled(deriv, m, s)
@@ -214,48 +214,24 @@ def brute_entropy_batch(matrices) -> list[float]:
     return entropies
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_indices(n_factors: int, keep: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the summed entries, shaped (traced bits, row bits, col bits).
-
-    ``keep`` lists the retained factor positions (0 = most significant bit)
-    in ascending order.
-    """
-    drop = [i for i in range(n_factors) if i not in keep]
-    shifts_keep = [n_factors - 1 - i for i in keep]
-    shifts_drop = [n_factors - 1 - i for i in drop]
-    dim_out = 2 ** len(keep)
-    rows = np.zeros((2 ** len(drop), dim_out, dim_out), dtype=int)
-    cols = np.zeros_like(rows)
-    for row_bits in range(dim_out):
-        for col_bits in range(dim_out):
-            for traced_bits in range(2 ** len(drop)):
-                row = 0
-                col = 0
-                for b, shift in enumerate(reversed(shifts_keep)):
-                    row |= ((row_bits >> b) & 1) << shift
-                    col |= ((col_bits >> b) & 1) << shift
-                for b, shift in enumerate(reversed(shifts_drop)):
-                    row |= ((traced_bits >> b) & 1) << shift
-                    col |= ((traced_bits >> b) & 1) << shift
-                rows[traced_bits, row_bits, col_bits] = row
-                cols[traced_bits, row_bits, col_bits] = col
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
 def brute_partial_trace(matrix: np.ndarray, n_factors: int, keep: list[int]) -> np.ndarray:
     """Partial trace by explicit summation over discarded bit patterns.
 
     ``keep`` lists the retained factor positions (0 = most significant bit);
-    their order in the output follows their original order.  Each output
-    entry sums its terms in ascending order of the discarded bits.
+    their order in the output follows their original order.  The matrix is
+    read as 2 * ``n_factors`` binary axes, rows then columns.  For each
+    pattern of the discarded bits, in ascending order with the first
+    discarded factor most significant, the view whose row and column axes
+    both read that pattern is added into a zero array.
     """
-    rows, cols = _trace_indices(n_factors, tuple(sorted(keep)))
-    out = np.zeros(rows.shape[1:])
-    for row, col in zip(rows, cols):
-        out += matrix[row, col]
+    drop = [i for i in range(n_factors) if i not in keep]
+    axes = np.asarray(matrix).reshape((2,) * (2 * n_factors))
+    out = np.zeros((2 ** len(keep),) * 2)
+    for pattern in itertools.product((0, 1), repeat=len(drop)):
+        index = [slice(None)] * (2 * n_factors)
+        for i, bit in zip(drop, pattern):
+            index[i] = index[n_factors + i] = bit
+        out += axes[tuple(index)].reshape(out.shape)
     return out
 
 

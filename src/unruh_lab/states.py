@@ -379,14 +379,6 @@ def trace_lifted(
     return reductions
 
 
-def _isometry_support(encoding: Encoding) -> np.ndarray:
-    """Where the isometries (16, 2) of ``encoding`` can be nonzero: the slots of
-    :func:`_amplitude_plan`."""
-    support = np.zeros(32, dtype=bool)
-    support[_amplitude_plan(_ENCODING_BASIS[encoding])[0]] = True
-    return support.reshape(16, 2)
-
-
 @functools.lru_cache(maxsize=16)
 def _call_plan(
     encoding: Encoding, discards: tuple[frozenset[Subsystem], ...]
@@ -408,8 +400,9 @@ def _call_plan(
     """
     # joint row 16a + m (Alice reads a, the Rindler modes read m) has its
     # lift entry at isometry entry (m, j), where column j is nonzero on m,
-    # and that entry multiplies prepared-state row (or column) 2a + j
-    modes, js = np.nonzero(_isometry_support(encoding))
+    # and that entry multiplies prepared-state row (or column) 2a + j; the
+    # slots of _amplitude_plan are the flat isometry entries 2m + j
+    modes, js = np.divmod(_amplitude_plan(_ENCODING_BASIS[encoding])[0], 2)
     value = np.full(JOINT_LAYOUT.dim, -1)
     column = np.full(JOINT_LAYOUT.dim, -1)
     for a in (0, 1):

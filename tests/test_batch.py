@@ -796,7 +796,9 @@ class TestGatherPlan:
         for family in ChannelFamily:
             inertial, isometries = lift_inputs(family, [p for p in points if p[0] is family])
             assert not inertial[:, ~states._PREPARED_SUPPORT].any()
-            assert not isometries[:, ~states._isometry_support(family.encoding)].any()
+            # the isometry entries (m, j) that can be nonzero: the slots 2m + j of the plan
+            slots = states._amplitude_plan(states._ENCODING_BASIS[family.encoding])[0]
+            assert not np.delete(isometries.reshape(-1, 32), slots, axis=1).any()
 
     @pytest.mark.parametrize("source", ["sample", "seeded"])
     def test_plan_covers_every_nonzero(self, sample, source):

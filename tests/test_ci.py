@@ -2,9 +2,10 @@
 
 The workflow is read as text (no YAML parser is a dependency).  The cheap
 scripts run against this checkout through a PATH shim for the console
-script; ``ci/figure_goldens.sh``, ``ci/bench_smoke.sh`` and
-``ci/mutants.sh`` are left to ``ci/run_local.sh``, the last two taking
-about 30 s and 25 s.  The mutation catalogue's entries are only read here.
+script; ``ci/unrun.sh``, ``ci/figure_goldens.sh``, ``ci/bench_smoke.sh``
+and ``ci/mutants.sh`` are left to ``ci/run_local.sh``: the unrun-statement
+gate runs this suite itself, and the last two take about 30 s and 25 s.  The
+mutation catalogue's entries are only read here.
 """
 
 import importlib.util
@@ -85,3 +86,14 @@ def test_cheap_ci_scripts_pass_on_this_checkout(shim_env, script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_every_listed_unrun_statement_is_a_statement_of_the_source():
+    # the gate itself traces the whole suite and is left to ci/run_local.sh
+    spec = importlib.util.spec_from_file_location("unrun", CI / "unrun.py")
+    unrun = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(unrun)
+    assert unrun.UNRUN and all(unrun.UNRUN.values())
+    for path, scope, source in unrun.UNRUN:
+        found = [(s, text) for s, _, text, _ in unrun.statements(ROOT / path)]
+        assert found.count((scope, source)) == 1, (path, scope, source)

@@ -311,7 +311,13 @@ class TestBatchedSolve:
         matrix = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]) * 2.0**-500
         coeffs = crosscheck._exact_charpoly(matrix.tolist())
         assert coeffs[-1] != 0 and coeffs[-1] / coeffs[0] == 0.0
-        assert_batch_matches_reference([matrix, matrix / 2**-500], [1, 0])
+        # a traceless 2x2 block at 2**-1000: its whole float tail underflows,
+        # so np.roots solves no companion and finds two +0 roots; LAPACK on
+        # the unstripped companion finds a -0
+        traceless = np.array([[-7.0, 2.0], [2.0, 7.0]]) / 8 * 2.0**-1000
+        exact = crosscheck._exact_charpoly(traceless.tolist())
+        assert_same_bits(np.array([c / exact[0] for c in exact]), np.array([1.0, 0.0, -0.0]))
+        assert_batch_matches_reference([matrix, traceless, matrix / 2**-500], [2, 0, 1])
 
     def test_check_7_solves_its_oracle_once(self, monkeypatch):
         calls = count_calls(

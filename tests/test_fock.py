@@ -81,6 +81,7 @@ class TestStateVector:
 
     def test_amplitudes_read_only(self):
         state = StateVector(TWO_QUBITS, [0.0, 1.0, 0.0, 0.0])
+        assert state.dim == 4
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
@@ -114,6 +115,10 @@ class TestDensityMatrix:
         # a NaN trace is not off unit trace by more than the tolerance
         with pytest.raises(NormalizationError, match="non-finite"):
             DensityMatrix(single(ALICE), np.diag([math.nan, 1.0]))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"^matrix of shape \(2, 2\) does not fit dimension 4$"):
+            DensityMatrix(TWO_QUBITS, np.diag([1.0, 0.0]))
 
 
 # finite floats (subnormals included), entries of one scale, whose sum

@@ -156,6 +156,11 @@ class TestBobIsometry:
         assert iso[0b1000, 0] == 1.0
         assert iso[0b0010, 1] == 1.0
 
+    def test_unknown_encoding_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^encoding: unknown encoding 'dual'$") as excinfo:
+            bob_isometries("dual", [0.1], [0.9])
+        assert excinfo.value.param == "encoding"
+
     def test_gamma_and_q_r_counts_must_agree(self):
         for gammas, q_rs in (([0.1, 0.2], [0.9, 0.8, 0.7]), ([0.1, 0.2, 0.3], [0.9, 0.8])):
             message = f"{len(gammas)} gamma values for {len(q_rs)} q_r values"

@@ -93,6 +93,37 @@ def test_monotonicity_violations_list_the_quantum_pair_then_the_classical_pair(q
     ]
 
 
+def test_monotone_series_pass_check_5():
+    # every series replaced by its q_r = 1 series, where the claimed shapes hold
+    fig3 = verify._SeriesTables()[FigurePreset.FIG3]
+    monotone = {key: fig3[key[0], key[1], 1.0, key[3]] for key in fig3}
+    tables = verify._SeriesTables({FigurePreset.FIG3: monotone})
+    assert verify._check_monotonicity(tables) == (
+        True,
+        "all families monotone for q_r in (1, 0.9, 0.8), both wedges",
+    )
+
+
+@pytest.mark.parametrize(
+    "second, detail",
+    [
+        ({"a.csv": "1\n"}, "file counts differ: 2 vs 1"),
+        ({"a.csv": "1\n", "b.csv": "3\n"}, "files differ between runs: ['b.csv']"),
+    ],
+)
+def test_check_9_fails_when_the_two_figure_sets_differ(monkeypatch, second, detail):
+    sets = iter([{"a.csv": "1\n", "b.csv": "2\n"}, second])
+
+    def write(presets, out_dir):
+        out_dir.mkdir(parents=True)
+        for name, text in next(sets).items():
+            (out_dir / name).write_text(text)
+        return sorted(out_dir.iterdir())
+
+    monkeypatch.setattr(verify, "write_figure_set", write)
+    assert verify._check_determinism(verify._SeriesTables()) == (False, detail)
+
+
 def test_crashed_oracle_fails_under_its_own_name(monkeypatch, quick_results):
     # the table holds the check functions, so patch what check 7 calls
     monkeypatch.setattr(crosscheck, "brute_subsystem_entropies_batch", broken)
