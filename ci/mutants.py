@@ -178,6 +178,20 @@ MUTANTS = (
         ("tests/test_output.py::TestFormatting::test_point_prints_the_reference_fields",),
     ),
     Mutant(
+        "cli-verify-counts-the-notes",
+        "src/unruh_lab/cli.py",
+        "    total = sum(1 for r in results if not r.informational)",
+        "    total = len(results)",
+        ("tests/test_verify.py::test_verify_quick_prints_every_verdict_and_exits_one",),
+    ),
+    Mutant(
+        "console-script-drops-the-exit-code",
+        "src/unruh_lab/cli.py",
+        "    sys.exit(main())",
+        "    main()\n    sys.exit(0)",
+        ("tests/test_cli.py::TestModuleEntry::test_python_dash_m_runs_the_cli[nan-3]",),
+    ),
+    Mutant(
         "check-1-reads-fig1",
         "src/unruh_lab/verify.py",
         "def _check_inertial_limit(tables: _SeriesTables) -> tuple[bool, str]:\n"

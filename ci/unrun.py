@@ -45,8 +45,8 @@ UNRUN = {
         "`python -m unruh_lab` runs only in the CLI tests' subprocesses"
     ),
     ("src/unruh_lab/cli.py", "entry", "sys.exit(main())"): (
-        "the console script's entry point: the tests call cli.main in-process "
-        "and start the console script only in subprocesses"
+        "the console script's entry point: the tests call cli.main in-process, "
+        "and `python -m unruh_lab` runs it only in the CLI tests' subprocesses"
     ),
 }
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import unruh_lab
 from unruh_lab import cli, output
 from unruh_lab.verify import CheckResult
+
+from helpers import ROOT
 
 
 def run_cli(capsys, *argv):
@@ -273,15 +276,29 @@ class TestVerify:
 
 
 class TestModuleEntry:
-    def test_python_dash_m_runs_the_cli(self, tmp_path):
+    @pytest.mark.parametrize("qr, code", [("1", 0), ("nan", 3)])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, qr, code):
         # a checkout without an install: only the package's parent directory on the path
         src = str(Path(unruh_lab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run(
             [sys.executable, "-m", "unruh_lab", "point", "--family", "quantum-single",
-             "--region", "bob-i", "--gamma", "0", "--qr", "1"],
+             "--region", "bob-i", "--gamma", "0", "--qr", qr],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
-        assert done.returncode == 0, done.stderr
-        assert "mutual_info=2.000000000000" in done.stdout
+        # entry() hands main()'s code to sys.exit
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert "mutual_info=2.000000000000" in done.stdout
+        else:
+            assert done.stdout == ""
+            assert done.stderr.startswith("error: q_r:")
+
+    def test_console_script_is_cli_entry(self):
+        # read as text: 3.10 has no tomllib
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        (scripts,) = re.findall(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", pyproject, re.M)
+        assert re.findall(r'^([\w-]+) = "(.*)"$', scripts, re.M) == [
+            ("unruh-lab", "unruh_lab.cli:entry")
+        ]

@@ -9,14 +9,15 @@ numpy dispatches to, so the presets are written under each level too.
 plot files the same way, so each of the three writers is pinned.  Each
 set is written through ``write_figure_set``, through the per-preset
 pairing of ``run_sweep`` and ``write_figure_files`` it stands for, and
-through ``unruh-lab figure`` with every preset in one call.
+through ``unruh-lab figure`` with every preset in one call, naming only the
+options that differ from the defaults.
 """
 
 import json
 
 import pytest
 
-from unruh_lab import FigurePreset, cli, write_figure_set
+from unruh_lab import FigurePreset, OutputFormat, cli, write_figure_set
 
 from helpers import (
     DISPATCH_LEVELS,
@@ -38,10 +39,15 @@ def assert_golden(found, golden_path=GOLDEN) -> None:
 
 
 def write_through_cli(presets, out_dir, fmt) -> None:
-    """``unruh-lab figure`` with all of ``presets`` in one call."""
+    """``unruh-lab figure`` with all of ``presets`` in one call; the CSV set is
+    written as plain ``figure fig1 fig2 fig3 fig4``, with no format option."""
     names = [FigurePreset(preset).value for preset in presets]
-    argv = ["figure", *names, "--out-dir", str(out_dir), "--format", fmt.kind]
-    assert cli.main(argv + ["--precision", str(fmt.precision)]) == 0
+    argv = ["figure", *names, "--out-dir", str(out_dir)]
+    if fmt.kind != OutputFormat.kind:
+        argv += ["--format", fmt.kind]
+    if fmt.precision != OutputFormat.precision:
+        argv += ["--precision", str(fmt.precision)]
+    assert cli.main(argv) == 0
 
 
 # the package's one route, the per-preset pairing it stands for, and the CLI

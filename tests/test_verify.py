@@ -10,6 +10,7 @@ from unruh_lab import (
     ChannelFamily,
     FigurePreset,
     SweepSpec,
+    cli,
     crosscheck,
     evaluate_point,
     figure_preset,
@@ -47,6 +48,16 @@ def quick_results():
 def test_quick_run_is_checks_one_to_eight_then_the_note(quick_results):
     assert [r.name for r in quick_results] == QUICK_NAMES
     assert [r.informational for r in quick_results] == [False] * 8 + [True]
+
+
+def test_verify_quick_prints_every_verdict_and_exits_one(monkeypatch, capsys, quick_results):
+    # `unruh-lab verify --quick` on this module's one run: check 5 fails by design
+    monkeypatch.setattr(cli, "run_checks", lambda **kwargs: quick_results)
+    assert cli.main(["verify", "--quick"]) == 1
+    statuses = ["PASS"] * 4 + ["FAIL"] + ["PASS"] * 3 + ["NOTE"]
+    rows = [f"{status} {name}" for status, name in zip(statuses, QUICK_NAMES)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":", 1)[0] for line in lines] == rows + ["7 of 8 checks passed"]
 
 
 def test_checks_and_notes_are_two_tables():
