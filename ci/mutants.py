@@ -64,12 +64,14 @@ MUTANTS = (
     Mutant(
         "oracle-batch-newton-roots-to-the-next-block",
         "src/unruh_lab/crosscheck.py",
-        "    for (reduced, zeros, eigs), starts in zip(polynomials, estimates):",
-        "    targets = [eigs for _, _, eigs in polynomials]\n"
-        "    for (reduced, zeros, _), starts, eigs in zip(polynomials, estimates, targets[1:] + targets[:1]):",
+        "    for (reduced, zeros, scale, eigs), starts in zip(polynomials, estimates):",
+        "    targets = [eigs for *_, eigs in polynomials]\n"
+        "    for (reduced, zeros, scale, _), starts, eigs in zip(\n"
+        "        polynomials, estimates, targets[1:] + targets[:1]\n"
+        "    ):",
         (
             "tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",
-            "tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",
+            "tests/test_crosscheck.py::TestBatchedSolve::test_tiny_blocks_are_solved_at_the_scale_of_one",
         ),
     ),
     Mutant(
@@ -83,30 +85,33 @@ MUTANTS = (
     Mutant(
         "oracle-companion-super-diagonal",
         "src/unruh_lab/crosscheck.py",
-        "            companion = np.diag(np.ones(len(p) - 2), -1)",
-        "            companion = np.diag(np.ones(len(p) - 2), 1)",
+        "            companion = np.diag(np.ones(len(reduced) - 2), -1)",
+        "            companion = np.diag(np.ones(len(reduced) - 2), 1)",
         (
             "tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",
-            "tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",
+            "tests/test_crosscheck.py::TestBatchedSolve::test_tiny_blocks_are_solved_at_the_scale_of_one",
         ),
     ),
     Mutant(
-        "oracle-companion-drops-the-stripped-roots-at-0",
+        "oracle-block-left-unscaled",
         "src/unruh_lab/crosscheck.py",
-        "        roots = [0.0] * (len(p) - int(non_zero[-1]) - 1)",
-        "        roots = []",
-        ("tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",),
+        "            scale = math.frexp(max(abs(rows[i][j]) for i in block for j in block))[1]",
+        "            scale = 0",
+        ("tests/test_crosscheck.py::TestBatchedSolve::test_tiny_blocks_are_solved_at_the_scale_of_one",),
     ),
     Mutant(
-        "oracle-companion-keeps-the-underflowed-tail",
+        "oracle-block-scaled-the-wrong-way",
         "src/unruh_lab/crosscheck.py",
-        "        roots = [0.0] * (len(p) - int(non_zero[-1]) - 1)\n"
-        "        estimates.append(roots)\n"
-        "        p = p[int(non_zero[0]) : int(non_zero[-1]) + 1]\n",
-        "        roots = []\n"
-        "        estimates.append(roots)\n"
-        "        p = p[int(non_zero[0]) :]\n",
-        ("tests/test_crosscheck.py::TestBatchedSolve::test_tail_underflow_is_stripped_as_np_roots_does",),
+        "math.ldexp(rows[i][j], -scale)",
+        "math.ldexp(rows[i][j], scale)",
+        ("tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",),
+    ),
+    Mutant(
+        "oracle-roots-left-at-the-block-scale",
+        "src/unruh_lab/crosscheck.py",
+        "math.ldexp(_exact_newton(reduced, x), scale)",
+        "_exact_newton(reduced, x)",
+        ("tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",),
     ),
     Mutant(
         "oracle-trace-sums-the-discarded-bits-in-descending-order",
@@ -220,6 +225,20 @@ MUTANTS = (
         "    checks = CHECKS if include_determinism else CHECKS[:-1]",
         "    checks = CHECKS",
         ("tests/test_verify.py::test_quick_run_is_checks_one_to_eight_then_the_note",),
+    ),
+    Mutant(
+        "check-8-psd-bound-1e-7",
+        "src/unruh_lab/verify.py",
+        "worst_psd <= PSD_TOL",
+        "worst_psd <= 1e-7",
+        ("tests/test_verify.py::test_check_8_fails_joint_spectra_beyond_its_bounds[psd]",),
+    ),
+    Mutant(
+        "check-8-sum-bound-1e-9",
+        "src/unruh_lab/verify.py",
+        "worst_sum <= 1e-10",
+        "worst_sum <= 1e-9",
+        ("tests/test_verify.py::test_check_8_fails_joint_spectra_beyond_its_bounds[sum]",),
     ),
     Mutant(
         "check-8-skips-the-joint-traces",
@@ -422,6 +441,16 @@ MUTANTS = (
         "    modes, js = np.divmod(_amplitude_plan(_ENCODING_BASIS[encoding])[0], 2)",
         "    js, modes = np.divmod(_amplitude_plan(_ENCODING_BASIS[encoding])[0], 16)",
         ("tests/test_batch.py::TestBatchedStates::test_traced_lift_has_the_bits_of_the_dense_lift",),
+    ),
+    Mutant(
+        "structural-zero-reads-row-0",
+        "src/unruh_lab/states.py",
+        "    renumber = np.full(len(nonzero), len(used))",
+        "    renumber = np.zeros(len(nonzero), dtype=int)",
+        (
+            "tests/test_batch.py::TestGatherPlan::test_plans_are_sparse",
+            "tests/test_batch.py::TestBatchedStates::test_traced_lift_has_the_bits_of_the_dense_lift",
+        ),
     ),
     Mutant(
         "werner-off-diagonal-keeps-a-negative-zero",

@@ -119,30 +119,28 @@ def _blocks(rows: list[list[float]]) -> list[list[int]]:
 
 
 def _root_estimates(polynomials: list[list[int]]) -> list[list[float]]:
-    """``np.roots(...).real`` of each monic float polynomial, one eigensolve per degree.
+    """The real parts of the companion-matrix eigenvalues of each exact
+    polynomial, one eigensolve per degree.
 
-    Each polynomial's companion matrix is built exactly as ``np.roots``
-    builds it: float coefficients that underflow to zero at the tail are
-    stripped and come back as roots at 0.  The companions of one size are
-    solved as a single stack, and LAPACK solves each matrix of a stack as it
-    would solve it alone.
+    Each companion matrix is built as ``np.roots`` builds it, from the
+    coefficients divided by the leading one, each rounded once; unlike
+    ``np.roots``, a tail that underflows to zero is kept.  The companions
+    of one size are solved as a single stack, and LAPACK solves each matrix
+    of a stack as it would solve it alone.
     """
     estimates = []
     companions: dict[int, list] = {}
     for reduced in polynomials:
-        p = np.array([a / reduced[0] for a in reduced])
-        non_zero = np.nonzero(p)[0]
-        roots = [0.0] * (len(p) - int(non_zero[-1]) - 1)
+        roots = []
         estimates.append(roots)
-        p = p[int(non_zero[0]) : int(non_zero[-1]) + 1]
-        if len(p) > 1:
-            companion = np.diag(np.ones(len(p) - 2), -1)
-            companion[0, :] = -p[1:] / p[0]
-            companions.setdefault(len(p) - 1, []).append((companion, roots))
+        if len(reduced) > 1:
+            companion = np.diag(np.ones(len(reduced) - 2), -1)
+            companion[0, :] = [-a / reduced[0] for a in reduced[1:]]
+            companions.setdefault(len(reduced) - 1, []).append((companion, roots))
     for group in companions.values():
         solved = np.linalg.eigvals(np.stack([companion for companion, _ in group]))
         for (_, roots), values in zip(group, solved.real.tolist()):
-            roots[:0] = values
+            roots[:] = values
     return estimates
 
 
@@ -151,19 +149,22 @@ def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
 
     Each matrix is split into the connected components of its exact nonzero
     pattern; its spectrum is the union of the blocks' spectra.  A 1x1 block
-    is its diagonal entry.  A larger block's exact characteristic
-    polynomial (:func:`_exact_charpoly`) loses its exactly-zero trailing
-    coefficients as zero eigenvalues; the rest are the roots of the deflated
-    polynomial, whose companion-matrix estimates (see ``_root_estimates``,
-    one eigensolve per degree for the whole list) are Newton-refined
-    against it with exact residuals (:func:`_exact_newton`).  A matrix's
-    eigenvalues are the same bits whatever else is in the list.  Each
-    eigenvalue sum must reproduce its matrix's trace.  A complex matrix, or
-    a NaN or infinite entry, raises ``ValueError`` before the matrix is
-    split, whatever block the entry would fall in.
+    is its diagonal entry.  A larger block is first scaled by the power of
+    two that puts its largest entry in [0.5, 1), exactly for every entry
+    that stays a normal float, so that the float coefficients of a tiny
+    block do not underflow.  Its exact characteristic polynomial
+    (:func:`_exact_charpoly`) loses its exactly-zero trailing coefficients
+    as zero eigenvalues; the rest are the roots of the deflated polynomial,
+    whose companion-matrix estimates (see ``_root_estimates``, one
+    eigensolve per degree for the whole list) are Newton-refined against it
+    with exact residuals (:func:`_exact_newton`), then scaled back.  A
+    matrix's eigenvalues are the same bits whatever else is in the list.
+    Each eigenvalue sum must reproduce its matrix's trace.  A complex
+    matrix, or a NaN or infinite entry, raises ``ValueError`` before the
+    matrix is split, whatever block the entry would fall in.
     """
     spectra = []  # per matrix, its trace and its blocks' eigenvalues in block order
-    polynomials = []  # (deflated polynomial, its zero eigenvalues, its block's eigenvalues)
+    polynomials = []  # (deflated polynomial, zero eigenvalues, scale, the block's eigenvalues)
     for matrix in matrices:
         a = np.asarray(matrix)
         if a.dtype.kind == "c":
@@ -178,16 +179,18 @@ def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
                 blocks.append([rows[block[0]][block[0]]])
                 continue
             n = len(block)
-            coeffs = _exact_charpoly([[rows[i][j] for j in block] for i in block])
+            scale = math.frexp(max(abs(rows[i][j]) for i in block for j in block))[1]
+            scaled = [[math.ldexp(rows[i][j], -scale) for j in block] for i in block]
+            coeffs = _exact_charpoly(scaled)
             zeros = 0
             while zeros < n and coeffs[n - zeros] == 0:
                 zeros += 1
             blocks.append([])  # filled once the whole list has its root estimates
-            polynomials.append((coeffs[: n + 1 - zeros], zeros, blocks[-1]))
+            polynomials.append((coeffs[: n + 1 - zeros], zeros, scale, blocks[-1]))
         spectra.append((float(np.trace(a)), blocks))
-    estimates = _root_estimates([reduced for reduced, _, _ in polynomials])
-    for (reduced, zeros, eigs), starts in zip(polynomials, estimates):
-        eigs.extend(_exact_newton(reduced, x) for x in starts)
+    estimates = _root_estimates([reduced for reduced, *_ in polynomials])
+    for (reduced, zeros, scale, eigs), starts in zip(polynomials, estimates):
+        eigs.extend(math.ldexp(_exact_newton(reduced, x), scale) for x in starts)
         eigs.extend([0.0] * zeros)
     results = []
     for trace, blocks in spectra:

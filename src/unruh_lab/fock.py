@@ -7,9 +7,10 @@ for one matrix and :func:`eigvals_hermitian_batch` for a stack.  Everything
 is small (at most 32x32), immutable and real (:func:`_as_real`).  The checks
 (:func:`check_norms`, :func:`check_hermitian`, :func:`check_traces`,
 :func:`check_isometries`) take stacks.  The bit rules live with the code
-that keeps them: :func:`_trace_terms` and :func:`_add_in_order` for the
-partial trace, :func:`_plan` and :func:`eigvals_hermitian_batch` for the
-solvers, :func:`_within` for the checks.
+that keeps them: for every partial trace, one term table
+(:func:`_trace_terms`) added row after row (:func:`_add_in_order`);
+:func:`_plan` and :func:`eigvals_hermitian_batch` for the solvers;
+:func:`_within` for the checks.
 """
 
 from __future__ import annotations
@@ -256,9 +257,7 @@ def trace_out(
     :func:`partial_trace` does.
     """
     terms, kept_layout = _trace_terms(layout.factors, frozenset(discard))
-    n = len(entries)
-    sums = _add_in_order(entries.reshape(n, -1).T, terms)
-    return sums.T.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout
+    return _add_in_order(entries.reshape(len(entries), -1).T, terms, kept_layout.dim), kept_layout
 
 
 @functools.lru_cache(maxsize=64)
@@ -291,20 +290,22 @@ def _trace_terms(
     return terms, kept_layout
 
 
-def _add_in_order(values: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The rows of ``values`` (V, N) that ``terms`` (T, P) index, added row t after row t.
+def _add_in_order(values: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
+    """The rows of ``values`` (V, N) that a term table (T, dim * dim) indexes, added
+    row t after row t, as a stack (N, dim, dim).
 
-    Returns (P, N).  Adding the first row to +0 turns a -0 into +0, as a
-    sum started from zero does, so no sum is -0.  One row after another,
-    because numpy's own sums may add pairwise, which rounds differently.
-    :func:`trace_out` and :func:`unruh_lab.states.trace_lifted` both add
-    the terms of :func:`_trace_terms` by this, so they agree bit for bit.
+    Adding the first row to +0 turns a -0 into +0, as a sum started from
+    zero does, so no sum is -0, and adding a +0 then changes no bit.  One
+    row after another, because numpy's own sums may add pairwise, which
+    rounds differently.  :func:`trace_out` and
+    :func:`unruh_lab.states.trace_lifted` both add the rows of
+    :func:`_trace_terms`' table by this, so they agree bit for bit.
     """
     gathered = values[terms]
     sums = gathered[0] + 0.0
     for term in gathered[1:]:
         sums += term
-    return sums
+    return sums.T.reshape(values.shape[1], dim, dim)
 
 
 def _off_diagonal_norm_sq(rows) -> float:

@@ -6,8 +6,9 @@ set by :class:`AccelerationParams`.  A channel is prepared on Alice (x) Bob
 (:func:`build_inertial`); Bob's factor is lifted into the Rindler modes by
 an encoding isometry (:func:`bob_isometries`, from the tables
 ``_UNRUH_STATES`` and ``_ENCODING_BASIS``), and a wedge is the partial
-trace over the other one (:func:`trace_lifted`, whose docstring holds its
-bit rule; :func:`build_joint` traces nothing out).
+trace over the other one (:func:`trace_lifted`, which adds the rows of the
+term table :func:`~unruh_lab.fock.trace_out` adds; :func:`build_joint`
+traces nothing out).
 """
 
 from __future__ import annotations
@@ -354,29 +355,24 @@ def trace_lifted(
     fixed by the encoding, so each joint entry is the single product
     ``(lift[r, c_r] * rho[c_r, c_r']) * lift[r', c_r']``.  Only the
     products that can be nonzero and that the discard sets read
-    (:func:`_call_plan`) are computed.  Each reduced entry adds its terms as
-    ``trace_out`` does (:func:`~unruh_lab.fock._add_in_order`), skipping
-    only terms that are zero.  The inputs must be zero outside the plans'
-    pattern, as :func:`bob_isometries` and :func:`build_inertial` make
-    them; the reduced stacks are not checked.  20 (single rail) or 14 (dual
-    rail) of a wedge state's 64 entries can be nonzero, and the others are
-    exactly +0.
+    (:func:`_call_plan`) are computed, R of them.  Each reduction adds the
+    rows of ``trace_out``'s term table (:func:`~unruh_lab.fock._trace_terms`)
+    by :func:`~unruh_lab.fock._add_in_order`, with each structural zero
+    read from a row of +0, which changes no bit of a sum.  The inputs must
+    be zero outside the plans' pattern, as :func:`bob_isometries` and
+    :func:`build_inertial` make them; the reduced stacks are not checked.
+    20 (single rail) or 14 (dual rail) of a wedge state's 64 entries can be
+    nonzero, and the others are exactly +0.
     """
     n = len(isometries)
     first, middle, last, plans = _call_plan(encoding, tuple(map(frozenset, discards)))
     values = np.ascontiguousarray(isometries.reshape(n, -1).T)
     prepared = np.ascontiguousarray(inertial.reshape(n, -1).T)
-    # the joint entries the reductions read (R, N), then a row of zeros for
-    # the plans to pad with; the sums start from +0, so adding it changes no bit
+    # the R joint products the reductions read (R, N), then row R, the zeros
     entries = np.zeros((len(first) + 1, n))
     np.multiply(values[first], prepared[middle], out=entries[:-1])
     entries[:-1] *= values[last]
-    reductions = []
-    for positions, terms, kept_layout in plans:
-        reduced = np.zeros((n, kept_layout.dim**2))
-        reduced[:, positions] = _add_in_order(entries, terms).T
-        reductions.append((reduced.reshape(n, kept_layout.dim, kept_layout.dim), kept_layout))
-    return reductions
+    return [(_add_in_order(entries, terms, layout.dim), layout) for terms, layout in plans]
 
 
 @functools.lru_cache(maxsize=16)
@@ -389,14 +385,13 @@ def _call_plan(
     order of their flat positions in the (32, 32) joint, the index of
     ``lift[r, c_r]`` in ``isometries.reshape(N, 32)``, of
     ``rho[c_r, c_r']`` in ``inertial.reshape(N, 16)`` and of
-    ``lift[r', c_r']``.  Then, for each discard set, a plan: the flat
-    positions (P,) of the reduced entries that can be nonzero; for each of
-    them, the indices (M, P) of the R entries that add up to it, in the
-    order of the terms of :func:`~unruh_lab.fock.trace_out`, padded at the
-    end with index R; and the kept layout.  Which joint entries can be
-    nonzero (96) follows from the mode constants and the prepared-state
-    pattern alone, never from the values at a sample point.  A wedge reads
-    28 of them, both wedges 40.
+    ``lift[r', c_r']``.  Then, for each discard set, its term table
+    (:func:`~unruh_lab.fock._trace_terms`, (T, K * K)) with each joint
+    position renumbered to its index among the R entries, or to R where
+    the joint is a structural zero, and the kept layout.  Which joint
+    entries can be nonzero (96) follows from the mode constants and the
+    prepared-state pattern alone, never from the values at a sample point.
+    A wedge reads 28 of them, both wedges 40.
     """
     # joint row 16a + m (Alice reads a, the Rindler modes read m) has its
     # lift entry at isometry entry (m, j), where column j is nonzero on m,
@@ -410,30 +405,19 @@ def _call_plan(
         column[16 * a + modes] = 2 * a + js
     lifted = column >= 0
     nonzero = (np.outer(lifted, lifted) & _PREPARED_SUPPORT[np.ix_(column, column)]).ravel()
-    padding = len(nonzero)
+    tables = [_trace_terms(JOINT_FACTORS, discard) for discard in discards]
     # a mask, not np.unique, which imports numpy.ma (about 1 MB)
-    read = np.zeros(padding + 1, dtype=bool)
-    gathers = []
-    for discard in discards:
-        plan_terms, kept_layout = _trace_terms(JOINT_FACTORS, discard)
-        present = nonzero[plan_terms]  # (T, K * K)
-        positions = np.flatnonzero(present.any(axis=0))
-        # each entry's present terms first, in their order, then the padding
-        slots = np.where(present, plan_terms, padding)[:, positions]
-        order = np.argsort(~present[:, positions], axis=0, kind="stable")
-        terms = np.take_along_axis(slots, order, axis=0)
-        terms = terms[: present.sum(axis=0).max()]
+    read = np.zeros_like(nonzero)
+    for terms, _ in tables:
         read[terms] = True
-        gathers.append((positions, terms, kept_layout))
-    used = np.flatnonzero(read[:padding])
-    renumber = np.full(padding + 1, len(used))
+    used = np.flatnonzero(read & nonzero)
+    renumber = np.full(len(nonzero), len(used))
     renumber[used] = np.arange(len(used))
     plans = []
-    for positions, terms, kept_layout in gathers:
+    for terms, kept_layout in tables:
         terms = renumber[terms]
-        positions.flags.writeable = False
         terms.flags.writeable = False
-        plans.append((positions, terms, kept_layout))
+        plans.append((terms, kept_layout))
     rows, cols = np.divmod(used, JOINT_LAYOUT.dim)
     indices = (value[rows], 4 * column[rows] + column[cols], value[cols])
     for factor in indices:

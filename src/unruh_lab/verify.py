@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck
-from .fock import check_traces, eigvals_hermitian_batch
+from .fock import PSD_TOL, check_traces, eigvals_hermitian_batch
 from .output import split_series, write_figure_set
 from .states import (
     BELL_ALPHA,
@@ -233,7 +233,7 @@ def _check_state_invariants(tables: _SeriesTables) -> tuple[bool, str]:
         eigs = eigvals_hermitian_batch(joints)
         worst_psd = max(worst_psd, -float(eigs.min()), float(eigs.max()) - 1.0)
         worst_sum = max(worst_sum, float(np.abs(eigs.sum(axis=1) - 1.0).max()))
-    return worst_schmidt <= TOL and worst_psd <= 1e-8 and worst_sum <= 1e-10, (
+    return worst_schmidt <= TOL and worst_psd <= PSD_TOL and worst_sum <= 1e-10, (
         f"max |S(AB_I) - S(B_II)|-type gap = {worst_schmidt:.3e}; joint spectra lie in "
         f"[-{max(worst_psd, 0.0):.1e}, 1+{max(worst_psd, 0.0):.1e}] and sum to 1 within "
         f"{worst_sum:.1e}; every sweep reduction passed the PSD gate inside the entropy path"

@@ -187,10 +187,13 @@ def charpoly_coefficients(matrix) -> np.ndarray:
 def per_block_eigvals_charpoly(matrix) -> np.ndarray:
     """The oracle's spectrum solved one block at a time, each with its own ``np.roots``.
 
-    The reference for the batched solve: each block is an ``np.ix_`` copy,
-    its deflated exact polynomial gets ``np.roots`` estimates, and each
-    estimate is Newton-refined alone.  Blocks come in the oracle's order, so
-    the descending result has the same bits, zero signs included.
+    The reference for the batched solve: each block is an ``np.ix_`` copy
+    scaled by ``np.ldexp`` to a largest entry in [0.5, 1), its deflated
+    exact polynomial gets ``np.roots`` estimates, and each estimate is
+    Newton-refined alone and scaled back.  Blocks come in the oracle's
+    order, so the descending result has the same bits, zero signs included.
+    ``np.roots`` strips a tail of coefficients that underflow, which the
+    oracle keeps; no scaled block here has one.
     """
     a = np.asarray(matrix, dtype=float)
     eigs = []
@@ -200,13 +203,14 @@ def per_block_eigvals_charpoly(matrix) -> np.ndarray:
         if n == 1:
             eigs.append(float(sub[0, 0]))
             continue
-        coeffs = crosscheck._exact_charpoly(sub.tolist())
+        scale = int(np.frexp(np.abs(sub).max())[1])
+        coeffs = crosscheck._exact_charpoly(np.ldexp(sub, -scale).tolist())
         zeros = 0
         while zeros < n and coeffs[n - zeros] == 0:
             zeros += 1
         reduced = coeffs[: n + 1 - zeros]
         estimates = np.roots([c / reduced[0] for c in reduced]).real
-        eigs += [crosscheck._exact_newton(reduced, float(x)) for x in estimates]
+        eigs += [math.ldexp(crosscheck._exact_newton(reduced, float(x)), scale) for x in estimates]
         eigs += [0.0] * zeros
     return np.sort(eigs)[::-1]
 

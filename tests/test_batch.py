@@ -163,9 +163,12 @@ def brute_traces(joints, discard):
     return stack, SubsystemLayout(tuple(JOINT_FACTORS[i] for i in keep))
 
 
-def reduction_plan(encoding, discard):
-    """trace_lifted's plan for one discard set: (positions, terms, kept layout)."""
-    return states._call_plan(encoding, (frozenset(discard),))[3][0]
+def live_entries(encoding, discard):
+    """The flat positions of the reduced entries that trace_lifted's term table
+    for one discard set reads from a joint product, not only from the zero row
+    R, and the kept layout."""
+    first, _, _, ((terms, layout),) = states._call_plan(encoding, (frozenset(discard),))
+    return np.flatnonzero((terms != len(first)).any(axis=0)), layout
 
 
 def dense_lift_reductions(inertial, isometries, discards):
@@ -401,20 +404,21 @@ class TestBlockJacobi:
         # components of two or more, by size: a wedge or the AB/AC state has
         # three 2-blocks (dual rail) or two 3-blocks (single rail), the B and
         # C states one 2-block, Alice's state none
-        def shapes(positions, dim):
-            pattern = np.zeros(dim * dim, dtype=bool)
-            pattern[positions] = True
-            return [members.shape for members in fock._blocks(pattern.tobytes(), dim)]
+        def shapes(encoding, discard):
+            live, layout = live_entries(encoding, discard)
+            pattern = np.zeros(layout.dim**2, dtype=bool)
+            pattern[live] = True
+            return [members.shape for members in fock._blocks(pattern.tobytes(), layout.dim)]
 
         wedge = {Encoding.DUAL_RAIL: [(3, 2)], Encoding.SINGLE_RAIL: [(2, 3)]}
         for encoding in Encoding:
             for discard in (REGION_I_FACTORS, REGION_II_FACTORS):
-                assert shapes(*self.plan(encoding, discard)) == wedge[encoding]
+                assert shapes(encoding, discard) == wedge[encoding]
             for discard in SSA_DISCARDS:
                 want = wedge[encoding] if len(discard) == 2 else [(1, 2)]
-                assert shapes(*self.plan(encoding, discard)) == want
+                assert shapes(encoding, discard) == want
             alice = frozenset(states.RINDLER_FACTORS)
-            assert shapes(*self.plan(encoding, alice)) == []
+            assert shapes(encoding, alice) == []
         # the 32x32 joints: one 8-block for a pure state, two 4-blocks for a
         # classical one, and both for Werner
         joint = {"quantum": [(1, 8)], "classical": [(2, 4)], "werner": [(2, 4), (1, 8)]}
@@ -424,11 +428,6 @@ class TestBlockJacobi:
             entries = build_joint(spec).entries
             got = [members.shape for members in fock._blocks((entries != 0).tobytes(), 32)]
             assert got == joint[family.value.split("-")[0]]
-
-    @staticmethod
-    def plan(encoding, discard):
-        positions, _, layout = reduction_plan(encoding, discard)
-        return positions, layout.dim
 
     def test_blocks_members_ascending_and_nonfinite_linked(self):
         pattern = np.zeros((6, 6))
@@ -816,18 +815,18 @@ class TestGatherPlan:
                 ]),
             }
             for discard in [()] + list(SWEEP_DISCARDS):
-                positions = reduction_plan(family.encoding, discard)[0]
+                live = live_entries(family.encoding, discard)[0]
                 for name, stack in joints.items():
                     stack = brute_traces(stack, discard)[0]
                     nonzero = np.flatnonzero((stack != 0).any(axis=0))
-                    assert set(nonzero) <= set(positions), (family, discard, name)
+                    assert set(nonzero) <= set(live), (family, discard, name)
 
     def test_plans_are_sparse(self):
         # a wedge state has 14 (dual rail) or 20 (single rail) entries of 64
-        # that can be nonzero, and the joint 96 of 1024
+        # that can be nonzero, and the joint 96 of 1024; the rest read only the zero row
         for encoding, wedge in ((Encoding.DUAL_RAIL, 14), (Encoding.SINGLE_RAIL, 20)):
-            assert len(reduction_plan(encoding, REGION_II_FACTORS)[0]) == wedge
-            assert len(reduction_plan(encoding, ())[0]) == 96
+            assert len(live_entries(encoding, REGION_II_FACTORS)[0]) == wedge
+            assert len(live_entries(encoding, ())[0]) == 96
 
     def test_calls_compute_only_the_entries_they_read(self):
         # a wedge reads 28 of the 96 joint entries, both wedges or the SSA

@@ -3,10 +3,11 @@
 The workflow is read as text (no YAML parser is a dependency).  The
 scripts are left to ``ci/run_local.sh``: the unrun-statement gate runs this
 suite itself, the value diff sweeps two trees, and the bench smoke run and
-the mutation catalogue take about 30 s and 25 s.  The catalogue's entries
-and the unrun list are only read here.  The checks that need only the
-package, the golden figure digests, the ``verify --quick`` verdicts, the
-point columns and ``python -m unruh_lab``, are tier-1 tests of their own.
+the mutation catalogue take about 20 s and 110 s on a 2-core machine.  The
+catalogue's entries and the unrun list are only read here.  The checks
+that need only the package, the golden figure digests, the ``verify
+--quick`` verdicts, the point columns and ``python -m unruh_lab``, are
+tier-1 tests of their own.
 """
 
 import importlib.util

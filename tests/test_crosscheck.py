@@ -142,6 +142,11 @@ class TestCharpolyEigensolver:
             crosscheck.eigvals_charpoly_batch([np.array([[0.5, 0.25], [0.25, 0.5]])])[0]
         assert str(raised.value) == message
 
+    def test_newton_keeps_a_start_where_the_derivative_vanishes(self):
+        # p(x) = x**2 - 1 at x = 0, where a step would divide by p'(0) = 0
+        assert crosscheck._exact_newton([1, 0, -1], 0.0) == 0.0
+        assert crosscheck._exact_newton([1, 0, -1], 0.5) == 1.0
+
     def test_psd_violation_rejected(self):
         with pytest.raises(ValueError):
             crosscheck.brute_entropy_batch([np.diag([1.5, -0.5])])[0]
@@ -264,8 +269,8 @@ def symmetric_matrices(draw):
 
     Some repeat their first row and column, so a block's determinant is an
     exact zero and is deflated.  Some are scaled by 2**-500 (about 3e-151):
-    their float coefficients underflow to zero at the tail, which
-    ``np.roots`` strips and returns as roots at 0.
+    unscaled by the oracle, their float coefficients would underflow to
+    zero at the tail.
     """
     n = draw(st.integers(1, 8))
     entries = draw(st.lists(st.integers(-(2**20), 2**20), min_size=n * n, max_size=n * n))
@@ -306,17 +311,25 @@ class TestBatchedSolve:
         assert len(matrices) == 300
         assert_batch_matches_reference(matrices, list(reversed(range(300))))
 
-    def test_tail_underflow_is_stripped_as_np_roots_does(self):
-        # a 3x3 block at 2**-500: c_3 = det underflows as a float, not as an integer
+    def test_tiny_blocks_are_solved_at_the_scale_of_one(self):
+        # a 3x3 block at 2**-500: unscaled, c_3 = det underflows as a float,
+        # not as an integer, and the solve found a 0 root
         matrix = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]) * 2.0**-500
         coeffs = crosscheck._exact_charpoly(matrix.tolist())
         assert coeffs[-1] != 0 and coeffs[-1] / coeffs[0] == 0.0
-        # a traceless 2x2 block at 2**-1000: its whole float tail underflows,
-        # so np.roots solves no companion and finds two +0 roots; LAPACK on
-        # the unstripped companion finds a -0
+        # a traceless 2x2 block at 2**-1000: unscaled, its whole float tail
+        # underflows, and Newton stayed at its two 0 estimates, where p'(0) = 0
         traceless = np.array([[-7.0, 2.0], [2.0, 7.0]]) / 8 * 2.0**-1000
         exact = crosscheck._exact_charpoly(traceless.tolist())
         assert_same_bits(np.array([c / exact[0] for c in exact]), np.array([1.0, 0.0, -0.0]))
+        # the eigenvalues are +-sqrt(53) / 8 * 2**-1000
+        got = crosscheck.eigvals_charpoly_batch([matrix, traceless, matrix / 2**-500])
+        assert got[1].tolist() == [8.492827122963756e-302, -8.492827122963756e-302]
+        for eigs, tiny in zip(got, (matrix, traceless, matrix / 2**-500)):
+            want = np.linalg.eigvalsh(tiny)[::-1]
+            assert np.abs(eigs - want).max() <= 2e-15 * np.abs(want).max()
+        # the scaled-back roots of the 2**-500 block are those at scale 1, exactly
+        assert_same_bits(got[0], np.ldexp(got[2], -500))
         assert_batch_matches_reference([matrix, traceless, matrix / 2**-500], [2, 0, 1])
 
     def test_check_7_solves_its_oracle_once(self, monkeypatch):

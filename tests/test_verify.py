@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from unruh_lab import (
@@ -19,6 +20,7 @@ from unruh_lab import (
     sweep,
     verify,
 )
+from unruh_lab.fock import PSD_TOL
 from unruh_lab.verify import run_checks
 
 from helpers import count_calls, double_wedge_at
@@ -162,6 +164,26 @@ def test_check_8_tests_the_trace_of_each_joint(monkeypatch, quick_results):
             assert result.detail.startswith("raised NormalizationError('trace is ")
         else:
             assert result == expected
+
+
+@pytest.mark.parametrize(
+    "spectrum, bounds",
+    [
+        ([1.0 + 2 * PSD_TOL, -2 * PSD_TOL], "[-2.0e-08, 1+2.0e-08] and sum to 1 within 0.0e+00"),
+        ([1.0 + 2e-10, 0.0], "[-2.0e-10, 1+2.0e-10] and sum to 1 within 2.0e-10"),
+    ],
+    ids=["psd", "sum"],
+)
+def test_check_8_fails_joint_spectra_beyond_its_bounds(monkeypatch, spectrum, bounds):
+    # every joint of the grid gets the spectrum, padded with zeros: the
+    # lowest eigenvalue -2 PSD_TOL, or a sum of 1 + 2e-10
+    def spectra(joints):
+        return np.array([spectrum + [0.0] * (joints.shape[1] - 2)] * len(joints))
+
+    monkeypatch.setattr(verify, "eigvals_hermitian_batch", spectra)
+    passed, detail = verify._check_state_invariants(verify._SeriesTables())
+    assert not passed
+    assert f"joint spectra lie in {bounds}; " in detail
 
 
 def test_crashed_sweep_fails_every_row_that_reads_it(monkeypatch):
