@@ -114,6 +114,13 @@ MUTANTS = (
         ("tests/test_crosscheck.py::TestBatchedSolve::test_check_7_matrices_equal_the_per_block_reference",),
     ),
     Mutant(
+        "oracle-lost-mass-bound-absolute-below-trace-1",
+        "src/unruh_lab/crosscheck.py",
+        "        if not abs(eigs.sum() - trace) <= 1e-6 * float(np.abs(eigs).sum()):",
+        "        if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):",
+        ("tests/test_crosscheck.py::TestCharpolyEigensolver::test_lost_mass_rejected_at_any_scale",),
+    ),
+    Mutant(
         "oracle-trace-sums-the-discarded-bits-in-descending-order",
         "src/unruh_lab/crosscheck.py",
         "    for pattern in itertools.product((0, 1), repeat=len(drop)):",
@@ -191,10 +198,11 @@ MUTANTS = (
     ),
     Mutant(
         "console-script-drops-the-exit-code",
-        "src/unruh_lab/cli.py",
-        "    sys.exit(main())",
-        "    main()\n    sys.exit(0)",
-        ("tests/test_cli.py::TestModuleEntry::test_python_dash_m_runs_the_cli[nan-3]",),
+        "src/unruh_lab/__main__.py",
+        "sys.exit(main())",
+        "main()",
+        ("tests/test_cli.py::TestModuleEntry::test_python_dash_m_runs_the_cli[nan-3]",
+         "tests/test_cli.py::TestModuleEntry::test_python_dash_m_runs_the_cli_in_process[nan-3]"),
     ),
     Mutant(
         "check-1-reads-fig1",

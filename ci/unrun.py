@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""List the statements of ``src/unruh_lab/`` that no tier-1 test runs; they must be the listed ones.
+"""List the statements of ``src/unruh_lab/`` that no tier-1 test runs; there must be none.
 
 Usage: python ci/unrun.py
 
 The tier-1 suite runs once, in this process, under ``sys.settrace``, with
 this checkout's ``src/`` first on ``sys.path``.  The property tests draw
-from the fixed seed 0 and pytest's cache is off, so every run lists the
-same statements.  Line events are recorded for code in ``src/unruh_lab/``
+from the fixed seed 0 and pytest's cache is off, so every run gives the
+same result.  Line events are recorded for code in ``src/unruh_lab/``
 only.  A statement is run when a line event falls on one of its own
 lines: every line of a simple statement, or a compound statement's header,
 from its first decorator to the line before its body.  Docstrings, and
@@ -14,12 +14,8 @@ statements that compile to no code, are not counted.  Code that the tests
 start in a subprocess is not seen.
 
 Each unrun statement is printed as ``path:line: source``.  Exits 1 when
-pytest does not exit 0, or when the unrun statements differ from
-:data:`UNRUN`: a listed statement that runs, or an unrun one that is not
-listed.  An entry of ``UNRUN`` is keyed by its file, the qualified name of
-the function or class it sits in (empty at module level) and its first
-source line, so that edits elsewhere in the file leave it alone.  Stdlib
-only, apart from the pytest it runs.
+pytest does not exit 0 or when any statement is unrun.  Stdlib only, apart
+from the pytest it runs.
 """
 
 from __future__ import annotations
@@ -28,27 +24,13 @@ import ast
 import os
 import sys
 import types
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "unruh_lab"
-
-# (file, scope, first source line) -> why no tier-1 test runs it in-process
-UNRUN = {
-    ("src/unruh_lab/__main__.py", "", "from .cli import entry"): (
-        "`python -m unruh_lab` runs only in the CLI tests' subprocesses"
-    ),
-    ("src/unruh_lab/__main__.py", "", "entry()"): (
-        "`python -m unruh_lab` runs only in the CLI tests' subprocesses"
-    ),
-    ("src/unruh_lab/cli.py", "entry", "sys.exit(main())"): (
-        "the console script's entry point: the tests call cli.main in-process, "
-        "and `python -m unruh_lab` runs it only in the CLI tests' subprocesses"
-    ),
-}
 
 
 def _first_line(node: ast.stmt) -> int:
@@ -66,10 +48,9 @@ def _executable_lines(source: str, path: Path) -> set[int]:
     return lines
 
 
-def statements(path: Path) -> list[tuple[str, int, str, range]]:
-    """(scope, line, first source line, own lines) of each counted statement of ``path``."""
+def statements(path: Path) -> list[tuple[int, range]]:
+    """(line, own lines) of each counted statement of ``path``."""
     source = path.read_text(encoding="utf-8")
-    text = source.splitlines()
     tree = ast.parse(source)
     executable = _executable_lines(source, path)
     docstrings = {
@@ -79,23 +60,16 @@ def statements(path: Path) -> list[tuple[str, int, str, range]]:
         and ast.get_docstring(node, clean=False) is not None
     }
     found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, ast.stmt):
-                visit(child, scope)
-                continue
-            start = _first_line(child)
-            body = getattr(child, "body", None)
-            end = max(start, _first_line(body[0]) - 1) if body else child.end_lineno
-            own = range(start, end + 1)
-            if id(child) not in docstrings and executable.intersection(own):
-                found.append((scope, child.lineno, text[child.lineno - 1].strip(), own))
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
-
-    visit(tree, "")
-    return found
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or id(node) in docstrings:
+            continue
+        start = _first_line(node)
+        body = getattr(node, "body", None)
+        end = max(start, _first_line(body[0]) - 1) if body else node.end_lineno
+        own = range(start, end + 1)
+        if executable.intersection(own):
+            found.append((node.lineno, own))
+    return sorted(found, key=lambda statement: statement[0])
 
 
 def trace_tier_1() -> tuple[int, dict[str, set[int]]]:
@@ -131,24 +105,17 @@ def main() -> int:
     if status != 0:
         print(f"tier-1 under the tracer: pytest exit {status}")
         return 1
-    unrun = Counter()
-    total = 0
+    total = unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        name = path.relative_to(ROOT).as_posix()
+        text = path.read_text(encoding="utf-8").splitlines()
         ran = executed.get(str(path), set())
-        for scope, line, source, own in statements(path):
+        for line, own in statements(path):
             total += 1
             if ran.isdisjoint(own):
-                print(f"{name}:{line}: {source}")
-                unrun[name, scope, source] += 1
-    print(f"{total - sum(unrun.values())} of {total} statements run; {sum(unrun.values())} not")
-    problems = [f"not listed in UNRUN: {key}" for key in unrun if key not in UNRUN]
-    problems += [f"listed in UNRUN but run: {key}" for key in UNRUN if key not in unrun]
-    problems += [f"{count} unrun statements share the key {key}" for key, count in unrun.items()
-                 if count > 1]
-    for problem in problems:
-        print(problem)
-    return 1 if problems else 0
+                unrun += 1
+                print(f"{path.relative_to(ROOT).as_posix()}:{line}: {text[line - 1].strip()}")
+    print(f"{total - unrun} of {total} statements run; {unrun} not")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

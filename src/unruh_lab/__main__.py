@@ -1,5 +1,7 @@
 """Run the command-line interface with ``python -m unruh_lab``."""
 
-from .cli import entry
+import sys
 
-entry()
+from .cli import main
+
+sys.exit(main())

@@ -145,7 +145,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def entry() -> None:
-    sys.exit(main())

@@ -159,7 +159,8 @@ def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
     eigensolve per degree for the whole list) are Newton-refined against it
     with exact residuals (:func:`_exact_newton`), then scaled back.  A
     matrix's eigenvalues are the same bits whatever else is in the list.
-    Each eigenvalue sum must reproduce its matrix's trace.  A complex
+    Each eigenvalue sum must reproduce its matrix's trace to 1e-6 of the
+    sum of the eigenvalues' magnitudes, at any scale.  A complex
     matrix, or a NaN or infinite entry, raises ``ValueError`` before the
     matrix is split, whatever block the entry would fall in.
     """
@@ -195,7 +196,7 @@ def eigvals_charpoly_batch(matrices) -> list[np.ndarray]:
     results = []
     for trace, blocks in spectra:
         eigs = np.sort([lam for block in blocks for lam in block])[::-1]
-        if abs(eigs.sum() - trace) > 1e-6 * max(1.0, abs(trace)):
+        if not abs(eigs.sum() - trace) <= 1e-6 * float(np.abs(eigs).sum()):
             raise ValueError(
                 f"root refinement lost mass: eigenvalue sum {eigs.sum()!r} vs trace {trace!r}"
             )

@@ -2,10 +2,11 @@
 
 The workflow is read as text (no YAML parser is a dependency).  The
 scripts are left to ``ci/run_local.sh``: the unrun-statement gate runs this
-suite itself, the value diff sweeps two trees, and the bench smoke run and
-the mutation catalogue take about 20 s and 110 s on a 2-core machine.  The
-catalogue's entries and the unrun list are only read here.  The checks
-that need only the package, the golden figure digests, the ``verify
+suite itself and fails if any statement of ``src/`` goes unrun, the value
+diff sweeps two trees, and the bench smoke run and the mutation catalogue
+take about 20 s and 110 s on a 2-core machine.  Here the catalogue's entries
+are only read, and the gate's statement parser runs on a small source.  The
+checks that need only the package, the golden figure digests, the ``verify
 --quick`` verdicts, the point columns and ``python -m unruh_lab``, are
 tier-1 tests of their own.
 """
@@ -62,12 +63,34 @@ def test_every_ci_script_stops_at_its_first_failure():
         assert "\nset -euo pipefail\n" in path.read_text(encoding="utf-8"), path.name
 
 
-def test_every_listed_unrun_statement_is_a_statement_of_the_source():
+def test_unrun_gate_counts_statements_by_their_own_lines(tmp_path):
     # the gate itself traces the whole suite and is left to ci/run_local.sh
     spec = importlib.util.spec_from_file_location("unrun", CI / "unrun.py")
     unrun = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(unrun)
-    assert unrun.UNRUN and all(unrun.UNRUN.values())
-    for path, scope, source in unrun.UNRUN:
-        found = [(s, text) for s, _, text, _ in unrun.statements(ROOT / path)]
-        assert found.count((scope, source)) == 1, (path, scope, source)
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Module docstring."""\n'
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    return max(\n"
+        "        x,\n"
+        "        1,\n"
+        "    )\n"
+        "\n"
+        "\n"
+        "if f(\n"
+        "    0\n"
+        "):\n"
+        "    y = 1\n",
+        encoding="utf-8",
+    )
+    # the def's header but not its docstring, every line of the call, the
+    # if's header lines but not its body
+    assert unrun.statements(module) == [
+        (4, range(4, 5)), (6, range(6, 10)), (12, range(12, 15)), (15, range(15, 16))
+    ]
+    module.write_text('"""Only a docstring."""\n', encoding="utf-8")
+    assert unrun.statements(module) == []

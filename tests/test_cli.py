@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,8 @@ class TestVerify:
 
 
 class TestModuleEntry:
+    POINT = ["point", "--family", "quantum-single", "--region", "bob-i", "--gamma", "0", "--qr"]
+
     @pytest.mark.parametrize("qr, code", [("1", 0), ("nan", 3)])
     def test_python_dash_m_runs_the_cli(self, tmp_path, qr, code):
         # a checkout without an install: only the package's parent directory on the path
@@ -283,22 +286,35 @@ class TestModuleEntry:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run(
-            [sys.executable, "-m", "unruh_lab", "point", "--family", "quantum-single",
-             "--region", "bob-i", "--gamma", "0", "--qr", qr],
+            [sys.executable, "-m", "unruh_lab", *self.POINT, qr],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
-        # entry() hands main()'s code to sys.exit
+        # __main__ hands main()'s code to sys.exit
         assert done.returncode == code, done.stderr
+        self.assert_point_output(code, done.stdout, done.stderr)
+
+    @pytest.mark.parametrize("qr, code", [("1", 0), ("nan", 3)])
+    def test_python_dash_m_runs_the_cli_in_process(self, monkeypatch, capsys, qr, code):
+        # the same module run in this process, where a line tracer sees it
+        monkeypatch.setattr(sys, "argv", ["unruh_lab", *self.POINT, qr])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("unruh_lab", run_name="__main__", alter_sys=True)
+        assert exited.value.code == code
+        captured = capsys.readouterr()
+        self.assert_point_output(code, captured.out, captured.err)
+
+    @staticmethod
+    def assert_point_output(code, out, err):
         if code == 0:
-            assert "mutual_info=2.000000000000" in done.stdout
+            assert "mutual_info=2.000000000000" in out
         else:
-            assert done.stdout == ""
-            assert done.stderr.startswith("error: q_r:")
+            assert out == ""
+            assert err.startswith("error: q_r:")
 
     def test_console_script_is_cli_entry(self):
         # read as text: 3.10 has no tomllib
         pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
         (scripts,) = re.findall(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", pyproject, re.M)
         assert re.findall(r'^([\w-]+) = "(.*)"$', scripts, re.M) == [
-            ("unruh-lab", "unruh_lab.cli:entry")
+            ("unruh-lab", "unruh_lab.cli:main")
         ]

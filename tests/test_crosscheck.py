@@ -142,6 +142,17 @@ class TestCharpolyEigensolver:
             crosscheck.eigvals_charpoly_batch([np.array([[0.5, 0.25], [0.25, 0.5]])])[0]
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("exponent", [0, -20, -500])
+    def test_lost_mass_rejected_at_any_scale(self, monkeypatch, exponent):
+        # every root 5% high misses the trace by 5% of the spectrum, however
+        # small the spectrum is
+        newton = crosscheck._exact_newton
+        monkeypatch.setattr(crosscheck, "_exact_newton",
+                            lambda coeffs, start: 1.05 * newton(coeffs, start))
+        block = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]) * 2.0**exponent
+        with pytest.raises(ValueError, match="root refinement lost mass"):
+            crosscheck.eigvals_charpoly_batch([block])
+
     def test_newton_keeps_a_start_where_the_derivative_vanishes(self):
         # p(x) = x**2 - 1 at x = 0, where a step would divide by p'(0) = 0
         assert crosscheck._exact_newton([1, 0, -1], 0.0) == 0.0
